@@ -19,10 +19,9 @@ from .maxsat import CnfFormula, brute_force_max2sat, emit_wcnf, parse_wcnf, redu
 from .circuit import (Gate, GateKind, LogicalCircuit, QaoaParams,
                       build_qaoa_circuit, logical_depth)
 from .scheduler import (GridTopology, Schedule, choose_grid, emit_pdpt,
-                        parse_pdpt, schedule, scheduled_depth, validate_schedule)
-from .simulator import (NoiseParams, TrajectoryEnsemble, init_plus_state,
-                        measure_samples, overlap_with_optima, run_noisy_ensemble,
-                        sample_noise_op, simulate_logical)
+                        parse_pdpt, schedule, validate_schedule)
+from .simulator import (NoiseParams, TrajectoryEnsemble, init_plus_state, optima_mask,
+                        run_noisy_ensemble, sample_from_probs, simulate_logical)
 from .estimator import SampleEstimate, approximation_ratio, estimate_cut, exact_cut_expectation
 from .optimizer import (InstanceSolveResult, NmConfig, RunRecord, nelder_mead,
                         random_initial_simplex, solve_instance)

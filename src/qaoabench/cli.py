@@ -24,8 +24,7 @@ from .circuit import QaoaParams, build_qaoa_circuit, circuit_from_json, circuit_
 from .graphs import brute_force_maxcut, cut_values_table, gen_random_3regular, read_graph, write_graph
 from .optimizer import InstanceProblem, NmConfig, collect_result, solve_instance
 from .scheduler import (choose_grid, emit_pdpt, parse_pdpt, schedule,
-                        schedule_from_json, schedule_to_json, scheduled_depth,
-                        validate_schedule)
+                        schedule_from_json, schedule_to_json, validate_schedule)
 from .simulator import NoiseParams, convergence_study, run_noisy_ensemble, optima_mask
 
 DEFAULTS = {
@@ -150,7 +149,7 @@ def cmd_schedule(args, config):
     if violations:
         raise RuntimeError("generated schedule is invalid: " + "; ".join(violations))
     n_swaps = sum(1 for row in sched.table for e in row if e < 0) // 2
-    print(f"grid {grid.rows}x{grid.cols}, depth {scheduled_depth(sched)} cycles, "
+    print(f"grid {grid.rows}x{grid.cols}, depth {sched.n_cycles} cycles, "
           f"{n_swaps} SWAPs, schedule valid")
     _write(args.out, emit_pdpt(sched))
     if args.out_circuit:

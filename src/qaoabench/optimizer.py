@@ -14,17 +14,16 @@ sequential, mirroring how a hybrid loop would drive one device.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .circuit import QaoaParams, build_qaoa_circuit
-from .estimator import estimate_cut, exact_cut_expectation
+from .estimator import estimate_cut
 from .graphs import Graph, brute_force_maxcut, cut_values_table
-from .scheduler import Schedule, choose_grid, schedule, scheduled_depth
-from .simulator import (NoiseParams, measure_samples, optima_mask,
-                        run_noisy_ensemble, sample_from_probs, simulate_logical)
+from .scheduler import choose_grid, schedule
+from .simulator import (NoiseParams, optima_mask, run_noisy_ensemble,
+                        sample_from_probs, simulate_logical)
 
 SIMPLEX_OFFSET = 0.25  # radians added along each axis to form the initial simplex
 
@@ -244,7 +243,7 @@ class InstanceProblem:
         self.circuit0 = build_qaoa_circuit(g, QaoaParams((0.0,) * p, (0.0,) * p))
         self.grid = choose_grid(g.n)
         self.schedule = schedule(self.circuit0, self.grid, _derived_seed(master_seed, 0xC0))
-        self.depth = scheduled_depth(self.schedule)
+        self.depth = self.schedule.n_cycles
         self.cut_table = cut_values_table(g)
         self.k_max, self.optima = brute_force_maxcut(g)
         self.optima_mask = optima_mask(self.optima, g.n)

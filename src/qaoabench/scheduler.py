@@ -90,23 +90,8 @@ class Schedule:
 
     @property
     def n_cycles(self) -> int:
+        """Cycle count of the table; the hoisted preparation layer is excluded."""
         return len(self.table)
-
-    def final_placement(self) -> tuple[int, ...]:
-        """Site -> logical map after replaying every SWAP in the table."""
-        p2l = list(self.placement)
-        for row in self.table:
-            for u, v in _swap_pairs(row):
-                p2l[u], p2l[v] = p2l[v], p2l[u]
-        return tuple(p2l)
-
-
-def _swap_pairs(row) -> list[tuple[int, int]]:
-    sites_by_id: dict[int, list[int]] = {}
-    for site, entry in enumerate(row):
-        if entry < 0:
-            sites_by_id.setdefault(entry, []).append(site)
-    return [(s[0], s[1]) for s in sites_by_id.values() if len(s) == 2]
 
 
 def choose_grid(n: int) -> GridTopology:
@@ -117,11 +102,6 @@ def choose_grid(n: int) -> GridTopology:
     if side * side < n:
         side += 1
     return GridTopology(side, side)
-
-
-def scheduled_depth(s: Schedule) -> int:
-    """Cycle count of the table; the hoisted preparation layer is excluded."""
-    return s.n_cycles
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +225,6 @@ def _schedule_once(c: LogicalCircuit, t: GridTopology,
     table: list[list[int]] = []
     swap_counter = 0
     max_cycles = 64 + 8 * (n_alg + 1) * (t.rows + t.cols)
-
-    def gate_dist(g: int) -> int:
-        qa, qb = alg_gates[g].qubits
-        return t.distance(l2p[qa], l2p[qb])
 
     while n_done < n_alg:
         if len(table) > max_cycles:

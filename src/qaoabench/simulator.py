@@ -16,8 +16,8 @@ the ensemble average matches the channel without time-step error.
 Only the N logical qubits are ever simulated. Routing SWAPs relabel the
 site -> logical map and never touch amplitudes: they cannot entangle the
 algorithm register with pristine ancilla sites, so a machine with M > N
-sites costs no more than N qubits. A dense 2^M-site oracle that does apply
-SWAP unitaries is provided for tests of exactly this claim.
+sites costs no more than N qubits. The tests check this claim against a
+dense 2^M-site oracle that does apply SWAP unitaries.
 """
 from __future__ import annotations
 
@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .circuit import Gate, GateKind, LogicalCircuit
-from .scheduler import Schedule, _swap_pairs
+from .scheduler import Schedule
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -162,34 +161,6 @@ def simulate_logical(c: LogicalCircuit, state: np.ndarray | None = None) -> np.n
     return state
 
 
-def _apply_gate_batch(states: np.ndarray, n: int, gate: Gate) -> None:
-    """apply_gate for a (R, 2^n) batch, via the jit kernels when present."""
-    if not _kernels.HAS_NUMBA:
-        apply_gate(states, n, gate)
-    elif gate.kind == GateKind.H:
-        _kernels.kernel_h(states, n, gate.qubits[0])
-    elif gate.kind == GateKind.RX:
-        _kernels.kernel_rx(states, n, gate.qubits[0],
-                           math.cos(gate.angle), math.sin(gate.angle))
-    elif gate.kind == GateKind.ZZPHASE:
-        ph_eq = complex(math.cos(gate.angle / 2.0), -math.sin(gate.angle / 2.0))
-        _kernels.kernel_zzphase(states, n, gate.qubits[0], gate.qubits[1], ph_eq)
-    elif gate.kind == GateKind.SWAP:
-        _kernels.kernel_swap(states, n, gate.qubits[0], gate.qubits[1])
-    else:
-        raise ValueError(f"unknown gate kind {gate.kind}")
-
-
-def _noise_cycle_batch(states: np.ndarray, n: int, eps: np.ndarray,
-                       us: np.ndarray, p_damp: float) -> None:
-    """One cycle of per-qubit noise for a batch; eps and us are (R, n)."""
-    if _kernels.HAS_NUMBA:
-        _kernels.kernel_noise_cycle(states, n, eps, us, p_damp)
-    else:
-        for q in range(n):
-            _cycle_noise_qubit(states, n, q, eps[:, q], us[:, q], p_damp)
-
-
 def probabilities(state: np.ndarray) -> np.ndarray:
     return (state.real ** 2 + state.imag ** 2)
 
@@ -198,48 +169,14 @@ def probabilities(state: np.ndarray) -> np.ndarray:
 # stochastic noise operations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NoiseOp:
-    """One sampled qubit-cycle of noise: a Z-rotation angle and a jump draw.
-
-    epsilon is the dephasing rotation angle; u decides the damping branch
-    when compared against p_damp * P(qubit = 1) at application time.
-    """
-
-    epsilon: float
-    u: float
-    p_damp: float
-
-
-def sample_noise_op(noise: NoiseParams, dt: float, rng: np.random.Generator) -> NoiseOp:
-    """Draw the stochastic single-qubit operation for one duration-dt slot.
-
-    Averaged over draws, applying the result reproduces amplitude damping
-    with probability 1 - exp(-dt/T1) composed with pure dephasing at rate
-    1/T2 - 1/(2 T1) exactly (the two channels commute, so this order is
-    exact for any dt).
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    var = noise.dephasing_var(dt)
-    eps = rng.standard_normal() * math.sqrt(var) if var > 0 else 0.0
-    return NoiseOp(eps, float(rng.random()), noise.damping_prob(dt))
-
-
-def apply_noise_op(state: np.ndarray, n: int, q: int, op: NoiseOp) -> None:
-    """Apply one sampled noise operation to one unbatched state, in place."""
-    _cycle_noise_qubit(state[np.newaxis, :], n, q,
-                       np.array([op.epsilon]), np.array([op.u]), op.p_damp)
-
-
 def _cycle_noise_qubit(states: np.ndarray, n: int, q: int,
                        eps: np.ndarray, us: np.ndarray, p_damp: float) -> None:
-    """Dephase + damp qubit q across a (R, 2^n) batch; numpy reference.
+    """Dephase + damp qubit q across a (R, 2^n) batch, in place.
 
     Dephasing multiplies the |1> amplitudes by e^{i eps} (the Z rotation up
     to a global phase). The jump branch fires when u < p_damp * P(q=1),
     the exact branching weight, and both branches renormalize via the
-    closed-form branch norm. The numba kernel computes the same update.
+    closed-form branch norm.
     """
     a0, a1 = _split1(states, n, q)
     ph = np.exp(1j * eps)
@@ -369,10 +306,10 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
 
         for cy, group in enumerate(groups):
             for gate in group:
-                _apply_gate_batch(states, n, gate)
+                apply_gate(states, n, gate)
             if eps is not None:
-                _noise_cycle_batch(states, n, np.ascontiguousarray(eps[:, cy, :]),
-                                   np.ascontiguousarray(us[:, cy, :]), p_damp)
+                for q in range(n):
+                    _cycle_noise_qubit(states, n, q, eps[:, cy, q], us[:, cy, q], p_damp)
 
         probs = probabilities(states)
         sum_probs += probs.sum(axis=0)
@@ -395,14 +332,8 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
 
 
 # ---------------------------------------------------------------------------
-# measurement and overlap
+# sampling and the optima mask
 # ---------------------------------------------------------------------------
-
-def measure_samples(state: np.ndarray, n_samples: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """n_samples i.i.d. basis-state draws (as integer codes) from |amp|^2."""
-    return sample_from_probs(probabilities(state), n_samples, rng)
-
 
 def sample_from_probs(probs: np.ndarray, n_samples: int,
                       rng: np.random.Generator) -> np.ndarray:
@@ -410,78 +341,11 @@ def sample_from_probs(probs: np.ndarray, n_samples: int,
     return rng.choice(len(p), size=n_samples, p=p).astype(np.uint32)
 
 
-def overlap_with_optima(state_or_probs: np.ndarray, optima) -> float:
-    """Total probability mass on the given assignments (or basis indices)."""
-    probs = state_or_probs
-    if np.iscomplexobj(probs):
-        probs = probabilities(probs)
-    total = 0.0
-    for a in optima:
-        idx = a if isinstance(a, (int, np.integer)) else a.to_int()
-        total += float(probs[idx])
-    return total
-
-
 def optima_mask(optima, n: int) -> np.ndarray:
     mask = np.zeros(1 << n, dtype=bool)
     for a in optima:
         mask[a if isinstance(a, (int, np.integer)) else a.to_int()] = True
     return mask
-
-
-# ---------------------------------------------------------------------------
-# dense physical-grid oracle (tests / schedule equivalence)
-# ---------------------------------------------------------------------------
-
-def simulate_schedule_physical(s: Schedule, c: LogicalCircuit) -> np.ndarray:
-    """Noiselessly simulate all grid sites, SWAPs as real unitaries.
-
-    Costs 2^(grid sites) amplitudes, so this is a small-scale oracle only.
-    Returns the final logical-register state extracted via the tracked
-    site -> logical map; ancilla sites must end in |0> (they always do,
-    SWAP being a wire permutation) and are projected out.
-    """
-    m = s.grid.n_sites
-    if m > 24:
-        raise ValueError("physical oracle capped at 24 sites")
-    state = init_zero_state(m)
-    l2p = {q: site for site, q in enumerate(s.placement) if q != -1}
-
-    for gate in c.gates[: s.n_prep_gates]:
-        apply_gate(state, m, gate, qubits=tuple(l2p[q] for q in gate.qubits))
-
-    p2l = list(s.placement)
-    for row in s.table:
-        for entry, sites in _entry_sites(row).items():
-            if entry > 0:
-                gate = c.gates[s.n_prep_gates + entry - 1]
-                apply_gate(state, m, gate, qubits=tuple(sites))
-        for u, v in _swap_pairs(row):
-            apply_swap(state, m, u, v)
-            p2l[u], p2l[v] = p2l[v], p2l[u]
-
-    final_l2p = [-1] * c.n_qubits
-    for site, q in enumerate(p2l):
-        if q != -1:
-            final_l2p[q] = site
-
-    z = np.arange(1 << c.n_qubits, dtype=np.int64)
-    phys_index = np.zeros_like(z)
-    for q in range(c.n_qubits):
-        phys_index |= ((z >> q) & 1) << final_l2p[q]
-    logical = state[phys_index]
-    norm = np.linalg.norm(logical)
-    if abs(norm - 1.0) > 1e-9:
-        raise AssertionError(f"ancilla sites left |0> subspace (norm {norm})")
-    return logical
-
-
-def _entry_sites(row) -> dict[int, list[int]]:
-    out: dict[int, list[int]] = {}
-    for site, entry in enumerate(row):
-        if entry != 0:
-            out.setdefault(entry, []).append(site)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Everything here takes the slow, obviously-correct route: dense matrices
 built by Kronecker embedding and matrix exponentials, density matrices
 evolved by explicit Kraus sums, and plain-python enumeration. None of it
-shares code with the simulator's gate kernels.
+shares code with the simulator's gate kernels, except the all-sites
+physical simulation: it reuses apply_gate, because it checks SWAP tracking
+and not the kernels.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ from scipy.linalg import expm
 
 from qaoabench.circuit import GateKind
 from qaoabench.graphs import Graph
+from qaoabench.simulator import apply_gate, apply_swap, init_zero_state
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -136,3 +139,55 @@ def density_matrix_oracle(sched, circ, noise) -> np.ndarray:
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
+
+
+def simulate_schedule_physical(s, c) -> np.ndarray:
+    """Noiselessly simulate all grid sites, SWAPs as real unitaries.
+
+    Costs 2^(grid sites) amplitudes, so this is a small-scale oracle only.
+    Returns the final logical-register state extracted via the tracked
+    site -> logical map; ancilla sites must end in |0> (they always do,
+    SWAP being a wire permutation) and are projected out.
+    """
+    m = s.grid.n_sites
+    if m > 24:
+        raise ValueError("physical oracle capped at 24 sites")
+    state = init_zero_state(m)
+    l2p = {q: site for site, q in enumerate(s.placement) if q != -1}
+
+    for gate in c.gates[: s.n_prep_gates]:
+        apply_gate(state, m, gate, qubits=tuple(l2p[q] for q in gate.qubits))
+
+    p2l = list(s.placement)
+    for row in s.table:
+        for entry, sites in _entry_sites(row).items():
+            if entry > 0:
+                gate = c.gates[s.n_prep_gates + entry - 1]
+                apply_gate(state, m, gate, qubits=tuple(sites))
+            else:
+                u, v = sites
+                apply_swap(state, m, u, v)
+                p2l[u], p2l[v] = p2l[v], p2l[u]
+
+    final_l2p = [-1] * c.n_qubits
+    for site, q in enumerate(p2l):
+        if q != -1:
+            final_l2p[q] = site
+
+    z = np.arange(1 << c.n_qubits, dtype=np.int64)
+    phys_index = np.zeros_like(z)
+    for q in range(c.n_qubits):
+        phys_index |= ((z >> q) & 1) << final_l2p[q]
+    logical = state[phys_index]
+    norm = np.linalg.norm(logical)
+    if abs(norm - 1.0) > 1e-9:
+        raise AssertionError(f"ancilla sites left |0> subspace (norm {norm})")
+    return logical
+
+
+def _entry_sites(row) -> dict[int, list[int]]:
+    out: dict[int, list[int]] = {}
+    for site, entry in enumerate(row):
+        if entry != 0:
+            out.setdefault(entry, []).append(site)
+    return out

@@ -3,9 +3,8 @@
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
 lines. Criteria 6 and 7 share one multi-start noisy optimization of the
 8-qubit reference instance; it runs at a reduced realization count
-(ACCEPT_R below) to keep the suite in the minutes range -- the projection
-formula does not involve the realization count, and a full-R=384 run of
-the same configuration is documented in the README.
+(ACCEPT_R below) to keep the suite in the minutes range. The cost
+projection of criterion 6 does not involve the realization count.
 """
 import math
 
@@ -20,13 +19,13 @@ from qaoabench.graphs import (Graph, brute_force_maxcut, cut_values_table,
 from qaoabench.maxsat import brute_force_max2sat, reduce_to_max2sat
 from qaoabench.optimizer import NmConfig, solve_instance
 from qaoabench.scheduler import (GridTopology, choose_grid, parse_pdpt, schedule,
-                                 scheduled_depth, validate_schedule)
+                                 validate_schedule)
 from qaoabench.simulator import (NoiseParams, _cycle_noise_qubit, convergence_study,
-                                 run_noisy_ensemble, simulate_logical,
-                                 simulate_schedule_physical)
+                                 run_noisy_ensemble, simulate_logical)
 
 from conftest import APP_B_EDGES, APP_B_PDPT, PUBLISHED_DEPTH
-from oracles import dense_qaoa_state, density_matrix_oracle, trace_distance
+from oracles import (dense_qaoa_state, density_matrix_oracle, simulate_schedule_physical,
+                     trace_distance)
 
 PAPER_NOISE = NoiseParams(t1=200e-6, t2=100e-6, t_gate=10e-9)
 TABLE_I_N8_P4 = 100.6          # seconds, published mean cost at N=8, p=4
@@ -141,7 +140,7 @@ def test_criterion_4_schedule_validity_and_equivalence():
     assert validate_schedule(published, circ4, published.grid) == []
 
     # soft depth parity: within 1.5x of the published 31 cycles
-    ours = scheduled_depth(schedule(circ4, GridTopology(3, 3), 1))
+    ours = schedule(circ4, GridTopology(3, 3), 1).n_cycles
     assert ours <= 1.5 * PUBLISHED_DEPTH
     print(f"\nACCEPTANCE 4 PASS: schedules valid; scheduled==logical fidelity "
           f"{fid:.12f}; published table validates; our depth {ours} <= "

@@ -1,13 +1,11 @@
-import math
-
 import numpy as np
 import pytest
 
 from qaoabench.circuit import QaoaParams, build_qaoa_circuit
-from qaoabench.estimator import (SampleEstimate, approximation_ratio,
-                                 estimate_cut, exact_cut_expectation)
+from qaoabench.estimator import approximation_ratio, estimate_cut, exact_cut_expectation
 from qaoabench.graphs import CutAssignment, brute_force_maxcut, cut_value
-from qaoabench.simulator import init_plus_state, measure_samples, simulate_logical
+from qaoabench.simulator import (init_plus_state, probabilities, sample_from_probs,
+                                 simulate_logical)
 
 from oracles import dense_qaoa_state, op_on, Z
 
@@ -32,7 +30,7 @@ def test_sampled_converges_to_exact(k3):
     state = simulate_logical(build_qaoa_circuit(k3, params))
     exact = exact_cut_expectation(state, k3)
     for n, seed in ((10_000, 0), (100_000, 1)):
-        samples = measure_samples(state, n, np.random.default_rng(seed))
+        samples = sample_from_probs(probabilities(state), n, np.random.default_rng(seed))
         est = estimate_cut(samples, k3)
         assert abs(est.mean_cut - exact) < 4 * max(est.std_error, 1e-9)
 

@@ -1,12 +1,10 @@
-import numpy as np
 import pytest
 
 from qaoabench.circuit import Gate, GateKind, LogicalCircuit, QaoaParams, build_qaoa_circuit, logical_depth
-from qaoabench.graphs import Graph, gen_random_3regular
+from qaoabench.graphs import gen_random_3regular
 from qaoabench.scheduler import (GridTopology, Schedule, choose_grid, emit_pdpt,
                                  parse_pdpt, schedule, schedule_from_json,
-                                 schedule_to_json, scheduled_depth,
-                                 validate_schedule)
+                                 schedule_to_json, validate_schedule)
 
 from conftest import APP_B_PDPT, PUBLISHED_DEPTH
 
@@ -34,14 +32,14 @@ def test_single_qubit_only_circuit_needs_no_swaps():
         + tuple(Gate(GateKind.H, (q,)) for q in range(4))
     c = LogicalCircuit(4, gates)
     s = schedule(c, GridTopology(2, 2), 0)
-    assert scheduled_depth(s) == logical_depth(c)
+    assert s.n_cycles == logical_depth(c)
     assert _swap_count(s) == 0
 
 
 def test_adjacent_two_qubit_gate_first_cycle():
     c = LogicalCircuit(2, (Gate(GateKind.ZZPHASE, (0, 1), 0.5),))
     s = schedule(c, GridTopology(2, 2), 1)
-    assert scheduled_depth(s) == 1
+    assert s.n_cycles == 1
     assert _swap_count(s) == 0
 
 
@@ -63,7 +61,7 @@ def test_depth_beats_soft_parity_bar(app_b_graph):
     c = build_qaoa_circuit(app_b_graph, QaoaParams((0.1,) * 4, (0.2,) * 4))
     for seed in range(6):
         s = schedule(c, GridTopology(3, 3), seed)
-        assert scheduled_depth(s) <= 1.5 * PUBLISHED_DEPTH
+        assert s.n_cycles <= 1.5 * PUBLISHED_DEPTH
 
 
 def test_depth_monotone_in_p(app_b_graph):
@@ -71,7 +69,7 @@ def test_depth_monotone_in_p(app_b_graph):
         depths = []
         for p in range(1, 5):
             c = build_qaoa_circuit(app_b_graph, QaoaParams((0.1,) * p, (0.2,) * p))
-            depths.append(scheduled_depth(schedule(c, GridTopology(3, 3), seed)))
+            depths.append(schedule(c, GridTopology(3, 3), seed).n_cycles)
         assert all(a <= b for a, b in zip(depths, depths[1:]))
 
 
