@@ -2,11 +2,12 @@
 
 Subcommands mirror the pipeline stages: gen, reduce, schedule, simulate,
 solve, bench, fit, convergence. Every command takes --seed and is fully
-deterministic for a fixed seed and configuration; all defaults are the
-study's constants (T2 = 100 us, T1 = 200 us, T_G = 10 ns, T_P + T_M = 1 us,
-10000 samples per evaluation, 20 restarts, 300-update cap, 384 noise
-realizations, 40 instances per size) and can be overridden per flag or via
-a key=value config file.
+deterministic for a fixed seed and flags. Settings come from the command
+line only. Each flag defaults to the study's constant, taken from the
+library where it states one (NmConfig: 10000 samples per evaluation, 20
+restarts, 300-update cap; HardwareTimes: T_P + T_M = 1 us, T_G = 10 ns)
+and stated here otherwise (T2 = 100 us, T1 = 200 us, p = 4, 384 noise
+realizations, 40 instances per size).
 """
 from __future__ import annotations
 
@@ -22,86 +23,26 @@ import numpy as np
 from . import analysis, costmodel, maxsat
 from .circuit import QaoaParams, build_qaoa_circuit, circuit_from_json, circuit_to_json
 from .graphs import brute_force_maxcut, cut_values_table, gen_random_3regular, read_graph, write_graph
-from .optimizer import InstanceProblem, NmConfig, collect_result, solve_instance
+from .optimizer import NmConfig, solve_instance
 from .scheduler import (choose_grid, emit_pdpt, parse_pdpt, schedule,
                         schedule_from_json, schedule_to_json, validate_schedule)
 from .simulator import NoiseParams, convergence_study, run_noisy_ensemble, optima_mask
 
-DEFAULTS = {
-    "p": 4,
-    "n_instances": 40,
-    "n_restarts": 20,
-    "n_samples": 10_000,
-    "max_updates": 300,
-    "stall_factor": 10,
-    "reflection": 1.1,
-    "expansion": 1.5,
-    "contraction": 0.6,
-    "shrink": 0.4,
-    "t2": 100e-6,
-    "t1": 200e-6,
-    "t_gate": 10e-9,
-    "t_prep_plus_meas": 1e-6,
-    "realizations": 384,
-    "seed": 1,
-}
+
+def _nm_config(args) -> NmConfig:
+    return NmConfig(max_updates=args.max_updates, n_restarts=args.n_restarts,
+                    n_samples=args.n_samples)
 
 
-def load_config(path: str | None) -> dict:
-    """key = value lines; '#' comments; values parsed as numbers when possible."""
-    if path is None:
-        return {}
-    out = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line is not key = value: {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in DEFAULTS and key != "sizes":
-            raise ValueError(f"unknown config key {key!r}")
-        out[key] = value
-    return out
-
-
-def _setting(args, config: dict, key: str, cast=float):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return cast(config[key])
-    return DEFAULTS[key]
-
-
-def _nm_config(args, config) -> NmConfig:
-    return NmConfig(
-        reflection=_setting(args, config, "reflection"),
-        expansion=_setting(args, config, "expansion"),
-        contraction=_setting(args, config, "contraction"),
-        shrink=_setting(args, config, "shrink"),
-        max_updates=int(_setting(args, config, "max_updates", int)),
-        stall_factor=int(_setting(args, config, "stall_factor", int)),
-        n_restarts=int(_setting(args, config, "n_restarts", int)),
-        n_samples=int(_setting(args, config, "n_samples", int)),
-    )
-
-
-def _noise(args, config) -> NoiseParams | None:
-    if getattr(args, "noiseless", False):
+def _noise(args) -> NoiseParams | None:
+    if args.noiseless:
         return None
-    return NoiseParams(
-        t1=_setting(args, config, "t1"),
-        t2=_setting(args, config, "t2"),
-        t_gate=_setting(args, config, "t_gate"),
-    )
+    return NoiseParams(t1=args.t1, t2=args.t2, t_gate=args.t_gate)
 
 
-def _hardware(args, config) -> costmodel.HardwareTimes:
-    return costmodel.HardwareTimes(
-        t_prep_plus_meas=_setting(args, config, "t_prep_plus_meas"),
-        t_gate=_setting(args, config, "t_gate"),
-    )
+def _hardware(args) -> costmodel.HardwareTimes:
+    return costmodel.HardwareTimes(t_prep_plus_meas=args.t_prep_plus_meas,
+                                   t_gate=args.t_gate)
 
 
 def _angles(args, p: int) -> QaoaParams:
@@ -125,26 +66,22 @@ def _write(path: str, text: str) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_gen(args, config):
-    n = int(args.n)
-    seed = int(_setting(args, config, "seed", int))
-    g = gen_random_3regular(n, seed)
+def cmd_gen(args):
+    g = gen_random_3regular(args.n, args.seed)
     _write(args.out, write_graph(g))
 
 
-def cmd_reduce(args, config):
+def cmd_reduce(args):
     g = read_graph(Path(args.graph).read_text())
     formula = maxsat.reduce_to_max2sat(g)
     _write(args.out, maxsat.emit_wcnf(formula))
 
 
-def cmd_schedule(args, config):
+def cmd_schedule(args):
     g = read_graph(Path(args.graph).read_text())
-    p = int(_setting(args, config, "p", int))
-    seed = int(_setting(args, config, "seed", int))
-    circuit = build_qaoa_circuit(g, _angles(args, p))
+    circuit = build_qaoa_circuit(g, _angles(args, args.p))
     grid = choose_grid(g.n)
-    sched = schedule(circuit, grid, seed)
+    sched = schedule(circuit, grid, args.seed)
     violations = validate_schedule(sched, circuit, grid)
     if violations:
         raise RuntimeError("generated schedule is invalid: " + "; ".join(violations))
@@ -158,23 +95,26 @@ def cmd_schedule(args, config):
         _write(args.out_json, schedule_to_json(sched))
 
 
-def cmd_simulate(args, config):
+def cmd_simulate(args):
     g = read_graph(Path(args.graph).read_text())
     circuit = circuit_from_json(Path(args.circuit).read_text())
     text = Path(args.schedule).read_text()
-    sched = schedule_from_json(text) if args.schedule.endswith(".json") else parse_pdpt(text)
+    if args.schedule.endswith(".json"):
+        sched = schedule_from_json(text)
+    else:
+        # PDPT omits the hoisted |+...+> preparation layer, as `schedule` emits it
+        sched = parse_pdpt(text, n_prep_gates=circuit.prep_layer_size())
     violations = validate_schedule(sched, circuit, sched.grid)
     if violations:
         raise RuntimeError("schedule does not match circuit: " + "; ".join(violations))
 
-    noise = _noise(args, config)
+    noise = _noise(args)
     if noise is None:
-        noise = NoiseParams(math.inf, math.inf, _setting(args, config, "t_gate"))
-    seed = int(_setting(args, config, "seed", int))
-    n_real = int(_setting(args, config, "realizations", int))
+        noise = NoiseParams(math.inf, math.inf, args.t_gate)
+    n_real = args.realizations
     cut_table = cut_values_table(g)
     k_max, optima = brute_force_maxcut(g)
-    ens = run_noisy_ensemble(sched, circuit, noise, n_real, seed,
+    ens = run_noisy_ensemble(sched, circuit, noise, n_real, args.seed,
                              cut_table=cut_table,
                              overlap_mask=optima_mask(optima, g.n))
     payload = {
@@ -192,95 +132,53 @@ def cmd_simulate(args, config):
     _write(args.out, json.dumps(payload, indent=2) + "\n")
 
 
-def cmd_solve(args, config):
+def cmd_solve(args):
     g = read_graph(Path(args.graph).read_text())
-    p = int(_setting(args, config, "p", int))
-    seed = int(_setting(args, config, "seed", int))
-    cfg = _nm_config(args, config)
-    noise = _noise(args, config)
-    n_real = int(_setting(args, config, "realizations", int))
-    result = solve_instance(g, p, cfg, args.pipeline, noise, seed, n_real)
-    hw = _hardware(args, config)
-    cost = costmodel.instance_wall_time(result, result.depth, hw, cfg.n_samples)
-    print(f"N={g.n} p={p}: best estimate {result.best_run.best_value:.4f}, "
+    cfg = _nm_config(args)
+    result = solve_instance(g, args.p, cfg, args.pipeline, _noise(args), args.seed,
+                            args.realizations)
+    cost = costmodel.instance_wall_time(result, result.depth, _hardware(args), cfg.n_samples)
+    print(f"N={g.n} p={args.p}: best estimate {result.best_run.best_value:.4f}, "
           f"exact ratio {result.best_exact_ratio:.4f}, overlap {result.overlap:.4f}")
     print(f"total evals {result.total_function_evals}, depth {result.depth}, "
           f"projected wall time {cost.wall_time:.2f} s")
     _write(args.out, result.to_json())
 
 
-def _bench_restart_task(task):
-    (n, p, cfg, pipeline, noise, n_real, inst_seed, restart) = task
-    problem = _bench_problem(n, p, cfg, pipeline, noise, n_real, inst_seed)
-    rec = problem.run_restart(restart)
-    return rec
+def _bench_instance(task) -> costmodel.InstanceCost:
+    n, inst_seed, p, cfg, pipeline, noise, n_real, hw = task
+    result = solve_instance(gen_random_3regular(n, inst_seed), p, cfg, pipeline, noise,
+                            inst_seed, n_real)
+    return costmodel.instance_wall_time(result, result.depth, hw, cfg.n_samples)
 
 
-_PROBLEM_CACHE: dict = {}
-
-
-def _bench_problem(n, p, cfg, pipeline, noise, n_real, inst_seed) -> InstanceProblem:
-    key = (n, p, cfg, pipeline, noise, n_real, inst_seed)
-    if key not in _PROBLEM_CACHE:
-        g = gen_random_3regular(n, inst_seed)
-        _PROBLEM_CACHE[key] = InstanceProblem(g, p, cfg, pipeline, noise,
-                                              inst_seed, n_real)
-    return _PROBLEM_CACHE[key]
-
-
-def cmd_bench(args, config):
-    sizes_raw = args.sizes if args.sizes is not None else config.get("sizes")
-    if sizes_raw is None:
-        raise ValueError("bench needs --sizes (comma-separated, e.g. 8,10,12)")
-    sizes = [int(s) for s in str(sizes_raw).split(",")]
-    p = int(_setting(args, config, "p", int))
-    seed = int(_setting(args, config, "seed", int))
-    cfg = _nm_config(args, config)
-    noise = _noise(args, config)
-    n_real = int(_setting(args, config, "realizations", int))
-    n_instances = int(_setting(args, config, "n_instances", int))
-    hw = _hardware(args, config)
-    jobs = args.jobs or 1
-
-    tasks = []
-    for n in sizes:
-        for inst in range(n_instances):
-            inst_seed = int(np.random.SeedSequence([seed, n, inst]).generate_state(1)[0])
-            for restart in range(cfg.n_restarts):
-                tasks.append((n, p, cfg, args.pipeline, noise, n_real, inst_seed, restart))
-
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_bench_restart_task, tasks, chunksize=1))
+def cmd_bench(args):
+    sizes = [int(s) for s in args.sizes.split(",")]
+    p, n_instances = args.p, args.n_instances
+    cfg, noise, hw = _nm_config(args), _noise(args), _hardware(args)
+    tasks = [(n, int(np.random.SeedSequence([args.seed, n, inst]).generate_state(1)[0]),
+              p, cfg, args.pipeline, noise, args.realizations, hw)
+             for n in sizes for inst in range(n_instances)]
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            costs = list(pool.map(_bench_instance, tasks))
     else:
-        records = [_bench_restart_task(t) for t in tasks]
+        costs = [_bench_instance(t) for t in tasks]
 
     rows = []
-    timing_rows = []
-    idx = 0
-    for n in sizes:
-        costs = []
-        for inst in range(n_instances):
-            inst_seed = int(np.random.SeedSequence([seed, n, inst]).generate_state(1)[0])
-            problem = _bench_problem(n, p, cfg, args.pipeline, noise, n_real, inst_seed)
-            runs = records[idx:idx + cfg.n_restarts]
-            idx += cfg.n_restarts
-            result = collect_result(problem, runs)
-            costs.append(costmodel.instance_wall_time(result, result.depth, hw,
-                                                      cfg.n_samples))
-        mean, sdom = costmodel.aggregate(costs)
+    for k, n in enumerate(sizes):
+        mean, sdom = costmodel.aggregate(costs[k * n_instances:(k + 1) * n_instances])
         rows.append({"n": n, "p": p, "mean_seconds": mean, "sdom_seconds": sdom,
                      "n_instances": n_instances})
-        timing_rows.append((n, mean))
         print(f"N={n} p={p}: mean {mean:.3f} s, sdom {sdom:.3f} s "
               f"over {n_instances} instances")
     _write(args.out, costmodel.write_cost_csv(rows))
     if args.out_timing:
-        lines = [f"{n},{t:.9g},qaoa-p{p}" for n, t in timing_rows]
+        lines = [f"{row['n']},{row['mean_seconds']:.9g},qaoa-p{p}" for row in rows]
         _write(args.out_timing, "\n".join(lines) + "\n")
 
 
-def cmd_fit(args, config):
+def cmd_fit(args):
     points: dict[str, list[tuple[float, float]]] = {}
     for path in args.input:
         text = Path(path).read_text()
@@ -308,15 +206,12 @@ def cmd_fit(args, config):
     _write(args.out_json, json_text)
 
 
-def cmd_convergence(args, config):
-    p = int(_setting(args, config, "p", int))
-    seed = int(_setting(args, config, "seed", int))
-    n_real = int(_setting(args, config, "realizations", int))
-    t_gate = _setting(args, config, "t_gate")
+def cmd_convergence(args):
+    p, seed, n_real = args.p, args.seed, args.realizations
     if args.graph:
         g = read_graph(Path(args.graph).read_text())
     elif args.n is not None:
-        g = gen_random_3regular(int(args.n), seed)
+        g = gen_random_3regular(args.n, seed)
     else:
         raise ValueError("convergence needs --graph or --n")
 
@@ -340,7 +235,7 @@ def cmd_convergence(args, config):
     lines = ["t2_over_tg,seed,realizations,running_mean_ratio"]
     summary = {}
     for ratio in ratios:
-        noise = NoiseParams.from_t2_ratio(ratio, t_gate)
+        noise = NoiseParams.from_t2_ratio(ratio, args.t_gate)
         curves = convergence_study(sched, circuit, noise, n_real, seeds, cut_table, k_max)
         finals = [curve[-1] for curve in curves.values()]
         spread = max(finals) - min(finals)
@@ -358,25 +253,29 @@ def cmd_convergence(args, config):
 # ---------------------------------------------------------------------------
 
 def _add_common(sub):
-    sub.add_argument("--seed", type=int, help="master RNG seed")
-    sub.add_argument("--config", help="key = value config file")
+    sub.add_argument("--seed", type=int, default=1, help="master RNG seed")
 
 
 def _add_noise_flags(sub):
-    sub.add_argument("--t1", type=float, help="relaxation time, seconds")
-    sub.add_argument("--t2", type=float, help="dephasing time, seconds")
-    sub.add_argument("--t-gate", dest="t_gate", type=float, help="gate duration, seconds")
+    sub.add_argument("--t1", type=float, default=200e-6, help="relaxation time, seconds")
+    sub.add_argument("--t2", type=float, default=100e-6, help="dephasing time, seconds")
+    sub.add_argument("--t-gate", dest="t_gate", type=float, default=costmodel.DEFAULT_T_GATE,
+                     help="gate duration, seconds")
     sub.add_argument("--noiseless", action="store_true", help="disable noise")
-    sub.add_argument("--realizations", type=int, help="noise realizations per evaluation")
+    sub.add_argument("--realizations", type=int, default=384,
+                     help="noise realizations per evaluation")
 
 
-def _add_nm_flags(sub):
-    for name in ("reflection", "expansion", "contraction", "shrink"):
-        sub.add_argument(f"--{name}", type=float)
-    sub.add_argument("--max-updates", dest="max_updates", type=int)
-    sub.add_argument("--stall-factor", dest="stall_factor", type=int)
-    sub.add_argument("--restarts", dest="n_restarts", type=int)
-    sub.add_argument("--samples", dest="n_samples", type=int)
+def _add_solve_flags(sub):
+    nm, hw = NmConfig(), costmodel.HardwareTimes()
+    sub.add_argument("--p", type=int, default=4)
+    sub.add_argument("--pipeline", choices=("sampled", "exact"), default="sampled")
+    sub.add_argument("--max-updates", dest="max_updates", type=int, default=nm.max_updates)
+    sub.add_argument("--restarts", dest="n_restarts", type=int, default=nm.n_restarts)
+    sub.add_argument("--samples", dest="n_samples", type=int, default=nm.n_samples)
+    sub.add_argument("--t-prep-plus-meas", dest="t_prep_plus_meas", type=float,
+                     default=hw.t_prep_plus_meas)
+    _add_noise_flags(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("schedule", help="compile a QAOA circuit onto the grid")
     sp.add_argument("--graph", required=True)
-    sp.add_argument("--p", type=int)
+    sp.add_argument("--p", type=int, default=4)
     sp.add_argument("--gammas", help="comma-separated phase angles")
     sp.add_argument("--betas", help="comma-separated mixer angles")
     sp.add_argument("--out", required=True, help="PDPT output path")
@@ -419,26 +318,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("solve", help="full multi-start QAOA on one instance")
     sp.add_argument("--graph", required=True)
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--pipeline", choices=("sampled", "exact"), default="sampled")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--t-prep-plus-meas", dest="t_prep_plus_meas", type=float)
-    _add_nm_flags(sp)
-    _add_noise_flags(sp)
+    _add_solve_flags(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_solve)
 
     sp = subs.add_parser("bench", help="sweep sizes, emit the cost CSV")
-    sp.add_argument("--sizes", help="comma-separated vertex counts")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--instances", dest="n_instances", type=int)
-    sp.add_argument("--pipeline", choices=("sampled", "exact"), default="sampled")
-    sp.add_argument("--jobs", type=int, help="parallel worker processes")
+    sp.add_argument("--sizes", required=True, help="comma-separated vertex counts")
+    sp.add_argument("--instances", dest="n_instances", type=int, default=40)
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="worker processes, each solving whole instances")
     sp.add_argument("--out", required=True)
     sp.add_argument("--out-timing", help="also write (N,seconds,label) timing CSV")
-    sp.add_argument("--t-prep-plus-meas", dest="t_prep_plus_meas", type=float)
-    _add_nm_flags(sp)
-    _add_noise_flags(sp)
+    _add_solve_flags(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_bench)
 
@@ -455,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("convergence", help="running-mean ratio vs realization count")
     sp.add_argument("--graph")
     sp.add_argument("--n", type=int, help="generate an instance of this size")
-    sp.add_argument("--p", type=int)
+    sp.add_argument("--p", type=int, default=4)
     sp.add_argument("--t2-ratios", default="500,10000",
                     help="comma-separated T2/T_G noise levels")
     sp.add_argument("--n-seeds", default=3, type=int)
@@ -473,8 +365,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config)
-        args.func(args, config)
+        args.func(args)
     except Exception as exc:  # CLI boundary: report, do not traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,11 +1,11 @@
 """Multi-start Nelder-Mead outer loop with function-evaluation accounting.
 
-The simplex update uses reflection/expansion/contraction/shrink
-coefficients 1.1 / 1.5 / 0.6 / 0.4 and runs until either 300 simplex
-updates have happened or the best vertex has not changed for 10 p
-consecutive updates. Every objective call is counted, including the 2p+1
-initial-simplex evaluations, because on hardware each one costs real
-repetitions.
+The simplex update uses the fixed coefficients REFLECTION, EXPANSION,
+CONTRACTION and SHRINK (1.1 / 1.5 / 0.6 / 0.4) and runs until either
+NmConfig.max_updates (300) simplex updates have happened or the best vertex
+has not changed for STALL_FACTOR * p (10 p) consecutive updates. Every
+objective call is counted, including the 2p+1 initial-simplex evaluations,
+because on hardware each one costs real repetitions.
 
 Each restart owns an independent random stream derived from
 (master seed, restart index); within a restart, evaluations are strictly
@@ -26,35 +26,24 @@ from .simulator import (NoiseParams, optima_mask, run_noisy_ensemble,
                         sample_from_probs, simulate_logical)
 
 SIMPLEX_OFFSET = 0.25  # radians added along each axis to form the initial simplex
+REFLECTION = 1.1
+EXPANSION = 1.5        # scales the reflection step
+CONTRACTION = 0.6
+SHRINK = 0.4
+STALL_FACTOR = 10      # stall window = STALL_FACTOR * p updates
 
 
 @dataclass(frozen=True)
 class NmConfig:
-    """Nelder-Mead coefficients, termination limits, and restart budget."""
+    """Nelder-Mead termination limit, restart budget and samples per evaluation."""
 
-    reflection: float = 1.1
-    expansion: float = 1.5
-    contraction: float = 0.6
-    shrink: float = 0.4
     max_updates: int = 300
-    stall_factor: int = 10          # stall window = stall_factor * p updates
     n_restarts: int = 20
     n_samples: int = 10_000
 
     def __post_init__(self):
-        if self.reflection <= 0:
-            raise ValueError("reflection must be positive")
-        if self.expansion <= 1.0:
-            raise ValueError("expansion must exceed 1 (it scales the reflection step)")
-        if not 0 < self.contraction < 1:
-            raise ValueError("contraction must be in (0, 1)")
-        if not 0 < self.shrink < 1:
-            raise ValueError("shrink must be in (0, 1)")
-        if min(self.max_updates, self.stall_factor, self.n_restarts, self.n_samples) <= 0:
+        if min(self.max_updates, self.n_restarts, self.n_samples) <= 0:
             raise ValueError("counts must be positive")
-
-    def stall_window(self, p: int) -> int:
-        return self.stall_factor * p
 
 
 @dataclass
@@ -98,7 +87,7 @@ def nelder_mead(objective, initial_simplex: np.ndarray, cfg: NmConfig) -> RunRec
 
     One "update" is one pass of the main loop (reflection through shrink).
     Terminates at cfg.max_updates updates, or as "stalled" once the best
-    vertex is unchanged for stall_factor * p consecutive updates. Sorting
+    vertex is unchanged for STALL_FACTOR * p consecutive updates. Sorting
     is stable, so on exact ties the incumbent best vertex is kept.
     """
     simplex = np.array(initial_simplex, dtype=float)
@@ -108,7 +97,7 @@ def nelder_mead(objective, initial_simplex: np.ndarray, cfg: NmConfig) -> RunRec
     if np.linalg.matrix_rank(simplex[1:] - simplex[0]) < dim:
         raise ValueError("degenerate initial simplex")
     p = dim // 2 if dim % 2 == 0 else dim
-    stall_window = cfg.stall_window(max(p, 1))
+    stall_window = STALL_FACTOR * max(p, 1)
 
     evals = 0
 
@@ -121,7 +110,7 @@ def nelder_mead(objective, initial_simplex: np.ndarray, cfg: NmConfig) -> RunRec
     order = np.argsort(values, kind="stable")
     simplex, values = simplex[order], values[order]
 
-    rho, chi, psi, sigma = cfg.reflection, cfg.expansion, cfg.contraction, cfg.shrink
+    rho, chi, psi, sigma = REFLECTION, EXPANSION, CONTRACTION, SHRINK
     trace: list[float] = []
     termination = "max_updates"
     stall = 0
@@ -299,14 +288,10 @@ def solve_instance(g: Graph, p: int, cfg: NmConfig, pipeline: str,
     """
     problem = InstanceProblem(g, p, cfg, pipeline, noise, master_seed, n_realizations)
     runs = [problem.run_restart(r) for r in range(cfg.n_restarts)]
-    return collect_result(problem, runs)
-
-
-def collect_result(problem: InstanceProblem, runs: list[RunRecord]) -> InstanceSolveResult:
     best = max(runs, key=lambda r: r.best_value)
     return InstanceSolveResult(
-        n=problem.g.n,
-        p=problem.p,
+        n=g.n,
+        p=p,
         best_run=best,
         runs=runs,
         total_function_evals=sum(r.n_function_evals for r in runs),

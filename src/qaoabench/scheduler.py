@@ -370,19 +370,14 @@ def validate_schedule(s: Schedule, c: LogicalCircuit, t: GridTopology) -> list[s
     exactly once with correct arity and adjacency, sites are exclusively
     activated, replaying SWAPs shows each gate acting on its logical
     operands, and non-commuting same-qubit gates appear in circuit order.
-
-    If the schedule declares no hoisted preparation but its ids only cover
-    the circuit minus a leading all-qubit H prefix, the prefix is treated
-    as hoisted (this is how published tables omit the preparation layer).
+    Table ids are read after the schedule's own n_prep_gates hoisted gates,
+    exactly as the simulator replays them.
     """
     out: list[str] = []
     if t.n_sites != len(s.placement):
         return [f"placement has {len(s.placement)} sites, grid has {t.n_sites}"]
 
     n_prep = s.n_prep_gates
-    max_id = max((e for row in s.table for e in row if e > 0), default=0)
-    if n_prep == 0 and max_id == len(c.gates) - c.prep_layer_size():
-        n_prep = c.prep_layer_size()
     alg_gates = c.gates[n_prep:]
     n_alg = len(alg_gates)
 
@@ -483,7 +478,9 @@ def parse_pdpt(text: str, grid: GridTopology | None = None,
     The first non-comment row must list physical indices 0..S-1; the second
     is the initial placement with '*' for unused sites; every following row
     is one clock cycle. A square grid is inferred from the column count
-    unless one is supplied.
+    unless one is supplied. The text does not record hoisted preparation
+    gates, so a reader of a table that omits them (published tables and
+    emit_pdpt output do) passes n_prep_gates = circuit.prep_layer_size().
     """
     rows: list[list[str]] = []
     for ln in text.splitlines():

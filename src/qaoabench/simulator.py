@@ -136,10 +136,9 @@ def apply_swap(state: np.ndarray, n: int, qa: int, qb: int) -> None:
     shaped[..., 1, :, 0, :] = tmp
 
 
-def apply_gate(state: np.ndarray, n: int, gate: Gate,
-               qubits: tuple[int, ...] | None = None) -> None:
-    """Apply one gate in place; qubits overrides the gate's own operands."""
-    q = qubits if qubits is not None else gate.qubits
+def apply_gate(state: np.ndarray, n: int, gate: Gate) -> None:
+    """Apply one gate in place on its own operands."""
+    q = gate.qubits
     if gate.kind == GateKind.H:
         apply_h(state, n, q[0])
     elif gate.kind == GateKind.RX:
@@ -264,8 +263,10 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
     Per cycle, every scheduled gate is applied and then each of the n
     logical qubits receives one noise operation (idle qubits decohere too).
     Realization r consumes the random stream of default_rng([master_seed, r])
-    -- a Gaussian block then a uniform block, (n_cycles x n) each -- so
-    results do not depend on chunking or execution order. Averages are
+    -- a Gaussian block then a uniform block, (n_cycles x n) each; the
+    Gaussian block is drawn only when the dephasing variance is positive
+    (at T2 = 2 T1 the uniform block starts the stream) -- so results do
+    not depend on chunking or execution order. Averages are
     reduced in fixed realization order; reruns with one master seed are
     bitwise identical.
     """

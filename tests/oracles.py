@@ -14,7 +14,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from qaoabench.circuit import GateKind
+from qaoabench.circuit import Gate, GateKind
 from qaoabench.graphs import Graph
 from qaoabench.simulator import apply_gate, apply_swap, init_zero_state
 
@@ -30,9 +30,9 @@ def op_on(u: np.ndarray, q: int, n: int) -> np.ndarray:
     return np.kron(np.eye(1 << (n - 1 - q)), np.kron(u, np.eye(1 << q)))
 
 
-def gate_unitary(gate, n: int, qubits=None) -> np.ndarray:
+def gate_unitary(gate, n: int) -> np.ndarray:
     """Dense unitary of one gate via expm / explicit matrices."""
-    q = qubits if qubits is not None else gate.qubits
+    q = gate.qubits
     if gate.kind == GateKind.H:
         return op_on(H, q[0], n)
     if gate.kind == GateKind.RX:
@@ -156,14 +156,14 @@ def simulate_schedule_physical(s, c) -> np.ndarray:
     l2p = {q: site for site, q in enumerate(s.placement) if q != -1}
 
     for gate in c.gates[: s.n_prep_gates]:
-        apply_gate(state, m, gate, qubits=tuple(l2p[q] for q in gate.qubits))
+        apply_gate(state, m, Gate(gate.kind, tuple(l2p[q] for q in gate.qubits), gate.angle))
 
     p2l = list(s.placement)
     for row in s.table:
         for entry, sites in _entry_sites(row).items():
             if entry > 0:
                 gate = c.gates[s.n_prep_gates + entry - 1]
-                apply_gate(state, m, gate, qubits=tuple(sites))
+                apply_gate(state, m, Gate(gate.kind, tuple(sites), gate.angle))
             else:
                 u, v = sites
                 apply_swap(state, m, u, v)

@@ -134,9 +134,9 @@ def test_criterion_4_schedule_validity_and_equivalence():
     assert fid > 1 - 1e-10
 
     # the published table parses and validates against its stated edge list
-    published = parse_pdpt(APP_B_PDPT)
-    assert published.n_cycles == PUBLISHED_DEPTH
     circ4 = build_qaoa_circuit(APP_B, QaoaParams((0.1,) * 4, (0.2,) * 4))
+    published = parse_pdpt(APP_B_PDPT, n_prep_gates=circ4.prep_layer_size())
+    assert published.n_cycles == PUBLISHED_DEPTH
     assert validate_schedule(published, circ4, published.grid) == []
 
     # soft depth parity: within 1.5x of the published 31 cycles

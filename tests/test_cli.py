@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from qaoabench.circuit import circuit_from_json
 from qaoabench.cli import main
-from qaoabench.graphs import read_graph
+from qaoabench.graphs import cut_values_table, read_graph
 from qaoabench.scheduler import parse_pdpt
+from qaoabench.simulator import probabilities, simulate_logical
 
 from conftest import APP_B_PDPT
 
@@ -54,6 +56,24 @@ def test_schedule_then_simulate(tmp_path):
     assert len(payload["per_realization_cut"]) == 16
 
 
+def test_simulate_pdpt_matches_logical_noiseless(tmp_path):
+    # PDPT text omits the hoisted H layer; simulate must replay the table
+    # after it, so a noiseless run reproduces the logical circuit exactly
+    gpath = tmp_path / "g.txt"
+    run_cli("gen", "--n", 6, "--seed", 1, "--out", gpath)
+    pdpt, circ = tmp_path / "s.pdpt", tmp_path / "c.json"
+    assert run_cli("schedule", "--graph", gpath, "--p", 2, "--seed", 2,
+                   "--gammas", "0.7,0.3", "--betas", "0.2,0.5",
+                   "--out", pdpt, "--out-circuit", circ) == 0
+    obs = tmp_path / "obs.json"
+    assert run_cli("simulate", "--graph", gpath, "--schedule", pdpt, "--circuit", circ,
+                   "--noiseless", "--realizations", 1, "--out", obs) == 0
+    g = read_graph(gpath.read_text())
+    c = circuit_from_json(circ.read_text())
+    exact = float(probabilities(simulate_logical(c)) @ cut_values_table(g))
+    assert abs(json.loads(obs.read_text())["mean_cut"] - exact) < 1e-9
+
+
 def test_solve_small_instance(tmp_path):
     gpath = tmp_path / "g.txt"
     gpath.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
@@ -67,17 +87,23 @@ def test_solve_small_instance(tmp_path):
     assert len(payload["runs"]) == 3
 
 
+# Fixed-seed bench CSVs; every --jobs value must reproduce them byte for byte.
+BENCH_CASES = (
+    (("--sizes", "4", "--noiseless", "--max-updates", 15),
+     "N,p,mean_seconds,sdom_seconds,n_instances\n4,1,0.0385875,0.0002625,2\n"),
+    (("--sizes", "6", "--max-updates", 8, "--realizations", 8),        # paper noise
+     "N,p,mean_seconds,sdom_seconds,n_instances\n6,1,0.02104,0.00143,2\n"),
+)
+
+
 def test_bench_deterministic_bytes(tmp_path):
-    args = ("bench", "--sizes", "4", "--p", 1, "--instances", 2,
-            "--pipeline", "sampled", "--noiseless", "--restarts", 2,
-            "--max-updates", 15, "--samples", 500, "--seed", 9)
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run_cli(*args, "--out", out1) == 0
-    assert run_cli(*args, "--out", out2) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    lines = out1.read_text().splitlines()
-    assert lines[0] == "N,p,mean_seconds,sdom_seconds,n_instances"
-    assert len(lines) == 2
+    common = ("bench", "--p", 1, "--instances", 2, "--pipeline", "sampled",
+              "--restarts", 2, "--samples", 500, "--seed", 9)
+    for case, (args, expected) in enumerate(BENCH_CASES):
+        for jobs in (1, 2):
+            out = tmp_path / f"case{case}-j{jobs}.csv"
+            assert run_cli(*common, *args, "--jobs", jobs, "--out", out) == 0
+            assert out.read_text() == expected
 
 
 def test_fit_with_published_averages_and_synthetic_classical(tmp_path):
@@ -105,24 +131,10 @@ def test_convergence_command(tmp_path):
     assert len(lines) == 1 + 2 * 40
 
 
-def test_config_file_defaults(tmp_path):
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("# small run\nseed = 12\np = 1\n")
-    gpath = tmp_path / "g.txt"
-    assert run_cli("gen", "--n", 6, "--config", cfgfile, "--out", gpath) == 0
-    first = read_graph(gpath.read_text())
-    assert run_cli("gen", "--n", 6, "--seed", 12, "--out", gpath) == 0
-    assert read_graph(gpath.read_text()) == first
-
-
 def test_errors_exit_nonzero(tmp_path):
     assert run_cli("gen", "--n", 7, "--out", tmp_path / "x.txt") == 1
     assert run_cli("reduce", "--graph", tmp_path / "missing.txt",
                    "--out", tmp_path / "y.wcnf") == 1
-    bad_cfg = tmp_path / "bad.cfg"
-    bad_cfg.write_text("nonsense_key = 5\n")
-    assert run_cli("gen", "--n", 6, "--config", bad_cfg,
-                   "--out", tmp_path / "z.txt") == 1
 
 
 def test_published_pdpt_feeds_simulate(tmp_path, app_b_graph):

@@ -4,7 +4,8 @@ import pytest
 from qaoabench.circuit import QaoaParams, build_qaoa_circuit
 from qaoabench.estimator import exact_cut_expectation
 from qaoabench.graphs import brute_force_maxcut
-from qaoabench.optimizer import (InstanceProblem, NmConfig, nelder_mead,
+from qaoabench.optimizer import (CONTRACTION, EXPANSION, REFLECTION, SHRINK, STALL_FACTOR,
+                                 InstanceProblem, NmConfig, nelder_mead,
                                  random_initial_simplex, solve_instance)
 from qaoabench.simulator import NoiseParams, simulate_logical
 
@@ -14,16 +15,15 @@ def _simplex2d():
 
 
 def test_config_defaults_and_validation():
+    assert (REFLECTION, EXPANSION, CONTRACTION, SHRINK) == (1.1, 1.5, 0.6, 0.4)
+    assert STALL_FACTOR == 10
     cfg = NmConfig()
-    assert (cfg.reflection, cfg.expansion, cfg.contraction, cfg.shrink) == \
-        (1.1, 1.5, 0.6, 0.4)
     assert cfg.max_updates == 300
-    assert cfg.stall_window(4) == 40
     assert cfg.n_restarts == 20 and cfg.n_samples == 10_000
     with pytest.raises(ValueError):
-        NmConfig(contraction=1.5)
+        NmConfig(max_updates=0)
     with pytest.raises(ValueError):
-        NmConfig(shrink=0.0)
+        NmConfig(n_samples=-1)
 
 
 def test_quadratic_maximum():
@@ -36,7 +36,7 @@ def test_quadratic_maximum():
 def test_constant_objective_stalls_after_exact_window():
     rec = nelder_mead(lambda x: 1.0, _simplex2d(), NmConfig())
     assert rec.termination == "stalled"
-    assert len(rec.trace) == NmConfig().stall_window(1)    # dim 2 -> p = 1
+    assert len(rec.trace) == STALL_FACTOR * 1              # dim 2 -> p = 1
 
 
 def test_rosenbrock_best_vertex_monotone():

@@ -111,7 +111,7 @@ def test_validator_catches_dependency_inversion():
 
 def test_validator_catches_swap_bookkeeping_breakage(app_b_graph):
     c = build_qaoa_circuit(app_b_graph, QaoaParams((0.1,) * 4, (0.2,) * 4))
-    s = parse_pdpt(APP_B_PDPT)
+    s = parse_pdpt(APP_B_PDPT, n_prep_gates=c.prep_layer_size())
     # drop one SWAP pair: downstream gates act on wrong logical qubits
     table = [list(row) for row in s.table]
     table[1] = [0 if e == -1 else e for e in table[1]]
@@ -125,28 +125,31 @@ def test_validator_catches_swap_bookkeeping_breakage(app_b_graph):
 # ---------------------------------------------------------------------------
 
 def test_parse_published_pdpt(app_b_graph):
-    s = parse_pdpt(APP_B_PDPT)
+    # the published table omits the H preparation layer, one gate per qubit
+    s = parse_pdpt(APP_B_PDPT, n_prep_gates=app_b_graph.n)
     assert s.grid == GridTopology(3, 3)
     assert s.n_cycles == PUBLISHED_DEPTH
     assert s.placement == (3, 6, 4, 0, 1, 7, 5, 2, -1)
 
     c = build_qaoa_circuit(app_b_graph, QaoaParams((0.1,) * 4, (0.2,) * 4))
     assert validate_schedule(s, c, s.grid) == []
+    # read without the hoisted prefix, the ids would name the H gates
+    assert validate_schedule(parse_pdpt(APP_B_PDPT), c, s.grid) != []
 
 
 def test_pdpt_round_trip(app_b_graph):
-    s = parse_pdpt(APP_B_PDPT)
-    assert parse_pdpt(emit_pdpt(s)) == s
+    s = parse_pdpt(APP_B_PDPT, n_prep_gates=app_b_graph.n)
+    assert parse_pdpt(emit_pdpt(s), n_prep_gates=app_b_graph.n) == s
     canonical = emit_pdpt(s)
-    assert emit_pdpt(parse_pdpt(canonical)) == canonical
+    assert emit_pdpt(parse_pdpt(canonical, n_prep_gates=app_b_graph.n)) == canonical
 
 
 def test_emitted_schedule_round_trips(app_b_graph):
     c = build_qaoa_circuit(app_b_graph, QaoaParams((0.4,) * 2, (0.9,) * 2))
     s = schedule(c, GridTopology(3, 3), 3)
-    rt = parse_pdpt(emit_pdpt(s))
-    assert (rt.grid, rt.placement, rt.table) == (s.grid, s.placement, s.table)
-    # prep hoisting is not encoded in the text format; the validator infers it
+    # prep hoisting is not encoded in the text format; the reader supplies it
+    rt = parse_pdpt(emit_pdpt(s), n_prep_gates=c.prep_layer_size())
+    assert rt == s
     assert validate_schedule(rt, c, s.grid) == []
 
 

@@ -236,7 +236,9 @@ def test_realization_streams_independent_of_chunking(app_b_graph):
 
 # Frozen outputs of one fixed-seed ensemble: the per-realization RNG stream
 # contract and the kernels' rounding must not drift across refactors. At
-# T2/T_G = 20 many rows take the damping jump branch.
+# T2/T_G = 20 many rows take the damping jump branch. At T2 = 2 T1 the
+# dephasing variance is zero, so no Gaussian block is drawn and the uniform
+# block starts each realization's stream.
 FROZEN_ENSEMBLES = (
     (DEFAULT_NOISE,
      (0.0003178331915377445, 0.0028047610180803066, 0.0028238489663185255,
@@ -248,10 +250,16 @@ FROZEN_ENSEMBLES = (
       0.005442968327452382, 0.00937391083557949, 0.0043640111857979995,
       0.0064381422729963686, 0.0035292978721631523),
      191.42745833597436),
+    (NoiseParams(t1=1.0, t2=2.0, t_gate=0.01),
+     (0.005247433804696845, 0.0030346198433388663, 0.002835736707286061,
+      0.002827752788024762, 0.004556134873185919, 0.00416407688723169,
+      0.002833492828883158, 0.0034467491753710712),
+     208.26918876881288),
 )
 
 
-@pytest.mark.parametrize("noise,head,cut_sum", FROZEN_ENSEMBLES, ids=["paper", "t2r20"])
+@pytest.mark.parametrize("noise,head,cut_sum", FROZEN_ENSEMBLES,
+                         ids=["paper", "t2r20", "t2eq2t1"])
 def test_ensemble_outputs_frozen(app_b_graph, noise, head, cut_sum):
     params = QaoaParams((0.9, 0.2, 1.4, 0.8), (0.3, 1.0, 0.5, 0.7))
     s, c = _scheduled(app_b_graph, params)
@@ -298,7 +306,7 @@ def _all_sites_noisy_cut(s, c, noise, n_realizations, master_seed):
     prep = init_zero_state(m)
     l2p = {q: site for site, q in enumerate(s.placement) if q != -1}
     for gate in c.gates[: s.n_prep_gates]:
-        apply_gate(prep, m, gate, qubits=tuple(l2p[q] for q in gate.qubits))
+        apply_gate(prep, m, Gate(gate.kind, tuple(l2p[q] for q in gate.qubits), gate.angle))
     states = np.tile(prep, (n_realizations, 1))
 
     eps = np.empty((n_realizations, n_cycles, m))
@@ -317,9 +325,9 @@ def _all_sites_noisy_cut(s, c, noise, n_realizations, master_seed):
         for entry, sites in groups.items():
             if entry > 0:
                 gate = c.gates[s.n_prep_gates + entry - 1]
-                apply_gate(states, m, gate, qubits=tuple(sites))
+                apply_gate(states, m, Gate(gate.kind, tuple(sites), gate.angle))
             else:
-                apply_gate(states, m, Gate(GateKind.SWAP, (0, 1)), qubits=tuple(sites))
+                apply_gate(states, m, Gate(GateKind.SWAP, tuple(sites)))
                 p2l[sites[0]], p2l[sites[1]] = p2l[sites[1]], p2l[sites[0]]
         for q in range(m):
             _cycle_noise_qubit(states, m, q, eps[:, cy, q], us[:, cy, q], p_damp)
