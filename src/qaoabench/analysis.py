@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class FitResult:
         x = np.asarray(n, dtype=float)
         center = self.predict(x)
         df = self.n_points - 2
-        t_crit = stats.t.ppf(0.5 + level / 2.0, df)
+        t_crit = stdtrit(df, 0.5 + level / 2.0)   # Student-t quantile
         half = t_crit * self.resid_std * np.sqrt(
             1.0 + 1.0 / self.n_points + (x - self.x_mean) ** 2 / self.s_xx)
         return center - half, center + half

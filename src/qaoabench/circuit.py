@@ -73,9 +73,6 @@ class QaoaParams:
         p = len(x) // 2
         return cls(tuple(float(v) for v in x[:p]), tuple(float(v) for v in x[p:]))
 
-    def to_vector(self) -> list[float]:
-        return list(self.gammas) + list(self.betas)
-
 
 @dataclass(frozen=True)
 class LogicalCircuit:
@@ -86,10 +83,6 @@ class LogicalCircuit:
         for g in self.gates:
             if any(q >= self.n_qubits or q < 0 for q in g.qubits):
                 raise ValueError(f"gate {g} out of range for n_qubits={self.n_qubits}")
-
-    @property
-    def n_gates(self) -> int:
-        return len(self.gates)
 
     def prep_layer_size(self) -> int:
         """Length of the leading all-qubit H prefix (0 if absent).

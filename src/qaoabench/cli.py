@@ -26,7 +26,7 @@ from .graphs import brute_force_maxcut, cut_values_table, gen_random_3regular, r
 from .optimizer import NmConfig, solve_instance
 from .scheduler import (choose_grid, emit_pdpt, parse_pdpt, schedule,
                         schedule_from_json, schedule_to_json, validate_schedule)
-from .simulator import NoiseParams, convergence_study, run_noisy_ensemble, optima_mask
+from .simulator import NoiseParams, convergence_study, optima_mask, run_noisy_ensemble
 
 
 def _nm_config(args) -> NmConfig:
@@ -153,6 +153,8 @@ def _bench_instance(task) -> costmodel.InstanceCost:
 
 
 def cmd_bench(args):
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     sizes = [int(s) for s in args.sizes.split(",")]
     p, n_instances = args.p, args.n_instances
     cfg, noise, hw = _nm_config(args), _noise(args), _hardware(args)
@@ -173,9 +175,6 @@ def cmd_bench(args):
         print(f"N={n} p={p}: mean {mean:.3f} s, sdom {sdom:.3f} s "
               f"over {n_instances} instances")
     _write(args.out, costmodel.write_cost_csv(rows))
-    if args.out_timing:
-        lines = [f"{row['n']},{row['mean_seconds']:.9g},qaoa-p{p}" for row in rows]
-        _write(args.out_timing, "\n".join(lines) + "\n")
 
 
 def cmd_fit(args):
@@ -256,14 +255,18 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int, default=1, help="master RNG seed")
 
 
+def _add_ensemble_flags(sub):
+    sub.add_argument("--t-gate", dest="t_gate", type=float, default=costmodel.DEFAULT_T_GATE,
+                     help="gate duration, seconds")
+    sub.add_argument("--realizations", type=int, default=384,
+                     help="noise realizations per evaluation")
+
+
 def _add_noise_flags(sub):
     sub.add_argument("--t1", type=float, default=200e-6, help="relaxation time, seconds")
     sub.add_argument("--t2", type=float, default=100e-6, help="dephasing time, seconds")
-    sub.add_argument("--t-gate", dest="t_gate", type=float, default=costmodel.DEFAULT_T_GATE,
-                     help="gate duration, seconds")
     sub.add_argument("--noiseless", action="store_true", help="disable noise")
-    sub.add_argument("--realizations", type=int, default=384,
-                     help="noise realizations per evaluation")
+    _add_ensemble_flags(sub)
 
 
 def _add_solve_flags(sub):
@@ -329,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--jobs", type=int, default=1,
                     help="worker processes, each solving whole instances")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--out-timing", help="also write (N,seconds,label) timing CSV")
     _add_solve_flags(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_bench)
@@ -344,7 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(func=cmd_fit)
 
-    sp = subs.add_parser("convergence", help="running-mean ratio vs realization count")
+    # no prefix matching, so that --t2 is not taken for --t2-ratios
+    sp = subs.add_parser("convergence", help="running-mean ratio vs realization count",
+                         allow_abbrev=False)
     sp.add_argument("--graph")
     sp.add_argument("--n", type=int, help="generate an instance of this size")
     sp.add_argument("--p", type=int, default=4)
@@ -354,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gammas", help="fixed phase angles (else pre-optimize)")
     sp.add_argument("--betas", help="fixed mixer angles")
     sp.add_argument("--out", required=True)
-    _add_noise_flags(sp)
+    _add_ensemble_flags(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_convergence)
 

@@ -1,8 +1,8 @@
 """Random 3-regular Max-Cut instances and exact brute-force oracles.
 
-Graphs are simple and undirected; vertices are 0-based integers. Cut
-assignments are binary vertex colorings, and the brute-force routines
-enumerate all 2^n of them, so they are capped at n = 28.
+Graphs are simple and undirected; vertices are 0-based integers. A cut
+assignment is a basis code z in [0, 2^n) whose bit i colors vertex i; the
+brute-force routines enumerate all 2^n of them, so they are capped at n = 28.
 """
 from __future__ import annotations
 
@@ -11,10 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # Hard cap for the exhaustive oracles: 2^28 assignments is already ~30 s
-# of chunked numpy work, anything above is not desk scale.
+# of numpy work, anything above is not desk scale.
 BRUTE_FORCE_MAX_N = 28
-
-_CHUNK_BITS = 22
 
 
 @dataclass(frozen=True)
@@ -39,37 +37,6 @@ class Graph:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for (i, j) in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
-
-    def is_regular(self, d: int = 3) -> bool:
-        return all(x == d for x in self.degrees())
-
-
-@dataclass(frozen=True)
-class CutAssignment:
-    """Binary vertex coloring; bits[i] is the color of vertex i."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("assignment bits must be 0 or 1")
-
-    @classmethod
-    def from_int(cls, z: int, n: int) -> "CutAssignment":
-        return cls(tuple((z >> i) & 1 for i in range(n)))
-
-    def to_int(self) -> int:
-        return sum(b << i for i, b in enumerate(self.bits))
-
-    def complement(self) -> "CutAssignment":
-        return CutAssignment(tuple(1 - b for b in self.bits))
 
 
 def gen_random_3regular(n: int, seed: int) -> Graph:
@@ -100,18 +67,11 @@ def gen_random_3regular(n: int, seed: int) -> Graph:
             return Graph(n, tuple(sorted(edges)))
 
 
-def cut_value(g: Graph, a: CutAssignment) -> int:
-    """Number of edges whose endpoints get different colors under a."""
-    if len(a.bits) != g.n:
-        raise ValueError(f"assignment length {len(a.bits)} != n={g.n}")
-    return sum(1 for (i, j) in g.edges if a.bits[i] != a.bits[j])
-
-
 def cut_values_table(g: Graph, dtype=np.uint16) -> np.ndarray:
     """Cut value of every basis assignment z in [0, 2^n), vectorized.
 
     Index z encodes vertex i in bit i (little-endian). Shared by the
-    brute-force oracle, the estimator, and the sampling pipeline.
+    brute-force oracle, the cut estimates, and the sampling pipeline.
     """
     if g.n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"n={g.n} exceeds brute-force cap {BRUTE_FORCE_MAX_N}")
@@ -122,30 +82,15 @@ def cut_values_table(g: Graph, dtype=np.uint16) -> np.ndarray:
     return cuts
 
 
-def brute_force_maxcut(g: Graph) -> tuple[int, list[CutAssignment]]:
-    """Exhaustive Max-Cut: (optimal cut size, all optimal assignments).
+def brute_force_maxcut(g: Graph) -> tuple[int, np.ndarray]:
+    """Exhaustive Max-Cut: (optimal cut size, ascending codes of all optima).
 
-    The optima list always has even length because flipping every color
+    The optima always come in even number because flipping every color
     preserves the cut.
     """
-    if g.n > BRUTE_FORCE_MAX_N:
-        raise ValueError(f"n={g.n} exceeds brute-force cap {BRUTE_FORCE_MAX_N}")
-    k_max = 0
-    optima: list[int] = []
-    total = 1 << g.n
-    step = 1 << _CHUNK_BITS
-    for start in range(0, total, step):
-        z = np.arange(start, min(start + step, total), dtype=np.uint32)
-        cuts = np.zeros(len(z), dtype=np.uint16)
-        for (i, j) in g.edges:
-            cuts += ((z >> i) ^ (z >> j)) & 1
-        chunk_max = int(cuts.max())
-        if chunk_max > k_max:
-            k_max = chunk_max
-            optima = []
-        if chunk_max == k_max:
-            optima.extend(int(v) for v in z[cuts == k_max])
-    return k_max, [CutAssignment.from_int(z, g.n) for z in optima]
+    cuts = cut_values_table(g)
+    k_max = int(cuts.max())
+    return k_max, np.flatnonzero(cuts == k_max)
 
 
 def write_graph(g: Graph) -> str:

@@ -6,16 +6,13 @@ are satisfied exactly when the edge is cut. A graph with E edges and
 optimal cut k therefore maps to a Max-2-SAT optimum of E + k.
 
 The WCNF output is the standard soft-clause interchange format consumed by
-branch-and-bound Max-SAT solvers; solving it is out of scope here, but a
-brute-force oracle is provided for desk-scale cross-checks.
+branch-and-bound Max-SAT solvers; solving it is out of scope here.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .graphs import BRUTE_FORCE_MAX_N, Graph
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -45,21 +42,6 @@ def reduce_to_max2sat(g: Graph) -> CnfFormula:
     return CnfFormula(g.n, tuple(clauses))
 
 
-def brute_force_max2sat(f: CnfFormula) -> int:
-    """Maximum number of simultaneously satisfiable clauses, by enumeration."""
-    if f.n_vars > BRUTE_FORCE_MAX_N:
-        raise ValueError(f"n_vars={f.n_vars} exceeds brute-force cap {BRUTE_FORCE_MAX_N}")
-    z = np.arange(1 << f.n_vars, dtype=np.uint32)
-    satisfied = np.zeros(len(z), dtype=np.uint32)
-    for clause in f.clauses:
-        sat = np.zeros(len(z), dtype=bool)
-        for lit in clause:
-            bit = (z >> (abs(lit) - 1)) & 1
-            sat |= (bit == 1) if lit > 0 else (bit == 0)
-        satisfied += sat
-    return int(satisfied.max())
-
-
 def emit_wcnf(f: CnfFormula) -> str:
     """DIMACS WCNF text with unit soft weights and top = n_clauses + 1.
 
@@ -71,28 +53,3 @@ def emit_wcnf(f: CnfFormula) -> str:
     for clause in f.clauses:
         lines.append("1 " + " ".join(str(lit) for lit in clause) + " 0")
     return "\n".join(lines) + "\n"
-
-
-def parse_wcnf(text: str) -> CnfFormula:
-    """Inverse of emit_wcnf; accepts comment lines starting with 'c'."""
-    n_vars = None
-    clauses = []
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("c"):
-            continue
-        if ln.startswith("p"):
-            parts = ln.split()
-            if len(parts) != 5 or parts[1] != "wcnf":
-                raise ValueError(f"malformed problem line: {ln!r}")
-            n_vars = int(parts[2])
-            continue
-        if n_vars is None:
-            raise ValueError("clause before problem line")
-        tokens = [int(t) for t in ln.split()]
-        if tokens[-1] != 0:
-            raise ValueError(f"clause line not 0-terminated: {ln!r}")
-        clauses.append(tuple(tokens[1:-1]))
-    if n_vars is None:
-        raise ValueError("no problem line found")
-    return CnfFormula(n_vars, tuple(clauses))

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import QaoaParams, build_qaoa_circuit
-from .estimator import estimate_cut
 from .graphs import Graph, brute_force_maxcut, cut_values_table
 from .scheduler import choose_grid, schedule
 from .simulator import (NoiseParams, optima_mask, run_noisy_ensemble,
@@ -207,6 +206,14 @@ def _derived_seed(*path: int) -> int:
     return int(np.random.SeedSequence(list(path)).generate_state(1)[0])
 
 
+def estimate_cut(samples: np.ndarray, cut_table: np.ndarray) -> float:
+    """Mean cut over sampled basis states (integer codes): the estimate the
+    sampled pipeline feeds the optimizer, sampling noise included."""
+    if len(samples) == 0:
+        raise ValueError("no samples")
+    return float(cut_table[np.asarray(samples, dtype=np.int64)].astype(np.float64).mean())
+
+
 class InstanceProblem:
     """One Max-Cut instance compiled and ready for repeated evaluation.
 
@@ -253,7 +260,7 @@ class InstanceProblem:
             return float(probs @ self.cut_table)
         rng = np.random.default_rng([self.master_seed, restart, eval_idx, 2])
         samples = sample_from_probs(probs, self.cfg.n_samples, rng)
-        return estimate_cut(samples, self.g, self.cut_table).mean_cut
+        return estimate_cut(samples, self.cut_table)
 
     def run_restart(self, restart: int) -> RunRecord:
         rng = np.random.default_rng([self.master_seed, restart, 0xA11])

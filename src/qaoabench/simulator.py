@@ -89,10 +89,6 @@ def init_zero_state(n: int) -> np.ndarray:
     return state
 
 
-def init_plus_state(n: int) -> np.ndarray:
-    return np.full(1 << n, 2.0 ** (-n / 2.0), dtype=np.complex128)
-
-
 def _split1(state: np.ndarray, n: int, q: int):
     """Views (a0, a1) of the amplitudes with qubit q equal to 0 / 1."""
     shaped = state.reshape(state.shape[:-1] + (1 << (n - 1 - q), 2, 1 << q))
@@ -108,11 +104,13 @@ def apply_h(state: np.ndarray, n: int, q: int) -> None:
 
 def apply_rx(state: np.ndarray, n: int, q: int, beta: float) -> None:
     """exp(-i beta X) on qubit q; beta is the full rotation-generator angle."""
-    c, s = math.cos(beta), math.sin(beta)
+    c, mis = math.cos(beta), -1j * math.sin(beta)      # mis = -i sin(beta)
     a0, a1 = _split1(state, n, q)
-    t0 = c * a0 - 1j * s * a1
-    a1[...] = -1j * s * a0 + c * a1
-    a0[...] = t0
+    t1 = a1 * mis
+    a1 *= c
+    a1 += a0 * mis
+    a0 *= c
+    a0 += t1
 
 
 def apply_zzphase(state: np.ndarray, n: int, qa: int, qb: int, gamma: float) -> None:
@@ -175,18 +173,24 @@ def _cycle_noise_qubit(states: np.ndarray, n: int, q: int,
     Dephasing multiplies the |1> amplitudes by e^{i eps} (the Z rotation up
     to a global phase). The jump branch fires when u < p_damp * P(q=1),
     the exact branching weight, and both branches renormalize via the
-    closed-form branch norm.
+    closed-form branch norm. Rows are scaled in place as if none jumped;
+    the few jump rows are then rewritten by index, from their |1>
+    amplitudes saved before the scaling.
     """
     a0, a1 = _split1(states, n, q)
     ph = np.exp(1j * eps)
     if p_damp > 0.0:
         p1 = np.einsum("rab,rab->r", a1, a1.conj()).real
-        jump = (us < p_damp * p1).reshape(-1, 1, 1)
-        inv = 1.0 / np.sqrt(np.where(jump[:, 0, 0], p1, 1.0 - p_damp * p1))
-        mult_nojump = ph * (math.sqrt(1.0 - p_damp) * inv)
-        t0 = np.where(jump, a1 * (ph * inv).reshape(-1, 1, 1), a0 * inv.reshape(-1, 1, 1))
-        a1[...] = np.where(jump, 0.0, a1 * mult_nojump.reshape(-1, 1, 1))
-        a0[...] = t0
+        jump = us < p_damp * p1
+        inv = 1.0 / np.sqrt(np.where(jump, p1, 1.0 - p_damp * p1))
+        rows = np.flatnonzero(jump)
+        if rows.size:
+            jumped = a1[rows] * (ph[rows] * inv[rows]).reshape(-1, 1, 1)
+        a0 *= inv.reshape(-1, 1, 1)
+        a1 *= (ph * (math.sqrt(1.0 - p_damp) * inv)).reshape(-1, 1, 1)
+        if rows.size:
+            a0[rows] = jumped
+            a1[rows] = 0.0
     elif eps.any():
         a1 *= ph.reshape(-1, 1, 1)
 
@@ -344,8 +348,7 @@ def sample_from_probs(probs: np.ndarray, n_samples: int,
 
 def optima_mask(optima, n: int) -> np.ndarray:
     mask = np.zeros(1 << n, dtype=bool)
-    for a in optima:
-        mask[a if isinstance(a, (int, np.integer)) else a.to_int()] = True
+    mask[optima] = True
     return mask
 
 

@@ -67,13 +67,22 @@ def dense_qaoa_state(g: Graph, params) -> np.ndarray:
     return state
 
 
+def plus_state(n: int) -> np.ndarray:
+    """|+...+> as a Kronecker product of n single-qubit H|0> states."""
+    state = np.ones(1, dtype=complex)
+    for _ in range(n):
+        state = np.kron(H @ [1.0, 0.0], state)
+    return state
+
+
+def cut_of_code(g: Graph, z: int) -> int:
+    """Edges cut by basis code z (bit i colors vertex i), by a python loop."""
+    return sum(1 for (i, j) in g.edges if ((z >> i) ^ (z >> j)) & 1)
+
+
 def maxcut_by_python_loop(g: Graph) -> int:
     """Exhaustive Max-Cut without numpy, as an independent cross-check."""
-    best = 0
-    for z in range(1 << g.n):
-        cut = sum(1 for (i, j) in g.edges if ((z >> i) ^ (z >> j)) & 1)
-        best = max(best, cut)
-    return best
+    return max(cut_of_code(g, z) for z in range(1 << g.n))
 
 
 def max2sat_by_python_loop(f) -> int:

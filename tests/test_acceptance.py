@@ -16,7 +16,7 @@ from qaoabench.circuit import QaoaParams, build_qaoa_circuit
 from qaoabench.costmodel import HardwareTimes, instance_wall_time, single_repetition_time
 from qaoabench.graphs import (Graph, brute_force_maxcut, cut_values_table,
                               gen_random_3regular)
-from qaoabench.maxsat import brute_force_max2sat, reduce_to_max2sat
+from qaoabench.maxsat import reduce_to_max2sat
 from qaoabench.optimizer import NmConfig, solve_instance
 from qaoabench.scheduler import (GridTopology, choose_grid, parse_pdpt, schedule,
                                  validate_schedule)
@@ -24,8 +24,8 @@ from qaoabench.simulator import (NoiseParams, _cycle_noise_qubit, convergence_st
                                  run_noisy_ensemble, simulate_logical)
 
 from conftest import APP_B_EDGES, APP_B_PDPT, PUBLISHED_DEPTH
-from oracles import (dense_qaoa_state, density_matrix_oracle, simulate_schedule_physical,
-                     trace_distance)
+from oracles import (dense_qaoa_state, density_matrix_oracle, max2sat_by_python_loop,
+                     simulate_schedule_physical, trace_distance)
 
 PAPER_NOISE = NoiseParams(t1=200e-6, t2=100e-6, t_gate=10e-9)
 TABLE_I_N8_P4 = 100.6          # seconds, published mean cost at N=8, p=4
@@ -154,7 +154,7 @@ def test_criterion_5_reduction_identity():
         n = int(rng.choice((4, 6, 8, 10, 12)))
         g = gen_random_3regular(n, int(rng.integers(1 << 31)))
         k_max, _ = brute_force_maxcut(g)
-        assert brute_force_max2sat(reduce_to_max2sat(g)) == g.n_edges + k_max
+        assert max2sat_by_python_loop(reduce_to_max2sat(g)) == g.n_edges + k_max
         checked += 1
     print(f"\nACCEPTANCE 5 PASS: E + k identity exact on {checked} random "
           f"graphs (n <= 12)")

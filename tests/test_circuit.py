@@ -6,7 +6,9 @@ from qaoabench.circuit import (Gate, GateKind, LogicalCircuit, QaoaParams,
                                circuit_to_json, dependency_edges, gates_commute,
                                logical_depth)
 from qaoabench.graphs import Graph, gen_random_3regular
-from qaoabench.simulator import init_plus_state, simulate_logical
+from qaoabench.simulator import simulate_logical
+
+from oracles import plus_state
 
 
 def test_params_validation():
@@ -18,7 +20,7 @@ def test_params_validation():
         QaoaParams((float("nan"),), (0.0,))
     p = QaoaParams.from_vector([0.1, 0.2, 0.3, 0.4])
     assert p.gammas == (0.1, 0.2) and p.betas == (0.3, 0.4)
-    assert QaoaParams.from_vector(p.to_vector()) == p
+    assert QaoaParams.from_vector(list(p.gammas) + list(p.betas)) == p
 
 
 def test_gate_validation():
@@ -40,17 +42,17 @@ def test_first_cost_gate_matches_published_order(app_b_graph):
 
 def test_gate_count_formula(app_b_graph):
     c = build_qaoa_circuit(app_b_graph, QaoaParams((0.1,) * 4, (0.2,) * 4))
-    assert c.n_gates == 8 + 4 * (12 + 8)
+    assert len(c.gates) == 8 + 4 * (12 + 8)
     for n, p, seed in ((6, 1, 0), (8, 3, 1), (10, 2, 2)):
         g = gen_random_3regular(n, seed)
         c = build_qaoa_circuit(g, QaoaParams((0.1,) * p, (0.2,) * p))
-        assert c.n_gates == n + p * (g.n_edges + n)
+        assert len(c.gates) == n + p * (g.n_edges + n)
 
 
 def test_zero_angles_act_as_h_layer_only(k3):
     c = build_qaoa_circuit(k3, QaoaParams((0.0,), (0.0,)))
     state = simulate_logical(c)
-    assert np.allclose(state, init_plus_state(3), atol=1e-12)
+    assert np.allclose(state, plus_state(3), atol=1e-12)
 
 
 def test_prep_layer_detection(k3):

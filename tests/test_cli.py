@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import qaoabench
 from qaoabench.circuit import circuit_from_json
 from qaoabench.cli import main
 from qaoabench.graphs import cut_values_table, read_graph
@@ -19,7 +25,7 @@ def test_gen_reduce_roundtrip(tmp_path):
     gpath = tmp_path / "g.txt"
     assert run_cli("gen", "--n", 8, "--seed", 3, "--out", gpath) == 0
     g = read_graph(gpath.read_text())
-    assert g.n == 8 and g.is_regular(3)
+    assert g.n == 8 and np.all(np.bincount(np.ravel(g.edges), minlength=8) == 3)
 
     wpath = tmp_path / "g.wcnf"
     assert run_cli("reduce", "--graph", gpath, "--out", wpath) == 0
@@ -106,6 +112,23 @@ def test_bench_deterministic_bytes(tmp_path):
             assert out.read_text() == expected
 
 
+def test_fit_reads_bench_csv(tmp_path):
+    bench = tmp_path / "bench.csv"
+    assert run_cli("bench", "--sizes", "4,6,8", "--p", 1, "--instances", 2,
+                   "--pipeline", "exact", "--noiseless", "--restarts", 1,
+                   "--max-updates", 5, "--seed", 3, "--out", bench) == 0
+    timing = tmp_path / "classical.csv"
+    timing.write_text("".join(f"{n},{10 ** (0.04 * n - 6):.8g},classical\n"
+                              for n in (4, 6, 8, 10)))
+    out_csv, out_json = tmp_path / "report.csv", tmp_path / "report.json"
+    assert run_cli("fit", "--input", bench, timing, "--quantum-label", "qaoa-p1",
+                   "--out-csv", out_csv, "--out-json", out_json) == 0
+    report = json.loads(out_json.read_text())
+    assert report["fits"]["qaoa-p1"]["n_points"] == 3
+    assert report["fits"]["classical"]["n_points"] == 4
+    assert "fit,qaoa-p1," in out_csv.read_text()
+
+
 def test_fit_with_published_averages_and_synthetic_classical(tmp_path):
     timing = tmp_path / "timing.csv"
     rows = ["N,seconds,label"]
@@ -131,10 +154,24 @@ def test_convergence_command(tmp_path):
     assert len(lines) == 1 + 2 * 40
 
 
+def test_convergence_rejects_noise_flags_it_ignores(tmp_path):
+    # noise comes from --t2-ratios and --t-gate only
+    for flag in (("--noiseless",), ("--t1", 1.0), ("--t2", 1.0)):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("convergence", "--n", 6, "--p", 1, "--gammas", 0.5, "--betas", 0.3,
+                    "--t2-ratios", 1000, *flag, "--out", tmp_path / "conv.csv")
+        assert exc.value.code == 2
+
+
 def test_errors_exit_nonzero(tmp_path):
     assert run_cli("gen", "--n", 7, "--out", tmp_path / "x.txt") == 1
     assert run_cli("reduce", "--graph", tmp_path / "missing.txt",
                    "--out", tmp_path / "y.wcnf") == 1
+    for jobs in (0, -2):
+        assert run_cli("bench", "--sizes", 4, "--p", 1, "--instances", 1, "--restarts", 1,
+                       "--max-updates", 1, "--pipeline", "exact", "--noiseless",
+                       "--jobs", jobs, "--out", tmp_path / "b.csv") == 1
+    assert not (tmp_path / "b.csv").exists()
 
 
 def test_published_pdpt_feeds_simulate(tmp_path, app_b_graph):
@@ -153,3 +190,14 @@ def test_published_pdpt_feeds_simulate(tmp_path, app_b_graph):
                    "--circuit", circ, "--realizations", 8, "--seed", 0,
                    "--out", obs) == 0
     assert 0.0 < json.loads(obs.read_text())["mean_cut"] <= 12.0
+
+
+def test_stage_imports_leave_out_scipy_stats():
+    # a fresh interpreter: importing the solver and the CLI must not pull in
+    # scipy.stats, which costs about a second and 70 MB
+    src = str(Path(qaoabench.__file__).resolve().parents[1])
+    code = ("import sys, qaoabench.optimizer, qaoabench.cli; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from qaoabench.graphs import Graph, brute_force_maxcut, cut_value, gen_random_3regular
-from qaoabench.maxsat import (CnfFormula, brute_force_max2sat, emit_wcnf,
-                              parse_wcnf, reduce_to_max2sat)
+from qaoabench.graphs import Graph, brute_force_maxcut, gen_random_3regular
+from qaoabench.maxsat import CnfFormula, emit_wcnf, reduce_to_max2sat
 
 from conftest import APP_B_MAXCUT
-from oracles import max2sat_by_python_loop
+from oracles import cut_of_code, max2sat_by_python_loop
 
 SINGLE_EDGE = Graph(2, ((0, 1),))
 
@@ -15,21 +14,20 @@ def test_reduction_single_edge():
     f = reduce_to_max2sat(SINGLE_EDGE)
     assert f.n_vars == 2
     assert f.clauses == ((1, 2), (-1, -2))
-    assert brute_force_max2sat(f) == 2
+    assert max2sat_by_python_loop(f) == 2
 
 
 def test_reduction_k3(k3):
     f = reduce_to_max2sat(k3)
     assert f.n_clauses == 6
-    assert brute_force_max2sat(f) == 5        # E + k = 3 + 2
-    assert max2sat_by_python_loop(f) == 5
+    assert max2sat_by_python_loop(f) == 5     # E + k = 3 + 2
 
 
 def test_reduction_app_b(app_b_graph):
     f = reduce_to_max2sat(app_b_graph)
     assert f.n_vars == 8
     assert f.n_clauses == 24
-    assert brute_force_max2sat(f) == 12 + APP_B_MAXCUT
+    assert max2sat_by_python_loop(f) == 12 + APP_B_MAXCUT
 
 
 def test_e_plus_k_identity_random_graphs():
@@ -37,7 +35,7 @@ def test_e_plus_k_identity_random_graphs():
         for seed in (0, 1, 2, 3):
             g = gen_random_3regular(n, seed)
             k_max, _ = brute_force_maxcut(g)
-            assert brute_force_max2sat(reduce_to_max2sat(g)) == g.n_edges + k_max
+            assert max2sat_by_python_loop(reduce_to_max2sat(g)) == g.n_edges + k_max
 
 
 def test_per_edge_clause_semantics():
@@ -51,8 +49,7 @@ def test_per_edge_clause_semantics():
         for clause in f.clauses:
             satisfied += any(
                 bits[abs(lit) - 1] == (1 if lit > 0 else 0) for lit in clause)
-        from qaoabench.graphs import CutAssignment
-        cut = cut_value(g, CutAssignment(tuple(int(b) for b in bits)))
+        cut = cut_of_code(g, sum(int(b) << i for i, b in enumerate(bits)))
         assert satisfied == g.n_edges + cut  # one per edge always, both iff cut
         assert satisfied >= g.n_edges
 
@@ -67,8 +64,12 @@ def test_wcnf_header_k3(k3):
 
 
 def test_wcnf_round_trip(app_b_graph):
+    # the header and one "1 <lits> 0" line per clause, in formula order
     f = reduce_to_max2sat(app_b_graph)
-    assert parse_wcnf(emit_wcnf(f)) == f
+    lines = emit_wcnf(f).splitlines()
+    assert lines[0] == "p wcnf 8 24 25"
+    assert [tuple(int(t) for t in ln.split()[1:-1]) for ln in lines[1:]] == list(f.clauses)
+    assert all(ln.startswith("1 ") and ln.endswith(" 0") for ln in lines[1:])
 
 
 def test_formula_validation():
@@ -76,17 +77,3 @@ def test_formula_validation():
         CnfFormula(2, ((1, 3),))
     with pytest.raises(ValueError):
         CnfFormula(2, ((0,),))
-
-
-def test_brute_force_cap():
-    with pytest.raises(ValueError):
-        brute_force_max2sat(CnfFormula(29, ()))
-
-
-def test_parse_wcnf_rejects_malformed():
-    with pytest.raises(ValueError):
-        parse_wcnf("1 1 2 0\n")                      # clause before header
-    with pytest.raises(ValueError):
-        parse_wcnf("p wcnf 2 1\n1 1 2 0\n")          # short header
-    with pytest.raises(ValueError):
-        parse_wcnf("p wcnf 2 1 2\n1 1 2\n")          # missing terminator

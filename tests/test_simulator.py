@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from qaoabench.circuit import Gate, GateKind, QaoaParams, build_qaoa_circuit
+from qaoabench.circuit import Gate, GateKind, LogicalCircuit, QaoaParams, build_qaoa_circuit
 from qaoabench.graphs import Graph, brute_force_maxcut, cut_values_table
 from qaoabench.scheduler import GridTopology, Schedule, choose_grid, schedule, validate_schedule
 from qaoabench.simulator import (NoiseParams, _cycle_noise_qubit, apply_gate,
-                                 init_plus_state, init_zero_state, optima_mask,
+                                 init_zero_state, optima_mask,
                                  probabilities, run_noisy_ensemble, sample_from_probs,
                                  simulate_logical)
 
-from oracles import (dense_qaoa_state, density_matrix_oracle, gate_unitary,
+from oracles import (dense_qaoa_state, density_matrix_oracle, gate_unitary, plus_state,
                      simulate_schedule_physical, trace_distance)
 
 DEFAULT_NOISE = NoiseParams(t1=200e-6, t2=100e-6, t_gate=10e-9)
@@ -34,10 +34,10 @@ def test_noise_params_validation():
 
 
 def test_init_states():
-    assert np.allclose(init_plus_state(1), [1 / math.sqrt(2)] * 2)
-    assert np.allclose(init_plus_state(2), [0.5] * 4)
+    assert np.array_equal(init_zero_state(2), [1, 0, 0, 0])
     for n in (1, 3, 6):
-        assert math.isclose(np.linalg.norm(init_plus_state(n)), 1.0)
+        prep = LogicalCircuit(n, tuple(Gate(GateKind.H, (q,)) for q in range(n)))
+        assert np.allclose(simulate_logical(prep), plus_state(n), atol=1e-12)
 
 
 def test_h_involution():
@@ -353,7 +353,7 @@ def test_measure_samples_basis_state():
 
 
 def test_measure_samples_plus_state_counts():
-    samples = sample_from_probs(probabilities(init_plus_state(1)), 10_000,
+    samples = sample_from_probs(probabilities(plus_state(1)), 10_000,
                                 np.random.default_rng(1))
     zeros = int(np.sum(samples == 0))
     assert abs(zeros - 5000) < 4 * 50          # binomial sigma = 50
@@ -374,9 +374,9 @@ def test_overlap_with_optima(k4):
     k_max, optima = brute_force_maxcut(k4)
     mask = optima_mask(optima, 4)
     assert mask.sum() == len(optima)
-    assert probabilities(init_plus_state(4))[mask].sum() == pytest.approx(6 / 16)
+    assert probabilities(plus_state(4))[mask].sum() == pytest.approx(6 / 16)
     one = np.zeros(16, complex)
-    one[optima[0].to_int()] = 1.0
+    one[optima[0]] = 1.0
     assert probabilities(one)[mask].sum() == pytest.approx(1.0)
     state = _random_state(4, 8)
     assert 0.0 <= probabilities(state)[mask].sum() <= 1.0
