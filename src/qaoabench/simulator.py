@@ -317,13 +317,15 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
                     _cycle_noise_qubit(states, n, q, eps[:, cy, q], us[:, cy, q], p_damp)
 
         probs = probabilities(states)
+        norms = probs.sum(axis=1, keepdims=True)
+        probs /= norms
         sum_probs += probs.sum(axis=0)
         if per_cut is not None:
             per_cut[start:stop] = probs @ cut_table
         if per_overlap is not None:
             per_overlap[start:stop] = probs[:, overlap_mask].sum(axis=1)
         if all_states is not None:
-            all_states[start:stop] = states
+            np.divide(states, np.sqrt(norms), out=all_states[start:stop])
 
     return TrajectoryEnsemble(
         n_realizations=n_realizations,
