@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, costmodel, maxsat
-from .circuit import QaoaParams, build_qaoa_circuit, circuit_from_json, circuit_to_json
+from .circuit import (GateKind, QaoaParams, build_qaoa_circuit, circuit_from_json,
+                      circuit_to_json)
 from .graphs import brute_force_maxcut, cut_values_table, gen_random_3regular, read_graph, write_graph
 from .optimizer import NmConfig, solve_instance
 from .scheduler import (choose_grid, emit_pdpt, parse_pdpt, schedule,
@@ -107,6 +108,13 @@ def cmd_simulate(args):
     violations = validate_schedule(sched, circuit, sched.grid)
     if violations:
         raise RuntimeError("schedule does not match circuit: " + "; ".join(violations))
+    if g.n != circuit.n_qubits:
+        raise ValueError(f"graph has {g.n} vertices but the circuit has "
+                         f"{circuit.n_qubits} qubits")
+    zz_pairs = {tuple(sorted(gate.qubits)) for gate in circuit.gates
+                if gate.kind == GateKind.ZZPHASE}
+    if zz_pairs != {tuple(sorted(e)) for e in g.edges}:
+        raise ValueError("the circuit's ZZPhase pairs are not the graph's edges")
 
     noise = _noise(args)
     if noise is None:

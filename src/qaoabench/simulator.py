@@ -13,6 +13,20 @@ unraveled as a Z rotation by a Gaussian angle; damping as a jump/no-jump
 branch whose jump probability is the exact quantum branching weight, so
 the ensemble average matches the channel without time-step error.
 
+Without a jump, a qubit's noise over one cycle is diagonal: the |1>
+amplitudes gain e^{i eps} sqrt(1 - p_damp). It commutes with ZZPhase, with
+gates on other qubits and with the other qubits' noise, so the ensemble
+keeps it pending per (realization, qubit) and applies it only before an RX
+or H on that qubit, and at the end (the no-jump evolution of the Monte
+Carlo wave-function method; Dalibard, Castin & Molmer, PRL 68, 580, 1992).
+A jump is possible only in a qubit-cycle whose uniform draw u is below
+p_damp, because it fires at u < p_damp * P(q=1). A realization with such a
+candidate in a cycle takes the exact per-qubit step for that cycle, after
+its pending factors are applied and it is renormalized. Each realization is
+normalized once, after the last cycle. The draws, and so the random stream
+of every realization, are the same as for the per-qubit step at every
+cycle.
+
 Only the N logical qubits are ever simulated. Routing SWAPs relabel the
 site -> logical map and never touch amplitudes: they cannot entangle the
 algorithm register with pristine ancilla sites, so a machine with M > N
@@ -256,6 +270,31 @@ def _prep_state(s: Schedule, c: LogicalCircuit) -> np.ndarray:
     return state
 
 
+def _flush_pending(states: np.ndarray, n: int, q: int, pending: np.ndarray) -> None:
+    """Apply qubit q's pending no-jump |1> factor to each row and clear it."""
+    a1 = _split1(states, n, q)[1]
+    a1 *= pending[:, q].reshape(-1, 1, 1)
+    pending[:, q] = 1.0
+
+
+def _exact_cycle_noise(states: np.ndarray, n: int, rows: np.ndarray, pending: np.ndarray,
+                       eps: np.ndarray, us: np.ndarray, p_damp: float) -> None:
+    """One cycle's exact per-qubit noise on the given rows, in place.
+
+    The rows' pending factors are applied first and the rows renormalized,
+    so _cycle_noise_qubit sees the states the per-qubit loop would have.
+    """
+    sub = states[rows]
+    sub_pending = pending[rows]
+    for q in range(n):
+        _flush_pending(sub, n, q, sub_pending)
+    sub /= np.sqrt(probabilities(sub).sum(axis=1, keepdims=True))
+    for q in range(n):
+        _cycle_noise_qubit(sub, n, q, eps[rows, q], us[rows, q], p_damp)
+    states[rows] = sub
+    pending[rows] = 1.0
+
+
 def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
                        n_realizations: int, master_seed: int,
                        cut_table: np.ndarray | None = None,
@@ -273,6 +312,16 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
     not depend on chunking or execution order. Averages are
     reduced in fixed realization order; reruns with one master seed are
     bitwise identical.
+
+    A qubit-cycle can jump only where u < p_damp, since the jump fires at
+    u < p_damp * P(q=1) and P(q=1) <= 1. Elsewhere the noise is the
+    diagonal no-jump factor e^{i eps} sqrt(1 - p_damp) on |1>, which is
+    kept pending per (row, qubit) and applied only before an RX or H on
+    that qubit and once at the end. In a cycle where a row has a jump
+    candidate, that row's pending factors are applied, the row is
+    renormalized, and the exact per-qubit step _cycle_noise_qubit runs on
+    it for all n qubits in order, so every branch decision comes from the
+    same draws. Each row is normalized once, after the last cycle.
     """
     if n_realizations < 1:
         raise ValueError("need at least one realization")
@@ -288,6 +337,7 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
     var = noise.dephasing_var(noise.t_gate)
     sigma = math.sqrt(var) if var > 0 else 0.0
     p_damp = noise.damping_prob(noise.t_gate)
+    damp_amp = math.sqrt(1.0 - p_damp)
 
     sum_probs = np.zeros(dim)
     per_cut = np.empty(n_realizations) if cut_table is not None else None
@@ -299,22 +349,30 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
         r_count = stop - start
         states = np.broadcast_to(prep, (r_count, dim)).copy()
 
-        if noise.is_noiseless:
-            eps = us = None
-        else:
-            eps = np.empty((r_count, n_cycles, n))
-            us = np.empty((r_count, n_cycles, n))
-            for k in range(r_count):
-                rng = np.random.default_rng([master_seed, start + k])
-                eps[k] = sigma * rng.standard_normal((n_cycles, n)) if sigma > 0 else 0.0
-                us[k] = rng.random((n_cycles, n))
+        eps = np.empty((r_count, n_cycles, n))
+        us = np.empty((r_count, n_cycles, n))
+        for k in range(r_count):
+            rng = np.random.default_rng([master_seed, start + k])
+            eps[k] = sigma * rng.standard_normal((n_cycles, n)) if sigma > 0 else 0.0
+            us[k] = rng.random((n_cycles, n))
+
+        pending = np.ones((r_count, n), dtype=np.complex128)
 
         for cy, group in enumerate(groups):
             for gate in group:
+                if gate.kind != GateKind.ZZPHASE:
+                    for q in gate.qubits:
+                        _flush_pending(states, n, q, pending)
                 apply_gate(states, n, gate)
-            if eps is not None:
-                for q in range(n):
-                    _cycle_noise_qubit(states, n, q, eps[:, cy, q], us[:, cy, q], p_damp)
+            # rows with a jump candidate (u < p_damp) take the exact step instead
+            rows = np.flatnonzero((us[:, cy] < p_damp).any(axis=1))
+            step = np.exp(1j * eps[:, cy]) * damp_amp
+            step[rows] = 1.0
+            pending *= step
+            if rows.size:
+                _exact_cycle_noise(states, n, rows, pending, eps[:, cy], us[:, cy], p_damp)
+        for q in range(n):
+            _flush_pending(states, n, q, pending)
 
         probs = probabilities(states)
         norms = probs.sum(axis=1, keepdims=True)

@@ -3,9 +3,11 @@
 Everything here takes the slow, obviously-correct route: dense matrices
 built by Kronecker embedding and matrix exponentials, density matrices
 evolved by explicit Kraus sums, and plain-python enumeration. None of it
-shares code with the simulator's gate kernels, except the all-sites
-physical simulation: it reuses apply_gate, because it checks SWAP tracking
-and not the kernels.
+shares code with the simulator's gate kernels, except two: the all-sites
+physical simulation reuses apply_gate, because it checks SWAP tracking and
+not the kernels, and the per-qubit trajectory reference reuses apply_gate
+and _cycle_noise_qubit, because it checks the deferred no-jump noise of
+run_noisy_ensemble and not the kernels.
 """
 from __future__ import annotations
 
@@ -16,7 +18,8 @@ from scipy.linalg import expm
 
 from qaoabench.circuit import Gate, GateKind
 from qaoabench.graphs import Graph
-from qaoabench.simulator import apply_gate, apply_swap, init_zero_state
+from qaoabench.simulator import (_cycle_noise_qubit, apply_gate, apply_swap,
+                                 cycle_gate_groups, init_zero_state, probabilities)
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -122,8 +125,6 @@ def density_matrix_oracle(sched, circ, noise) -> np.ndarray:
     Cost is 2^(2n), so keep n at 2 or 3 qubits. Mirrors the trajectory
     simulator's cycle-level noise placement exactly.
     """
-    from qaoabench.simulator import cycle_gate_groups
-
     n = circ.n_qubits
     psi = np.zeros(1 << n, dtype=complex)
     psi[0] = 1.0
@@ -144,6 +145,42 @@ def density_matrix_oracle(sched, circ, noise) -> np.ndarray:
                     acc += kf @ rho @ kf.conj().T
                 rho = acc
     return rho
+
+
+def per_qubit_trajectories(s, c, noise, n_realizations: int, master_seed: int):
+    """Trajectory states by the exact per-qubit noise step at every cycle.
+
+    Every cycle applies its gates, then _cycle_noise_qubit to each qubit in
+    order on every row, from the same per-realization draws as
+    run_noisy_ensemble; each row is normalized once at the end. Returns the
+    (n_realizations, 2^n) states and the number of rows that had at least
+    one jump candidate (a qubit-cycle with u < p_damp).
+    """
+    n = c.n_qubits
+    groups = cycle_gate_groups(s, c)
+    var = noise.dephasing_var(noise.t_gate)
+    sigma = math.sqrt(var) if var > 0 else 0.0
+    p_damp = noise.damping_prob(noise.t_gate)
+
+    states = np.tile(init_zero_state(n), (n_realizations, 1))
+    for gate in c.gates[: s.n_prep_gates]:
+        apply_gate(states, n, gate)
+    eps = np.zeros((n_realizations, len(groups), n))
+    us = np.empty((n_realizations, len(groups), n))
+    for r in range(n_realizations):
+        rng = np.random.default_rng([master_seed, r])
+        if sigma > 0:
+            eps[r] = sigma * rng.standard_normal((len(groups), n))
+        us[r] = rng.random((len(groups), n))
+
+    for cy, group in enumerate(groups):
+        for gate in group:
+            apply_gate(states, n, gate)
+        for q in range(n):
+            _cycle_noise_qubit(states, n, q, eps[:, cy, q], us[:, cy, q], p_damp)
+    states /= np.sqrt(probabilities(states).sum(axis=1, keepdims=True))
+    n_candidate_rows = int((us < p_damp).any(axis=(1, 2)).sum())
+    return states, n_candidate_rows
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -80,6 +80,26 @@ def test_simulate_pdpt_matches_logical_noiseless(tmp_path):
     assert abs(json.loads(obs.read_text())["mean_cut"] - exact) < 1e-9
 
 
+def test_simulate_rejects_graph_of_another_circuit(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    run_cli("gen", "--n", 6, "--seed", 1, "--out", gpath)
+    pdpt, circ = tmp_path / "s.pdpt", tmp_path / "c.json"
+    assert run_cli("schedule", "--graph", gpath, "--p", 1, "--seed", 2,
+                   "--out", pdpt, "--out-circuit", circ) == 0
+    bigger, other = tmp_path / "g8.txt", tmp_path / "other6.txt"
+    run_cli("gen", "--n", 8, "--seed", 1, "--out", bigger)
+    run_cli("gen", "--n", 6, "--seed", 4, "--out", other)
+    assert read_graph(other.read_text()).edges != read_graph(gpath.read_text()).edges
+    capsys.readouterr()
+    for graph, message in ((bigger, "graph has 8 vertices but the circuit has 6 qubits"),
+                           (other, "ZZPhase pairs are not the graph's edges")):
+        obs = tmp_path / "obs.json"
+        assert run_cli("simulate", "--graph", graph, "--schedule", pdpt, "--circuit", circ,
+                       "--realizations", 4, "--out", obs) == 1
+        assert message in capsys.readouterr().err
+        assert not obs.exists()
+
+
 def test_solve_small_instance(tmp_path):
     gpath = tmp_path / "g.txt"
     gpath.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")

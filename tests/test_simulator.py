@@ -11,8 +11,9 @@ from qaoabench.simulator import (NoiseParams, _cycle_noise_qubit, apply_gate,
                                  probabilities, run_noisy_ensemble, sample_from_probs,
                                  simulate_logical)
 
-from oracles import (dense_qaoa_state, density_matrix_oracle, gate_unitary, plus_state,
-                     simulate_schedule_physical, trace_distance)
+from oracles import (dense_qaoa_state, density_matrix_oracle, gate_unitary,
+                     per_qubit_trajectories, plus_state, simulate_schedule_physical,
+                     trace_distance)
 
 DEFAULT_NOISE = NoiseParams(t1=200e-6, t2=100e-6, t_gate=10e-9)
 
@@ -179,8 +180,14 @@ def _scheduled(g, params, seed=11):
 def test_noiseless_ensemble_equals_logical(app_b_graph):
     params = QaoaParams((0.7, 1.1), (0.3, 0.9))
     s, c = _scheduled(app_b_graph, params)
-    ens = run_noisy_ensemble(s, c, NoiseParams.noiseless(), 1, 0, keep_states=True)
-    assert np.max(np.abs(ens.states[0] - simulate_logical(c))) < 1e-10
+    ens = run_noisy_ensemble(s, c, NoiseParams.noiseless(), 5, 0, keep_states=True,
+                             cut_table=cut_values_table(app_b_graph))
+    psi = simulate_logical(c)
+    assert ens.states.shape == (5, 256)
+    for row in ens.states:
+        assert np.max(np.abs(row - psi)) < 1e-10
+    assert np.max(np.abs(ens.mean_probs - probabilities(psi))) < 1e-12
+    assert np.max(np.abs(ens.per_cut - ens.per_cut[0])) < 1e-10
 
 
 def test_physical_oracle_confirms_swap_tracking(app_b_graph):
@@ -232,6 +239,48 @@ def test_realization_streams_independent_of_chunking(app_b_graph):
     a = run_noisy_ensemble(s, c, DEFAULT_NOISE, 50, 5, chunk_size=7, keep_states=True)
     b = run_noisy_ensemble(s, c, DEFAULT_NOISE, 50, 5, chunk_size=50, keep_states=True)
     assert np.array_equal(a.states, b.states)
+
+
+# Deferred no-jump noise against the exact per-qubit step at every cycle:
+# (noise, whether rows with a jump candidate must occur at R = 48).
+DEFERRAL_CASES = (
+    (NoiseParams.from_t2_ratio(20.0), True),
+    (NoiseParams.from_t2_ratio(50.0), True),
+    (NoiseParams.from_t2_ratio(1e4), False),
+    (NoiseParams(t1=1.0, t2=2.0, t_gate=0.01), True),      # T2 = 2 T1: no dephasing
+    (NoiseParams(t1=math.inf, t2=0.5, t_gate=0.01), False),  # pure dephasing
+)
+
+
+@pytest.mark.parametrize("noise,strong", DEFERRAL_CASES,
+                         ids=["t2r20", "t2r50", "t2r1e4", "t2eq2t1", "dephasing"])
+def test_deferred_noise_matches_per_qubit_reference(app_b_graph, noise, strong):
+    params = QaoaParams((0.9, 0.2, 1.4, 0.8), (0.3, 1.0, 0.5, 0.7))
+    s, c = _scheduled(app_b_graph, params)
+    ens = run_noisy_ensemble(s, c, noise, 48, 31, keep_states=True)
+    ref, n_candidate_rows = per_qubit_trajectories(s, c, noise, 48, 31)
+    assert np.max(np.abs(ens.states - ref)) < 1e-12
+    if strong:
+        assert n_candidate_rows >= 10
+    elif noise.damping_prob(noise.t_gate) == 0.0:
+        assert n_candidate_rows == 0
+
+
+def test_deferred_noise_reaches_scheduled_h():
+    # H gates after the hoisted prefix are not diagonal either: the pending
+    # noise of their qubit must be applied before them
+    gates = [Gate(GateKind.H, (q,)) for q in range(3)] + [
+        Gate(GateKind.ZZPHASE, (0, 1), 0.4), Gate(GateKind.H, (1,)),
+        Gate(GateKind.ZZPHASE, (1, 2), 0.9), Gate(GateKind.RX, (0,), 0.3),
+        Gate(GateKind.H, (2,))]
+    c = LogicalCircuit(3, tuple(gates))
+    grid = choose_grid(3)
+    s = schedule(c, grid, 1)
+    assert validate_schedule(s, c, grid) == []
+    noise = NoiseParams(t1=math.inf, t2=0.05, t_gate=0.01)
+    ens = run_noisy_ensemble(s, c, noise, 16, 3, keep_states=True)
+    ref, _ = per_qubit_trajectories(s, c, noise, 16, 3)
+    assert np.max(np.abs(ens.states - ref)) < 1e-12
 
 
 # Frozen outputs of one fixed-seed ensemble: the per-realization RNG stream
