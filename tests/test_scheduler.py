@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from qaoabench.circuit import Gate, GateKind, LogicalCircuit, QaoaParams, build_qaoa_circuit, logical_depth
@@ -50,6 +52,23 @@ def test_generated_schedules_always_valid():
         t = choose_grid(n)
         s = schedule(c, t, seed)
         assert validate_schedule(s, c, t) == []
+
+
+# SHA-256 over the PDPT text of every case below, in loop order. Routing
+# changes that are meant to keep every schedule (tie-breaks included) must
+# leave it as it is.
+FROZEN_PDPT_SHA256 = "4bbe4442d2971bcccd797ec015fb1e105c3ef83900fdd987f2db0fc05d4d54a0"
+
+
+def test_schedule_bytes_frozen():
+    h = hashlib.sha256()
+    for n in (8, 16, 24, 50):
+        for p in (1, 4):
+            for seed in range(3):
+                g = gen_random_3regular(n, seed)
+                c = build_qaoa_circuit(g, QaoaParams((0.3,) * p, (0.7,) * p))
+                h.update(emit_pdpt(schedule(c, choose_grid(n), seed)).encode())
+    assert h.hexdigest() == FROZEN_PDPT_SHA256
 
 
 def test_schedule_deterministic(app_b_graph):
