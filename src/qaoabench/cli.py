@@ -86,9 +86,8 @@ def cmd_schedule(args):
     violations = validate_schedule(sched, circuit, grid)
     if violations:
         raise RuntimeError("generated schedule is invalid: " + "; ".join(violations))
-    n_swaps = sum(1 for row in sched.table for e in row if e < 0) // 2
     print(f"grid {grid.rows}x{grid.cols}, depth {sched.n_cycles} cycles, "
-          f"{n_swaps} SWAPs, schedule valid")
+          f"{sched.n_swaps} SWAPs, schedule valid")
     _write(args.out, emit_pdpt(sched))
     if args.out_circuit:
         _write(args.out_circuit, circuit_to_json(circuit))

@@ -93,6 +93,11 @@ class Schedule:
         """Cycle count of the table; the hoisted preparation layer is excluded."""
         return len(self.table)
 
+    @property
+    def n_swaps(self) -> int:
+        """Routing SWAPs in the table; each one occupies two sites of a row."""
+        return sum(1 for row in self.table for e in row if e < 0) // 2
+
 
 def choose_grid(n: int) -> GridTopology:
     """Smallest square grid holding n logical qubits."""
@@ -118,6 +123,7 @@ def _interaction_weights(gates: list[Gate]) -> dict[tuple[int, int], int]:
 
 
 def _initial_placement(n_logical: int, gates: list[Gate], grid: GridTopology,
+                       dist: tuple[tuple[int, ...], ...],
                        rng: np.random.Generator) -> list[int]:
     """Greedy interaction-aware placement; returns site -> logical (-1 unused).
 
@@ -156,12 +162,13 @@ def _initial_placement(n_logical: int, gates: list[Gate], grid: GridTopology,
         q = pick(sorted(cands))
 
         def cost(site: int) -> int:
-            c = sum(w * grid.distance(site, site_of[v])
+            c = sum(w * dist[site][site_of[v]]
                     for v, w in partners[q] if site_of[v] != -1)
-            return c if best_attach > 0 else grid.distance(site, center)
+            return c if best_attach > 0 else dist[site][center]
 
-        best_cost = min(cost(s) for s in free)
-        site = pick(sorted(s for s in free if cost(s) == best_cost))
+        costs = {s: cost(s) for s in free}
+        best_cost = min(costs.values())
+        site = pick(sorted(s for s, c in costs.items() if c == best_cost))
         site_of[q] = site
         free.discard(site)
         placed.append(q)
@@ -185,25 +192,17 @@ def schedule(c: LogicalCircuit, t: GridTopology, seed: int, n_tries: int = 4) ->
 
     Placement tie-breaks are randomized, so n_tries placements are
     attempted and the shallowest schedule wins. Deterministic for a fixed
-    seed.
+    seed. Raises ValueError if the grid has fewer sites than the circuit
+    has qubits, or if n_tries < 1.
     """
-    best = None
-    for attempt in range(n_tries):
-        cand = _schedule_once(c, t, np.random.default_rng([seed, attempt]))
-        if best is None or cand.n_cycles < best.n_cycles:
-            best = cand
-    return best
-
-
-def _schedule_once(c: LogicalCircuit, t: GridTopology,
-                   rng: np.random.Generator) -> Schedule:
     if t.n_sites < c.n_qubits:
         raise ValueError(f"{t.rows}x{t.cols} grid cannot hold {c.n_qubits} qubits")
+    if n_tries < 1:
+        raise ValueError(f"n_tries must be at least 1, got {n_tries}")
 
     n_prep = c.prep_layer_size()
     alg_gates = list(c.gates[n_prep:])
     n_alg = len(alg_gates)
-
     preds: list[list[int]] = [[] for _ in range(n_alg)]
     succs: list[list[int]] = [[] for _ in range(n_alg)]
     for a, b in dependency_edges(c):
@@ -211,70 +210,99 @@ def _schedule_once(c: LogicalCircuit, t: GridTopology,
             preds[b - n_prep].append(a - n_prep)
             succs[a - n_prep].append(b - n_prep)
     indeg = [len(p) for p in preds]
+    # preds of each gate that are not ready yet; at 0 the gate is lookahead
+    unreleased = [sum(1 for a in p if indeg[a] > 0) for p in preds]
+    nbrs = tuple(tuple(t.neighbors(site)) for site in range(t.n_sites))
+    rc = [t.coords(site) for site in range(t.n_sites)]
+    dist = tuple(tuple(abs(ra - rb) + abs(ca - cb) for rb, cb in rc) for ra, ca in rc)
 
-    placement = _initial_placement(c.n_qubits, alg_gates, t, rng)
+    best = None
+    for attempt in range(n_tries):
+        placement = _initial_placement(c.n_qubits, alg_gates, t, dist,
+                                       np.random.default_rng([seed, attempt]))
+        table = _route(alg_gates, succs, indeg, unreleased, placement,
+                       c.n_qubits, t, nbrs, dist)
+        if best is None or len(table) < len(best[1]):
+            best = (placement, table)
+    placement, table = best
+    return Schedule(t, tuple(placement), tuple(tuple(r) for r in table), n_prep)
+
+
+def _route(alg_gates: list[Gate], succs: list[list[int]], indeg0: list[int],
+           unreleased0: list[int], placement: list[int], n_qubits: int,
+           t: GridTopology, nbrs: tuple[tuple[int, ...], ...],
+           dist: tuple[tuple[int, ...], ...]) -> list[list[int]]:
+    """Cycle rows of one schedule from a fixed initial placement.
+
+    ready (gates whose predecessors have all executed, in id order) and
+    lookahead (two-qubit gates whose predecessors have all executed or are
+    ready) are updated from the gates each cycle releases, not rescanned.
+    """
+    n_alg = len(alg_gates)
+    two_qubit = [g.arity == 2 for g in alg_gates]
+    indeg = list(indeg0)
+    unreleased = list(unreleased0)
     p2l = list(placement)
-    l2p = [-1] * c.n_qubits
+    l2p = [-1] * n_qubits
     for site, q in enumerate(p2l):
         if q != -1:
             l2p[q] = site
 
-    executed = [False] * n_alg
-    n_done = 0
-    ready = sorted(g for g in range(n_alg) if indeg[g] == 0)
+    ready = [g for g in range(n_alg) if indeg[g] == 0]
+    lookahead = {g for g in range(n_alg)
+                 if two_qubit[g] and indeg[g] > 0 and unreleased[g] == 0}
     table: list[list[int]] = []
     swap_counter = 0
     max_cycles = 64 + 8 * (n_alg + 1) * (t.rows + t.cols)
 
-    while n_done < n_alg:
+    while ready:
         if len(table) > max_cycles:
             raise RuntimeError("scheduler failed to converge; this is a bug")
         row = [0] * t.n_sites
         busy: set[int] = set()
         done_now: list[int] = []
+        blocked: list[int] = []
 
         # phase 1: execute ready gates that fit on the current placement
         for g in ready:
             gate = alg_gates[g]
             sites = [l2p[q] for q in gate.qubits]
             if any(s in busy for s in sites):
+                if two_qubit[g]:
+                    blocked.append(g)
                 continue
-            if gate.arity == 2 and not t.adjacent(sites[0], sites[1]):
+            if two_qubit[g] and dist[sites[0]][sites[1]] != 1:
+                blocked.append(g)
                 continue
             for s in sites:
                 row[s] = g + 1
                 busy.add(s)
             done_now.append(g)
 
-        blocked = [g for g in ready if g not in done_now and alg_gates[g].arity == 2]
-
-        # forced step: never emit an empty cycle, route the lowest-id
-        # blocked gate one step along a shortest path
-        forced_frozen: set[int] = set()
-        if not done_now and blocked:
-            g = blocked[0]
-            qa, qb = alg_gates[g].qubits
-            sa, sb = l2p[qa], l2p[qb]
-            steps = [nb for nb in t.neighbors(sa)
-                     if nb not in busy and t.distance(nb, sb) < t.distance(sa, sb)]
-            nb = _best_swap_step(sa, steps, blocked, alg_gates, l2p, p2l, t)
-            swap_counter += 1
-            row[sa] = row[nb] = -swap_counter
-            busy.update((sa, nb))
-            _apply_swap(sa, nb, p2l, l2p)
-            forced_frozen = {sb}
-
-        # phase 2: distance-reducing SWAPs on the remaining free sites
         if blocked:
-            lookahead = [g for g in range(n_alg)
-                         if not executed[g] and g not in done_now and indeg[g] > 0
-                         and alg_gates[g].arity == 2
-                         and all(executed[p] or p in done_now or indeg[p] == 0
-                                 for p in preds[g])]
-            scored = [(g, 1.0) for g in blocked if g not in done_now] + \
-                     [(g, 0.5) for g in lookahead]
+            index: dict[int, list[tuple[int, float]]] = {}
+            _add_partners(index, blocked, 1.0, alg_gates)
+
+            # forced step: never emit an empty cycle, route the lowest-id
+            # blocked gate one step along a shortest path
+            frozen: set[int] = set()
+            if not done_now:
+                qa, qb = alg_gates[blocked[0]].qubits
+                sa, sb = l2p[qa], l2p[qb]
+                steps = [nb for nb in nbrs[sa] if nb not in busy
+                         and dist[nb][sb] < dist[sa][sb]]
+                nb = _best_swap_step(sa, steps, index, p2l, l2p, dist)
+                swap_counter += 1
+                row[sa] = row[nb] = -swap_counter
+                busy.update((sa, nb))
+                _apply_swap(sa, nb, p2l, l2p)
+                frozen = {sb}
+
+            # phase 2: distance-reducing SWAPs on the remaining free sites
+            _add_partners(index, lookahead, 0.5, alg_gates)
             while True:
-                move = _pick_swap(scored, alg_gates, l2p, p2l, t, busy, forced_frozen)
+                move = _pick_swap(blocked, index, alg_gates, p2l, l2p, nbrs, dist,
+                                  busy | frozen)
                 if move is None:
                     break
                 u, v = move
@@ -284,15 +312,23 @@ def _schedule_once(c: LogicalCircuit, t: GridTopology,
                 _apply_swap(u, v, p2l, l2p)
 
         table.append(row)
+        released = []
         for g in done_now:
-            executed[g] = True
-            n_done += 1
             for s in succs[g]:
                 indeg[s] -= 1
-        ready = sorted(g for g in range(n_alg)
-                       if not executed[g] and indeg[g] == 0)
+                if indeg[s] == 0:
+                    released.append(s)
+        done = set(done_now)
+        ready = sorted([g for g in ready if g not in done] + released)
+        lookahead.difference_update(released)
+        for g in released:
+            for s in succs[g]:
+                unreleased[s] -= 1
+                # s still waits on g, so it cannot be ready itself
+                if unreleased[s] == 0 and two_qubit[s]:
+                    lookahead.add(s)
 
-    return Schedule(t, tuple(placement), tuple(tuple(r) for r in table), n_prep)
+    return table
 
 
 def _apply_swap(u: int, v: int, p2l: list[int], l2p: list[int]) -> None:
@@ -302,61 +338,80 @@ def _apply_swap(u: int, v: int, p2l: list[int], l2p: list[int]) -> None:
             l2p[p2l[s]] = s
 
 
-def _pending_distance(scored, alg_gates, l2p, t) -> float:
-    return sum(w * t.distance(l2p[alg_gates[g].qubits[0]], l2p[alg_gates[g].qubits[1]])
-               for g, w in scored)
+def _add_partners(index: dict[int, list[tuple[int, float]]], gates, weight: float,
+                  alg_gates: list[Gate]) -> None:
+    """Index two-qubit gates by operand: logical qubit -> [(partner, weight)]."""
+    for g in gates:
+        a, b = alg_gates[g].qubits
+        index.setdefault(a, []).append((b, weight))
+        index.setdefault(b, []).append((a, weight))
 
 
-def _pick_swap(scored, alg_gates, l2p, p2l, t: GridTopology, busy: set[int],
-               frozen: set[int]):
+def _swap_gain(u: int, v: int, index, p2l: list[int], l2p: list[int],
+               dist: tuple[tuple[int, ...], ...]) -> float:
+    """Drop in the weighted distance of the indexed gates if sites u, v swap.
+
+    Only gates on the logical qubits at u and v move; a gate on both keeps
+    its distance and contributes nothing.
+    """
+    gain = 0.0
+    qu, qv = p2l[u], p2l[v]
+    for q, here, there, other in ((qu, u, v, qv), (qv, v, u, qu)):
+        d_here, d_there = dist[here], dist[there]
+        for partner, w in index.get(q, ()):
+            if partner != other:
+                sp = l2p[partner]
+                gain += w * (d_here[sp] - d_there[sp])
+    return gain
+
+
+def _pick_swap(blocked: list[int], index, alg_gates: list[Gate], p2l: list[int],
+               l2p: list[int], nbrs: tuple[tuple[int, ...], ...],
+               dist: tuple[tuple[int, ...], ...], unavailable: set[int]):
     """Best free adjacent swap by pending-distance reduction; None if no gain.
+
+    The pending distance is the sum of w * grid distance over the indexed
+    gates: weight 1 for the blocked gates, 0.5 for the lookahead. A swap
+    moves at most the two logical qubits on its sites, so its gain is
+    summed over the gates on those two qubits only (_swap_gain). Weights
+    are 1 and 0.5 and distances are small integers, so every term and
+    partial sum is an exact multiple of 0.5 in floating point: the local
+    gain equals the difference of the two full sums bit for bit, and the
+    > best + 1e-9 test resolves ties exactly as comparing the full sums
+    would.
 
     Candidates are edges touching an endpoint of a blocked gate, visited in
     gate-id order so equal reductions resolve toward the lowest gate id.
+    Sites in unavailable are neither swapped nor swapped into.
     """
-    before = _pending_distance(scored, alg_gates, l2p, t)
     best = None
     best_gain = 0.0
-    seen: set[tuple[int, int]] = set()
-    for g, w in scored:
-        if w < 1.0:
-            continue
+    # unavailable sites, and sites whose every swap has been scored
+    closed = set(unavailable)
+    for g in blocked:
         for q in alg_gates[g].qubits:
             s = l2p[q]
-            if s in busy or s in frozen:
+            if s in closed:
                 continue
-            for nb in t.neighbors(s):
-                if nb in busy or nb in frozen:
+            closed.add(s)
+            for nb in nbrs[s]:
+                if nb in closed:
                     continue
-                pair = (min(s, nb), max(s, nb))
-                if pair in seen:
-                    continue
-                seen.add(pair)
-                _apply_swap(pair[0], pair[1], p2l, l2p)
-                gain = before - _pending_distance(scored, alg_gates, l2p, t)
-                _apply_swap(pair[0], pair[1], p2l, l2p)
+                gain = _swap_gain(s, nb, index, p2l, l2p, dist)
                 if gain > best_gain + 1e-9:
                     best_gain = gain
-                    best = pair
+                    best = (s, nb)
     return best
 
 
-def _best_swap_step(sa: int, steps: list[int], blocked, alg_gates, l2p, p2l,
-                    t: GridTopology) -> int:
-    """Among shortest-path steps for the forced gate, pick the most helpful."""
-    if len(steps) == 1:
-        return steps[0]
-    scored = [(g, 1.0) for g in blocked]
-    best_nb = steps[0]
-    best_after = None
-    for nb in sorted(steps):
-        _apply_swap(sa, nb, p2l, l2p)
-        after = _pending_distance(scored, alg_gates, l2p, t)
-        _apply_swap(sa, nb, p2l, l2p)
-        if best_after is None or after < best_after - 1e-9:
-            best_after = after
-            best_nb = nb
-    return best_nb
+def _best_swap_step(sa: int, steps: list[int], index, p2l: list[int],
+                    l2p: list[int], dist: tuple[tuple[int, ...], ...]) -> int:
+    """Among shortest-path steps for the forced gate, pick the most helpful.
+
+    The largest _swap_gain over the indexed (blocked) gates wins; gains are
+    exact, so ties are exact and go to the lowest site.
+    """
+    return max(sorted(steps), key=lambda nb: _swap_gain(sa, nb, index, p2l, l2p, dist))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qaoabench.circuit import Gate, GateKind, LogicalCircuit, QaoaParams, build_qaoa_circuit, logical_depth
 from qaoabench.graphs import gen_random_3regular
@@ -9,10 +10,6 @@ from qaoabench.scheduler import (GridTopology, Schedule, choose_grid, emit_pdpt,
                                  schedule_to_json, validate_schedule)
 
 from conftest import APP_B_PDPT, PUBLISHED_DEPTH
-
-
-def _swap_count(s: Schedule) -> int:
-    return sum(1 for row in s.table for e in row if e < 0) // 2
 
 
 def test_choose_grid():
@@ -35,14 +32,14 @@ def test_single_qubit_only_circuit_needs_no_swaps():
     c = LogicalCircuit(4, gates)
     s = schedule(c, GridTopology(2, 2), 0)
     assert s.n_cycles == logical_depth(c)
-    assert _swap_count(s) == 0
+    assert s.n_swaps == 0
 
 
 def test_adjacent_two_qubit_gate_first_cycle():
     c = LogicalCircuit(2, (Gate(GateKind.ZZPHASE, (0, 1), 0.5),))
     s = schedule(c, GridTopology(2, 2), 1)
     assert s.n_cycles == 1
-    assert _swap_count(s) == 0
+    assert s.n_swaps == 0
 
 
 def test_generated_schedules_always_valid():
@@ -71,6 +68,20 @@ def test_schedule_bytes_frozen():
     assert h.hexdigest() == FROZEN_PDPT_SHA256
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from(range(4, 31, 2)), graph_seed=st.integers(0, 2**32 - 1),
+       seed=st.integers(0, 2**32 - 1), p=st.sampled_from((1, 2)),
+       extra_side=st.sampled_from((0, 1)))
+def test_random_schedules_valid_and_round_trip(n, graph_seed, seed, p, extra_side):
+    g = gen_random_3regular(n, graph_seed)
+    c = build_qaoa_circuit(g, QaoaParams((0.3,) * p, (0.7,) * p))
+    side = choose_grid(n).rows + extra_side
+    t = GridTopology(side, side)
+    s = schedule(c, t, seed)
+    assert validate_schedule(s, c, t) == []
+    assert parse_pdpt(emit_pdpt(s), t, s.n_prep_gates) == s
+
+
 def test_schedule_deterministic(app_b_graph):
     c = build_qaoa_circuit(app_b_graph, QaoaParams((0.1,) * 4, (0.2,) * 4))
     assert schedule(c, GridTopology(3, 3), 42) == schedule(c, GridTopology(3, 3), 42)
@@ -96,6 +107,19 @@ def test_grid_too_small():
     c = LogicalCircuit(5, (Gate(GateKind.H, (0,)),))
     with pytest.raises(ValueError):
         schedule(c, GridTopology(2, 2), 0)
+
+
+def test_grid_too_small_rejected_before_any_try():
+    c = LogicalCircuit(5, (Gate(GateKind.H, (0,)),))
+    with pytest.raises(ValueError, match="cannot hold"):
+        schedule(c, GridTopology(2, 2), 0, n_tries=0)
+
+
+def test_schedule_needs_a_try():
+    c = LogicalCircuit(2, (Gate(GateKind.ZZPHASE, (0, 1), 0.5),))
+    for n_tries in (0, -1):
+        with pytest.raises(ValueError, match="n_tries"):
+            schedule(c, GridTopology(2, 2), 0, n_tries=n_tries)
 
 
 def test_validator_catches_hand_built_violations():
@@ -148,6 +172,7 @@ def test_parse_published_pdpt(app_b_graph):
     s = parse_pdpt(APP_B_PDPT, n_prep_gates=app_b_graph.n)
     assert s.grid == GridTopology(3, 3)
     assert s.n_cycles == PUBLISHED_DEPTH
+    assert s.n_swaps == 34                        # SWAP ids -1..-34
     assert s.placement == (3, 6, 4, 0, 1, 7, 5, 2, -1)
 
     c = build_qaoa_circuit(app_b_graph, QaoaParams((0.1,) * 4, (0.2,) * 4))
