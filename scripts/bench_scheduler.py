@@ -3,7 +3,7 @@
 Run from the repository root, with a second checkout of the commit to
 compare against:
 
-    python3 scripts/bench_scheduler.py --parent ../parent --out BENCH_pr6_scheduler.json
+    python3 scripts/bench_scheduler.py --parent ../parent --out BENCH_scheduler.json
 
 Depth sweep: for each N in SIZES, GRAPHS random 3-regular graphs (graph
 seeds 0, 1, ...), a p=4 QAOA circuit with fixed angles, scheduled by
@@ -13,7 +13,7 @@ seconds. Each checkout's sweep runs in a fresh interpreter that imports
 qaoabench from that checkout's src/.
 
 Benchmark pairs: `perfbench/run.py --workload schedule-sweep --seconds 22
---trace 0` runs --pairs times in each checkout, alternating which side runs
+--trace 0` runs PAIRS times in each checkout, alternating which side runs
 first, with seeds --seed, --seed + 1, ...; both sides of a pair use the same
 seed. The file keeps every run's end-to-end metrics and operation counts,
 and per metric the median and quartiles of each side and the number of
@@ -36,17 +36,18 @@ ROOT = Path(__file__).resolve().parent.parent
 SIZES = (16, 24, 50, 80, 128, 192, 256)
 GRAPHS = 3
 P = 4
+PAIRS = 10
 METRICS = ("op_s", "setup_s", "peak_rss_mb")
 
 
-def sweep(sizes=SIZES) -> list[dict]:
+def sweep() -> list[dict]:
     """Schedule each sweep case with the qaoabench found on sys.path."""
     from qaoabench.circuit import QaoaParams, build_qaoa_circuit
     from qaoabench.graphs import gen_random_3regular
     from qaoabench.scheduler import choose_grid, schedule
 
     rows = []
-    for n in sizes:
+    for n in SIZES:
         grid = choose_grid(n)
         for graph_seed in range(GRAPHS):
             g = gen_random_3regular(n, graph_seed)
@@ -95,8 +96,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, help="checkout of the commit to compare with")
     parser.add_argument("--out", type=Path, help="JSON file to write")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=970)
+    parser.add_argument("--seed", type=int, default=970,
+                        help="seed of the first pair; pick seeds not used while writing the change")
     parser.add_argument("--sweep-only", action="store_true",
                         help="print this interpreter's sweep as JSON and exit")
     args = parser.parse_args(argv)
@@ -105,8 +106,6 @@ def main(argv=None) -> int:
         return 0
     if args.parent is None or args.out is None:
         parser.error("--parent and --out are required")
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 to give quartiles")
 
     sys.path.insert(0, str(ROOT / "perfbench"))
     from run import machine_record
@@ -120,7 +119,7 @@ def main(argv=None) -> int:
         record["sweep"][side] = sweep_in(path)
 
     pairs = []
-    for i in range(args.pairs):
+    for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": args.seed + i, "first": order[0]}
         for side in order:

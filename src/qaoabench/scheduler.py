@@ -210,7 +210,8 @@ def schedule(c: LogicalCircuit, t: GridTopology, seed: int, n_tries: int = 4) ->
             preds[b - n_prep].append(a - n_prep)
             succs[a - n_prep].append(b - n_prep)
     indeg = [len(p) for p in preds]
-    # preds of each gate that are not ready yet; at 0 the gate is lookahead
+    # per gate, predecessors not yet ready: a two-qubit gate that is not
+    # ready itself belongs to the lookahead once this reaches 0
     unreleased = [sum(1 for a in p if indeg[a] > 0) for p in preds]
     nbrs = tuple(tuple(t.neighbors(site)) for site in range(t.n_sites))
     rc = [t.coords(site) for site in range(t.n_sites)]

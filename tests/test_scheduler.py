@@ -68,6 +68,7 @@ def test_schedule_bytes_frozen():
     assert h.hexdigest() == FROZEN_PDPT_SHA256
 
 
+# derandomized, so every tier-1 run checks the same 200 cases
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(n=st.sampled_from(range(4, 31, 2)), graph_seed=st.integers(0, 2**32 - 1),
        seed=st.integers(0, 2**32 - 1), p=st.sampled_from((1, 2)),
