@@ -10,14 +10,11 @@ seeds 0, 1, ...), a p=4 QAOA circuit with fixed angles, scheduled by
 schedule() on choose_grid(N) with the graph seed as schedule seed and the
 default number of tries. Each schedule records its cycles, SWAPs and wall
 seconds. Each checkout's sweep runs in a fresh interpreter that imports
-qaoabench from that checkout's src/.
+qaoabench from that checkout's src/. The file also keeps the machine record
+and both git SHAs.
 
-Benchmark pairs: `perfbench/run.py --workload schedule-sweep --seconds 22
---trace 0` runs PAIRS times in each checkout, alternating which side runs
-first, with seeds --seed, --seed + 1, ...; both sides of a pair use the same
-seed. The file keeps every run's end-to-end metrics and operation counts,
-and per metric the median and quartiles of each side and the number of
-pairs the change won (lower is better; ties count for neither side).
+Benchmark pairs of the `schedule-sweep` workload come from
+`scripts/bench_pairs.py schedule-sweep`.
 
 Run nothing else on the host meanwhile: every time here is wall time.
 """
@@ -26,18 +23,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from bench_pairs import ROOT, header
+
 SIZES = (16, 24, 50, 80, 128, 192, 256)
 GRAPHS = 3
 P = 4
-PAIRS = 10
-METRICS = ("op_s", "setup_s", "peak_rss_mb")
 
 
 def sweep() -> list[dict]:
@@ -72,32 +67,10 @@ def sweep_in(checkout: Path) -> list[dict]:
     return json.loads(proc.stdout)
 
 
-def bench_run(checkout: Path, seed: int) -> dict:
-    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "schedule-sweep",
-                           "--seed", str(seed), "--seconds", "22", "--trace", "0"],
-                          cwd=checkout, stdout=subprocess.PIPE, text=True, check=True)
-    result = json.loads(proc.stdout.splitlines()[-1])
-    out = {name: result["metrics"][name]["value"] for name in METRICS}
-    out.update(attempted=result["attempted"], failed=result["failed"])
-    return out
-
-
-def quartiles(values) -> dict:
-    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": med, "q1": q1, "q3": q3}
-
-
-def git_sha(checkout: Path) -> str:
-    return subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, stdout=subprocess.PIPE,
-                          text=True, check=True).stdout.strip()
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, help="checkout of the commit to compare with")
     parser.add_argument("--out", type=Path, help="JSON file to write")
-    parser.add_argument("--seed", type=int, default=970,
-                        help="seed of the first pair; pick seeds not used while writing the change")
     parser.add_argument("--sweep-only", action="store_true",
                         help="print this interpreter's sweep as JSON and exit")
     args = parser.parse_args(argv)
@@ -107,34 +80,12 @@ def main(argv=None) -> int:
     if args.parent is None or args.out is None:
         parser.error("--parent and --out are required")
 
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from run import machine_record
-
     sides = {"parent": args.parent.resolve(), "change": ROOT}
-    record = {"schema": 1, "machine": machine_record(),
-              "git_sha": {side: git_sha(path) for side, path in sides.items()},
-              "sweep": {"sizes": list(SIZES), "graphs_per_size": GRAPHS, "p": P}}
+    record = header(sides)
+    record["sweep"] = {"sizes": list(SIZES), "graphs_per_size": GRAPHS, "p": P}
     for side, path in sides.items():
         print(f"depth sweep, {side}", file=sys.stderr, flush=True)
         record["sweep"][side] = sweep_in(path)
-
-    pairs = []
-    for i in range(PAIRS):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {"seed": args.seed + i, "first": order[0]}
-        for side in order:
-            pair[side] = bench_run(sides[side], args.seed + i)
-        print(f"pair {i}: parent {pair['parent']['op_s']:.3f} s, "
-              f"change {pair['change']['op_s']:.3f} s", file=sys.stderr, flush=True)
-        pairs.append(pair)
-    summary = {}
-    for name in METRICS:
-        summary[name] = {side: quartiles([p[side][name] for p in pairs]) for side in sides}
-        summary[name]["change_wins"] = sum(p["change"][name] < p["parent"][name] for p in pairs)
-        summary[name]["pairs"] = len(pairs)
-    record["schedule_sweep"] = {"command": "python3 perfbench/run.py --workload schedule-sweep "
-                                           "--seed SEED --seconds 22 --trace 0",
-                                "pairs": pairs, "summary": summary}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

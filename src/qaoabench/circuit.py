@@ -152,23 +152,6 @@ def dependency_edges(c: LogicalCircuit) -> list[tuple[int, int]]:
     return sorted(deps)
 
 
-def logical_depth(c: LogicalCircuit) -> int:
-    """Greedy ASAP layer count under qubit exclusivity alone.
-
-    Each gate lands one layer after the latest gate it shares a qubit with,
-    ignoring hardware connectivity. Commuting reorders are not exploited:
-    this is the plain layered reading of the gate list.
-    """
-    ready_at = [0] * c.n_qubits
-    depth = 0
-    for gate in c.gates:
-        layer = max(ready_at[q] for q in gate.qubits) + 1
-        for q in gate.qubits:
-            ready_at[q] = layer
-        depth = max(depth, layer)
-    return depth
-
-
 def circuit_to_json(c: LogicalCircuit) -> str:
     payload = {
         "n_qubits": c.n_qubits,

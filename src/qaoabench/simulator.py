@@ -16,16 +16,16 @@ the ensemble average matches the channel without time-step error.
 Without a jump, a qubit's noise over one cycle is diagonal: the |1>
 amplitudes gain e^{i eps} sqrt(1 - p_damp). It commutes with ZZPhase, with
 gates on other qubits and with the other qubits' noise, so the ensemble
-keeps it pending per (realization, qubit) and applies it only before an RX
-or H on that qubit, and at the end (the no-jump evolution of the Monte
-Carlo wave-function method; Dalibard, Castin & Molmer, PRL 68, 580, 1992).
-A jump is possible only in a qubit-cycle whose uniform draw u is below
-p_damp, because it fires at u < p_damp * P(q=1). A realization with such a
-candidate in a cycle takes the exact per-qubit step for that cycle, after
-its pending factors are applied and it is renormalized. Each realization is
-normalized once, after the last cycle. The draws, and so the random stream
-of every realization, are the same as for the per-qubit step at every
-cycle.
+keeps it pending per (realization, qubit) and folds it into the kernel of
+the next RX or H on that qubit (the no-jump evolution of the Monte Carlo
+wave-function method; Dalibard, Castin & Molmer, PRL 68, 580, 1992). A jump
+is possible only in a qubit-cycle whose uniform draw u is below p_damp,
+because it fires at u < p_damp * P(q=1). Such a realization takes the exact
+per-qubit step for that cycle, after its pending factors are applied, so
+its random stream is the same as for the per-qubit step at every cycle.
+ZZPhase gates are diagonal and the same for every realization: they add
+into one phase vector, applied in one multiply (gate fusion; qHiPSTER,
+arXiv:1601.07195; Haner & Steiger, arXiv:1704.01127).
 
 Only the N logical qubits are ever simulated. Routing SWAPs relabel the
 site -> logical map and never touch amplitudes: they cannot entangle the
@@ -88,10 +88,6 @@ class NoiseParams:
             return 0.0
         return 2.0 * dt * rate
 
-    @property
-    def is_noiseless(self) -> bool:
-        return math.isinf(self.t1) and math.isinf(self.t2)
-
 
 # ---------------------------------------------------------------------------
 # state construction and gate kernels
@@ -107,13 +103,6 @@ def _split1(state: np.ndarray, n: int, q: int):
     """Views (a0, a1) of the amplitudes with qubit q equal to 0 / 1."""
     shaped = state.reshape(state.shape[:-1] + (1 << (n - 1 - q), 2, 1 << q))
     return shaped[..., 0, :], shaped[..., 1, :]
-
-
-def apply_h(state: np.ndarray, n: int, q: int) -> None:
-    a0, a1 = _split1(state, n, q)
-    t0 = (a0 + a1) * _INV_SQRT2
-    a1[...] = (a0 - a1) * _INV_SQRT2
-    a0[...] = t0
 
 
 def apply_rx(state: np.ndarray, n: int, q: int, beta: float) -> None:
@@ -139,36 +128,69 @@ def apply_zzphase(state: np.ndarray, n: int, qa: int, qb: int, gamma: float) -> 
     shaped[..., 1, :, 0, :] *= ph_eq.conjugate()
 
 
-def apply_swap(state: np.ndarray, n: int, qa: int, qb: int) -> None:
-    lo, hi = min(qa, qb), max(qa, qb)
-    shaped = state.reshape(state.shape[:-1] + (
-        1 << (n - 1 - hi), 2, 1 << (hi - lo - 1), 2, 1 << lo))
-    tmp = shaped[..., 0, :, 1, :].copy()
-    shaped[..., 0, :, 1, :] = shaped[..., 1, :, 0, :]
-    shaped[..., 1, :, 0, :] = tmp
-
-
-def apply_gate(state: np.ndarray, n: int, gate: Gate) -> None:
-    """Apply one gate in place on its own operands."""
-    q = gate.qubits
+def _gate_matrix(gate: Gate) -> tuple[complex, complex, complex, complex]:
+    """Entries (u00, u01, u10, u11) of a single-qubit gate."""
     if gate.kind == GateKind.H:
-        apply_h(state, n, q[0])
-    elif gate.kind == GateKind.RX:
-        apply_rx(state, n, q[0], gate.angle)
-    elif gate.kind == GateKind.ZZPHASE:
-        apply_zzphase(state, n, q[0], q[1], gate.angle)
-    elif gate.kind == GateKind.SWAP:
-        apply_swap(state, n, q[0], q[1])
-    else:
-        raise ValueError(f"unknown gate kind {gate.kind}")
+        return (_INV_SQRT2, _INV_SQRT2, _INV_SQRT2, -_INV_SQRT2)
+    if gate.kind == GateKind.RX:
+        c, mis = math.cos(gate.angle), -1j * math.sin(gate.angle)
+        return (c, mis, mis, c)
+    raise ValueError(f"the simulator applies H, RX and ZZPhase gates, not {gate.kind.value}")
+
+
+def _apply_1q(states: np.ndarray, n: int, q: int, u, f: np.ndarray, scratch: np.ndarray) -> None:
+    """Gate u on qubit q of a (R, 2^n) batch after scaling row r's |1> by f[r];
+    f rides in a1's coefficients, and the temporary goes to scratch (>= R * 2^(n-1))."""
+    u00, u01, u10, u11 = u
+    a0, a1 = _split1(states, n, q)
+    f = f.reshape(-1, 1, 1)
+    t = scratch[: a0.size].reshape(a0.shape)
+    np.multiply(a1, u01 * f, out=t)
+    a1 *= u11 * f
+    a1 += a0 * u10
+    a0 *= u00
+    a0 += t
+
+
+class _PendingPhase:
+    """ZZPhase gates summed into one angle vector theta(z) over the basis index:
+    gate (a, b, gamma) adds gamma * (1 - 2 * (z_a xor z_b)), and flush applies
+    all pending gates as one multiply by exp(-i theta / 2)."""
+
+    def __init__(self, n: int):
+        self.z, self.theta, self.qubits = np.arange(1 << n), np.zeros(1 << n), set()
+
+    def flush(self, states: np.ndarray) -> None:
+        if self.qubits:
+            states *= np.exp(-0.5j * self.theta)
+            self.theta[:] = 0.0
+            self.qubits.clear()
+
+    def apply_gates(self, states: np.ndarray, n: int, gates, pending: np.ndarray,
+                    scratch: np.ndarray) -> None:
+        """Apply gates in order to a (R, 2^n) batch. An RX or H flushes the phase
+        if it touches the qubit and takes the qubit's pending noise along."""
+        for gate in gates:
+            if gate.kind == GateKind.ZZPHASE:
+                a, b = gate.qubits
+                self.theta += gate.angle * (1 - 2 * (((self.z >> a) ^ (self.z >> b)) & 1))
+                self.qubits.update(gate.qubits)
+                continue
+            q = gate.qubits[0]
+            if q in self.qubits:
+                self.flush(states)
+            _apply_1q(states, n, q, _gate_matrix(gate), pending[:, q], scratch)
+            pending[:, q] = 1.0
 
 
 def simulate_logical(c: LogicalCircuit, state: np.ndarray | None = None) -> np.ndarray:
     """Run the gate list in order on |0...0> (or on a provided state)."""
+    n = c.n_qubits
     if state is None:
-        state = init_zero_state(c.n_qubits)
-    for gate in c.gates:
-        apply_gate(state, c.n_qubits, gate)
+        state = init_zero_state(n)
+    rows, phase = state[np.newaxis], _PendingPhase(n)
+    phase.apply_gates(rows, n, c.gates, np.ones((1, n), complex), np.empty(1 << n, complex))
+    phase.flush(rows)
     return state
 
 
@@ -263,34 +285,29 @@ def cycle_gate_groups(s: Schedule, c: LogicalCircuit) -> list[list[Gate]]:
     return groups
 
 
-def _prep_state(s: Schedule, c: LogicalCircuit) -> np.ndarray:
-    state = init_zero_state(c.n_qubits)
-    for gate in c.gates[: s.n_prep_gates]:
-        apply_gate(state, c.n_qubits, gate)
-    return state
-
-
-def _flush_pending(states: np.ndarray, n: int, q: int, pending: np.ndarray) -> None:
-    """Apply qubit q's pending no-jump |1> factor to each row and clear it."""
-    a1 = _split1(states, n, q)[1]
-    a1 *= pending[:, q].reshape(-1, 1, 1)
-    pending[:, q] = 1.0
+def _apply_pending_noise(states: np.ndarray, pending: np.ndarray, scratch: np.ndarray) -> None:
+    """Multiply row r by (x)_q diag(1, pending[r, q]). The diagonal of the low
+    n-1 qubits is built by doubling in scratch (>= half of states.size); it
+    scales each half of a row, times the top qubit's factor for the upper one."""
+    rows, n = pending.shape
+    half = 1 << (n - 1)
+    diag = scratch[: rows * half].reshape(rows, half)
+    diag[:, 0] = 1.0
+    for q in range(n - 1):
+        np.multiply(diag[:, : 1 << q], pending[:, q: q + 1], out=diag[:, 1 << q: 2 << q])
+    states[:, :half] *= diag
+    diag *= pending[:, n - 1:]
+    states[:, half:] *= diag
 
 
 def _exact_cycle_noise(states: np.ndarray, n: int, rows: np.ndarray, pending: np.ndarray,
-                       eps: np.ndarray, us: np.ndarray, p_damp: float) -> None:
-    """One cycle's exact per-qubit noise on the given rows, in place.
-
-    The rows' pending factors are applied first and the rows renormalized,
-    so _cycle_noise_qubit sees the states the per-qubit loop would have.
-    """
+                       eps, us, p_damp: float, scratch: np.ndarray) -> None:
+    """One cycle's per-qubit noise on the given rows, as the per-qubit loop sees them."""
     sub = states[rows]
-    sub_pending = pending[rows]
-    for q in range(n):
-        _flush_pending(sub, n, q, sub_pending)
+    _apply_pending_noise(sub, pending[rows], scratch)
     sub /= np.sqrt(probabilities(sub).sum(axis=1, keepdims=True))
     for q in range(n):
-        _cycle_noise_qubit(sub, n, q, eps[rows, q], us[rows, q], p_damp)
+        _cycle_noise_qubit(sub, n, q, eps[:, q], us[:, q], p_damp)
     states[rows] = sub
     pending[rows] = 1.0
 
@@ -313,23 +330,22 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
     reduced in fixed realization order; reruns with one master seed are
     bitwise identical.
 
-    A qubit-cycle can jump only where u < p_damp, since the jump fires at
-    u < p_damp * P(q=1) and P(q=1) <= 1. Elsewhere the noise is the
-    diagonal no-jump factor e^{i eps} sqrt(1 - p_damp) on |1>, which is
-    kept pending per (row, qubit) and applied only before an RX or H on
-    that qubit and once at the end. In a cycle where a row has a jump
-    candidate, that row's pending factors are applied, the row is
-    renormalized, and the exact per-qubit step _cycle_noise_qubit runs on
-    it for all n qubits in order, so every branch decision comes from the
-    same draws. Each row is normalized once, after the last cycle.
+    Each diagonal operation costs at most one pass over a chunk. ZZPhase
+    gates share one phase vector, applied before an RX or H on a qubit it
+    touches, before an exact step and at the end. The pending no-jump noise
+    rides in the fused RX/H kernel, or in one multiply per row at the end
+    and before the exact step _cycle_noise_qubit, which a row with a jump
+    candidate (u < p_damp) takes on all n qubits. Rows are normalized last.
     """
     if n_realizations < 1:
         raise ValueError("need at least one realization")
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError("chunk_size must be at least 1")
     n = c.n_qubits
     dim = 1 << n
     groups = cycle_gate_groups(s, c)
     n_cycles = len(groups)
-    prep = _prep_state(s, c)
+    prep = simulate_logical(LogicalCircuit(n, c.gates[: s.n_prep_gates]))
 
     if chunk_size is None:
         chunk_size = max(1, min(n_realizations, (1 << 26) // dim))
@@ -343,11 +359,13 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
     per_cut = np.empty(n_realizations) if cut_table is not None else None
     per_overlap = np.empty(n_realizations) if overlap_mask is not None else None
     all_states = np.empty((n_realizations, dim), dtype=np.complex128) if keep_states else None
+    phase = _PendingPhase(n)
 
     for start in range(0, n_realizations, chunk_size):
         stop = min(start + chunk_size, n_realizations)
         r_count = stop - start
         states = np.broadcast_to(prep, (r_count, dim)).copy()
+        scratch = np.empty(r_count * dim // 2, dtype=np.complex128)
 
         eps = np.empty((r_count, n_cycles, n))
         us = np.empty((r_count, n_cycles, n))
@@ -359,20 +377,19 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
         pending = np.ones((r_count, n), dtype=np.complex128)
 
         for cy, group in enumerate(groups):
-            for gate in group:
-                if gate.kind != GateKind.ZZPHASE:
-                    for q in gate.qubits:
-                        _flush_pending(states, n, q, pending)
-                apply_gate(states, n, gate)
+            phase.apply_gates(states, n, group, pending, scratch)
             # rows with a jump candidate (u < p_damp) take the exact step instead
             rows = np.flatnonzero((us[:, cy] < p_damp).any(axis=1))
             step = np.exp(1j * eps[:, cy]) * damp_amp
             step[rows] = 1.0
             pending *= step
             if rows.size:
-                _exact_cycle_noise(states, n, rows, pending, eps[:, cy], us[:, cy], p_damp)
-        for q in range(n):
-            _flush_pending(states, n, q, pending)
+                phase.flush(states)
+                _exact_cycle_noise(states, n, rows, pending, eps[rows, cy], us[rows, cy],
+                                   p_damp, scratch)
+        phase.flush(states)
+        _apply_pending_noise(states, pending, scratch)
+        del scratch     # freed before the probability pass allocates
 
         probs = probabilities(states)
         norms = probs.sum(axis=1, keepdims=True)

@@ -2,12 +2,16 @@
 
 Everything here takes the slow, obviously-correct route: dense matrices
 built by Kronecker embedding and matrix exponentials, density matrices
-evolved by explicit Kraus sums, and plain-python enumeration. None of it
-shares code with the simulator's gate kernels, except two: the all-sites
-physical simulation reuses apply_gate, because it checks SWAP tracking and
-not the kernels, and the per-qubit trajectory reference reuses apply_gate
-and _cycle_noise_qubit, because it checks the deferred no-jump noise of
-run_noisy_ensemble and not the kernels.
+evolved by explicit Kraus sums, and plain-python enumeration. The one-gate
+kernels apply_gate, apply_h and apply_swap live here, as the package no
+longer calls them. apply_gate applies each gate on its own, ZZPhase by
+apply_zzphase, so the oracles share no ZZ code with run_noisy_ensemble,
+which sums ZZPhase gates into one phase vector, and no single-qubit kernel
+with its fused RX/H kernel. Two oracles use apply_gate: the all-sites
+physical simulation, because it checks SWAP tracking and not the kernels,
+and the per-qubit trajectory reference, which also reuses
+_cycle_noise_qubit, because it checks the deferred noise and the fused
+kernels of run_noisy_ensemble.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from scipy.linalg import expm
 
 from qaoabench.circuit import Gate, GateKind
 from qaoabench.graphs import Graph
-from qaoabench.simulator import (_cycle_noise_qubit, apply_gate, apply_swap,
+from qaoabench.simulator import (_cycle_noise_qubit, _split1, apply_rx, apply_zzphase,
                                  cycle_gate_groups, init_zero_state, probabilities)
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -26,6 +30,37 @@ Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
                 dtype=complex)
+
+
+def apply_h(state: np.ndarray, n: int, q: int) -> None:
+    a0, a1 = _split1(state, n, q)
+    t0 = (a0 + a1) / math.sqrt(2.0)
+    a1[...] = (a0 - a1) / math.sqrt(2.0)
+    a0[...] = t0
+
+
+def apply_swap(state: np.ndarray, n: int, qa: int, qb: int) -> None:
+    lo, hi = min(qa, qb), max(qa, qb)
+    shaped = state.reshape(state.shape[:-1] + (
+        1 << (n - 1 - hi), 2, 1 << (hi - lo - 1), 2, 1 << lo))
+    tmp = shaped[..., 0, :, 1, :].copy()
+    shaped[..., 0, :, 1, :] = shaped[..., 1, :, 0, :]
+    shaped[..., 1, :, 0, :] = tmp
+
+
+def apply_gate(state: np.ndarray, n: int, gate: Gate) -> None:
+    """Apply one gate in place on its own operands, one kernel per gate."""
+    q = gate.qubits
+    if gate.kind == GateKind.H:
+        apply_h(state, n, q[0])
+    elif gate.kind == GateKind.RX:
+        apply_rx(state, n, q[0], gate.angle)
+    elif gate.kind == GateKind.ZZPHASE:
+        apply_zzphase(state, n, q[0], q[1], gate.angle)
+    elif gate.kind == GateKind.SWAP:
+        apply_swap(state, n, q[0], q[1])
+    else:
+        raise ValueError(f"unknown gate kind {gate.kind}")
 
 
 def op_on(u: np.ndarray, q: int, n: int) -> np.ndarray:
@@ -68,6 +103,23 @@ def dense_qaoa_state(g: Graph, params) -> np.ndarray:
         for q in range(n):
             state = expm(-1j * params.betas[l] * op_on(X, q, n)) @ state
     return state
+
+
+def logical_depth(c) -> int:
+    """Greedy ASAP layer count under qubit exclusivity alone.
+
+    Each gate lands one layer after the latest gate it shares a qubit with,
+    ignoring hardware connectivity. Commuting reorders are not exploited:
+    this is the plain layered reading of the gate list.
+    """
+    ready_at = [0] * c.n_qubits
+    depth = 0
+    for gate in c.gates:
+        layer = max(ready_at[q] for q in gate.qubits) + 1
+        for q in gate.qubits:
+            ready_at[q] = layer
+        depth = max(depth, layer)
+    return depth
 
 
 def plus_state(n: int) -> np.ndarray:

@@ -3,12 +3,11 @@ import pytest
 
 from qaoabench.circuit import (Gate, GateKind, LogicalCircuit, QaoaParams,
                                build_qaoa_circuit, circuit_from_json,
-                               circuit_to_json, dependency_edges, gates_commute,
-                               logical_depth)
+                               circuit_to_json, dependency_edges, gates_commute)
 from qaoabench.graphs import Graph, gen_random_3regular
 from qaoabench.simulator import simulate_logical
 
-from oracles import plus_state
+from oracles import logical_depth, plus_state
 
 
 def test_params_validation():

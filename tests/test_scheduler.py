@@ -1,15 +1,17 @@
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qaoabench.circuit import Gate, GateKind, LogicalCircuit, QaoaParams, build_qaoa_circuit, logical_depth
+from qaoabench.circuit import Gate, GateKind, LogicalCircuit, QaoaParams, build_qaoa_circuit
 from qaoabench.graphs import gen_random_3regular
-from qaoabench.scheduler import (GridTopology, Schedule, choose_grid, emit_pdpt,
-                                 parse_pdpt, schedule, schedule_from_json,
-                                 schedule_to_json, validate_schedule)
+from qaoabench.scheduler import (GridTopology, Schedule, _add_partners, _swap_gain,
+                                 choose_grid, emit_pdpt, parse_pdpt, schedule,
+                                 schedule_from_json, schedule_to_json, validate_schedule)
 
 from conftest import APP_B_PDPT, PUBLISHED_DEPTH
+from oracles import logical_depth
 
 
 def test_choose_grid():
@@ -81,6 +83,40 @@ def test_random_schedules_valid_and_round_trip(n, graph_seed, seed, p, extra_sid
     s = schedule(c, t, seed)
     assert validate_schedule(s, c, t) == []
     assert parse_pdpt(emit_pdpt(s), t, s.n_prep_gates) == s
+
+
+def _pending_distance(index, l2p, dist) -> float:
+    """Weighted grid distance of every indexed gate; the index lists each gate twice."""
+    return sum(w * dist[l2p[q]][l2p[partner]]
+               for q, partners in index.items() for partner, w in partners) / 2
+
+
+def test_swap_gain_equals_full_recomputation():
+    rng = np.random.default_rng(5)
+    t = GridTopology(3, 4)
+    dist = tuple(tuple(t.distance(a, b) for b in range(t.n_sites)) for a in range(t.n_sites))
+    n_qubits = 9
+    for _ in range(300):
+        p2l = [int(q) for q in rng.permutation(t.n_sites)]
+        p2l = [q if q < n_qubits else -1 for q in p2l]
+        l2p = [p2l.index(q) for q in range(n_qubits)]
+        u = int(rng.integers(t.n_sites))
+        v = int(rng.choice(t.neighbors(u)))
+        pairs = [rng.choice(n_qubits, 2, replace=False) for _ in range(int(rng.integers(1, 8)))]
+        gates = [Gate(GateKind.ZZPHASE, (int(a), int(b))) for a, b in pairs]
+        if p2l[u] != -1 and p2l[v] != -1:
+            # a gate on both swapped qubits keeps its distance
+            gates.append(Gate(GateKind.ZZPHASE, (p2l[u], p2l[v])))
+        index = {}
+        n_blocked = int(rng.integers(len(gates) + 1))
+        _add_partners(index, range(n_blocked), 1.0, gates)
+        _add_partners(index, range(n_blocked, len(gates)), 0.5, gates)
+
+        before = _pending_distance(index, l2p, dist)
+        gain = _swap_gain(u, v, index, p2l, l2p, dist)
+        p2l[u], p2l[v] = p2l[v], p2l[u]
+        l2p = [p2l.index(q) for q in range(n_qubits)]
+        assert gain == before - _pending_distance(index, l2p, dist)
 
 
 def test_schedule_deterministic(app_b_graph):

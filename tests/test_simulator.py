@@ -2,18 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qaoabench.circuit import Gate, GateKind, LogicalCircuit, QaoaParams, build_qaoa_circuit
 from qaoabench.graphs import Graph, brute_force_maxcut, cut_values_table
 from qaoabench.scheduler import GridTopology, Schedule, choose_grid, schedule, validate_schedule
-from qaoabench.simulator import (NoiseParams, _cycle_noise_qubit, apply_gate,
-                                 init_zero_state, optima_mask,
+from qaoabench.simulator import (NoiseParams, _apply_1q, _cycle_noise_qubit, _gate_matrix,
+                                 _split1, apply_rx, init_zero_state, optima_mask,
                                  probabilities, run_noisy_ensemble, sample_from_probs,
                                  simulate_logical)
 
-from oracles import (dense_qaoa_state, density_matrix_oracle, gate_unitary,
-                     per_qubit_trajectories, plus_state, simulate_schedule_physical,
-                     trace_distance)
+from oracles import (apply_gate, apply_h, dense_qaoa_state, density_matrix_oracle,
+                     gate_unitary, per_qubit_trajectories, plus_state,
+                     simulate_schedule_physical, trace_distance)
 
 DEFAULT_NOISE = NoiseParams(t1=200e-6, t2=100e-6, t_gate=10e-9)
 
@@ -31,7 +32,8 @@ def test_noise_params_validation():
         NoiseParams(t1=0.0, t2=1.0, t_gate=0.1)
     np_ok = NoiseParams.from_t2_ratio(10000.0)
     assert np_ok.t1 == 2.0 * np_ok.t2
-    assert NoiseParams.noiseless().is_noiseless
+    noiseless = NoiseParams.noiseless()
+    assert noiseless.damping_prob(1.0) == 0.0 and noiseless.dephasing_var(1.0) == 0.0
 
 
 def test_init_states():
@@ -71,6 +73,33 @@ def test_gates_match_dense_unitaries():
         got = state.copy()
         apply_gate(got, n, gate)
         assert np.max(np.abs(got - expected)) < 1e-12, gate
+
+
+@pytest.mark.parametrize("kind", [GateKind.H, GateKind.RX])
+def test_single_qubit_kernel_folds_pending_factor(kind):
+    # the fused kernel equals scaling the |1> amplitudes by f, then the gate
+    rng = np.random.default_rng(17)
+    n, r = 5, 6
+    for q in range(n):
+        states = rng.standard_normal((r, 1 << n)) + 1j * rng.standard_normal((r, 1 << n))
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        f = np.exp(1j * rng.uniform(-math.pi, math.pi, r)) * np.sqrt(rng.uniform(0.5, 1.0, r))
+        gate = Gate(kind, (q,), rng.uniform(-math.pi, math.pi) if kind == GateKind.RX else 0.0)
+        expected = states.copy()
+        _split1(expected, n, q)[1][...] *= f.reshape(-1, 1, 1)
+        if kind == GateKind.RX:
+            apply_rx(expected, n, q, gate.angle)
+        else:
+            apply_h(expected, n, q)
+        got = states.copy()
+        _apply_1q(got, n, q, _gate_matrix(gate), f, np.empty(states.size // 2, complex))
+        assert np.max(np.abs(got - expected)) < 1e-15, q
+
+
+def test_simulators_reject_swap_gates():
+    c = LogicalCircuit(2, (Gate(GateKind.SWAP, (0, 1)),))
+    with pytest.raises(ValueError, match="not swap"):
+        simulate_logical(c)
 
 
 def test_qaoa_states_match_dense_oracle(k3, k4):
@@ -281,6 +310,46 @@ def test_deferred_noise_reaches_scheduled_h():
     ens = run_noisy_ensemble(s, c, noise, 16, 3, keep_states=True)
     ref, _ = per_qubit_trajectories(s, c, noise, 16, 3)
     assert np.max(np.abs(ens.states - ref)) < 1e-12
+
+
+@st.composite
+def _random_circuits(draw):
+    """H, RX and ZZPhase in random order on 2-5 qubits, with or without the H prefix."""
+    n = draw(st.integers(2, 5))
+    qubit = st.integers(0, n - 1)
+    angle = st.floats(-math.pi, math.pi)
+    gates = [Gate(GateKind.H, (q,)) for q in range(n)] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(1, 16))):
+        kind = draw(st.sampled_from((GateKind.H, GateKind.RX, GateKind.ZZPHASE)))
+        if kind == GateKind.ZZPHASE:
+            pair = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+            gates.append(Gate(kind, tuple(pair), draw(angle)))
+        else:
+            gates.append(Gate(kind, (draw(qubit),), draw(angle) if kind == GateKind.RX else 0.0))
+    return LogicalCircuit(n, tuple(gates))
+
+
+# derandomized, so every tier-1 run checks the same cases
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(c=_random_circuits(), strong=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_fused_kernels_match_per_qubit_reference(c, strong, seed):
+    # the shared ZZ phase is applied before an H or RX on a qubit it touches,
+    # before an exact jump step and at the end; the pending noise inside the
+    # H and RX kernels and in one multiply at the end or before a jump step
+    grid = choose_grid(c.n_qubits)
+    s = schedule(c, grid, seed)
+    assert validate_schedule(s, c, grid) == []
+    noise = NoiseParams.from_t2_ratio(20.0) if strong else DEFAULT_NOISE
+    ens = run_noisy_ensemble(s, c, noise, 12, seed, keep_states=True)
+    ref, _ = per_qubit_trajectories(s, c, noise, 12, seed)
+    assert np.max(np.abs(ens.states - ref)) < 1e-12
+
+
+def test_chunk_size_must_be_positive(app_b_graph):
+    s, c = _scheduled(app_b_graph, QaoaParams((0.7,), (0.4,)))
+    for chunk_size in (0, -2):
+        with pytest.raises(ValueError, match="chunk_size must be at least 1"):
+            run_noisy_ensemble(s, c, DEFAULT_NOISE, 4, 0, chunk_size=chunk_size)
 
 
 # Frozen outputs of one fixed-seed ensemble: the per-realization RNG stream
