@@ -96,7 +96,7 @@ def test_single_qubit_kernel_folds_pending_factor(kind):
         assert np.max(np.abs(got - expected)) < 1e-15, q
 
 
-def test_simulators_reject_swap_gates():
+def test_simulate_logical_rejects_swap_gates():
     c = LogicalCircuit(2, (Gate(GateKind.SWAP, (0, 1)),))
     with pytest.raises(ValueError, match="not swap"):
         simulate_logical(c)
@@ -334,8 +334,8 @@ def _random_circuits(draw):
 @given(c=_random_circuits(), strong=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_fused_kernels_match_per_qubit_reference(c, strong, seed):
     # the shared ZZ phase is applied before an H or RX on a qubit it touches,
-    # before an exact jump step and at the end; the pending noise inside the
-    # H and RX kernels and in one multiply at the end or before a jump step
+    # before an exact jump step and at the end; the pending noise rides in the
+    # H and RX kernels, or in one multiply per row at the end or before a jump
     grid = choose_grid(c.n_qubits)
     s = schedule(c, grid, seed)
     assert validate_schedule(s, c, grid) == []
