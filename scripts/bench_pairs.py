@@ -3,11 +3,12 @@
 Run from the repository root, with a second checkout of the commit to
 compare against:
 
-    python3 scripts/bench_pairs.py --parent ../parent --label NAME WORKLOAD [WORKLOAD ...]
+    python3 scripts/bench_pairs.py --parent ../parent --label NAME --seed SEED WORKLOAD [...]
 
-Each pair runs `perfbench/run.py --workload W --seed SEED --seconds 22
---trace 0` once in each checkout, alternating which side runs first, with
-seeds --seed, --seed + 1, ...; both sides of a pair use the same seed. The
+Each of the 10 pairs runs `perfbench/run.py --workload W --seed SEED
+--seconds 22 --trace 0` once in each checkout, alternating which side runs
+first, with seeds SEED, SEED + 1, ..., SEED + 9; both sides of a pair use
+the same seed. A claim must not reuse the seeds of an earlier record. The
 workloads take turns within each pair index, so drift of the host's speed
 spreads over all of them.
 
@@ -29,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("op_s", "setup_s", "peak_rss_mb")
+PAIRS = 10
 COMMAND = "python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds 22 --trace 0"
 
 
@@ -71,9 +73,9 @@ def summary(pairs: list[dict]) -> dict:
     return out
 
 
-def run_pairs(sides: dict[str, Path], workloads: list[str], seed: int, n_pairs: int) -> dict:
+def run_pairs(sides: dict[str, Path], workloads: list[str], seed: int) -> dict:
     runs: dict[str, list[dict]] = {w: [] for w in workloads}
-    for i in range(n_pairs):
+    for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for workload in workloads:
             pair = {"seed": seed + i, "first": order[0]}
@@ -91,17 +93,14 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True,
                         help="checkout of the commit to compare with")
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
-    parser.add_argument("--seed", type=int, default=970,
-                        help="seed of the first pair; pick seeds not used while writing the change")
-    parser.add_argument("--pairs", type=int, default=10, help="pairs per workload")
+    parser.add_argument("--seed", type=int, required=True,
+                        help="seed of the first pair; pick seeds no earlier record used")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2, to give quartiles")
 
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     record = header(sides)
     record["command"] = COMMAND
-    record["workloads"] = run_pairs(sides, args.workloads, args.seed, args.pairs)
+    record["workloads"] = run_pairs(sides, args.workloads, args.seed)
     (ROOT / f"BENCH_{args.label}.json").write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -4,7 +4,7 @@ Library layout, one module per pipeline stage; import the stage you use:
 
   graphs     random 3-regular instances, cut values, brute-force optima
   maxsat     Max-Cut -> Max-2-SAT reduction, DIMACS WCNF emission
-  circuit    QAOA logical circuits (H / ZZPhase / RX / SWAP)
+  circuit    QAOA logical circuits (H / ZZPhase / RX)
   scheduler  grid routing with SWAP insertion, PDPT format, validation
   simulator  state-vector simulation with stochastic T1/T2 trajectories
   optimizer  multi-start Nelder-Mead with evaluation accounting, sampled

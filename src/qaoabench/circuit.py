@@ -1,4 +1,4 @@
-"""QAOA logical circuits over the {H, ZZPhase, RX, SWAP} gate set.
+"""QAOA logical circuits over the {H, ZZPhase, RX} gate set; routing SWAPs are schedule entries.
 
 Angle conventions are fixed once here and everywhere else in the package:
 
@@ -23,10 +23,9 @@ class GateKind(str, Enum):
     H = "h"
     ZZPHASE = "zzphase"
     RX = "rx"
-    SWAP = "swap"
 
 
-_ARITY = {GateKind.H: 1, GateKind.RX: 1, GateKind.ZZPHASE: 2, GateKind.SWAP: 2}
+_ARITY = {GateKind.H: 1, GateKind.RX: 1, GateKind.ZZPHASE: 2}
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,10 @@ is possible only in a qubit-cycle whose uniform draw u is below p_damp,
 because it fires at u < p_damp * P(q=1). Such a realization takes the exact
 per-qubit step for that cycle, after its pending factors are applied, so
 its random stream is the same as for the per-qubit step at every cycle.
-ZZPhase gates are diagonal and the same for every realization: they add
-into one phase vector, applied in one multiply (gate fusion; qHiPSTER,
-arXiv:1601.07195; Haner & Steiger, arXiv:1704.01127).
+ZZPhase gates are diagonal and the same for every realization: their
+angles add into one coupling matrix, and one phase vector built from it is
+applied in one multiply (gate fusion; qHiPSTER, arXiv:1601.07195; Haner &
+Steiger, arXiv:1704.01127). simulate_logical fuses them the same way.
 
 Only the N logical qubits are ever simulated. Routing SWAPs relabel the
 site -> logical map and never touch amplitudes: they cannot entangle the
@@ -129,13 +130,11 @@ def apply_zzphase(state: np.ndarray, n: int, qa: int, qb: int, gamma: float) -> 
 
 
 def _gate_matrix(gate: Gate) -> tuple[complex, complex, complex, complex]:
-    """Entries (u00, u01, u10, u11) of a single-qubit gate."""
+    """Entries (u00, u01, u10, u11) of an H or RX gate."""
     if gate.kind == GateKind.H:
         return (_INV_SQRT2, _INV_SQRT2, _INV_SQRT2, -_INV_SQRT2)
-    if gate.kind == GateKind.RX:
-        c, mis = math.cos(gate.angle), -1j * math.sin(gate.angle)
-        return (c, mis, mis, c)
-    raise ValueError(f"the simulator applies H, RX and ZZPhase gates, not {gate.kind.value}")
+    c, mis = math.cos(gate.angle), -1j * math.sin(gate.angle)
+    return (c, mis, mis, c)
 
 
 def _apply_1q(states: np.ndarray, n: int, q: int, u, f: np.ndarray, scratch: np.ndarray) -> None:
@@ -153,18 +152,26 @@ def _apply_1q(states: np.ndarray, n: int, q: int, u, f: np.ndarray, scratch: np.
 
 
 class _PendingPhase:
-    """ZZPhase gates summed into one angle vector theta(z) over the basis index:
-    gate (a, b, gamma) adds gamma * (1 - 2 * (z_a xor z_b)), and flush applies
-    all pending gates as one multiply by exp(-i theta / 2)."""
+    """ZZPhase gates summed into an upper-triangular coupling matrix j. flush applies
+    them all as one multiply by the phase vector exp(-i theta / 2), theta(z) =
+    sum_{a<b} j_ab s_a s_b with s_q = 1 - 2 * (bit q of z), built by doubling."""
 
     def __init__(self, n: int):
-        self.z, self.theta, self.qubits = np.arange(1 << n), np.zeros(1 << n), set()
+        self.j, self.phase, self.qubits = np.zeros((n, n)), np.empty(1 << n, complex), set()
 
     def flush(self, states: np.ndarray) -> None:
-        if self.qubits:
-            states *= np.exp(-0.5j * self.theta)
-            self.theta[:] = 0.0
-            self.qubits.clear()
+        if not self.qubits:
+            return
+        ph, e = self.phase, np.exp(-0.5j * self.j)[..., None]
+        ph[0] = 1.0
+        g = np.ones((len(e), 1), complex)   # g[b - k] = exp(-i/2 sum_{a<k} j_ab s_a), low k bits
+        for k in range(len(e)):
+            np.multiply(ph[: 1 << k], g[0].conj(), out=ph[1 << k: 2 << k])
+            ph[: 1 << k] *= g[0]
+            g = np.concatenate((g[1:] * e[k, k + 1:], g[1:] * e[k, k + 1:].conj()), axis=1)
+        states *= ph
+        self.j[:] = 0.0
+        self.qubits.clear()
 
     def apply_gates(self, states: np.ndarray, n: int, gates, pending: np.ndarray,
                     scratch: np.ndarray) -> None:
@@ -172,8 +179,7 @@ class _PendingPhase:
         if it touches the qubit and takes the qubit's pending noise along."""
         for gate in gates:
             if gate.kind == GateKind.ZZPHASE:
-                a, b = gate.qubits
-                self.theta += gate.angle * (1 - 2 * (((self.z >> a) ^ (self.z >> b)) & 1))
+                self.j[min(gate.qubits), max(gate.qubits)] += gate.angle
                 self.qubits.update(gate.qubits)
                 continue
             q = gate.qubits[0]
@@ -402,15 +408,8 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
         if all_states is not None:
             np.divide(states, np.sqrt(norms), out=all_states[start:stop])
 
-    return TrajectoryEnsemble(
-        n_realizations=n_realizations,
-        n_qubits=n,
-        master_seed=master_seed,
-        mean_probs=sum_probs / n_realizations,
-        per_cut=per_cut,
-        per_overlap=per_overlap,
-        states=all_states,
-    )
+    return TrajectoryEnsemble(n_realizations, n, master_seed, sum_probs / n_realizations,
+                              per_cut=per_cut, per_overlap=per_overlap, states=all_states)
 
 
 # ---------------------------------------------------------------------------

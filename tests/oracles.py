@@ -57,8 +57,6 @@ def apply_gate(state: np.ndarray, n: int, gate: Gate) -> None:
         apply_rx(state, n, q[0], gate.angle)
     elif gate.kind == GateKind.ZZPHASE:
         apply_zzphase(state, n, q[0], q[1], gate.angle)
-    elif gate.kind == GateKind.SWAP:
-        apply_swap(state, n, q[0], q[1])
     else:
         raise ValueError(f"unknown gate kind {gate.kind}")
 
@@ -78,15 +76,17 @@ def gate_unitary(gate, n: int) -> np.ndarray:
     if gate.kind == GateKind.ZZPHASE:
         zz = op_on(Z, q[0], n) @ op_on(Z, q[1], n)
         return expm(-1j * gate.angle / 2.0 * zz)
-    if gate.kind == GateKind.SWAP:
-        full = np.eye(1 << n, dtype=complex)
-        perm = np.arange(1 << n)
-        ma, mb = 1 << q[0], 1 << q[1]
-        for z in range(1 << n):
-            if bool(z & ma) != bool(z & mb):
-                perm[z] = (z ^ ma) ^ mb
-        return full[perm]
     raise ValueError(gate.kind)
+
+
+def swap_unitary(qa: int, qb: int, n: int) -> np.ndarray:
+    """Dense SWAP of qubits qa and qb: the permutation matrix of their bits."""
+    perm = np.arange(1 << n)
+    ma, mb = 1 << qa, 1 << qb
+    for z in range(1 << n):
+        if bool(z & ma) != bool(z & mb):
+            perm[z] = (z ^ ma) ^ mb
+    return np.eye(1 << n, dtype=complex)[perm]
 
 
 def dense_qaoa_state(g: Graph, params) -> np.ndarray:

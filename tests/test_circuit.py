@@ -118,3 +118,10 @@ def test_dependency_edges_respect_layers(k3):
 def test_circuit_json_round_trip(k3):
     c = build_qaoa_circuit(k3, QaoaParams((0.15, 0.6), (0.35, 0.1)))
     assert circuit_from_json(circuit_to_json(c)) == c
+
+
+def test_circuit_json_rejects_swap_gates():
+    # routing SWAPs are schedule entries; a circuit that names one is not read
+    text = '{"n_qubits": 2, "gates": [{"kind": "swap", "qubits": [0, 1], "angle": 0.0}]}'
+    with pytest.raises(ValueError, match="swap"):
+        circuit_from_json(text)

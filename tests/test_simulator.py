@@ -12,9 +12,9 @@ from qaoabench.simulator import (NoiseParams, _apply_1q, _cycle_noise_qubit, _ga
                                  probabilities, run_noisy_ensemble, sample_from_probs,
                                  simulate_logical)
 
-from oracles import (apply_gate, apply_h, dense_qaoa_state, density_matrix_oracle,
-                     gate_unitary, per_qubit_trajectories, plus_state,
-                     simulate_schedule_physical, trace_distance)
+from oracles import (apply_gate, apply_h, apply_swap, dense_qaoa_state,
+                     density_matrix_oracle, gate_unitary, per_qubit_trajectories, plus_state,
+                     simulate_schedule_physical, swap_unitary, trace_distance)
 
 DEFAULT_NOISE = NoiseParams(t1=200e-6, t2=100e-6, t_gate=10e-9)
 
@@ -43,36 +43,41 @@ def test_init_states():
         assert np.allclose(simulate_logical(prep), plus_state(n), atol=1e-12)
 
 
+def _run_gates(n, gates, state):
+    """The package's kernels on one state: a circuit of the given gates."""
+    return simulate_logical(LogicalCircuit(n, tuple(gates)), state.copy())
+
+
 def test_h_involution():
     state = _random_state(4, 1)
-    out = state.copy()
-    for _ in range(2):
-        apply_gate(out, 4, Gate(GateKind.H, (2,)))
+    out = _run_gates(4, [Gate(GateKind.H, (2,))] * 2, state)
     assert np.max(np.abs(out - state)) < 1e-12
 
 
 def test_zzphase_diagonal_action():
-    s = init_zero_state(2)
-    apply_gate(s, 2, Gate(GateKind.ZZPHASE, (0, 1), 0.7))
+    s = _run_gates(2, [Gate(GateKind.ZZPHASE, (0, 1), 0.7)], init_zero_state(2))
     assert np.allclose(s[0], np.exp(-0.35j))
     s = np.zeros(4, complex)
     s[1] = 1.0                                       # |01>: qubit 0 set
-    apply_gate(s, 2, Gate(GateKind.ZZPHASE, (0, 1), 0.7))
+    s = _run_gates(2, [Gate(GateKind.ZZPHASE, (0, 1), 0.7)], s)
     assert np.allclose(s[1], np.exp(+0.35j))
 
 
 def test_gates_match_dense_unitaries():
     rng = np.random.default_rng(7)
-    n = 3
+    n = 4
     for gate in (Gate(GateKind.H, (1,)),
                  Gate(GateKind.RX, (2,), 0.83),
                  Gate(GateKind.ZZPHASE, (0, 2), 1.91),
-                 Gate(GateKind.SWAP, (0, 1))):
+                 Gate(GateKind.ZZPHASE, (3, 1), -2.47)):
         state = _random_state(n, rng.integers(1 << 30))
         expected = gate_unitary(gate, n) @ state
-        got = state.copy()
-        apply_gate(got, n, gate)
+        got = _run_gates(n, [gate], state)
         assert np.max(np.abs(got - expected)) < 1e-12, gate
+    state = _random_state(n, rng.integers(1 << 30))      # the oracles' SWAP kernel
+    got = state.copy()
+    apply_swap(got, n, 3, 1)
+    assert np.max(np.abs(got - swap_unitary(3, 1, n) @ state)) < 1e-12
 
 
 @pytest.mark.parametrize("kind", [GateKind.H, GateKind.RX])
@@ -94,12 +99,6 @@ def test_single_qubit_kernel_folds_pending_factor(kind):
         got = states.copy()
         _apply_1q(got, n, q, _gate_matrix(gate), f, np.empty(states.size // 2, complex))
         assert np.max(np.abs(got - expected)) < 1e-15, q
-
-
-def test_simulate_logical_rejects_swap_gates():
-    c = LogicalCircuit(2, (Gate(GateKind.SWAP, (0, 1)),))
-    with pytest.raises(ValueError, match="not swap"):
-        simulate_logical(c)
 
 
 def test_qaoa_states_match_dense_oracle(k3, k4):
@@ -446,7 +445,7 @@ def _all_sites_noisy_cut(s, c, noise, n_realizations, master_seed):
                 gate = c.gates[s.n_prep_gates + entry - 1]
                 apply_gate(states, m, Gate(gate.kind, tuple(sites), gate.angle))
             else:
-                apply_gate(states, m, Gate(GateKind.SWAP, tuple(sites)))
+                apply_swap(states, m, *sites)
                 p2l[sites[0]], p2l[sites[1]] = p2l[sites[1]], p2l[sites[0]]
         for q in range(m):
             _cycle_noise_qubit(states, m, q, eps[:, cy, q], us[:, cy, q], p_damp)
