@@ -114,7 +114,7 @@ def build_qaoa_circuit(g: Graph, params: QaoaParams) -> LogicalCircuit:
     return LogicalCircuit(g.n, tuple(gates))
 
 
-def gates_commute(a: Gate, b: Gate) -> bool:
+def _gates_commute(a: Gate, b: Gate) -> bool:
     """Whether two gates commute as unitaries.
 
     Disjoint supports always commute. On shared qubits only the safe cases
@@ -146,7 +146,7 @@ def dependency_edges(c: LogicalCircuit) -> list[tuple[int, int]]:
     for indices in by_qubit.values():
         for pos_b, b in enumerate(indices):
             for a in indices[:pos_b]:
-                if not gates_commute(c.gates[a], c.gates[b]):
+                if not _gates_commute(c.gates[a], c.gates[b]):
                     deps.add((a, b))
     return sorted(deps)
 

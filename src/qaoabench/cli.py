@@ -7,7 +7,9 @@ line only. Each flag defaults to the study's constant, taken from the
 library where it states one (NmConfig: 10000 samples per evaluation, 20
 restarts, 300-update cap; HardwareTimes: T_P + T_M = 1 us, T_G = 10 ns)
 and stated here otherwise (T2 = 100 us, T1 = 200 us, p = 4, 384 noise
-realizations, 40 instances per size).
+realizations, 40 instances per size). An error prints one line and exits
+with status 1; `qaoabench --debug COMMAND ...` lets it raise with its
+traceback instead.
 """
 from __future__ import annotations
 
@@ -292,6 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qaoabench",
         description="QAOA-for-Max-Cut wall-clock benchmarking pipeline")
+    parser.add_argument("--debug", action="store_true",
+                        help="let an error raise with its full traceback instead of "
+                             "printing one line")
     subs = parser.add_subparsers(dest="command", required=True)
 
     sp = subs.add_parser("gen", help="generate a random 3-regular graph file")
@@ -337,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sizes", required=True, help="comma-separated vertex counts")
     sp.add_argument("--instances", dest="n_instances", type=int, default=40)
     sp.add_argument("--jobs", type=int, default=1,
-                    help="worker processes, each solving whole instances")
+                    help="worker processes, each solving whole instances; a job's "
+                         "large ensembles also run on every core, one thread each")
     sp.add_argument("--out", required=True)
     _add_solve_flags(sp)
     _add_common(sp)
@@ -378,6 +384,8 @@ def main(argv=None) -> int:
     try:
         args.func(args)
     except Exception as exc:  # CLI boundary: report, do not traceback
+        if args.debug:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

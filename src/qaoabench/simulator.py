@@ -28,6 +28,14 @@ angles add into one coupling matrix, and one phase vector built from it is
 applied in one multiply (gate fusion; qHiPSTER, arXiv:1601.07195; Haner &
 Steiger, arXiv:1704.01127). simulate_logical fuses them the same way.
 
+The realizations never interact before the final average, so the cycle
+loop of a large batch runs on contiguous blocks of rows, one thread per
+usable CPU (numpy releases the GIL inside its array loops); both
+simulators above split the amplitude array over the cores of a node the
+same way. Every block flushes the shared phase at the same cycles and
+applies the same per-row operations, so no row's bits depend on the
+block count.
+
 Only the N logical qubits are ever simulated. Routing SWAPs relabel the
 site -> logical map and never touch amplitudes: they cannot entangle the
 algorithm register with pristine ancilla sites, so a machine with M > N
@@ -37,6 +45,8 @@ dense 2^M-site oracle that does apply SWAP unitaries.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,16 +147,30 @@ def _gate_matrix(gate: Gate) -> tuple[complex, complex, complex, complex]:
     return (c, mis, mis, c)
 
 
-def _apply_1q(states: np.ndarray, n: int, q: int, u, f: np.ndarray, scratch: np.ndarray) -> None:
+def _scratch(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two buffers of half a (rows, 2^n) batch each: _apply_1q's temporaries."""
+    return tuple(np.empty(rows << max(n - 1, 0), dtype=np.complex128) for _ in range(2))
+
+
+def _probabilities_in(states: np.ndarray, scratch) -> np.ndarray:
+    """probabilities(states), computed in the two scratch buffers."""
+    probs, imag2 = (buf[: states.size // 2].view(np.float64).reshape(states.shape)
+                    for buf in scratch)
+    np.square(states.real, out=probs)
+    probs += np.square(states.imag, out=imag2)
+    return probs
+
+
+def _apply_1q(states: np.ndarray, n: int, q: int, u, f: np.ndarray, scratch) -> None:
     """Gate u on qubit q of a (R, 2^n) batch after scaling row r's |1> by f[r];
-    f rides in a1's coefficients, and the temporary goes to scratch (>= R * 2^(n-1))."""
+    f rides in a1's coefficients, and the temporaries go to the two scratch buffers."""
     u00, u01, u10, u11 = u
     a0, a1 = _split1(states, n, q)
     f = f.reshape(-1, 1, 1)
-    t = scratch[: a0.size].reshape(a0.shape)
+    t, t0 = (buf[: a0.size].reshape(a0.shape) for buf in scratch)
     np.multiply(a1, u01 * f, out=t)
     a1 *= u11 * f
-    a1 += a0 * u10
+    a1 += np.multiply(a0, u10, out=t0)
     a0 *= u00
     a0 += t
 
@@ -195,7 +219,7 @@ def simulate_logical(c: LogicalCircuit, state: np.ndarray | None = None) -> np.n
     if state is None:
         state = init_zero_state(n)
     rows, phase = state[np.newaxis], _PendingPhase(n)
-    phase.apply_gates(rows, n, c.gates, np.ones((1, n), complex), np.empty(1 << n, complex))
+    phase.apply_gates(rows, n, c.gates, np.ones((1, n), complex), _scratch(1, n))
     phase.flush(rows)
     return state
 
@@ -307,15 +331,76 @@ def _apply_pending_noise(states: np.ndarray, pending: np.ndarray, scratch: np.nd
 
 
 def _exact_cycle_noise(states: np.ndarray, n: int, rows: np.ndarray, pending: np.ndarray,
-                       eps, us, p_damp: float, scratch: np.ndarray) -> None:
+                       eps, us, p_damp: float, scratch) -> None:
     """One cycle's per-qubit noise on the given rows, as the per-qubit loop sees them."""
     sub = states[rows]
-    _apply_pending_noise(sub, pending[rows], scratch)
-    sub /= np.sqrt(probabilities(sub).sum(axis=1, keepdims=True))
+    _apply_pending_noise(sub, pending[rows], scratch[0])
+    sub /= np.sqrt(_probabilities_in(sub, scratch).sum(axis=1, keepdims=True))
     for q in range(n):
         _cycle_noise_qubit(sub, n, q, eps[:, q], us[:, q], p_damp)
     states[rows] = sub
     pending[rows] = 1.0
+
+
+def _run_cycles(states: np.ndarray, pending: np.ndarray, eps: np.ndarray, us: np.ndarray,
+                scratch, groups, flush_at: np.ndarray, p_damp: float) -> None:
+    """Every cycle of the schedule on a block of rows, in place, with the rows'
+    pending factors, (rows, n_cycles, n) draws and two scratch buffers. The
+    shared phase is flushed at the cycles flush_at marks, which are the same for
+    every block, so each row's rounding does not depend on the rows it runs with."""
+    n = pending.shape[1]
+    damp_amp = math.sqrt(1.0 - p_damp)
+    phase = _PendingPhase(n)
+    for cy, group in enumerate(groups):
+        phase.apply_gates(states, n, group, pending, scratch)
+        # rows with a jump candidate (u < p_damp) take the exact step instead
+        rows = np.flatnonzero((us[:, cy] < p_damp).any(axis=1))
+        step = np.exp(1j * eps[:, cy]) * damp_amp
+        step[rows] = 1.0
+        pending *= step
+        if flush_at[cy]:
+            phase.flush(states)
+        if rows.size:
+            _exact_cycle_noise(states, n, rows, pending, eps[rows, cy], us[rows, cy],
+                               p_damp, scratch)
+    phase.flush(states)
+    _apply_pending_noise(states, pending, scratch[0])
+
+
+# Below this many amplitudes per block a second thread costs as much as it saves
+# (N=8, R=96 runs in one block; N=10, R=96 in two).
+_MIN_BLOCK_AMPS = 1 << 15
+
+
+def _n_blocks(rows: int, dim: int) -> int:
+    """Row blocks for a chunk: at most one per usable CPU and one per row, and
+    none under _MIN_BLOCK_AMPS amplitudes."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, rows, rows * dim // _MIN_BLOCK_AMPS))
+
+
+def _run_blocks(states: np.ndarray, eps: np.ndarray, us: np.ndarray, scratch, groups,
+                flush_at: np.ndarray, p_damp: float, n_blocks: int) -> None:
+    """_run_cycles on n_blocks contiguous row blocks: the calling thread runs the
+    first, a thread pool the others (numpy releases the GIL in its array loops)."""
+    (rows, dim), n = states.shape, eps.shape[2]
+    pending = np.ones((rows, n), dtype=np.complex128)
+    half = dim // 2
+    bounds = [rows * b // n_blocks for b in range(n_blocks + 1)]
+    blocks = [(states[lo:hi], pending[lo:hi], eps[lo:hi], us[lo:hi],
+               [buf[lo * half: hi * half] for buf in scratch]) for lo, hi in zip(bounds, bounds[1:])]
+    if n_blocks == 1:
+        _run_cycles(*blocks[0], groups, flush_at, p_damp)
+        return
+    with ThreadPoolExecutor(n_blocks - 1) as pool:
+        futures = [pool.submit(_run_cycles, *block, groups, flush_at, p_damp)
+                   for block in blocks[1:]]
+        _run_cycles(*blocks[0], groups, flush_at, p_damp)
+        for future in futures:
+            future.result()     # re-raises a worker's exception here
 
 
 def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
@@ -331,17 +416,23 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
     Realization r consumes the random stream of default_rng([master_seed, r])
     -- a Gaussian block then a uniform block, (n_cycles x n) each; the
     Gaussian block is drawn only when the dephasing variance is positive
-    (at T2 = 2 T1 the uniform block starts the stream) -- so results do
-    not depend on chunking or execution order. Averages are
-    reduced in fixed realization order; reruns with one master seed are
-    bitwise identical.
+    (at T2 = 2 T1 the uniform block starts the stream). Every realization
+    is drawn before any is simulated, and the shared ZZ phase is flushed at
+    each cycle where any realization has a jump candidate. So the final
+    states are bitwise the same for every chunk size and every block count,
+    and so are all outputs for every block count. Averages are reduced in
+    fixed realization order, one chunk at a time, so mean_probs and per_cut
+    can differ in the last bit between chunk sizes. Reruns with one master
+    seed are bitwise identical.
 
     Each diagonal operation costs at most one pass over a chunk. ZZPhase
     gates share one phase vector, applied before an RX or H on a qubit it
     touches, before an exact step and at the end. The pending no-jump noise
     rides in the fused RX/H kernel, or in one multiply per row at the end
     and before the exact step _cycle_noise_qubit, which a row with a jump
-    candidate (u < p_damp) takes on all n qubits. Rows are normalized last.
+    candidate (u < p_damp) takes on all n qubits. The cycles of a large
+    chunk run on contiguous row blocks, one thread per usable CPU (see
+    _n_blocks); the rows are normalized last, over the whole chunk.
     """
     if n_realizations < 1:
         raise ValueError("need at least one realization")
@@ -359,45 +450,34 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
     var = noise.dephasing_var(noise.t_gate)
     sigma = math.sqrt(var) if var > 0 else 0.0
     p_damp = noise.damping_prob(noise.t_gate)
-    damp_amp = math.sqrt(1.0 - p_damp)
+
+    # the chunk's buffers are allocated before the draws' many small temporaries
+    # (which would otherwise fragment the heap beneath them) and serve every chunk
+    chunk_rows = min(chunk_size, n_realizations)
+    chunk_states = np.empty((chunk_rows, dim), dtype=np.complex128)
+    scratch = _scratch(chunk_rows, n)
+    eps = np.zeros((n_realizations, n_cycles, n))
+    us = np.empty((n_realizations, n_cycles, n))
+    for r in range(n_realizations):
+        rng = np.random.default_rng([master_seed, r])
+        if sigma > 0:
+            eps[r] = sigma * rng.standard_normal((n_cycles, n))
+        us[r] = rng.random((n_cycles, n))
+    flush_at = (us < p_damp).any(axis=(0, 2))
 
     sum_probs = np.zeros(dim)
     per_cut = np.empty(n_realizations) if cut_table is not None else None
     per_overlap = np.empty(n_realizations) if overlap_mask is not None else None
     all_states = np.empty((n_realizations, dim), dtype=np.complex128) if keep_states else None
-    phase = _PendingPhase(n)
 
-    for start in range(0, n_realizations, chunk_size):
-        stop = min(start + chunk_size, n_realizations)
-        r_count = stop - start
-        states = np.broadcast_to(prep, (r_count, dim)).copy()
-        scratch = np.empty(r_count * dim // 2, dtype=np.complex128)
+    for start in range(0, n_realizations, chunk_rows):
+        stop = min(start + chunk_rows, n_realizations)
+        states = chunk_states[: stop - start]
+        states[:] = prep
+        _run_blocks(states, eps[start:stop], us[start:stop], scratch, groups, flush_at, p_damp,
+                    _n_blocks(stop - start, dim))
 
-        eps = np.empty((r_count, n_cycles, n))
-        us = np.empty((r_count, n_cycles, n))
-        for k in range(r_count):
-            rng = np.random.default_rng([master_seed, start + k])
-            eps[k] = sigma * rng.standard_normal((n_cycles, n)) if sigma > 0 else 0.0
-            us[k] = rng.random((n_cycles, n))
-
-        pending = np.ones((r_count, n), dtype=np.complex128)
-
-        for cy, group in enumerate(groups):
-            phase.apply_gates(states, n, group, pending, scratch)
-            # rows with a jump candidate (u < p_damp) take the exact step instead
-            rows = np.flatnonzero((us[:, cy] < p_damp).any(axis=1))
-            step = np.exp(1j * eps[:, cy]) * damp_amp
-            step[rows] = 1.0
-            pending *= step
-            if rows.size:
-                phase.flush(states)
-                _exact_cycle_noise(states, n, rows, pending, eps[rows, cy], us[rows, cy],
-                                   p_damp, scratch)
-        phase.flush(states)
-        _apply_pending_noise(states, pending, scratch)
-        del scratch     # freed before the probability pass allocates
-
-        probs = probabilities(states)
+        probs = _probabilities_in(states, scratch)
         norms = probs.sum(axis=1, keepdims=True)
         probs /= norms
         sum_probs += probs.sum(axis=0)

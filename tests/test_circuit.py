@@ -3,7 +3,7 @@ import pytest
 
 from qaoabench.circuit import (Gate, GateKind, LogicalCircuit, QaoaParams,
                                build_qaoa_circuit, circuit_from_json,
-                               circuit_to_json, dependency_edges, gates_commute)
+                               circuit_to_json, dependency_edges, _gates_commute)
 from qaoabench.graphs import Graph, gen_random_3regular
 from qaoabench.simulator import simulate_logical
 
@@ -98,10 +98,10 @@ def test_commutation_rules():
     zz_b = Gate(GateKind.ZZPHASE, (1, 2), 0.2)
     rx = Gate(GateKind.RX, (1,), 0.3)
     h = Gate(GateKind.H, (5,))
-    assert gates_commute(zz_a, zz_b)              # shared qubit, both diagonal
-    assert not gates_commute(zz_a, rx)
-    assert gates_commute(rx, Gate(GateKind.RX, (1,), 0.9))
-    assert gates_commute(zz_a, h)                 # disjoint support
+    assert _gates_commute(zz_a, zz_b)             # shared qubit, both diagonal
+    assert not _gates_commute(zz_a, rx)
+    assert _gates_commute(rx, Gate(GateKind.RX, (1,), 0.9))
+    assert _gates_commute(zz_a, h)                # disjoint support
 
 
 def test_dependency_edges_respect_layers(k3):

@@ -194,6 +194,15 @@ def test_errors_exit_nonzero(tmp_path):
     assert not (tmp_path / "b.csv").exists()
 
 
+def test_debug_reraises_errors(tmp_path, capsys):
+    argv = ("gen", "--n", 7, "--out", tmp_path / "x.txt")
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "even n >= 4" in err and "Traceback" not in err
+    with pytest.raises(ValueError, match="even n >= 4"):
+        run_cli("--debug", *argv)
+
+
 def test_published_pdpt_feeds_simulate(tmp_path, app_b_graph):
     from qaoabench.circuit import QaoaParams, build_qaoa_circuit, circuit_to_json
     from qaoabench.graphs import write_graph

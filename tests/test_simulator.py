@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -6,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from qaoabench.circuit import Gate, GateKind, LogicalCircuit, QaoaParams, build_qaoa_circuit
 from qaoabench.graphs import Graph, brute_force_maxcut, cut_values_table
+from qaoabench import simulator
 from qaoabench.scheduler import GridTopology, Schedule, choose_grid, schedule, validate_schedule
 from qaoabench.simulator import (NoiseParams, _apply_1q, _cycle_noise_qubit, _gate_matrix,
-                                 _split1, apply_rx, init_zero_state, optima_mask,
-                                 probabilities, run_noisy_ensemble, sample_from_probs,
-                                 simulate_logical)
+                                 _n_blocks, _scratch, _split1, apply_rx, init_zero_state,
+                                 optima_mask, probabilities, run_noisy_ensemble,
+                                 sample_from_probs, simulate_logical)
 
 from oracles import (apply_gate, apply_h, apply_swap, dense_qaoa_state,
                      density_matrix_oracle, gate_unitary, per_qubit_trajectories, plus_state,
@@ -97,7 +100,7 @@ def test_single_qubit_kernel_folds_pending_factor(kind):
         else:
             apply_h(expected, n, q)
         got = states.copy()
-        _apply_1q(got, n, q, _gate_matrix(gate), f, np.empty(states.size // 2, complex))
+        _apply_1q(got, n, q, _gate_matrix(gate), f, _scratch(r, n))
         assert np.max(np.abs(got - expected)) < 1e-15, q
 
 
@@ -262,11 +265,61 @@ def test_ensemble_bitwise_deterministic(app_b_graph):
 
 
 def test_realization_streams_independent_of_chunking(app_b_graph):
+    # at T2/T_G = 50 the chunks of 7 rows meet jump candidates at different
+    # cycles; the shared phase must still be flushed at the same cycles
     params = QaoaParams((0.7,), (0.4,))
     s, c = _scheduled(app_b_graph, params)
-    a = run_noisy_ensemble(s, c, DEFAULT_NOISE, 50, 5, chunk_size=7, keep_states=True)
-    b = run_noisy_ensemble(s, c, DEFAULT_NOISE, 50, 5, chunk_size=50, keep_states=True)
-    assert np.array_equal(a.states, b.states)
+    for noise in (DEFAULT_NOISE, NoiseParams.from_t2_ratio(50.0)):
+        a = run_noisy_ensemble(s, c, noise, 50, 5, chunk_size=7, keep_states=True)
+        b = run_noisy_ensemble(s, c, noise, 50, 5, chunk_size=50, keep_states=True)
+        assert np.array_equal(a.states, b.states)
+
+
+# (noise, realizations, chunk size): one chunk, paper and strong noise, and
+# several chunks whose last is short
+BLOCK_CASES = ((DEFAULT_NOISE, 32, None), (NoiseParams.from_t2_ratio(20.0), 50, None),
+               (NoiseParams.from_t2_ratio(50.0), 50, 11))
+
+
+@pytest.mark.parametrize("noise,n_real,chunk_size", BLOCK_CASES,
+                         ids=["paper", "t2r20", "t2r50-chunked"])
+def test_row_blocks_are_bitwise_invariant(app_b_graph, monkeypatch, noise, n_real, chunk_size):
+    # the cycle loop on 1, 2 and 3 row blocks of each chunk gives the same bits
+    params = QaoaParams((0.9, 0.2, 1.4, 0.8), (0.3, 1.0, 0.5, 0.7))
+    s, c = _scheduled(app_b_graph, params)
+    cut = cut_values_table(app_b_graph)
+    runs = []
+    for blocks in (1, 2, 3):
+        monkeypatch.setattr(simulator, "_n_blocks", lambda rows, dim, b=blocks: min(b, rows))
+        runs.append(run_noisy_ensemble(s, c, noise, n_real, 9, cut_table=cut, keep_states=True,
+                                       chunk_size=chunk_size))
+    for ens in runs[1:]:
+        assert np.array_equal(ens.states, runs[0].states)
+        assert np.array_equal(ens.mean_probs, runs[0].mean_probs)
+        assert np.array_equal(ens.per_cut, runs[0].per_cut)
+
+
+def test_worker_block_error_reaches_caller(app_b_graph, monkeypatch):
+    s, c = _scheduled(app_b_graph, QaoaParams((0.7,), (0.4,)))
+    run_cycles = simulator._run_cycles
+
+    def failing_in_workers(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("worker block failed")
+        run_cycles(*args)
+
+    monkeypatch.setattr(simulator, "_n_blocks", lambda rows, dim: 2)
+    monkeypatch.setattr(simulator, "_run_cycles", failing_in_workers)
+    with pytest.raises(RuntimeError, match="worker block failed"):
+        run_noisy_ensemble(s, c, DEFAULT_NOISE, 8, 0)
+
+
+def test_block_rule():
+    cpus = len(os.sched_getaffinity(0))
+    assert _n_blocks(96, 1 << 8) == 1         # too small to pay for a thread
+    assert _n_blocks(1, 1 << 20) == 1         # one row, one block
+    assert _n_blocks(96, 1 << 10) == min(cpus, 3)
+    assert _n_blocks(32, 1 << 14) == min(cpus, 16)
 
 
 # Deferred no-jump noise against the exact per-qubit step at every cycle:
