@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -395,6 +394,8 @@ def _run_blocks(states: np.ndarray, eps: np.ndarray, us: np.ndarray, scratch, gr
     if n_blocks == 1:
         _run_cycles(*blocks[0], groups, flush_at, p_damp)
         return
+    # imported here: it loads logging, 0.65 MB that single-block runs need not hold
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(n_blocks - 1) as pool:
         futures = [pool.submit(_run_cycles, *block, groups, flush_at, p_damp)
                    for block in blocks[1:]]
