@@ -28,7 +28,7 @@ from pathlib import Path
 
 from bench_pairs import ROOT, header, quartiles
 
-CASES = ((8, 96), (8, 192), (10, 48), (10, 96), (12, 96), (14, 32))
+CASES = ((8, 64), (8, 96), (8, 128), (8, 192), (10, 48), (10, 96), (12, 96), (14, 32))
 BLOCKS = (1, 2)
 REPEATS = 15
 

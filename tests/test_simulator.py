@@ -318,8 +318,8 @@ def test_block_rule():
     cpus = len(os.sched_getaffinity(0))
     assert _n_blocks(96, 1 << 8) == 1         # too small to pay for a thread
     assert _n_blocks(1, 1 << 20) == 1         # one row, one block
-    assert _n_blocks(96, 1 << 10) == min(cpus, 3)
-    assert _n_blocks(32, 1 << 14) == min(cpus, 16)
+    assert _n_blocks(128, 1 << 8) == min(cpus, 2)
+    assert _n_blocks(32, 1 << 14) == min(cpus, 32)
 
 
 # Deferred no-jump noise against the exact per-qubit step at every cycle:
