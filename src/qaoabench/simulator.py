@@ -149,7 +149,7 @@ def _gate_matrix(gate: Gate) -> tuple[complex, complex, complex, complex]:
 def _scratch(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Two buffers of half a (rows, 2^n) batch each: _apply_1q's temporaries, and
     the float64 squares of _probabilities_in."""
-    return tuple(np.empty(rows << max(n - 1, 0), dtype=np.complex128) for _ in range(2))
+    return tuple(np.empty(rows << (n - 1), dtype=np.complex128) for _ in range(2))
 
 
 def _probabilities_in(states: np.ndarray, scratch) -> np.ndarray:
@@ -367,9 +367,10 @@ def _run_cycles(states: np.ndarray, pending: np.ndarray, eps: np.ndarray, us: np
     _apply_pending_noise(states, pending, scratch[0])
 
 
-# Below this many amplitudes per block a second thread costs more than it saves:
-# N=8, R=96 (2 x 12288 amplitudes) ran slower on two blocks than on one, and
-# N=8, R=192 and N=10, R=48 (2 x 24576) ran faster (scripts/bench_blocks.py).
+# Below this many amplitudes per block a second thread costs more than it saves.
+# In three runs of scripts/bench_blocks.py two blocks were slower than one at
+# N=8, R=96 (2 x 12288 amplitudes), about even or faster at N=8, R=128 and 192,
+# and faster at N=10, R=48 (2 x 24576) and above.
 _MIN_BLOCK_AMPS = 1 << 14
 
 
