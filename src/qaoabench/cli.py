@@ -16,6 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import multiprocessing
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -161,6 +163,12 @@ def _bench_instance(task) -> costmodel.InstanceCost:
     return costmodel.instance_wall_time(result, result.depth, hw, cfg.n_samples)
 
 
+def _pin_worker(cpus) -> None:
+    """Pin this bench worker to the next CPU in the queue, so that its ensembles
+    run on one row block (simulator._n_blocks counts the usable CPUs)."""
+    os.sched_setaffinity(0, {cpus.get()})
+
+
 def cmd_bench(args):
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
@@ -171,7 +179,13 @@ def cmd_bench(args):
               p, cfg, args.pipeline, noise, args.realizations, hw)
              for n in sizes for inst in range(n_instances)]
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # one CPU per worker, in turn: the jobs share the cores instead of each
+        # running a thread on every core
+        cpus = multiprocessing.Queue()
+        allowed = sorted(os.sched_getaffinity(0))
+        for k in range(args.jobs):
+            cpus.put(allowed[k % len(allowed)])
+        with ProcessPoolExecutor(args.jobs, initializer=_pin_worker, initargs=(cpus,)) as pool:
             costs = list(pool.map(_bench_instance, tasks))
     else:
         costs = [_bench_instance(t) for t in tasks]
@@ -342,8 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sizes", required=True, help="comma-separated vertex counts")
     sp.add_argument("--instances", dest="n_instances", type=int, default=40)
     sp.add_argument("--jobs", type=int, default=1,
-                    help="worker processes, each solving whole instances; a job's "
-                         "large ensembles also run on every core, one thread each")
+                    help="worker processes, each solving whole instances on one CPU "
+                         "(the CPUs taken in turn); with 1, large ensembles run on "
+                         "every CPU, one thread each")
     sp.add_argument("--out", required=True)
     _add_solve_flags(sp)
     _add_common(sp)

@@ -148,17 +148,8 @@ def _gate_matrix(gate: Gate) -> tuple[complex, complex, complex, complex]:
 
 def _scratch(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Two buffers of half a (rows, 2^n) batch each: _apply_1q's temporaries, and
-    the float64 squares of _probabilities_in."""
+    the float64 squares of probabilities."""
     return tuple(np.empty(rows << (n - 1), dtype=np.complex128) for _ in range(2))
-
-
-def _probabilities_in(states: np.ndarray, scratch) -> np.ndarray:
-    """probabilities(states), computed in the two scratch buffers."""
-    probs, imag2 = (buf[: states.size // 2].view(np.float64).reshape(states.shape)
-                    for buf in scratch)
-    np.square(states.real, out=probs)
-    probs += np.square(states.imag, out=imag2)
-    return probs
 
 
 def _apply_1q(states: np.ndarray, n: int, q: int, u, f: np.ndarray, scratch) -> None:
@@ -224,8 +215,17 @@ def simulate_logical(c: LogicalCircuit, state: np.ndarray | None = None) -> np.n
     return state
 
 
-def probabilities(state: np.ndarray) -> np.ndarray:
-    return (state.real ** 2 + state.imag ** 2)
+def probabilities(state: np.ndarray, scratch=None) -> np.ndarray:
+    """|amplitude|^2 of every entry. Given the two buffers of _scratch, the result
+    and its temporary are views into them instead of new arrays."""
+    if scratch is None:
+        probs, imag2 = np.empty(state.shape), np.empty(state.shape)
+    else:
+        probs, imag2 = (buf[: state.size // 2].view(np.float64).reshape(state.shape)
+                        for buf in scratch)
+    np.square(state.real, out=probs)
+    probs += np.square(state.imag, out=imag2)
+    return probs
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +335,7 @@ def _exact_cycle_noise(states: np.ndarray, n: int, rows: np.ndarray, pending: np
     """One cycle's per-qubit noise on the given rows, as the per-qubit loop sees them."""
     sub = states[rows]
     _apply_pending_noise(sub, pending[rows], scratch[0])
-    sub /= np.sqrt(_probabilities_in(sub, scratch).sum(axis=1, keepdims=True))
+    sub /= np.sqrt(probabilities(sub, scratch).sum(axis=1, keepdims=True))
     for q in range(n):
         _cycle_noise_qubit(sub, n, q, eps[:, q], us[:, q], p_damp)
     states[rows] = sub
@@ -377,11 +377,7 @@ _MIN_BLOCK_AMPS = 1 << 14
 def _n_blocks(rows: int, dim: int) -> int:
     """Row blocks for a chunk: at most one per usable CPU and one per row, and
     none under _MIN_BLOCK_AMPS amplitudes."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:      # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, rows, rows * dim // _MIN_BLOCK_AMPS))
+    return max(1, min(len(os.sched_getaffinity(0)), rows, rows * dim // _MIN_BLOCK_AMPS))
 
 
 def _run_blocks(states: np.ndarray, eps: np.ndarray, us: np.ndarray, scratch, groups,
@@ -481,7 +477,7 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
         _run_blocks(states, eps[start:stop], us[start:stop], scratch, groups, flush_at, p_damp,
                     _n_blocks(stop - start, dim))
 
-        probs = _probabilities_in(states, scratch)
+        probs = probabilities(states, scratch)
         norms = probs.sum(axis=1, keepdims=True)
         probs /= norms
         sum_probs += probs.sum(axis=0)

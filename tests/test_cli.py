@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -9,10 +10,10 @@ import pytest
 
 import qaoabench
 from qaoabench.circuit import circuit_from_json
-from qaoabench.cli import main
+from qaoabench.cli import _pin_worker, main
 from qaoabench.graphs import cut_values_table, read_graph
 from qaoabench.scheduler import parse_pdpt
-from qaoabench.simulator import probabilities, simulate_logical
+from qaoabench.simulator import _n_blocks, probabilities, simulate_logical
 
 from conftest import APP_B_PDPT
 
@@ -130,6 +131,19 @@ def test_bench_deterministic_bytes(tmp_path):
             out = tmp_path / f"case{case}-j{jobs}.csv"
             assert run_cli(*common, *args, "--jobs", jobs, "--out", out) == 0
             assert out.read_text() == expected
+
+
+def test_bench_worker_runs_on_one_cpu():
+    # a bench worker takes one CPU from the queue, so its ensembles keep one block
+    allowed = os.sched_getaffinity(0)
+    cpus = multiprocessing.Queue()
+    cpus.put(max(allowed))
+    try:
+        _pin_worker(cpus)
+        assert os.sched_getaffinity(0) == {max(allowed)}
+        assert _n_blocks(384, 1 << 10) == 1
+    finally:
+        os.sched_setaffinity(0, allowed)
 
 
 def test_fit_reads_bench_csv(tmp_path):
