@@ -11,10 +11,10 @@ T_G = 10 ns), calls run_noisy_ensemble REPEATS times with each block count
 in BLOCKS, the counts taking turns, and keeps the median and quartiles of
 the wall seconds. The block count is forced by replacing
 simulator._n_blocks; the record also keeps the count the library's own
-rule picks. The table goes under the key "blocks" of BENCH_<label>.json in
-the repository root, with the machine record and the git SHA, next to what
-is already there; scripts/bench_pairs.py rewrites that file, so run it
-first.
+rule picks. Each run appends its table, with the machine record and the
+git SHA, to the list under the key "blocks" of BENCH_<label>.json in the
+repository root, next to what is already there, so every run is kept;
+scripts/bench_pairs.py rewrites that file, so run it first.
 
 Run nothing else on the host meanwhile: every time here is wall time.
 """
@@ -28,7 +28,8 @@ from pathlib import Path
 
 from bench_pairs import ROOT, header, quartiles
 
-CASES = ((8, 64), (8, 96), (8, 128), (8, 192), (10, 48), (10, 96), (12, 96), (14, 32))
+CASES = ((8, 64), (8, 96), (8, 128), (8, 192), (8, 384), (10, 48), (10, 96), (10, 384),
+         (12, 96), (14, 32))
 BLOCKS = (1, 2)
 REPEATS = 15
 
@@ -73,7 +74,8 @@ def main(argv=None) -> int:
 
     path = ROOT / f"BENCH_{args.label}.json"
     record = json.loads(path.read_text()) if path.exists() else {}
-    record["blocks"] = {**header({"change": ROOT}), "repeats": REPEATS, "cases": time_cases()}
+    record.setdefault("blocks", []).append(
+        {**header({"change": ROOT}), "repeats": REPEATS, "cases": time_cases()})
     path.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
