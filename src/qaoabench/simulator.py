@@ -368,10 +368,12 @@ def _run_cycles(states: np.ndarray, pending: np.ndarray, eps: np.ndarray, us: np
 
 
 # Below this many amplitudes per block a second thread costs more than it saves.
-# In three runs of scripts/bench_blocks.py two blocks were slower than one at
-# N=8, R=96 (2 x 12288 amplitudes), about even or faster at N=8, R=128 and 192,
-# and faster at N=10, R=48 (2 x 24576) and above.
-_MIN_BLOCK_AMPS = 1 << 14
+# In the three runs of scripts/bench_blocks.py recorded in BENCH_pr8_threads.json
+# (median one-block time over median two-block time), two blocks gave 0.63-0.98x
+# at N=8, R=64 and 96, 0.97-1.07x at N=8, R=128 (2 x 16384 amplitudes), 0.98-1.26x
+# at N=8, R=192 and 1.13-1.19x at N=10, R=48 (2 x 24576 each), and at least 1.27x
+# in every larger case, N=8, R=384 among them.
+_MIN_BLOCK_AMPS = 24576
 
 
 def _n_blocks(rows: int, dim: int) -> int:

@@ -318,7 +318,8 @@ def test_block_rule():
     cpus = len(os.sched_getaffinity(0))
     assert _n_blocks(96, 1 << 8) == 1         # too small to pay for a thread
     assert _n_blocks(1, 1 << 20) == 1         # one row, one block
-    assert _n_blocks(128, 1 << 8) == min(cpus, 2)
+    assert _n_blocks(128, 1 << 8) == 1
+    assert _n_blocks(192, 1 << 8) == min(cpus, 2)
     assert _n_blocks(32, 1 << 14) == min(cpus, 32)
 
 
