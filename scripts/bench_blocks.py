@@ -13,12 +13,17 @@ the wall seconds. The block count is forced by replacing
 simulator._n_blocks; the record also keeps the count the library's own
 rule picks. Each run appends its table, with the machine record and the
 git SHA, to the list under the key "blocks" of BENCH_<label>.json in the
-repository root, next to what is already there, so every run is kept;
-scripts/bench_pairs.py rewrites that file, so run it first.
+repository root, next to what is already there, so every run is kept.
 
-Run nothing else on the host meanwhile: every time here is wall time.
+BLAS runs single-threaded, as in the qaoabench CLI. Run nothing else on the
+host meanwhile: every time here is wall time.
 """
 from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import argparse
 import json

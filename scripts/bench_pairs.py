@@ -16,6 +16,8 @@ BENCH_<label>.json in the repository root keeps the machine record, both
 git SHAs, every run's end-to-end metrics and operation counts, and per
 workload and metric the median and quartiles of each side and the number
 of pairs the change won (lower is better; ties count for neither side).
+A rerun replaces these and keeps the tables that scripts/bench_blocks.py
+and scripts/bench_kernel.py appended to the file.
 
 Run nothing else on the host meanwhile: every time here is wall time.
 """
@@ -98,10 +100,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": ROOT}
-    record = header(sides)
-    record["command"] = COMMAND
-    record["workloads"] = run_pairs(sides, args.workloads, args.seed)
-    (ROOT / f"BENCH_{args.label}.json").write_text(json.dumps(record, indent=1) + "\n")
+    path = ROOT / f"BENCH_{args.label}.json"
+    record = json.loads(path.read_text()) if path.exists() else {}
+    record.update(header(sides), command=COMMAND,
+                  workloads=run_pairs(sides, args.workloads, args.seed))
+    path.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 

@@ -10,14 +10,23 @@ and stated here otherwise (T2 = 100 us, T1 = 200 us, p = 4, 384 noise
 realizations, 40 instances per size). An error prints one line and exits
 with status 1; `qaoabench --debug COMMAND ...` lets it raise with its
 traceback instead.
+
+The simulator runs its own row-block threads, so BLAS runs single-threaded
+in every process qaoabench starts (`bench --jobs` workers inherit it): the
+thread-count variables below default to 1 before numpy loads, and a value
+the user set is kept.
 """
 from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import argparse
 import json
 import math
 import multiprocessing
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path

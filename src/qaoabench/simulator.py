@@ -28,13 +28,26 @@ angles add into one coupling matrix, and one phase vector built from it is
 applied in one multiply (gate fusion; qHiPSTER, arXiv:1601.07195; Haner &
 Steiger, arXiv:1704.01127). simulate_logical fuses them the same way.
 
+An RX or H on a low qubit, whose amplitude pairs lie in runs of 2^q <= 8,
+is one small dense matrix product per row, as Haner & Steiger apply gates
+to contiguous blocks of amplitudes: the row's (2^(n-1-q), 2^(q+1)) view
+times g^T (x) I_{2^q}, where g is the gate with the row's pending factor
+folded in. Its result goes to a spare buffer the size of the batch, which
+then swaps roles with the state; gates on higher qubits update the state in
+place, with their temporaries in the spare. The pending-noise diagonal, the
+exact step and the probabilities also use whichever buffer does not hold
+the state.
+
 The realizations never interact before the final average, so the cycle
 loop of a large batch runs on contiguous blocks of rows, one thread per
-usable CPU (numpy releases the GIL inside its array loops); both
-simulators above split the amplitude array over the cores of a node the
-same way. Every block flushes the shared phase at the same cycles and
+usable CPU (numpy releases the GIL inside its array loops and BLAS calls);
+both simulators above split the amplitude array over the cores of a node
+the same way. Every block flushes the shared phase at the same cycles and
 applies the same per-row operations, so no row's bits depend on the
-block count.
+block count. BLAS should then run single-threaded inside the blocks, or
+its threads compete with them for the cores: the qaoabench CLI sets
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 unless the
+user set them.
 
 Only the N logical qubits are ever simulated. Routing SWAPs relabel the
 site -> logical map and never touch amplitudes: they cannot entangle the
@@ -146,24 +159,46 @@ def _gate_matrix(gate: Gate) -> tuple[complex, complex, complex, complex]:
     return (c, mis, mis, c)
 
 
-def _scratch(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two buffers of half a (rows, 2^n) batch each: _apply_1q's temporaries, and
-    the float64 squares of probabilities."""
-    return tuple(np.empty(rows << (n - 1), dtype=np.complex128) for _ in range(2))
+# Largest contiguous run 2^q of a qubit that _apply_1q applies as a matmul. In
+# BENCH_pr9_kernel.json (scripts/bench_kernel.py: N, R = 8, 96; 12, 96; 14, 32,
+# on one row block and on two at once) the matmul form takes CUTOVER_NOTE
+_MAX_MATMUL_RUN = 8
 
 
-def _apply_1q(states: np.ndarray, n: int, q: int, u, f: np.ndarray, scratch) -> None:
-    """Gate u on qubit q of a (R, 2^n) batch after scaling row r's |1> by f[r];
-    f rides in a1's coefficients, and the temporaries go to the two scratch buffers."""
+def _apply_1q(states: np.ndarray, n: int, q: int, u, f: np.ndarray,
+              spare: np.ndarray) -> np.ndarray:
+    """Gate u on qubit q of a (R, 2^n) batch after scaling row r's |1> by f[r], with f
+    riding in the gate's coefficients; returns the array that holds the result.
+
+    On a short run (2^q <= _MAX_MATMUL_RUN) each row's (2^(n-1-q), 2^(q+1)) view
+    is multiplied by g_r^T (x) I_{2^q}, g_r = u diag(1, f[r]), one BLAS product per
+    row into spare. Longer runs are updated in place, with the two temporaries in
+    the halves of spare (C-contiguous, the size of states)."""
     u00, u01, u10, u11 = u
+    run = 1 << q
+    if run <= _MAX_MATMUL_RUN:
+        rows = len(states)
+        gt = np.empty((rows, 2, 2), dtype=np.complex128)     # g_r transposed
+        gt[:, 0, 0], gt[:, 0, 1] = u00, u10
+        np.multiply(f, u01, out=gt[:, 1, 0])
+        np.multiply(f, u11, out=gt[:, 1, 1])
+        m = np.zeros((rows, 2, run, 2, run), dtype=np.complex128)
+        diag = np.arange(run)
+        m[:, :, diag, :, diag] = gt
+        shape = (rows, -1, 2 * run)
+        np.matmul(states.reshape(shape), m.reshape(rows, 2 * run, 2 * run),
+                  out=spare.reshape(shape))
+        return spare
     a0, a1 = _split1(states, n, q)
     f = f.reshape(-1, 1, 1)
-    t, t0 = (buf[: a0.size].reshape(a0.shape) for buf in scratch)
+    flat = spare.reshape(-1)
+    t, t0 = flat[: a0.size].reshape(a0.shape), flat[a0.size: 2 * a0.size].reshape(a0.shape)
     np.multiply(a1, u01 * f, out=t)
     a1 *= u11 * f
     a1 += np.multiply(a0, u10, out=t0)
     a0 *= u00
     a0 += t
+    return states
 
 
 class _PendingPhase:
@@ -188,10 +223,12 @@ class _PendingPhase:
         self.j[:] = 0.0
         self.qubits.clear()
 
-    def apply_gates(self, states: np.ndarray, n: int, gates, pending: np.ndarray,
-                    scratch: np.ndarray) -> None:
-        """Apply gates in order to a (R, 2^n) batch. An RX or H flushes the phase
-        if it touches the qubit and takes the qubit's pending noise along."""
+    def apply_gates(self, states: np.ndarray, spare: np.ndarray, n: int, gates,
+                    pending: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Apply gates in order to a (R, 2^n) batch; returns (state, spare), the two
+        buffers' roles swapped after each gate whose result went to the spare. An
+        RX or H flushes the phase if it touches the qubit and takes the qubit's
+        pending noise along."""
         for gate in gates:
             if gate.kind == GateKind.ZZPHASE:
                 self.j[min(gate.qubits), max(gate.qubits)] += gate.angle
@@ -200,8 +237,10 @@ class _PendingPhase:
             q = gate.qubits[0]
             if q in self.qubits:
                 self.flush(states)
-            _apply_1q(states, n, q, _gate_matrix(gate), pending[:, q], scratch)
+            if _apply_1q(states, n, q, _gate_matrix(gate), pending[:, q], spare) is spare:
+                states, spare = spare, states
             pending[:, q] = 1.0
+        return states, spare
 
 
 def simulate_logical(c: LogicalCircuit, state: np.ndarray | None = None) -> np.ndarray:
@@ -209,20 +248,24 @@ def simulate_logical(c: LogicalCircuit, state: np.ndarray | None = None) -> np.n
     n = c.n_qubits
     if state is None:
         state = init_zero_state(n)
-    rows, phase = state[np.newaxis], _PendingPhase(n)
-    phase.apply_gates(rows, n, c.gates, np.ones((1, n), complex), _scratch(1, n))
-    phase.flush(rows)
+    phase, rows = _PendingPhase(n), state[np.newaxis]
+    out, _ = phase.apply_gates(rows, np.empty_like(rows), n, c.gates, np.ones((1, n), complex))
+    phase.flush(out)
+    if out is not rows:
+        state[:] = out[0]
     return state
 
 
-def probabilities(state: np.ndarray, scratch=None) -> np.ndarray:
-    """|amplitude|^2 of every entry. Given the two buffers of _scratch, the result
-    and its temporary are views into them instead of new arrays."""
-    if scratch is None:
+def probabilities(state: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
+    """|amplitude|^2 of every entry. Given a C-contiguous complex buffer of at least
+    state.size entries, the result and its temporary are views into its two
+    halves instead of new arrays."""
+    if spare is None:
         probs, imag2 = np.empty(state.shape), np.empty(state.shape)
     else:
-        probs, imag2 = (buf[: state.size // 2].view(np.float64).reshape(state.shape)
-                        for buf in scratch)
+        flat = spare.reshape(-1).view(np.float64)
+        probs, imag2 = (flat[k * state.size: (k + 1) * state.size].reshape(state.shape)
+                        for k in range(2))
     np.square(state.real, out=probs)
     probs += np.square(state.imag, out=imag2)
     return probs
@@ -315,13 +358,14 @@ def cycle_gate_groups(s: Schedule, c: LogicalCircuit) -> list[list[Gate]]:
     return groups
 
 
-def _apply_pending_noise(states: np.ndarray, pending: np.ndarray, scratch: np.ndarray) -> None:
+def _apply_pending_noise(states: np.ndarray, pending: np.ndarray, spare: np.ndarray) -> None:
     """Multiply row r by (x)_q diag(1, pending[r, q]). The diagonal of the low
-    n-1 qubits is built by doubling in scratch (>= half of states.size); it
-    scales each half of a row, times the top qubit's factor for the upper one."""
+    n-1 qubits is built by doubling in spare (C-contiguous, >= half of
+    states.size); it scales each half of a row, times the top qubit's factor for
+    the upper one."""
     rows, n = pending.shape
     half = 1 << (n - 1)
-    diag = scratch[: rows * half].reshape(rows, half)
+    diag = spare.reshape(-1)[: rows * half].reshape(rows, half)
     diag[:, 0] = 1.0
     for q in range(n - 1):
         np.multiply(diag[:, : 1 << q], pending[:, q: q + 1], out=diag[:, 1 << q: 2 << q])
@@ -331,28 +375,31 @@ def _apply_pending_noise(states: np.ndarray, pending: np.ndarray, scratch: np.nd
 
 
 def _exact_cycle_noise(states: np.ndarray, n: int, rows: np.ndarray, pending: np.ndarray,
-                       eps, us, p_damp: float, scratch) -> None:
-    """One cycle's per-qubit noise on the given rows, as the per-qubit loop sees them."""
+                       eps, us, p_damp: float, spare: np.ndarray) -> None:
+    """One cycle's per-qubit noise on the given rows, as the per-qubit loop sees them;
+    spare is the block's buffer that does not hold the state."""
     sub = states[rows]
-    _apply_pending_noise(sub, pending[rows], scratch[0])
-    sub /= np.sqrt(probabilities(sub, scratch).sum(axis=1, keepdims=True))
+    _apply_pending_noise(sub, pending[rows], spare)
+    sub /= np.sqrt(probabilities(sub, spare).sum(axis=1, keepdims=True))
     for q in range(n):
         _cycle_noise_qubit(sub, n, q, eps[:, q], us[:, q], p_damp)
     states[rows] = sub
     pending[rows] = 1.0
 
 
-def _run_cycles(states: np.ndarray, pending: np.ndarray, eps: np.ndarray, us: np.ndarray,
-                scratch, groups, flush_at: np.ndarray, p_damp: float) -> None:
-    """Every cycle of the schedule on a block of rows, in place, with the rows'
-    pending factors, (rows, n_cycles, n) draws and two scratch buffers. The
-    shared phase is flushed at the cycles flush_at marks, which are the same for
-    every block, so each row's rounding does not depend on the rows it runs with."""
+def _run_cycles(block: np.ndarray, spare: np.ndarray, pending: np.ndarray, eps: np.ndarray,
+                us: np.ndarray, groups, flush_at: np.ndarray, p_damp: float) -> None:
+    """Every cycle of the schedule on a block of rows, with a spare buffer of the
+    block's shape, the rows' pending factors and (rows, n_cycles, n) draws. The
+    state moves between block and spare as the kernels swap them, and ends in
+    block. The shared phase is flushed at the cycles flush_at marks, which are the
+    same for every block, so each row's rounding does not depend on the rows it
+    runs with."""
     n = pending.shape[1]
     damp_amp = math.sqrt(1.0 - p_damp)
-    phase = _PendingPhase(n)
+    phase, states = _PendingPhase(n), block
     for cy, group in enumerate(groups):
-        phase.apply_gates(states, n, group, pending, scratch)
+        states, spare = phase.apply_gates(states, spare, n, group, pending)
         # rows with a jump candidate (u < p_damp) take the exact step instead
         rows = np.flatnonzero((us[:, cy] < p_damp).any(axis=1))
         step = np.exp(1j * eps[:, cy]) * damp_amp
@@ -362,9 +409,11 @@ def _run_cycles(states: np.ndarray, pending: np.ndarray, eps: np.ndarray, us: np
             phase.flush(states)
         if rows.size:
             _exact_cycle_noise(states, n, rows, pending, eps[rows, cy], us[rows, cy],
-                               p_damp, scratch)
+                               p_damp, spare)
     phase.flush(states)
-    _apply_pending_noise(states, pending, scratch[0])
+    _apply_pending_noise(states, pending, spare)
+    if states is not block:
+        block[:] = states
 
 
 # Below this many amplitudes per block a second thread costs more than it saves.
@@ -382,16 +431,16 @@ def _n_blocks(rows: int, dim: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), rows, rows * dim // _MIN_BLOCK_AMPS))
 
 
-def _run_blocks(states: np.ndarray, eps: np.ndarray, us: np.ndarray, scratch, groups,
-                flush_at: np.ndarray, p_damp: float, n_blocks: int) -> None:
-    """_run_cycles on n_blocks contiguous row blocks: the calling thread runs the
-    first, a thread pool the others (numpy releases the GIL in its array loops)."""
-    (rows, dim), n = states.shape, eps.shape[2]
+def _run_blocks(states: np.ndarray, spare: np.ndarray, eps: np.ndarray, us: np.ndarray,
+                groups, flush_at: np.ndarray, p_damp: float, n_blocks: int) -> None:
+    """_run_cycles on n_blocks contiguous row blocks of states and spare: the calling
+    thread runs the first, a thread pool the others (numpy releases the GIL in its
+    array loops and BLAS calls)."""
+    rows, n = len(states), eps.shape[2]
     pending = np.ones((rows, n), dtype=np.complex128)
-    half = dim // 2
     bounds = [rows * b // n_blocks for b in range(n_blocks + 1)]
-    blocks = [(states[lo:hi], pending[lo:hi], eps[lo:hi], us[lo:hi],
-               [buf[lo * half: hi * half] for buf in scratch]) for lo, hi in zip(bounds, bounds[1:])]
+    blocks = [(states[lo:hi], spare[lo:hi], pending[lo:hi], eps[lo:hi], us[lo:hi])
+              for lo, hi in zip(bounds, bounds[1:])]
     if n_blocks == 1:
         _run_cycles(*blocks[0], groups, flush_at, p_damp)
         return
@@ -421,11 +470,10 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
     (at T2 = 2 T1 the uniform block starts the stream). Every realization
     is drawn before any is simulated, and the shared ZZ phase is flushed at
     each cycle where any realization has a jump candidate. So the final
-    states are bitwise the same for every chunk size and every block count,
-    and so are all outputs for every block count. Averages are reduced in
-    fixed realization order, one chunk at a time, so mean_probs and per_cut
-    can differ in the last bit between chunk sizes. Reruns with one master
-    seed are bitwise identical.
+    states are bitwise the same for every chunk size and every block count.
+    per_cut takes one dot product per row and mean_probs adds the rows in
+    realization order, so they are bitwise the same too. Reruns with one
+    master seed are bitwise identical.
 
     Each diagonal operation costs at most one pass over a chunk. ZZPhase
     gates share one phase vector, applied before an RX or H on a qubit it
@@ -434,7 +482,10 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
     and before the exact step _cycle_noise_qubit, which a row with a jump
     candidate (u < p_damp) takes on all n qubits. The cycles of a large
     chunk run on contiguous row blocks, one thread per usable CPU (see
-    _n_blocks); the rows are normalized last, over the whole chunk.
+    _n_blocks); the rows are normalized last, over the whole chunk. RX and H
+    on low qubits are BLAS matrix products: a library caller should run BLAS
+    single-threaded (OPENBLAS_NUM_THREADS=1, set before numpy loads, as the
+    qaoabench CLI does), or its threads compete with the row blocks.
     """
     if n_realizations < 1:
         raise ValueError("need at least one realization")
@@ -457,7 +508,7 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
     # (which would otherwise fragment the heap beneath them) and serve every chunk
     chunk_rows = min(chunk_size, n_realizations)
     chunk_states = np.empty((chunk_rows, dim), dtype=np.complex128)
-    scratch = _scratch(chunk_rows, n)
+    chunk_spare = np.empty((chunk_rows, dim), dtype=np.complex128)
     eps = np.zeros((n_realizations, n_cycles, n))
     us = np.empty((n_realizations, n_cycles, n))
     for r in range(n_realizations):
@@ -474,17 +525,18 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
 
     for start in range(0, n_realizations, chunk_rows):
         stop = min(start + chunk_rows, n_realizations)
-        states = chunk_states[: stop - start]
+        states, spare = chunk_states[: stop - start], chunk_spare[: stop - start]
         states[:] = prep
-        _run_blocks(states, eps[start:stop], us[start:stop], scratch, groups, flush_at, p_damp,
+        _run_blocks(states, spare, eps[start:stop], us[start:stop], groups, flush_at, p_damp,
                     _n_blocks(stop - start, dim))
 
-        probs = probabilities(states, scratch)
+        probs = probabilities(states, spare)
         norms = probs.sum(axis=1, keepdims=True)
         probs /= norms
-        sum_probs += probs.sum(axis=0)
+        for row in probs:       # in realization order, so the sum ignores the chunking
+            sum_probs += row
         if per_cut is not None:
-            per_cut[start:stop] = probs @ cut_table
+            np.vecdot(probs, cut_table, out=per_cut[start:stop])    # one dot per row
         if per_overlap is not None:
             per_overlap[start:stop] = probs[:, overlap_mask].sum(axis=1)
         if all_states is not None:

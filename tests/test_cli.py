@@ -235,6 +235,22 @@ def test_published_pdpt_feeds_simulate(tmp_path, app_b_graph):
     assert 0.0 < json.loads(obs.read_text())["mean_cut"] <= 12.0
 
 
+@pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])
+def test_cli_import_makes_blas_single_threaded(preset, expected):
+    # a fresh interpreter: importing the CLI sets the BLAS thread count to 1 before
+    # numpy loads, and keeps a value the user set
+    src = str(Path(qaoabench.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = ("import os, sys, qaoabench.cli; assert 'numpy' in sys.modules; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(env, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split() == [expected, "1"]
+
+
 def test_stage_imports_leave_out_scipy_stats():
     # a fresh interpreter: importing the solver and the CLI must not pull in
     # scipy.stats, which costs about a second and 70 MB

@@ -11,7 +11,7 @@ from qaoabench.graphs import Graph, brute_force_maxcut, cut_values_table
 from qaoabench import simulator
 from qaoabench.scheduler import GridTopology, Schedule, choose_grid, schedule, validate_schedule
 from qaoabench.simulator import (NoiseParams, _apply_1q, _cycle_noise_qubit, _gate_matrix,
-                                 _n_blocks, _scratch, _split1, apply_rx, init_zero_state,
+                                 _n_blocks, _split1, apply_rx, init_zero_state,
                                  optima_mask, probabilities, run_noisy_ensemble,
                                  sample_from_probs, simulate_logical)
 
@@ -83,25 +83,49 @@ def test_gates_match_dense_unitaries():
     assert np.max(np.abs(got - swap_unitary(3, 1, n) @ state)) < 1e-12
 
 
+def _kernel_case(rng, kind, n, r, q):
+    """A random normalized (r, 2^n) batch, pending factors f and a gate on qubit q."""
+    states = rng.standard_normal((r, 1 << n)) + 1j * rng.standard_normal((r, 1 << n))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    f = np.exp(1j * rng.uniform(-math.pi, math.pi, r)) * np.sqrt(rng.uniform(0.5, 1.0, r))
+    gate = Gate(kind, (q,), rng.uniform(-math.pi, math.pi) if kind == GateKind.RX else 0.0)
+    return states, f, gate
+
+
 @pytest.mark.parametrize("kind", [GateKind.H, GateKind.RX])
 def test_single_qubit_kernel_folds_pending_factor(kind):
-    # the fused kernel equals scaling the |1> amplitudes by f, then the gate
+    # the fused kernel equals scaling the |1> amplitudes by f, then the gate; at
+    # n = 6 qubits 0-3 take the matmul form into the spare, 4-5 the in-place form
     rng = np.random.default_rng(17)
-    n, r = 5, 6
+    n, r = 6, 6
     for q in range(n):
-        states = rng.standard_normal((r, 1 << n)) + 1j * rng.standard_normal((r, 1 << n))
-        states /= np.linalg.norm(states, axis=1, keepdims=True)
-        f = np.exp(1j * rng.uniform(-math.pi, math.pi, r)) * np.sqrt(rng.uniform(0.5, 1.0, r))
-        gate = Gate(kind, (q,), rng.uniform(-math.pi, math.pi) if kind == GateKind.RX else 0.0)
+        states, f, gate = _kernel_case(rng, kind, n, r, q)
         expected = states.copy()
         _split1(expected, n, q)[1][...] *= f.reshape(-1, 1, 1)
         if kind == GateKind.RX:
             apply_rx(expected, n, q, gate.angle)
         else:
             apply_h(expected, n, q)
-        got = states.copy()
-        _apply_1q(got, n, q, _gate_matrix(gate), f, _scratch(r, n))
-        assert np.max(np.abs(got - expected)) < 1e-15, q
+        got, spare = states.copy(), np.empty_like(states)
+        out = _apply_1q(got, n, q, _gate_matrix(gate), f, spare)
+        assert out is (spare if 1 << q <= simulator._MAX_MATMUL_RUN else got), q
+        assert np.max(np.abs(out - expected)) < 1e-15, q
+
+
+@pytest.mark.parametrize("kind", [GateKind.H, GateKind.RX])
+def test_single_qubit_kernel_rows_independent_of_batch(kind):
+    # the row blocks rely on it: a row gets the same bits alone as inside a batch,
+    # whether BLAS (matmul form) or numpy's loops (in-place form) compute it
+    rng = np.random.default_rng(23)
+    n, r = 9, 7
+    for q in range(n):
+        states, f, gate = _kernel_case(rng, kind, n, r, q)
+        u = _gate_matrix(gate)
+        batch = _apply_1q(states.copy(), n, q, u, f, np.empty_like(states))
+        for i in range(r):
+            row = states[i: i + 1].copy()
+            alone = _apply_1q(row, n, q, u, f[i: i + 1], np.empty_like(row))
+            assert np.array_equal(alone[0], batch[i]), (q, i)
 
 
 def test_qaoa_states_match_dense_oracle(k3, k4):
@@ -266,13 +290,20 @@ def test_ensemble_bitwise_deterministic(app_b_graph):
 
 def test_realization_streams_independent_of_chunking(app_b_graph):
     # at T2/T_G = 50 the chunks of 7 rows meet jump candidates at different
-    # cycles; the shared phase must still be flushed at the same cycles
+    # cycles; the shared phase must still be flushed at the same cycles, and
+    # per_cut and mean_probs are reduced row by row in realization order
     params = QaoaParams((0.7,), (0.4,))
     s, c = _scheduled(app_b_graph, params)
+    cut = cut_values_table(app_b_graph)
     for noise in (DEFAULT_NOISE, NoiseParams.from_t2_ratio(50.0)):
-        a = run_noisy_ensemble(s, c, noise, 50, 5, chunk_size=7, keep_states=True)
-        b = run_noisy_ensemble(s, c, noise, 50, 5, chunk_size=50, keep_states=True)
-        assert np.array_equal(a.states, b.states)
+        b = run_noisy_ensemble(s, c, noise, 50, 5, cut_table=cut, chunk_size=50,
+                               keep_states=True)
+        for chunk_size in (1, 7, 11):
+            a = run_noisy_ensemble(s, c, noise, 50, 5, cut_table=cut, chunk_size=chunk_size,
+                                   keep_states=True)
+            assert np.array_equal(a.states, b.states)
+            assert np.array_equal(a.per_cut, b.per_cut)
+            assert np.array_equal(a.mean_probs, b.mean_probs)
 
 
 # (noise, realizations, chunk size): one chunk, paper and strong noise, and
