@@ -33,8 +33,8 @@ from pathlib import Path
 
 from bench_pairs import ROOT, header, quartiles
 
-CASES = ((8, 64), (8, 96), (8, 128), (8, 192), (8, 384), (10, 48), (10, 96), (10, 384),
-         (12, 96), (14, 32))
+CASES = ((8, 64), (8, 96), (8, 128), (8, 192), (8, 384), (8, 768), (10, 48), (10, 96),
+         (10, 192), (10, 384), (12, 48), (12, 96), (14, 32))
 BLOCKS = (1, 2)
 REPEATS = 15
 
