@@ -15,15 +15,10 @@ rule picks. Each run appends its table, with the machine record and the
 git SHA, to the list under the key "blocks" of BENCH_<label>.json in the
 repository root, next to what is already there, so every run is kept.
 
-BLAS runs single-threaded, as in the qaoabench CLI. Run nothing else on the
-host meanwhile: every time here is wall time.
+BLAS runs single-threaded, as importing qaoabench sets it. Run nothing
+else on the host meanwhile: every time here is wall time.
 """
 from __future__ import annotations
-
-import os
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
 
 import argparse
 import json
@@ -33,6 +28,9 @@ from pathlib import Path
 
 from bench_pairs import ROOT, header, quartiles
 
+sys.path.insert(0, str(ROOT / "src"))
+import qaoabench  # noqa: E402  before numpy loads, so that BLAS runs single-threaded
+
 CASES = ((8, 64), (8, 96), (8, 128), (8, 192), (8, 384), (8, 768), (10, 48), (10, 96),
          (10, 192), (10, 384), (12, 48), (12, 96), (14, 32))
 BLOCKS = (1, 2)
@@ -40,7 +38,6 @@ REPEATS = 15
 
 
 def time_cases() -> list[dict]:
-    sys.path.insert(0, str(ROOT / "src"))
     from qaoabench import simulator
     from qaoabench.circuit import QaoaParams, build_qaoa_circuit
     from qaoabench.graphs import cut_values_table, gen_random_3regular

@@ -8,7 +8,7 @@ For each case in CASES (N, realizations R), a random normalized (R, 2^N)
 batch with unit-modulus pending factors gets simulator._apply_1q with
 RX(0.3) on each qubit q, in both forms: "inplace" (the elementwise update)
 and "matmul" (one BLAS product per row), forced by setting
-simulator._MAX_MATMUL_RUN. The matmul form is timed only up to
+simulator._MIN_MATMUL_RUN and simulator._MAX_MATMUL_RUN. The matmul form is timed only up to
 2^q = MATMUL_CAP, since its dense (2^(q+1))^2 matrix per row grows as 4^q.
 With 1 block the calling thread applies the kernel CALLS times to the whole
 batch; with 2 blocks the batch is split into two row halves, as
@@ -19,15 +19,10 @@ median and quartiles are kept. Each run appends its table, with the
 machine record and the git SHA, to the list under the key "kernel" of
 BENCH_<label>.json in the repository root, next to what is already there.
 
-BLAS runs single-threaded, as in the qaoabench CLI. Run nothing else on the
-host meanwhile: every time here is wall time.
+BLAS runs single-threaded, as importing qaoabench sets it. Run nothing
+else on the host meanwhile: every time here is wall time.
 """
 from __future__ import annotations
-
-import os
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
 
 import argparse
 import json
@@ -37,6 +32,9 @@ from pathlib import Path
 
 from bench_pairs import ROOT, header, quartiles
 
+sys.path.insert(0, str(ROOT / "src"))
+import qaoabench  # noqa: E402  before numpy loads, so that BLAS runs single-threaded
+
 CASES = ((8, 96), (12, 96), (14, 32))
 FORMS = ("inplace", "matmul")
 BLOCKS = (1, 2)
@@ -45,13 +43,12 @@ REPEATS = 9
 
 
 def time_cases() -> list[dict]:
-    sys.path.insert(0, str(ROOT / "src"))
     import numpy as np
     from concurrent.futures import ThreadPoolExecutor
     from qaoabench import simulator
 
     u = (np.cos(0.3), -1j * np.sin(0.3), -1j * np.sin(0.3), np.cos(0.3))
-    cut_over, rows_out = simulator._MAX_MATMUL_RUN, []
+    cut_over, rows_out = (simulator._MIN_MATMUL_RUN, simulator._MAX_MATMUL_RUN), []
 
     def run(bufs, n, q, f, calls):
         states, spare = bufs
@@ -74,7 +71,8 @@ def time_cases() -> list[dict]:
                 seconds = {form: {b: [] for b in BLOCKS} for form in forms}
                 for _ in range(REPEATS):
                     for form in forms:
-                        simulator._MAX_MATMUL_RUN = 0 if form == "inplace" else 1 << q
+                        simulator._MIN_MATMUL_RUN = simulator._MAX_MATMUL_RUN = (
+                            0 if form == "inplace" else 1 << q)
                         for b in BLOCKS:
                             t = time.perf_counter()
                             if b == 1:
@@ -84,7 +82,7 @@ def time_cases() -> list[dict]:
                                 run(halves[0], n, q, f[: r // 2], calls)
                                 other.result()
                             seconds[form][b].append((time.perf_counter() - t) / calls)
-                simulator._MAX_MATMUL_RUN = cut_over
+                simulator._MIN_MATMUL_RUN, simulator._MAX_MATMUL_RUN = cut_over
                 row = {"n": n, "realizations": r, "qubit": q, "run": 1 << q, "calls": calls,
                        "seconds": {form: {str(b): quartiles(v) for b, v in per.items()}
                                    for form, per in seconds.items()}}

@@ -11,22 +11,17 @@ realizations, 40 instances per size). An error prints one line and exits
 with status 1; `qaoabench --debug COMMAND ...` lets it raise with its
 traceback instead.
 
-The simulator runs its own row-block threads, so BLAS runs single-threaded
-in every process qaoabench starts (`bench --jobs` workers inherit it): the
-thread-count variables below default to 1 before numpy loads, and a value
-the user set is kept.
+BLAS runs single-threaded in every process qaoabench starts (`bench --jobs`
+workers inherit it), since the package sets the thread-count variables to 1
+before numpy loads, keeping a value the user set (see qaoabench/__init__.py).
 """
 from __future__ import annotations
-
-import os
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
 
 import argparse
 import json
 import math
 import multiprocessing
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path

@@ -28,13 +28,13 @@ angles add into one coupling matrix, and one phase vector built from it is
 applied in one multiply (gate fusion; qHiPSTER, arXiv:1601.07195; Haner &
 Steiger, arXiv:1704.01127). simulate_logical fuses them the same way.
 
-An RX or H on a low qubit, whose amplitude pairs lie in runs of 2^q <= 8,
-is one small dense matrix product per row, as Haner & Steiger apply gates
+An RX or H on qubit 1, 2 or 3, whose amplitude pairs lie in short runs of
+2^q, is one small dense matrix product per row, as Haner & Steiger apply gates
 to contiguous blocks of amplitudes: the row's (2^(n-1-q), 2^(q+1)) view
 times g^T (x) I_{2^q}, where g is the gate with the row's pending factor
 folded in. Its result goes to a spare buffer the size of the batch, which
-then swaps roles with the state; gates on higher qubits update the state in
-place, with their temporaries in the spare. The pending-noise diagonal, the
+then swaps roles with the state; gates on the other qubits update the state
+in place, with their temporaries in the spare. The pending-noise diagonal, the
 exact step and the probabilities also use whichever buffer does not hold
 the state.
 
@@ -45,9 +45,9 @@ both simulators above split the amplitude array over the cores of a node
 the same way. Every block flushes the shared phase at the same cycles and
 applies the same per-row operations, so no row's bits depend on the
 block count. BLAS should then run single-threaded inside the blocks, or
-its threads compete with them for the cores: the qaoabench CLI sets
-OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 unless the
-user set them.
+its threads compete with them for the cores: importing the qaoabench
+package sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to
+1 unless the user set them, which takes effect if numpy loads later.
 
 Only the N logical qubits are ever simulated. Routing SWAPs relabel the
 site -> logical map and never touch amplitudes: they cannot entangle the
@@ -159,14 +159,15 @@ def _gate_matrix(gate: Gate) -> tuple[complex, complex, complex, complex]:
     return (c, mis, mis, c)
 
 
-# Largest contiguous run 2^q of a qubit that _apply_1q applies as a matmul. In
-# BENCH_pr9_kernel.json (scripts/bench_kernel.py: N, R = 8, 96; 12, 96; 14, 32,
-# on one row block and on two at once), the matmul form took this share of the
-# in-place form's time: 0.14-0.34 on qubit 1, 0.23-0.55 on qubit 2 and
-# 0.45-0.79 on qubit 3 in every case; 0.83-0.92 on qubit 0, but 1.41 at N=8 on
-# one block; 0.75-0.89 on qubit 4 at N=12 and 14, but 1.5-2.0 at N=8; and at
-# least 1.43 from qubit 5 on.
-_MAX_MATMUL_RUN = 8
+# Contiguous runs 2^q of a qubit that _apply_1q applies as a matmul: the qubits
+# where it won in every recorded case. In BENCH_pr9_kernel.json
+# (scripts/bench_kernel.py: N, R = 8, 96; 12, 96; 14, 32, on one row block and on
+# two at once), the matmul form took this share of the in-place form's time:
+# 0.14-0.34 on qubit 1, 0.23-0.55 on qubit 2 and 0.45-0.79 on qubit 3 in every
+# case. Qubit 0 (0.83-0.92, but 1.41 at N=8 on one block, which is how N=8,
+# R=96 runs) and qubit 4 (0.75-0.89 at N=12 and 14, but 1.5-2.0 at N=8) keep the
+# in-place form, as do the qubits from 5 on (at least 1.43).
+_MIN_MATMUL_RUN, _MAX_MATMUL_RUN = 2, 8
 
 
 def _apply_1q(states: np.ndarray, n: int, q: int, u, f: np.ndarray,
@@ -174,13 +175,13 @@ def _apply_1q(states: np.ndarray, n: int, q: int, u, f: np.ndarray,
     """Gate u on qubit q of a (R, 2^n) batch after scaling row r's |1> by f[r], with f
     riding in the gate's coefficients; returns the array that holds the result.
 
-    On a short run (2^q <= _MAX_MATMUL_RUN) each row's (2^(n-1-q), 2^(q+1)) view
-    is multiplied by g_r^T (x) I_{2^q}, g_r = u diag(1, f[r]), one BLAS product per
-    row into spare. Longer runs are updated in place, with the two temporaries in
+    On a short run (_MIN_MATMUL_RUN <= 2^q <= _MAX_MATMUL_RUN) each row's
+    (2^(n-1-q), 2^(q+1)) view is multiplied by g_r^T (x) I_{2^q}, g_r =
+    u diag(1, f[r]), one BLAS product per row into spare. Other runs are updated in place, with the two temporaries in
     the halves of spare (C-contiguous, the size of states)."""
     u00, u01, u10, u11 = u
     run = 1 << q
-    if run <= _MAX_MATMUL_RUN:
+    if _MIN_MATMUL_RUN <= run <= _MAX_MATMUL_RUN:
         rows = len(states)
         gt = np.empty((rows, 2, 2), dtype=np.complex128)     # g_r transposed
         gt[:, 0, 0], gt[:, 0, 1] = u00, u10
@@ -487,9 +488,10 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
     candidate (u < p_damp) takes on all n qubits. The cycles of a large
     chunk run on contiguous row blocks, one thread per usable CPU (see
     _n_blocks); the rows are normalized last, over the whole chunk. RX and H
-    on low qubits are BLAS matrix products: a library caller should run BLAS
-    single-threaded (OPENBLAS_NUM_THREADS=1, set before numpy loads, as the
-    qaoabench CLI does), or its threads compete with the row blocks.
+    on qubits 1-3 are BLAS matrix products, so BLAS should run single-threaded,
+    or its threads compete with the row blocks: importing qaoabench sets
+    OPENBLAS_NUM_THREADS (and the OpenMP and MKL counts) to 1 unless set, but a
+    caller that loads numpy before qaoabench has to set them itself.
     """
     if n_realizations < 1:
         raise ValueError("need at least one realization")
@@ -524,6 +526,7 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
 
     sum_probs = np.zeros(dim)
     per_cut = np.empty(n_realizations) if cut_table is not None else None
+    cuts = None if cut_table is None else np.asarray(cut_table, dtype=np.float64)
     per_overlap = np.empty(n_realizations) if overlap_mask is not None else None
     all_states = np.empty((n_realizations, dim), dtype=np.complex128) if keep_states else None
 
@@ -537,10 +540,10 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
         probs = probabilities(states, spare)
         norms = probs.sum(axis=1, keepdims=True)
         probs /= norms
-        for row in probs:       # in realization order, so the sum ignores the chunking
+        for r, row in enumerate(probs, start):  # row by row, so no bit depends on the chunking
             sum_probs += row
-        if per_cut is not None:
-            np.vecdot(probs, cut_table, out=per_cut[start:stop])    # one dot per row
+            if per_cut is not None:
+                per_cut[r] = np.dot(row, cuts)
         if per_overlap is not None:
             per_overlap[start:stop] = probs[:, overlap_mask].sum(axis=1)
         if all_states is not None:

@@ -1,10 +1,4 @@
-import os
-
-# BLAS single-threaded, as the qaoabench CLI sets it: the simulator runs its own
-# row-block threads. Set before numpy loads.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
+import qaoabench  # first, so that BLAS runs single-threaded as in the CLI
 import pytest
 
 from qaoabench.graphs import Graph

@@ -238,14 +238,24 @@ def test_published_pdpt_feeds_simulate(tmp_path, app_b_graph):
 @pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])
 def test_cli_import_makes_blas_single_threaded(preset, expected):
     # a fresh interpreter: importing the CLI sets the BLAS thread count to 1 before
-    # numpy loads, and keeps a value the user set
+    # numpy loads (BLAS reads it only then), and keeps a value the user set; a
+    # meta path finder records the variables at the moment numpy is first looked up
     src = str(Path(qaoabench.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
-    code = ("import os, sys, qaoabench.cli; assert 'numpy' in sys.modules; "
-            "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])")
+    code = (
+        "import os, sys\n"
+        "seen = []\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        "            seen.append([os.environ.get(v) for v in\n"
+        "                         ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS')])\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        "import qaoabench.cli\n"
+        "print(*seen[0])\n")
     out = subprocess.run([sys.executable, "-c", code], env=dict(env, PYTHONPATH=src),
                          check=True, capture_output=True, text=True).stdout
     assert out.split() == [expected, "1"]

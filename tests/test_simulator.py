@@ -95,7 +95,8 @@ def _kernel_case(rng, kind, n, r, q):
 @pytest.mark.parametrize("kind", [GateKind.H, GateKind.RX])
 def test_single_qubit_kernel_folds_pending_factor(kind):
     # the fused kernel equals scaling the |1> amplitudes by f, then the gate; at
-    # n = 6 qubits 0-3 take the matmul form into the spare, 4-5 the in-place form
+    # n = 6 qubits 1-3 take the matmul form into the spare, 0 and 4-5 the in-place
+    # form, so the cut-over is crossed at both ends
     rng = np.random.default_rng(17)
     n, r = 6, 6
     for q in range(n):
@@ -108,7 +109,8 @@ def test_single_qubit_kernel_folds_pending_factor(kind):
             apply_h(expected, n, q)
         got, spare = states.copy(), np.empty_like(states)
         out = _apply_1q(got, n, q, _gate_matrix(gate), f, spare)
-        assert out is (spare if 1 << q <= simulator._MAX_MATMUL_RUN else got), q
+        matmul = simulator._MIN_MATMUL_RUN <= 1 << q <= simulator._MAX_MATMUL_RUN
+        assert out is (spare if matmul else got), q
         assert np.max(np.abs(out - expected)) < 1e-15, q
 
 
