@@ -29,14 +29,14 @@ applied in one multiply (gate fusion; qHiPSTER, arXiv:1601.07195; Haner &
 Steiger, arXiv:1704.01127). simulate_logical fuses them the same way.
 
 An RX or H on qubit 1, 2 or 3, whose amplitude pairs lie in short runs of
-2^q, is one small dense matrix product per row, as Haner & Steiger apply gates
-to contiguous blocks of amplitudes: the row's (2^(n-1-q), 2^(q+1)) view
+2^q, is one small dense matrix product per row, as Haner & Steiger apply
+gates to contiguous blocks of amplitudes: the row's (2^(n-1-q), 2^(q+1)) view
 times g^T (x) I_{2^q}, where g is the gate with the row's pending factor
 folded in. Its result goes to a spare buffer the size of the batch, which
-then swaps roles with the state; gates on the other qubits update the state
-in place, with their temporaries in the spare. The pending-noise diagonal, the
-exact step and the probabilities also use whichever buffer does not hold
-the state.
+then swaps roles with the state; gates on the other qubits update the
+state in place, with their temporaries in the spare. The pending-noise
+diagonal, the exact step and the probabilities also use whichever buffer
+does not hold the state.
 
 The realizations never interact before the final average, so the cycle
 loop of a large batch runs on contiguous blocks of rows, one thread per
@@ -177,8 +177,9 @@ def _apply_1q(states: np.ndarray, n: int, q: int, u, f: np.ndarray,
 
     On a short run (_MIN_MATMUL_RUN <= 2^q <= _MAX_MATMUL_RUN) each row's
     (2^(n-1-q), 2^(q+1)) view is multiplied by g_r^T (x) I_{2^q}, g_r =
-    u diag(1, f[r]), one BLAS product per row into spare. Other runs are updated in place, with the two temporaries in
-    the halves of spare (C-contiguous, the size of states)."""
+    u diag(1, f[r]), one BLAS product per row into spare. Other runs are updated
+    in place, with the two temporaries in the halves of spare (C-contiguous, the
+    size of states)."""
     u00, u01, u10, u11 = u
     run = 1 << q
     if _MIN_MATMUL_RUN <= run <= _MAX_MATMUL_RUN:
