@@ -11,7 +11,6 @@ the more common half-angle convention.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -149,23 +148,3 @@ def dependency_edges(c: LogicalCircuit) -> list[tuple[int, int]]:
                 if not _gates_commute(c.gates[a], c.gates[b]):
                     deps.add((a, b))
     return sorted(deps)
-
-
-def circuit_to_json(c: LogicalCircuit) -> str:
-    payload = {
-        "n_qubits": c.n_qubits,
-        "gates": [
-            {"kind": g.kind.value, "qubits": list(g.qubits), "angle": g.angle}
-            for g in c.gates
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def circuit_from_json(text: str) -> LogicalCircuit:
-    payload = json.loads(text)
-    gates = tuple(
-        Gate(GateKind(item["kind"]), tuple(item["qubits"]), float(item.get("angle", 0.0)))
-        for item in payload["gates"]
-    )
-    return LogicalCircuit(int(payload["n_qubits"]), gates)

@@ -1,15 +1,17 @@
 """Command-line driver for the benchmarking pipeline.
 
 Subcommands mirror the pipeline stages: gen, reduce, schedule, simulate,
-solve, bench, fit, convergence. Every command takes --seed and is fully
-deterministic for a fixed seed and flags. Settings come from the command
-line only. Each flag defaults to the study's constant, taken from the
-library where it states one (NmConfig: 10000 samples per evaluation, 20
-restarts, 300-update cap; HardwareTimes: T_P + T_M = 1 us, T_G = 10 ns)
-and stated here otherwise (T2 = 100 us, T1 = 200 us, p = 4, 384 noise
-realizations, 40 instances per size). An error prints one line and exits
-with status 1; `qaoabench --debug COMMAND ...` lets it raise with its
-traceback instead.
+solve, bench, fit, convergence. `schedule` writes the grid schedule as
+PDPT text only; `simulate` reads that PDPT path from `schedule` and rebuilds
+the circuit from the graph and --p/--gammas/--betas. Every command takes
+--seed and is fully deterministic for a fixed seed and flags. Settings come
+from the command line only. Each flag defaults to the study's constant,
+taken from the library where it states one (NmConfig: 10000 samples per
+evaluation, 20 restarts, 300-update cap; HardwareTimes: T_P + T_M = 1 us,
+T_G = 10 ns) and stated here otherwise (T2 = 100 us, T1 = 200 us, p = 4,
+384 noise realizations, 40 instances per size). An error prints one line
+and exits with status 1; `qaoabench --debug COMMAND ...` lets it raise with
+its traceback instead.
 
 BLAS runs single-threaded in every process qaoabench starts (`bench --jobs`
 workers inherit it), since the package sets the thread-count variables to 1
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import multiprocessing
 import os
 import sys
@@ -29,12 +30,10 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, costmodel, maxsat
-from .circuit import (GateKind, QaoaParams, build_qaoa_circuit, circuit_from_json,
-                      circuit_to_json)
+from .circuit import QaoaParams, build_qaoa_circuit
 from .graphs import brute_force_maxcut, cut_values_table, gen_random_3regular, read_graph, write_graph
 from .optimizer import NmConfig, solve_instance
-from .scheduler import (choose_grid, emit_pdpt, parse_pdpt, schedule,
-                        schedule_from_json, schedule_to_json, validate_schedule)
+from .scheduler import choose_grid, emit_pdpt, parse_pdpt, schedule, validate_schedule
 from .simulator import NoiseParams, convergence_study, optima_mask, run_noisy_ensemble
 
 
@@ -88,7 +87,8 @@ def cmd_reduce(args):
 
 def cmd_schedule(args):
     g = read_graph(Path(args.graph).read_text())
-    circuit = build_qaoa_circuit(g, _angles(args, args.p))
+    # the schedule does not depend on the angles, so it is routed at zero angles
+    circuit = build_qaoa_circuit(g, QaoaParams((0.0,) * args.p, (0.0,) * args.p))
     grid = choose_grid(g.n)
     sched = schedule(circuit, grid, args.seed)
     violations = validate_schedule(sched, circuit, grid)
@@ -97,35 +97,18 @@ def cmd_schedule(args):
     print(f"grid {grid.rows}x{grid.cols}, depth {sched.n_cycles} cycles, "
           f"{sched.n_swaps} SWAPs, schedule valid")
     _write(args.out, emit_pdpt(sched))
-    if args.out_circuit:
-        _write(args.out_circuit, circuit_to_json(circuit))
-    if args.out_json:
-        _write(args.out_json, schedule_to_json(sched))
 
 
 def cmd_simulate(args):
     g = read_graph(Path(args.graph).read_text())
-    circuit = circuit_from_json(Path(args.circuit).read_text())
-    text = Path(args.schedule).read_text()
-    if args.schedule.endswith(".json"):
-        sched = schedule_from_json(text)
-    else:
-        # PDPT omits the hoisted |+...+> preparation layer, as `schedule` emits it
-        sched = parse_pdpt(text, n_prep_gates=circuit.prep_layer_size())
+    circuit = build_qaoa_circuit(g, _angles(args, args.p))
+    # PDPT omits the hoisted |+...+> preparation layer, as `schedule` emits it
+    sched = parse_pdpt(Path(args.schedule).read_text(), n_prep_gates=circuit.prep_layer_size())
     violations = validate_schedule(sched, circuit, sched.grid)
     if violations:
         raise RuntimeError("schedule does not match circuit: " + "; ".join(violations))
-    if g.n != circuit.n_qubits:
-        raise ValueError(f"graph has {g.n} vertices but the circuit has "
-                         f"{circuit.n_qubits} qubits")
-    zz_pairs = {tuple(sorted(gate.qubits)) for gate in circuit.gates
-                if gate.kind == GateKind.ZZPHASE}
-    if zz_pairs != {tuple(sorted(e)) for e in g.edges}:
-        raise ValueError("the circuit's ZZPhase pairs are not the graph's edges")
 
-    noise = _noise(args)
-    if noise is None:
-        noise = NoiseParams(math.inf, math.inf, args.t_gate)
+    noise = _noise(args) or NoiseParams.noiseless(args.t_gate)
     n_real = args.realizations
     cut_table = cut_values_table(g)
     k_max, optima = brute_force_maxcut(g)
@@ -189,8 +172,13 @@ def cmd_bench(args):
         allowed = sorted(os.sched_getaffinity(0))
         for k in range(args.jobs):
             cpus.put(allowed[k % len(allowed)])
+        # largest N first (a stable sort), so no worker is left with a big instance
+        # at the end while the others idle; the costs go back in task order
+        order = sorted(range(len(tasks)), key=lambda i: -tasks[i][0])
+        costs = [None] * len(tasks)
         with ProcessPoolExecutor(args.jobs, initializer=_pin_worker, initargs=(cpus,)) as pool:
-            costs = list(pool.map(_bench_instance, tasks))
+            for i, cost in zip(order, pool.map(_bench_instance, [tasks[i] for i in order])):
+                costs[i] = cost
     else:
         costs = [_bench_instance(t) for t in tasks]
 
@@ -332,18 +320,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("schedule", help="compile a QAOA circuit onto the grid")
     sp.add_argument("--graph", required=True)
     sp.add_argument("--p", type=int, default=4)
-    sp.add_argument("--gammas", help="comma-separated phase angles")
-    sp.add_argument("--betas", help="comma-separated mixer angles")
     sp.add_argument("--out", required=True, help="PDPT output path")
-    sp.add_argument("--out-circuit", help="circuit JSON output path")
-    sp.add_argument("--out-json", help="schedule JSON output path")
     _add_common(sp)
     sp.set_defaults(func=cmd_schedule)
 
     sp = subs.add_parser("simulate", help="noisy ensemble observables for a schedule")
     sp.add_argument("--graph", required=True)
-    sp.add_argument("--schedule", required=True, help="PDPT or schedule JSON path")
-    sp.add_argument("--circuit", required=True, help="circuit JSON path")
+    sp.add_argument("--schedule", required=True, help="PDPT path from `schedule`")
+    sp.add_argument("--p", type=int, default=4)
+    sp.add_argument("--gammas", help="comma-separated phase angles (default all 0)")
+    sp.add_argument("--betas", help="comma-separated mixer angles (default all 0)")
     sp.add_argument("--out", required=True)
     _add_noise_flags(sp)
     _add_common(sp)

@@ -14,7 +14,6 @@ row. Routing may move logical qubits through initially-unused sites.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -551,22 +550,10 @@ def parse_pdpt(text: str, grid: GridTopology | None = None,
     for idx, row in enumerate(rows):
         if len(row) != n_sites:
             raise ValueError(f"ragged PDPT row {idx}: {len(row)} of {n_sites} columns")
-    if [int(x) for x in rows[0]] != list(range(n_sites)):
+    if _pdpt_ints(rows[0], "physical index") != tuple(range(n_sites)):
         raise ValueError("physical index row must be 0..S-1 in order")
-
-    placement = []
-    for tok in rows[1]:
-        if tok == "*":
-            placement.append(-1)
-        else:
-            placement.append(int(tok))
-
-    table = []
-    for row in rows[2:]:
-        try:
-            table.append(tuple(int(tok) for tok in row))
-        except ValueError as exc:
-            raise ValueError(f"unknown token in PDPT cycle row: {row}") from exc
+    placement = _pdpt_ints(rows[1], "placement", unused="*")
+    table = tuple(_pdpt_ints(row, "cycle") for row in rows[2:])
 
     if grid is None:
         side = math.isqrt(n_sites)
@@ -576,26 +563,12 @@ def parse_pdpt(text: str, grid: GridTopology | None = None,
     elif grid.n_sites != n_sites:
         raise ValueError(f"grid has {grid.n_sites} sites, table has {n_sites} columns")
 
-    return Schedule(grid, tuple(placement), tuple(table), n_prep_gates)
+    return Schedule(grid, placement, table, n_prep_gates)
 
 
-# ---------------------------------------------------------------------------
-# JSON export for the simulation pipeline
-# ---------------------------------------------------------------------------
-
-def schedule_to_json(s: Schedule) -> str:
-    payload = {
-        "grid": {"rows": s.grid.rows, "cols": s.grid.cols},
-        "placement": list(s.placement),
-        "n_prep_gates": s.n_prep_gates,
-        "table": [list(row) for row in s.table],
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def schedule_from_json(text: str) -> Schedule:
-    payload = json.loads(text)
-    grid = GridTopology(payload["grid"]["rows"], payload["grid"]["cols"])
-    return Schedule(grid, tuple(payload["placement"]),
-                    tuple(tuple(r) for r in payload["table"]),
-                    int(payload.get("n_prep_gates", 0)))
+def _pdpt_ints(row: list[str], name: str, unused: str | None = None) -> tuple[int, ...]:
+    """The integers of one PDPT row, with the token `unused` read as -1."""
+    try:
+        return tuple(-1 if tok == unused else int(tok) for tok in row)
+    except ValueError as exc:
+        raise ValueError(f"unknown token in PDPT {name} row: {row}") from exc

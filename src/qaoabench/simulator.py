@@ -422,6 +422,9 @@ def _run_cycles(block: np.ndarray, spare: np.ndarray, pending: np.ndarray, eps: 
         block[:] = states
 
 
+# Amplitudes per chunk: its states take 1 GiB, and its spare as much again.
+_CHUNK_AMPS = 1 << 26
+
 # Below this many amplitudes per block a second thread costs more than it saves.
 # In the three runs of scripts/bench_blocks.py recorded in BENCH_pr8_threads.json
 # (median one-block time over median two-block time), two blocks gave 0.63-0.98x
@@ -464,8 +467,7 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
                        n_realizations: int, master_seed: int,
                        cut_table: np.ndarray | None = None,
                        overlap_mask: np.ndarray | None = None,
-                       keep_states: bool = False,
-                       chunk_size: int | None = None) -> TrajectoryEnsemble:
+                       keep_states: bool = False) -> TrajectoryEnsemble:
     """Replay the schedule for an ensemble of stochastic noise realizations.
 
     Per cycle, every scheduled gate is applied and then each of the n
@@ -496,16 +498,11 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
     """
     if n_realizations < 1:
         raise ValueError("need at least one realization")
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError("chunk_size must be at least 1")
     n = c.n_qubits
     dim = 1 << n
     groups = cycle_gate_groups(s, c)
     n_cycles = len(groups)
     prep = simulate_logical(LogicalCircuit(n, c.gates[: s.n_prep_gates]))
-
-    if chunk_size is None:
-        chunk_size = max(1, min(n_realizations, (1 << 26) // dim))
 
     var = noise.dephasing_var(noise.t_gate)
     sigma = math.sqrt(var) if var > 0 else 0.0
@@ -513,7 +510,7 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
 
     # the chunk's buffers are allocated before the draws' many small temporaries
     # (which would otherwise fragment the heap beneath them) and serve every chunk
-    chunk_rows = min(chunk_size, n_realizations)
+    chunk_rows = max(1, min(n_realizations, _CHUNK_AMPS // dim))
     chunk_states = np.empty((chunk_rows, dim), dtype=np.complex128)
     chunk_spare = np.empty((chunk_rows, dim), dtype=np.complex128)
     eps = np.zeros((n_realizations, n_cycles, n))

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from qaoabench.circuit import (Gate, GateKind, LogicalCircuit, QaoaParams,
-                               build_qaoa_circuit, circuit_from_json,
-                               circuit_to_json, dependency_edges, _gates_commute)
+                               build_qaoa_circuit, dependency_edges, _gates_commute)
 from qaoabench.graphs import Graph, gen_random_3regular
 from qaoabench.simulator import simulate_logical
 
@@ -113,15 +112,3 @@ def test_dependency_edges_respect_layers(k3):
     assert not any(a in (3, 4, 5) and b in (3, 4, 5) for a, b in deps)
     # mixer on qubit 0 (index 6) depends on both cost gates touching qubit 0
     assert (3, 6) in deps and (5, 6) in deps
-
-
-def test_circuit_json_round_trip(k3):
-    c = build_qaoa_circuit(k3, QaoaParams((0.15, 0.6), (0.35, 0.1)))
-    assert circuit_from_json(circuit_to_json(c)) == c
-
-
-def test_circuit_json_rejects_swap_gates():
-    # routing SWAPs are schedule entries; a circuit that names one is not read
-    text = '{"n_qubits": 2, "gates": [{"kind": "swap", "qubits": [0, 1], "angle": 0.0}]}'
-    with pytest.raises(ValueError, match="swap"):
-        circuit_from_json(text)

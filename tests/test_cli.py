@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qaoabench
-from qaoabench.circuit import circuit_from_json
+from qaoabench.circuit import QaoaParams, build_qaoa_circuit
 from qaoabench.cli import _pin_worker, main
 from qaoabench.graphs import cut_values_table, read_graph
 from qaoabench.scheduler import parse_pdpt
@@ -46,17 +46,14 @@ def test_schedule_then_simulate(tmp_path):
     gpath = tmp_path / "g.txt"
     run_cli("gen", "--n", 6, "--seed", 1, "--out", gpath)
     pdpt = tmp_path / "s.pdpt"
-    circ = tmp_path / "c.json"
-    assert run_cli("schedule", "--graph", gpath, "--p", 2, "--seed", 2,
-                   "--gammas", "0.7,0.3", "--betas", "0.2,0.5",
-                   "--out", pdpt, "--out-circuit", circ) == 0
+    assert run_cli("schedule", "--graph", gpath, "--p", 2, "--seed", 2, "--out", pdpt) == 0
     sched = parse_pdpt(pdpt.read_text())
     assert sched.n_cycles >= 1
 
     obs = tmp_path / "obs.json"
-    assert run_cli("simulate", "--graph", gpath, "--schedule", pdpt,
-                   "--circuit", circ, "--realizations", 16, "--seed", 5,
-                   "--out", obs) == 0
+    assert run_cli("simulate", "--graph", gpath, "--schedule", pdpt, "--p", 2,
+                   "--gammas", "0.7,0.3", "--betas", "0.2,0.5", "--realizations", 16,
+                   "--seed", 5, "--out", obs) == 0
     payload = json.loads(obs.read_text())
     assert payload["n_realizations"] == 16
     assert 0.0 <= payload["approx_ratio"] <= 1.0
@@ -68,15 +65,14 @@ def test_simulate_pdpt_matches_logical_noiseless(tmp_path):
     # after it, so a noiseless run reproduces the logical circuit exactly
     gpath = tmp_path / "g.txt"
     run_cli("gen", "--n", 6, "--seed", 1, "--out", gpath)
-    pdpt, circ = tmp_path / "s.pdpt", tmp_path / "c.json"
-    assert run_cli("schedule", "--graph", gpath, "--p", 2, "--seed", 2,
-                   "--gammas", "0.7,0.3", "--betas", "0.2,0.5",
-                   "--out", pdpt, "--out-circuit", circ) == 0
+    pdpt = tmp_path / "s.pdpt"
+    assert run_cli("schedule", "--graph", gpath, "--p", 2, "--seed", 2, "--out", pdpt) == 0
     obs = tmp_path / "obs.json"
-    assert run_cli("simulate", "--graph", gpath, "--schedule", pdpt, "--circuit", circ,
-                   "--noiseless", "--realizations", 1, "--out", obs) == 0
+    assert run_cli("simulate", "--graph", gpath, "--schedule", pdpt, "--p", 2,
+                   "--gammas", "0.7,0.3", "--betas", "0.2,0.5", "--noiseless",
+                   "--realizations", 1, "--out", obs) == 0
     g = read_graph(gpath.read_text())
-    c = circuit_from_json(circ.read_text())
+    c = build_qaoa_circuit(g, QaoaParams((0.7, 0.3), (0.2, 0.5)))
     exact = float(probabilities(simulate_logical(c)) @ cut_values_table(g))
     assert abs(json.loads(obs.read_text())["mean_cut"] - exact) < 1e-9
 
@@ -84,19 +80,19 @@ def test_simulate_pdpt_matches_logical_noiseless(tmp_path):
 def test_simulate_rejects_graph_of_another_circuit(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     run_cli("gen", "--n", 6, "--seed", 1, "--out", gpath)
-    pdpt, circ = tmp_path / "s.pdpt", tmp_path / "c.json"
-    assert run_cli("schedule", "--graph", gpath, "--p", 1, "--seed", 2,
-                   "--out", pdpt, "--out-circuit", circ) == 0
+    pdpt = tmp_path / "s.pdpt"
+    assert run_cli("schedule", "--graph", gpath, "--p", 1, "--seed", 2, "--out", pdpt) == 0
     bigger, other = tmp_path / "g8.txt", tmp_path / "other6.txt"
     run_cli("gen", "--n", 8, "--seed", 1, "--out", bigger)
     run_cli("gen", "--n", 6, "--seed", 4, "--out", other)
     assert read_graph(other.read_text()).edges != read_graph(gpath.read_text()).edges
     capsys.readouterr()
-    for graph, message in ((bigger, "graph has 8 vertices but the circuit has 6 qubits"),
-                           (other, "ZZPhase pairs are not the graph's edges")):
+    for graph, message in ((bigger, "placement does not cover logical qubits 0..7"),
+                           (other, "schedule does not match")):
         obs = tmp_path / "obs.json"
-        assert run_cli("simulate", "--graph", graph, "--schedule", pdpt, "--circuit", circ,
-                       "--realizations", 4, "--out", obs) == 1
+        assert run_cli("simulate", "--graph", graph, "--schedule", pdpt, "--p", 1,
+                       "--gammas", 0.4, "--betas", 0.3, "--realizations", 4,
+                       "--out", obs) == 1
         assert message in capsys.readouterr().err
         assert not obs.exists()
 
@@ -120,6 +116,10 @@ BENCH_CASES = (
      "N,p,mean_seconds,sdom_seconds,n_instances\n4,1,0.0385875,0.0002625,2\n"),
     (("--sizes", "6", "--max-updates", 8, "--realizations", 8),        # paper noise
      "N,p,mean_seconds,sdom_seconds,n_instances\n6,1,0.02104,0.00143,2\n"),
+    # two sizes: --jobs 2 hands out N=6 first and must still write N=4 first
+    (("--sizes", "4,6", "--max-updates", 8, "--realizations", 8),
+     "N,p,mean_seconds,sdom_seconds,n_instances\n"
+     "4,1,0.019425,0.000525,2\n6,1,0.02104,0.00143,2\n"),
 )
 
 
@@ -197,7 +197,7 @@ def test_convergence_rejects_noise_flags_it_ignores(tmp_path):
         assert exc.value.code == 2
 
 
-def test_errors_exit_nonzero(tmp_path):
+def test_errors_exit_nonzero(tmp_path, capsys):
     assert run_cli("gen", "--n", 7, "--out", tmp_path / "x.txt") == 1
     assert run_cli("reduce", "--graph", tmp_path / "missing.txt",
                    "--out", tmp_path / "y.wcnf") == 1
@@ -206,6 +206,27 @@ def test_errors_exit_nonzero(tmp_path):
                        "--max-updates", 1, "--pipeline", "exact", "--noiseless",
                        "--jobs", jobs, "--out", tmp_path / "b.csv") == 1
     assert not (tmp_path / "b.csv").exists()
+    # the JSON artifact flags are gone: PDPT is the one schedule file, and
+    # simulate rebuilds the circuit from the graph and the angles
+    g, pdpt, js = tmp_path / "g.txt", tmp_path / "s.pdpt", tmp_path / "x.json"
+    for argv in (("schedule", "--graph", g, "--out", pdpt, "--out-json", js),
+                 ("schedule", "--graph", g, "--out", pdpt, "--out-circuit", js),
+                 ("simulate", "--graph", g, "--schedule", pdpt, "--circuit", js,
+                  "--out", tmp_path / "obs.json")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+    # a schedule JSON, as the old `schedule --out-json` wrote it, is not PDPT
+    run_cli("gen", "--n", 6, "--seed", 1, "--out", g)
+    old = {"grid": {"rows": 3, "cols": 3}, "placement": [0, 1, 2, 3, 4, 5, -1, -1, -1],
+           "n_prep_gates": 6, "table": [[0] * 9]}
+    js.write_text(json.dumps(old, indent=2) + "\n")
+    capsys.readouterr()
+    assert run_cli("simulate", "--graph", g, "--schedule", js, "--p", 1,
+                   "--out", tmp_path / "obs.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "PDPT" in err and err.count("\n") == 1
+    assert not (tmp_path / "obs.json").exists()
 
 
 def test_debug_reraises_errors(tmp_path, capsys):
@@ -218,20 +239,16 @@ def test_debug_reraises_errors(tmp_path, capsys):
 
 
 def test_published_pdpt_feeds_simulate(tmp_path, app_b_graph):
-    from qaoabench.circuit import QaoaParams, build_qaoa_circuit, circuit_to_json
     from qaoabench.graphs import write_graph
 
     gpath = tmp_path / "appb.txt"
     gpath.write_text(write_graph(app_b_graph))
     pdpt = tmp_path / "appb.pdpt"
     pdpt.write_text(APP_B_PDPT)
-    circ = tmp_path / "appb.json"
-    circ.write_text(circuit_to_json(
-        build_qaoa_circuit(app_b_graph, QaoaParams((0.4,) * 4, (0.3,) * 4))))
     obs = tmp_path / "obs.json"
-    assert run_cli("simulate", "--graph", gpath, "--schedule", pdpt,
-                   "--circuit", circ, "--realizations", 8, "--seed", 0,
-                   "--out", obs) == 0
+    assert run_cli("simulate", "--graph", gpath, "--schedule", pdpt, "--p", 4,
+                   "--gammas", "0.4,0.4,0.4,0.4", "--betas", "0.3,0.3,0.3,0.3",
+                   "--realizations", 8, "--seed", 0, "--out", obs) == 0
     assert 0.0 < json.loads(obs.read_text())["mean_cut"] <= 12.0
 
 

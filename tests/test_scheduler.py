@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qaoabench.circuit import Gate, GateKind, LogicalCircuit, QaoaParams, build_qaoa_circuit
 from qaoabench.graphs import gen_random_3regular
 from qaoabench.scheduler import (GridTopology, Schedule, _add_partners, _swap_gain,
-                                 choose_grid, emit_pdpt, parse_pdpt, schedule,
-                                 schedule_from_json, schedule_to_json, validate_schedule)
+                                 choose_grid, emit_pdpt, parse_pdpt, schedule, validate_schedule)
 
 from conftest import APP_B_PDPT, PUBLISHED_DEPTH
 from oracles import logical_depth
@@ -83,6 +82,20 @@ def test_random_schedules_valid_and_round_trip(n, graph_seed, seed, p, extra_sid
     s = schedule(c, t, seed)
     assert validate_schedule(s, c, t) == []
     assert parse_pdpt(emit_pdpt(s), t, s.n_prep_gates) == s
+
+
+# derandomized; `schedule` and InstanceProblem route a circuit at zero angles
+# and replay the table at any others
+@settings(max_examples=90, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from(range(6, 25, 2)), p=st.sampled_from((1, 2, 4)),
+       seed=st.integers(0, 2**32 - 1), angle_seed=st.integers(0, 2**32 - 1))
+def test_schedule_does_not_depend_on_angles(n, p, seed, angle_seed):
+    g = gen_random_3regular(n, seed)
+    angles = np.random.default_rng(angle_seed).uniform(-np.pi, np.pi, 2 * p)
+    zero = build_qaoa_circuit(g, QaoaParams((0.0,) * p, (0.0,) * p))
+    rand = build_qaoa_circuit(g, QaoaParams.from_vector(angles))
+    grid = choose_grid(n)
+    assert emit_pdpt(schedule(rand, grid, seed)) == emit_pdpt(schedule(zero, grid, seed))
 
 
 def _pending_distance(index, l2p, dist) -> float:
@@ -244,11 +257,9 @@ def test_parse_pdpt_rejects_malformed():
         parse_pdpt("0 2 1\n0 1 *\n0 0 0\n")          # physical row out of order
     with pytest.raises(ValueError):
         parse_pdpt("0 1 2\n0 1 *\n0 x 0\n")          # unknown token
+    with pytest.raises(ValueError, match="unknown token in PDPT physical index row"):
+        parse_pdpt("0 x 2 *\n0 1 2 *\n0 0 0 0\n")
+    with pytest.raises(ValueError, match="unknown token in PDPT placement row"):
+        parse_pdpt("0 1 2 3\n0 y 1 *\n0 0 0 0\n")
     with pytest.raises(ValueError):
         parse_pdpt("0 1\n0 1\n0 0\n")                # cannot infer square grid
-
-
-def test_schedule_json_round_trip(app_b_graph):
-    c = build_qaoa_circuit(app_b_graph, QaoaParams((0.4,) * 2, (0.9,) * 2))
-    s = schedule(c, GridTopology(3, 3), 3)
-    assert schedule_from_json(schedule_to_json(s)) == s

@@ -290,42 +290,44 @@ def test_ensemble_bitwise_deterministic(app_b_graph):
     assert np.array_equal(a.mean_probs, b.mean_probs)
 
 
-def test_realization_streams_independent_of_chunking(app_b_graph):
+def test_realization_streams_independent_of_chunking(app_b_graph, monkeypatch):
     # at T2/T_G = 50 the chunks of 7 rows meet jump candidates at different
     # cycles; the shared phase must still be flushed at the same cycles, and
     # per_cut and mean_probs are reduced row by row in realization order
     params = QaoaParams((0.7,), (0.4,))
     s, c = _scheduled(app_b_graph, params)
     cut = cut_values_table(app_b_graph)
+    n = c.n_qubits
     for noise in (DEFAULT_NOISE, NoiseParams.from_t2_ratio(50.0)):
-        b = run_noisy_ensemble(s, c, noise, 50, 5, cut_table=cut, chunk_size=50,
-                               keep_states=True)
-        for chunk_size in (1, 7, 11):
-            a = run_noisy_ensemble(s, c, noise, 50, 5, cut_table=cut, chunk_size=chunk_size,
-                                   keep_states=True)
+        monkeypatch.setattr(simulator, "_CHUNK_AMPS", 50 << n)
+        b = run_noisy_ensemble(s, c, noise, 50, 5, cut_table=cut, keep_states=True)
+        for chunk_rows in (1, 7, 11):
+            monkeypatch.setattr(simulator, "_CHUNK_AMPS", chunk_rows << n)
+            a = run_noisy_ensemble(s, c, noise, 50, 5, cut_table=cut, keep_states=True)
             assert np.array_equal(a.states, b.states)
             assert np.array_equal(a.per_cut, b.per_cut)
             assert np.array_equal(a.mean_probs, b.mean_probs)
 
 
-# (noise, realizations, chunk size): one chunk, paper and strong noise, and
+# (noise, realizations, chunk rows): one chunk, paper and strong noise, and
 # several chunks whose last is short
 BLOCK_CASES = ((DEFAULT_NOISE, 32, None), (NoiseParams.from_t2_ratio(20.0), 50, None),
                (NoiseParams.from_t2_ratio(50.0), 50, 11))
 
 
-@pytest.mark.parametrize("noise,n_real,chunk_size", BLOCK_CASES,
+@pytest.mark.parametrize("noise,n_real,chunk_rows", BLOCK_CASES,
                          ids=["paper", "t2r20", "t2r50-chunked"])
-def test_row_blocks_are_bitwise_invariant(app_b_graph, monkeypatch, noise, n_real, chunk_size):
+def test_row_blocks_are_bitwise_invariant(app_b_graph, monkeypatch, noise, n_real, chunk_rows):
     # the cycle loop on 1, 2 and 3 row blocks of each chunk gives the same bits
     params = QaoaParams((0.9, 0.2, 1.4, 0.8), (0.3, 1.0, 0.5, 0.7))
     s, c = _scheduled(app_b_graph, params)
     cut = cut_values_table(app_b_graph)
+    if chunk_rows is not None:
+        monkeypatch.setattr(simulator, "_CHUNK_AMPS", chunk_rows << c.n_qubits)
     runs = []
     for blocks in (1, 2, 3):
         monkeypatch.setattr(simulator, "_n_blocks", lambda rows, dim, b=blocks: min(b, rows))
-        runs.append(run_noisy_ensemble(s, c, noise, n_real, 9, cut_table=cut, keep_states=True,
-                                       chunk_size=chunk_size))
+        runs.append(run_noisy_ensemble(s, c, noise, n_real, 9, cut_table=cut, keep_states=True))
     for ens in runs[1:]:
         assert np.array_equal(ens.states, runs[0].states)
         assert np.array_equal(ens.mean_probs, runs[0].mean_probs)
@@ -429,13 +431,6 @@ def test_fused_kernels_match_per_qubit_reference(c, strong, seed):
     ens = run_noisy_ensemble(s, c, noise, 12, seed, keep_states=True)
     ref, _ = per_qubit_trajectories(s, c, noise, 12, seed)
     assert np.max(np.abs(ens.states - ref)) < 1e-12
-
-
-def test_chunk_size_must_be_positive(app_b_graph):
-    s, c = _scheduled(app_b_graph, QaoaParams((0.7,), (0.4,)))
-    for chunk_size in (0, -2):
-        with pytest.raises(ValueError, match="chunk_size must be at least 1"):
-            run_noisy_ensemble(s, c, DEFAULT_NOISE, 4, 0, chunk_size=chunk_size)
 
 
 # Frozen outputs of one fixed-seed ensemble: the per-realization RNG stream
