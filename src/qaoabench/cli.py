@@ -104,6 +104,15 @@ def cmd_simulate(args):
     circuit = build_qaoa_circuit(g, _angles(args, args.p))
     # PDPT omits the hoisted |+...+> preparation layer, as `schedule` emits it
     sched = parse_pdpt(Path(args.schedule).read_text(), n_prep_gates=circuit.prep_layer_size())
+    # each QAOA layer has the same number of gates, so a table whose largest id is
+    # another multiple of it was routed for another p
+    n_alg = len(circuit.gates) - sched.n_prep_gates
+    top_id = max((entry for row in sched.table for entry in row), default=0)
+    per_layer = n_alg // args.p if n_alg else 0
+    if per_layer and top_id not in (0, n_alg) and top_id % per_layer == 0:
+        raise ValueError(f"schedule has gate ids up to {top_id}, but the p={args.p} circuit "
+                         f"has {n_alg} gates: it was likely routed for --p "
+                         f"{top_id // per_layer}")
     violations = validate_schedule(sched, circuit, sched.grid)
     if violations:
         raise RuntimeError("schedule does not match circuit: " + "; ".join(violations))
@@ -229,7 +238,7 @@ def cmd_convergence(args):
     else:
         raise ValueError("convergence needs --graph or --n")
 
-    if args.gammas is not None:
+    if args.gammas is not None or args.betas is not None:
         params = _angles(args, p)
     else:
         # short noiseless optimization so the plateau sits at a meaningful ratio

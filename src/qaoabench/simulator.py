@@ -20,13 +20,18 @@ keeps it pending per (realization, qubit) and folds it into the kernel of
 the next RX or H on that qubit (the no-jump evolution of the Monte Carlo
 wave-function method; Dalibard, Castin & Molmer, PRL 68, 580, 1992). A jump
 is possible only in a qubit-cycle whose uniform draw u is below p_damp,
-because it fires at u < p_damp * P(q=1). Such a realization takes the exact
-per-qubit step for that cycle, after its pending factors are applied, so
-its random stream is the same as for the per-qubit step at every cycle.
+because it fires at u < p_damp * P(q=1). Only such a candidate qubit-cycle
+takes the exact step: P(q=1) is read after the pending factors, this
+cycle's no-jump factors of the lower qubits among them, as the per-qubit
+step at every cycle sees it, so every branch decision and the random
+stream are the same. Only a jump writes the row back, normalized.
 ZZPhase gates are diagonal and the same for every realization: their
 angles add into one coupling matrix, and one phase vector built from it is
 applied in one multiply (gate fusion; qHiPSTER, arXiv:1601.07195; Haner &
-Steiger, arXiv:1704.01127). simulate_logical fuses them the same way.
+Steiger, arXiv:1704.01127). simulate_logical fuses them the same way. The
+pending phase needs no flush for a jump: the jump's amplitudes gain the
+phase ratio across the jumped qubit, a scalar times one pending factor per
+coupled qubit.
 
 An RX or H on qubit 1, 2 or 3, whose amplitude pairs lie in short runs of
 2^q, is one small dense matrix product per row, as Haner & Steiger apply
@@ -42,12 +47,13 @@ The realizations never interact before the final average, so the cycle
 loop of a large batch runs on contiguous blocks of rows, one thread per
 usable CPU (numpy releases the GIL inside its array loops and BLAS calls);
 both simulators above split the amplitude array over the cores of a node
-the same way. Every block flushes the shared phase at the same cycles and
-applies the same per-row operations, so no row's bits depend on the
-block count. BLAS should then run single-threaded inside the blocks, or
-its threads compete with them for the cores: importing the qaoabench
-package sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to
-1 unless the user set them, which takes effect if numpy loads later.
+the same way. The circuit alone fixes the cycles where a block flushes
+the shared phase, and every block applies the same per-row operations, so
+no row's bits depend on the block count. BLAS should then run
+single-threaded inside the blocks, or its threads compete with them for
+the cores: importing the qaoabench package sets OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS to 1 unless the user set them, which
+takes effect if numpy loads later.
 
 Only the N logical qubits are ever simulated. Routing SWAPs relabel the
 site -> logical map and never touch amplitudes: they cannot entangle the
@@ -278,39 +284,6 @@ def probabilities(state: np.ndarray, spare: np.ndarray | None = None) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# stochastic noise operations
-# ---------------------------------------------------------------------------
-
-def _cycle_noise_qubit(states: np.ndarray, n: int, q: int,
-                       eps: np.ndarray, us: np.ndarray, p_damp: float) -> None:
-    """Dephase + damp qubit q across a (R, 2^n) batch, in place.
-
-    Dephasing multiplies the |1> amplitudes by e^{i eps} (the Z rotation up
-    to a global phase). The jump branch fires when u < p_damp * P(q=1),
-    the exact branching weight, and both branches renormalize via the
-    closed-form branch norm. Rows are scaled in place as if none jumped;
-    the few jump rows are then rewritten by index, from their |1>
-    amplitudes saved before the scaling.
-    """
-    a0, a1 = _split1(states, n, q)
-    ph = np.exp(1j * eps)
-    if p_damp > 0.0:
-        p1 = np.einsum("rab,rab->r", a1, a1.conj()).real
-        jump = us < p_damp * p1
-        inv = 1.0 / np.sqrt(np.where(jump, p1, 1.0 - p_damp * p1))
-        rows = np.flatnonzero(jump)
-        if rows.size:
-            jumped = a1[rows] * (ph[rows] * inv[rows]).reshape(-1, 1, 1)
-        a0 *= inv.reshape(-1, 1, 1)
-        a1 *= (ph * (math.sqrt(1.0 - p_damp) * inv)).reshape(-1, 1, 1)
-        if rows.size:
-            a0[rows] = jumped
-            a1[rows] = 0.0
-    elif eps.any():
-        a1 *= ph.reshape(-1, 1, 1)
-
-
-# ---------------------------------------------------------------------------
 # scheduled replay with a trajectory ensemble
 # ---------------------------------------------------------------------------
 
@@ -322,6 +295,8 @@ class TrajectoryEnsemble:
     density matrix (realizations are averaged in fixed order). per_cut and
     per_overlap hold one exact expectation per realization when the caller
     supplied the lookup tables; states are kept only on request.
+    n_candidates counts the qubit-cycles whose uniform draw is below p_damp,
+    where a jump can fire, and n_jumps the jumps that fired.
     """
 
     n_realizations: int
@@ -331,6 +306,8 @@ class TrajectoryEnsemble:
     per_cut: np.ndarray | None = None
     per_overlap: np.ndarray | None = None
     states: np.ndarray | None = None
+    n_candidates: int = 0
+    n_jumps: int = 0
 
     @property
     def mean_cut(self) -> float:
@@ -380,46 +357,83 @@ def _apply_pending_noise(states: np.ndarray, pending: np.ndarray, spare: np.ndar
     states[:, half:] *= diag
 
 
-def _exact_cycle_noise(states: np.ndarray, n: int, rows: np.ndarray, pending: np.ndarray,
-                       eps, us, p_damp: float, spare: np.ndarray) -> None:
-    """One cycle's per-qubit noise on the given rows, as the per-qubit loop sees them;
-    spare is the block's buffer that does not hold the state."""
-    sub = states[rows]
-    _apply_pending_noise(sub, pending[rows], spare)
-    sub /= np.sqrt(probabilities(sub, spare).sum(axis=1, keepdims=True))
-    for q in range(n):
-        _cycle_noise_qubit(sub, n, q, eps[:, q], us[:, q], p_damp)
-    states[rows] = sub
-    pending[rows] = 1.0
+def _candidate_steps(states: np.ndarray, pending: np.ndarray, ph: np.ndarray,
+                     damp_amp: float, us: np.ndarray, p_damp: float, j: np.ndarray,
+                     spare: np.ndarray) -> int:
+    """One cycle's noise on a block with jump candidates (us < p_damp), given the
+    cycle's dephasing phases ph and uniform draws us, both (rows, n), and the
+    pending ZZ coupling matrix j; returns the number of jumps. Every no-jump
+    factor ph * damp_amp goes into pending. A candidate qubit q sees the
+    factors of the qubits below it, as the per-qubit loop does: they are folded
+    into pending just before its step. Its rows' P(q=1) comes from a gathered
+    copy with their pending factors applied, and only a jump writes a row back.
+
+    The pending phase D is diagonal, so P(q=1) and the no-jump branch commute
+    with it, but moving the |1> amplitudes to |0> does not: the moved amplitudes
+    gain D(z|q=1) / D(z|q=0) = exp(i sum_b c_b s_b), c_b = j_qb + j_bq, which is
+    the scalar exp(i sum_b c_b) times the factor exp(-2i c_b) on each qubit b's
+    |1> amplitudes, a pending factor. So D needs no flush here."""
+    n = pending.shape[1]
+    cand = us < p_damp
+    step = ph * damp_amp
+    todo = np.ones(cand.shape, dtype=bool)      # factors not yet in pending
+    jumps = 0
+    for q in np.flatnonzero(cand.any(axis=0)):
+        rows = np.flatnonzero(cand[:, q])
+        pend, fold = pending[rows], todo[rows]
+        fold[:, q:] = False
+        np.multiply(pend, step[rows], out=pend, where=fold)
+        todo[rows, : q + 1] = False
+        sub = states[rows]
+        _apply_pending_noise(sub, pend, spare)
+        probs = probabilities(sub, spare)
+        w1 = probs.reshape(len(rows), -1, 2, 1 << q)[:, :, 1].sum(axis=(1, 2))  # |a1|^2
+        jump = us[rows, q] < p_damp * (w1 / probs.sum(axis=1))
+        stay = ~jump
+        # out of place: numpy rounds an in-place complex product of one element
+        # differently, and a row's bits must not depend on the rows beside it
+        pend[stay, q] = pend[stay, q] * step[rows[stay], q]
+        if jump.any():
+            k = np.flatnonzero(jump)
+            moved = sub[k]
+            a0, a1 = _split1(moved, n, q)
+            c = j[q] + j[:, q]       # exp(0) is exactly 1 where nothing is pending
+            scale = ph[rows[k], q] / np.sqrt(w1[k]) * np.exp(1j * c.sum())
+            pend[k] = np.exp(-2j * c)
+            np.multiply(a1, scale.reshape(-1, 1, 1), out=a0)
+            a1[:] = 0.0
+            states[rows[k]] = moved
+            jumps += len(k)
+        pending[rows] = pend
+    np.multiply(pending, step, out=pending, where=todo)
+    return jumps
 
 
 def _run_cycles(block: np.ndarray, spare: np.ndarray, pending: np.ndarray, eps: np.ndarray,
-                us: np.ndarray, groups, flush_at: np.ndarray, p_damp: float) -> None:
+                us: np.ndarray, groups, p_damp: float) -> int:
     """Every cycle of the schedule on a block of rows, with a spare buffer of the
-    block's shape, the rows' pending factors and (rows, n_cycles, n) draws. The
-    state moves between block and spare as the kernels swap them, and ends in
-    block. The shared phase is flushed at the cycles flush_at marks, which are the
-    same for every block, so each row's rounding does not depend on the rows it
-    runs with."""
+    block's shape, the rows' pending factors and (rows, n_cycles, n) draws; returns
+    the block's number of jumps. The state moves between block and spare as the
+    kernels swap them, and ends in block. The shared phase is flushed only before
+    an RX or H on a qubit it touches and at the end, so at cycles the circuit alone
+    fixes, and each row's rounding does not depend on the rows it runs with."""
     n = pending.shape[1]
     damp_amp = math.sqrt(1.0 - p_damp)
     phase, states = _PendingPhase(n), block
+    jumps = 0
     for cy, group in enumerate(groups):
         states, spare = phase.apply_gates(states, spare, n, group, pending)
-        # rows with a jump candidate (u < p_damp) take the exact step instead
-        rows = np.flatnonzero((us[:, cy] < p_damp).any(axis=1))
-        step = np.exp(1j * eps[:, cy]) * damp_amp
-        step[rows] = 1.0
-        pending *= step
-        if flush_at[cy]:
-            phase.flush(states)
-        if rows.size:
-            _exact_cycle_noise(states, n, rows, pending, eps[rows, cy], us[rows, cy],
-                               p_damp, spare)
+        ph = np.exp(1j * eps[:, cy])
+        if (us[:, cy] < p_damp).any():
+            jumps += _candidate_steps(states, pending, ph, damp_amp, us[:, cy], p_damp,
+                                      phase.j, spare)
+        else:
+            pending *= ph * damp_amp
     phase.flush(states)
     _apply_pending_noise(states, pending, spare)
     if states is not block:
         block[:] = states
+    return jumps
 
 
 # Amplitudes per chunk: its states take 1 GiB, and its spare as much again.
@@ -441,26 +455,24 @@ def _n_blocks(rows: int, dim: int) -> int:
 
 
 def _run_blocks(states: np.ndarray, spare: np.ndarray, eps: np.ndarray, us: np.ndarray,
-                groups, flush_at: np.ndarray, p_damp: float, n_blocks: int) -> None:
+                groups, p_damp: float, n_blocks: int) -> int:
     """_run_cycles on n_blocks contiguous row blocks of states and spare: the calling
     thread runs the first, a thread pool the others (numpy releases the GIL in its
-    array loops and BLAS calls)."""
+    array loops and BLAS calls). Returns the number of jumps in all blocks."""
     rows, n = len(states), eps.shape[2]
     pending = np.ones((rows, n), dtype=np.complex128)
     bounds = [rows * b // n_blocks for b in range(n_blocks + 1)]
     blocks = [(states[lo:hi], spare[lo:hi], pending[lo:hi], eps[lo:hi], us[lo:hi])
               for lo, hi in zip(bounds, bounds[1:])]
     if n_blocks == 1:
-        _run_cycles(*blocks[0], groups, flush_at, p_damp)
-        return
+        return _run_cycles(*blocks[0], groups, p_damp)
     # imported here: it loads logging, 0.65 MB that single-block runs need not hold
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(n_blocks - 1) as pool:
-        futures = [pool.submit(_run_cycles, *block, groups, flush_at, p_damp)
-                   for block in blocks[1:]]
-        _run_cycles(*blocks[0], groups, flush_at, p_damp)
-        for future in futures:
-            future.result()     # re-raises a worker's exception here
+        futures = [pool.submit(_run_cycles, *block, groups, p_damp) for block in blocks[1:]]
+        jumps = _run_cycles(*blocks[0], groups, p_damp)
+        # result() re-raises a worker's exception here
+        return jumps + sum(future.result() for future in futures)
 
 
 def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
@@ -477,24 +489,27 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
     Gaussian block is drawn only when the dephasing variance is positive
     (at T2 = 2 T1 the uniform block starts the stream). Every realization
     is drawn before any is simulated, and the shared ZZ phase is flushed at
-    each cycle where any realization has a jump candidate. So the final
-    states are bitwise the same for every chunk size and every block count.
+    cycles the circuit alone fixes. So the final states are bitwise the
+    same for every chunk size and every block count.
     per_cut takes one dot product per row and mean_probs adds the rows in
     realization order, so they are bitwise the same too. Reruns with one
     master seed are bitwise identical.
 
     Each diagonal operation costs at most one pass over a chunk. ZZPhase
     gates share one phase vector, applied before an RX or H on a qubit it
-    touches, before an exact step and at the end. The pending no-jump noise
-    rides in the fused RX/H kernel, or in one multiply per row at the end
-    and before the exact step _cycle_noise_qubit, which a row with a jump
-    candidate (u < p_damp) takes on all n qubits. The cycles of a large
-    chunk run on contiguous row blocks, one thread per usable CPU (see
-    _n_blocks); the rows are normalized last, over the whole chunk. RX and H
-    on qubits 1-3 are BLAS matrix products, so BLAS should run single-threaded,
-    or its threads compete with the row blocks: importing qaoabench sets
-    OPENBLAS_NUM_THREADS (and the OpenMP and MKL counts) to 1 unless set, but a
-    caller that loads numpy before qaoabench has to set them itself.
+    touches and at the end. The pending no-jump noise rides in the fused
+    RX/H kernel, or in one multiply per row at the end. A jump candidate
+    (u < p_damp) takes the exact step on its qubit alone
+    (_candidate_steps), from a copy of the row with the pending factors
+    applied; a jump writes the row back and corrects it for the pending
+    phase. n_candidates and n_jumps count the candidates and the jumps.
+    The cycles of a large chunk run on contiguous row blocks, one thread per
+    usable CPU (see _n_blocks); the rows are normalized last, over the whole
+    chunk. RX and H on qubits 1-3 are BLAS matrix products, so BLAS should
+    run single-threaded, or its threads compete with the row blocks:
+    importing qaoabench sets OPENBLAS_NUM_THREADS (and the OpenMP and MKL
+    counts) to 1 unless set, but a caller that loads numpy before qaoabench
+    has to set them itself.
     """
     if n_realizations < 1:
         raise ValueError("need at least one realization")
@@ -520,20 +535,20 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
         if sigma > 0:
             eps[r] = sigma * rng.standard_normal((n_cycles, n))
         us[r] = rng.random((n_cycles, n))
-    flush_at = (us < p_damp).any(axis=(0, 2))
 
     sum_probs = np.zeros(dim)
     per_cut = np.empty(n_realizations) if cut_table is not None else None
     cuts = None if cut_table is None else np.asarray(cut_table, dtype=np.float64)
     per_overlap = np.empty(n_realizations) if overlap_mask is not None else None
     all_states = np.empty((n_realizations, dim), dtype=np.complex128) if keep_states else None
+    n_jumps = 0
 
     for start in range(0, n_realizations, chunk_rows):
         stop = min(start + chunk_rows, n_realizations)
         states, spare = chunk_states[: stop - start], chunk_spare[: stop - start]
         states[:] = prep
-        _run_blocks(states, spare, eps[start:stop], us[start:stop], groups, flush_at, p_damp,
-                    _n_blocks(stop - start, dim))
+        n_jumps += _run_blocks(states, spare, eps[start:stop], us[start:stop], groups, p_damp,
+                               _n_blocks(stop - start, dim))
 
         probs = probabilities(states, spare)
         norms = probs.sum(axis=1, keepdims=True)
@@ -548,7 +563,9 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
             np.divide(states, np.sqrt(norms), out=all_states[start:stop])
 
     return TrajectoryEnsemble(n_realizations, n, master_seed, sum_probs / n_realizations,
-                              per_cut=per_cut, per_overlap=per_overlap, states=all_states)
+                              per_cut=per_cut, per_overlap=per_overlap, states=all_states,
+                              n_candidates=int(np.count_nonzero(us < p_damp)),
+                              n_jumps=n_jumps)
 
 
 # ---------------------------------------------------------------------------

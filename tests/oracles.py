@@ -7,11 +7,14 @@ kernels apply_gate, apply_h and apply_swap live here, as the package no
 longer calls them. apply_gate applies each gate on its own, ZZPhase by
 apply_zzphase, so the oracles share no ZZ code with run_noisy_ensemble,
 which sums ZZPhase gates into one phase vector, and no single-qubit kernel
-with its fused RX/H kernel. Two oracles use apply_gate: the all-sites
-physical simulation, because it checks SWAP tracking and not the kernels,
-and the per-qubit trajectory reference, which also reuses
-_cycle_noise_qubit, because it checks the deferred noise and the fused
-kernels of run_noisy_ensemble.
+with its fused RX/H kernel. The per-qubit noise step _cycle_noise_qubit
+lives here too: run_noisy_ensemble defers the no-jump noise and takes the
+exact step only on the qubit-cycles where a jump can fire, so it shares no
+noise code with the per-qubit trajectory reference. Two oracles use
+apply_gate: the all-sites physical simulation, because it checks SWAP
+tracking and not the kernels, and the per-qubit trajectory reference,
+because it checks the deferred noise and the fused kernels of
+run_noisy_ensemble.
 """
 from __future__ import annotations
 
@@ -22,8 +25,8 @@ from scipy.linalg import expm
 
 from qaoabench.circuit import Gate, GateKind
 from qaoabench.graphs import Graph
-from qaoabench.simulator import (_cycle_noise_qubit, _split1, apply_rx, apply_zzphase,
-                                 cycle_gate_groups, init_zero_state, probabilities)
+from qaoabench.simulator import (_split1, apply_rx, apply_zzphase, cycle_gate_groups,
+                                 init_zero_state, probabilities)
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -197,6 +200,35 @@ def density_matrix_oracle(sched, circ, noise) -> np.ndarray:
                     acc += kf @ rho @ kf.conj().T
                 rho = acc
     return rho
+
+
+def _cycle_noise_qubit(states: np.ndarray, n: int, q: int,
+                       eps: np.ndarray, us: np.ndarray, p_damp: float) -> None:
+    """Dephase + damp qubit q across a (R, 2^n) batch, in place.
+
+    Dephasing multiplies the |1> amplitudes by e^{i eps} (the Z rotation up
+    to a global phase). The jump branch fires when u < p_damp * P(q=1),
+    the exact branching weight, and both branches renormalize via the
+    closed-form branch norm. Rows are scaled in place as if none jumped;
+    the few jump rows are then rewritten by index, from their |1>
+    amplitudes saved before the scaling.
+    """
+    a0, a1 = _split1(states, n, q)
+    ph = np.exp(1j * eps)
+    if p_damp > 0.0:
+        p1 = np.einsum("rab,rab->r", a1, a1.conj()).real
+        jump = us < p_damp * p1
+        inv = 1.0 / np.sqrt(np.where(jump, p1, 1.0 - p_damp * p1))
+        rows = np.flatnonzero(jump)
+        if rows.size:
+            jumped = a1[rows] * (ph[rows] * inv[rows]).reshape(-1, 1, 1)
+        a0 *= inv.reshape(-1, 1, 1)
+        a1 *= (ph * (math.sqrt(1.0 - p_damp) * inv)).reshape(-1, 1, 1)
+        if rows.size:
+            a0[rows] = jumped
+            a1[rows] = 0.0
+    elif eps.any():
+        a1 *= ph.reshape(-1, 1, 1)
 
 
 def per_qubit_trajectories(s, c, noise, n_realizations: int, master_seed: int):

@@ -20,12 +20,12 @@ from qaoabench.maxsat import reduce_to_max2sat
 from qaoabench.optimizer import NmConfig, solve_instance
 from qaoabench.scheduler import (GridTopology, choose_grid, parse_pdpt, schedule,
                                  validate_schedule)
-from qaoabench.simulator import (NoiseParams, _cycle_noise_qubit, convergence_study,
-                                 run_noisy_ensemble, simulate_logical)
+from qaoabench.simulator import (NoiseParams, convergence_study, run_noisy_ensemble,
+                                 simulate_logical)
 
 from conftest import APP_B_EDGES, APP_B_PDPT, PUBLISHED_DEPTH
-from oracles import (dense_qaoa_state, density_matrix_oracle, max2sat_by_python_loop,
-                     simulate_schedule_physical, trace_distance)
+from oracles import (_cycle_noise_qubit, dense_qaoa_state, density_matrix_oracle,
+                     max2sat_by_python_loop, simulate_schedule_physical, trace_distance)
 
 PAPER_NOISE = NoiseParams(t1=200e-6, t2=100e-6, t_gate=10e-9)
 TABLE_I_N8_P4 = 100.6          # seconds, published mean cost at N=8, p=4

@@ -97,6 +97,19 @@ def test_simulate_rejects_graph_of_another_circuit(tmp_path, capsys):
         assert not obs.exists()
 
 
+def test_simulate_names_the_p_a_schedule_was_routed_for(tmp_path, capsys):
+    gpath, pdpt, obs = tmp_path / "g.txt", tmp_path / "s.pdpt", tmp_path / "obs.json"
+    run_cli("gen", "--n", 6, "--seed", 1, "--out", gpath)
+    assert run_cli("schedule", "--graph", gpath, "--p", 1, "--seed", 2, "--out", pdpt) == 0
+    capsys.readouterr()
+    # --p defaults to 4
+    assert run_cli("simulate", "--graph", gpath, "--schedule", pdpt, "--realizations", 4,
+                   "--out", obs) == 1
+    err = capsys.readouterr().err
+    assert "likely routed for --p 1" in err and err.count("\n") == 1
+    assert not obs.exists()
+
+
 def test_solve_small_instance(tmp_path):
     gpath = tmp_path / "g.txt"
     gpath.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
@@ -195,6 +208,15 @@ def test_convergence_rejects_noise_flags_it_ignores(tmp_path):
             run_cli("convergence", "--n", 6, "--p", 1, "--gammas", 0.5, "--betas", 0.3,
                     "--t2-ratios", 1000, *flag, "--out", tmp_path / "conv.csv")
         assert exc.value.code == 2
+
+
+def test_convergence_rejects_a_lone_angle_list(tmp_path, capsys):
+    out = tmp_path / "conv.csv"
+    for flag in ("--betas", "--gammas"):
+        assert run_cli("convergence", "--n", 6, "--p", 1, flag, 0.3, "--t2-ratios", 1000,
+                       "--n-seeds", 1, "--realizations", 4, "--out", out) == 1
+        assert "--gammas and --betas must be given together" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_errors_exit_nonzero(tmp_path, capsys):

@@ -10,12 +10,12 @@ from qaoabench.circuit import Gate, GateKind, LogicalCircuit, QaoaParams, build_
 from qaoabench.graphs import Graph, brute_force_maxcut, cut_values_table
 from qaoabench import simulator
 from qaoabench.scheduler import GridTopology, Schedule, choose_grid, schedule, validate_schedule
-from qaoabench.simulator import (NoiseParams, _apply_1q, _cycle_noise_qubit, _gate_matrix,
-                                 _n_blocks, _split1, apply_rx, init_zero_state,
-                                 optima_mask, probabilities, run_noisy_ensemble,
-                                 sample_from_probs, simulate_logical)
+from qaoabench.simulator import (NoiseParams, _apply_1q, _gate_matrix, _n_blocks, _split1,
+                                 apply_rx, init_zero_state, optima_mask, probabilities,
+                                 run_noisy_ensemble, sample_from_probs, simulate_logical)
 
-from oracles import (apply_gate, apply_h, apply_swap, dense_qaoa_state,
+import oracles
+from oracles import (_cycle_noise_qubit, apply_gate, apply_h, apply_swap, dense_qaoa_state,
                      density_matrix_oracle, gate_unitary, per_qubit_trajectories, plus_state,
                      simulate_schedule_physical, swap_unitary, trace_distance)
 
@@ -421,8 +421,8 @@ def _random_circuits(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(c=_random_circuits(), strong=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_fused_kernels_match_per_qubit_reference(c, strong, seed):
-    # the shared ZZ phase is applied before an H or RX on a qubit it touches,
-    # before an exact jump step and at the end; the pending noise rides in the
+    # the shared ZZ phase is applied before an H or RX on a qubit it touches
+    # and at the end, and a jump corrects for it; the pending noise rides in the
     # H and RX kernels, or in one multiply per row at the end or before a jump
     grid = choose_grid(c.n_qubits)
     s = schedule(c, grid, seed)
@@ -431,6 +431,92 @@ def test_fused_kernels_match_per_qubit_reference(c, strong, seed):
     ens = run_noisy_ensemble(s, c, noise, 12, seed, keep_states=True)
     ref, _ = per_qubit_trajectories(s, c, noise, 12, seed)
     assert np.max(np.abs(ens.states - ref)) < 1e-12
+
+
+def _uniform_draws(noise, n_realizations, master_seed, n_cycles, n):
+    """The uniform block of each realization's stream, as run_noisy_ensemble draws it."""
+    us = np.empty((n_realizations, n_cycles, n))
+    for r in range(n_realizations):
+        rng = np.random.default_rng([master_seed, r])
+        if noise.dephasing_var(noise.t_gate) > 0:
+            rng.standard_normal((n_cycles, n))
+        us[r] = rng.random((n_cycles, n))
+    return us
+
+
+def _coupled_qubits(groups):
+    """Per cycle, the qubits with a ZZPhase gate not yet applied after the cycle's
+    gates: the shared phase is applied before an H or RX on any qubit it touches."""
+    pairs, out = set(), []
+    for group in groups:
+        for gate in group:
+            if gate.kind == GateKind.ZZPHASE:
+                pairs.add(gate.qubits)
+            elif any(gate.qubits[0] in pair for pair in pairs):
+                pairs.clear()
+        out.append({q for pair in pairs for q in pair})
+    return out
+
+
+def test_exact_step_on_candidate_qubits_matches_per_qubit_reference(app_b_graph,
+                                                                     monkeypatch):
+    # strong damping: rows with two or more candidates in one cycle, and jumps on
+    # qubits whose ZZ coupling is still pending, where the jump corrects for it
+    s, c = _scheduled(app_b_graph, QaoaParams((0.9, 0.2), (0.3, 1.0)))
+    noise = NoiseParams.from_t2_ratio(5.0)
+    n, n_real, seed = c.n_qubits, 16, 17
+    calls, jumps = [], []       # jumps: (cycle, qubit) of each row that jumps
+
+    def recording(states, m, q, eps, us, p_damp):
+        _, a1 = _split1(states, m, q)
+        p1 = np.einsum("rab,rab->r", a1, a1.conj()).real
+        jumps.extend([(len(calls) // m, q)] * int(np.count_nonzero(us < p_damp * p1)))
+        calls.append(q)
+        _cycle_noise_qubit(states, m, q, eps, us, p_damp)
+
+    monkeypatch.setattr(oracles, "_cycle_noise_qubit", recording)
+    ens = run_noisy_ensemble(s, c, noise, n_real, seed, keep_states=True)
+    ref, _ = oracles.per_qubit_trajectories(s, c, noise, n_real, seed)
+    assert np.max(np.abs(ens.states - ref)) < 1e-12
+
+    candidates = _uniform_draws(noise, n_real, seed, s.n_cycles, n) < noise.damping_prob(
+        noise.t_gate)
+    assert (candidates.sum(axis=2) >= 2).any()
+    coupled = _coupled_qubits(simulator.cycle_gate_groups(s, c))
+    assert any(q in coupled[cycle] for cycle, q in jumps)
+    assert ens.n_jumps == len(jumps)
+    assert ens.n_candidates == int(candidates.sum())
+
+
+def test_flushes_do_not_depend_on_the_draws(app_b_graph, monkeypatch):
+    # the exact step needs no flush, so the circuit alone decides when the shared
+    # phase is applied
+    s, c = _scheduled(app_b_graph, QaoaParams((0.9, 0.2), (0.3, 1.0)))
+    flush, counts = simulator._PendingPhase.flush, []
+
+    def counting(self, states):
+        counts[-1] += 1
+        flush(self, states)
+
+    monkeypatch.setattr(simulator._PendingPhase, "flush", counting)
+    runs = []
+    for noise in (NoiseParams.from_t2_ratio(20.0), NoiseParams.noiseless()):
+        counts.append(0)
+        runs.append(run_noisy_ensemble(s, c, noise, 24, 5))
+    assert runs[0].n_candidates > 0
+    assert counts[0] == counts[1] > 0
+
+
+def test_candidate_and_jump_counts(app_b_graph):
+    s, c = _scheduled(app_b_graph, QaoaParams((0.9, 0.2), (0.3, 1.0)))
+    n_real, seed = 40, 8
+    noise = NoiseParams.from_t2_ratio(20.0)
+    ens = run_noisy_ensemble(s, c, noise, n_real, seed)
+    us = _uniform_draws(noise, n_real, seed, s.n_cycles, c.n_qubits)
+    assert ens.n_candidates == int(np.count_nonzero(us < noise.damping_prob(noise.t_gate)))
+    assert 0 < ens.n_jumps <= ens.n_candidates
+    quiet = run_noisy_ensemble(s, c, NoiseParams.noiseless(), n_real, seed)
+    assert quiet.n_candidates == quiet.n_jumps == 0
 
 
 # Frozen outputs of one fixed-seed ensemble: the per-realization RNG stream
