@@ -17,6 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import stdtrit
 
+BAND_LEVEL = 0.95           # coverage of the prediction bands
+CROSSOVER_N_LIMIT = 1e5     # largest N searched for a band crossing
+REPORT_GRID_POINTS = 50     # N values per fitted curve in the report CSV
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -33,8 +37,8 @@ class FitResult:
     def predict(self, n) -> np.ndarray:
         return self.slope * np.asarray(n, dtype=float) + self.intercept
 
-    def prediction_band(self, n, level: float = 0.95):
-        """(low, high) log10-seconds bounds for a future observation at n.
+    def prediction_band(self, n):
+        """(low, high) BAND_LEVEL bounds in log10 seconds for a future observation at n.
 
         Widens away from the data centroid; always contains the fitted
         line. With only perfect-fit data the band collapses onto the line.
@@ -42,7 +46,7 @@ class FitResult:
         x = np.asarray(n, dtype=float)
         center = self.predict(x)
         df = self.n_points - 2
-        t_crit = stdtrit(df, 0.5 + level / 2.0)   # Student-t quantile
+        t_crit = stdtrit(df, 0.5 + BAND_LEVEL / 2.0)   # Student-t quantile
         half = t_crit * self.resid_std * np.sqrt(
             1.0 + 1.0 / self.n_points + (x - self.x_mean) ** 2 / self.s_xx)
         return center - half, center + half
@@ -76,21 +80,21 @@ def fit_exponential(points) -> FitResult:
 @dataclass(frozen=True)
 class CrossoverEstimate:
     """Intersection of two fitted lines, plus where the first fit's
-    prediction band crosses the second line (None when parallel or when a
-    crossing does not exist below n_limit)."""
+    BAND_LEVEL prediction band crosses the second line (None when parallel
+    or when a crossing does not exist below CROSSOVER_N_LIMIT)."""
 
     n_star: float | None
     band_low_cross: float | None
     band_high_cross: float | None
 
 
-def crossover(fit_q: FitResult, fit_c: FitResult, level: float = 0.95,
-              n_limit: float = 1e5) -> CrossoverEstimate:
+def crossover(fit_q: FitResult, fit_c: FitResult) -> CrossoverEstimate:
     """Size where the two fitted costs meet, with a band-based window.
 
-    The window brackets n_star by intersecting fit_q's prediction band
-    edges with fit_c's central line. Adding a common constant to both
-    intercepts (a shared cost rescaling) leaves every output unchanged.
+    The window brackets n_star by intersecting fit_q's BAND_LEVEL band edges
+    with fit_c's central line below CROSSOVER_N_LIMIT. Adding a common
+    constant to both intercepts (a shared cost rescaling) leaves every
+    output unchanged.
     """
     if math.isclose(fit_q.slope, fit_c.slope, rel_tol=0.0, abs_tol=1e-15):
         return CrossoverEstimate(None, None, None)
@@ -98,12 +102,12 @@ def crossover(fit_q: FitResult, fit_c: FitResult, level: float = 0.95,
 
     def band_cross(which: int) -> float | None:
         def gap(n):
-            band = fit_q.prediction_band(n, level)[which]
+            band = fit_q.prediction_band(n)[which]
             return float(band - fit_c.predict(n))
         lo, hi = 0.0, max(2.0 * abs(n_star), 10.0)
         while gap(lo) * gap(hi) > 0:
             hi *= 2.0
-            if hi > n_limit:
+            if hi > CROSSOVER_N_LIMIT:
                 return None
         from scipy.optimize import brentq
         return float(brentq(gap, lo, hi, xtol=1e-9))
@@ -116,18 +120,17 @@ def crossover(fit_q: FitResult, fit_c: FitResult, level: float = 0.95,
 # ---------------------------------------------------------------------------
 
 def emit_report(fits: dict[str, FitResult], points: dict[str, list],
-                cross: CrossoverEstimate | None = None,
-                grid_points: int = 50) -> tuple[str, str]:
+                cross: CrossoverEstimate | None = None) -> tuple[str, str]:
     """Machine-readable scaling report: (CSV text, JSON summary text).
 
     The CSV lists the raw datapoints and, for every fit, the fitted curve
-    and 95% band sampled on a common N grid, one row per (kind, label, N).
-    Deterministic for fixed inputs.
+    and band sampled at REPORT_GRID_POINTS common N values, one row per
+    (kind, label, N). Deterministic for fixed inputs.
     """
     all_n = [float(n) for pts in points.values() for n, _ in pts]
     lo, hi = min(all_n), max(all_n)
     span = hi - lo if hi > lo else 1.0
-    grid = np.linspace(lo, hi + 0.5 * span, grid_points)
+    grid = np.linspace(lo, hi + 0.5 * span, REPORT_GRID_POINTS)
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -2,9 +2,10 @@
 
 Subcommands mirror the pipeline stages: gen, reduce, schedule, simulate,
 solve, bench, fit, convergence. `schedule` writes the grid schedule as
-PDPT text only; `simulate` reads that PDPT path from `schedule` and rebuilds
-the circuit from the graph and --p/--gammas/--betas. Every command takes
---seed and is fully deterministic for a fixed seed and flags. Settings come
+PDPT text only; `simulate` reads p from that PDPT (each QAOA layer adds
+|E| + N gate ids) and rebuilds the circuit from the graph and --gammas/--betas.
+The commands that draw random numbers take --seed, and every command is
+fully deterministic for a fixed seed and flags. Settings come
 from the command line only. Each flag defaults to the study's constant,
 taken from the library where it states one (NmConfig: 10000 samples per
 evaluation, 20 restarts, 300-update cap; HardwareTimes: T_P + T_M = 1 us,
@@ -61,7 +62,7 @@ def _angles(args, p: int) -> QaoaParams:
     gammas = tuple(float(x) for x in args.gammas.split(","))
     betas = tuple(float(x) for x in args.betas.split(","))
     if len(gammas) != p or len(betas) != p:
-        raise ValueError(f"expected {p} comma-separated angles per list")
+        raise ValueError(f"expected p={p} comma-separated angles per list")
     return QaoaParams(gammas, betas)
 
 
@@ -101,23 +102,20 @@ def cmd_schedule(args):
 
 def cmd_simulate(args):
     g = read_graph(Path(args.graph).read_text())
-    circuit = build_qaoa_circuit(g, _angles(args, args.p))
-    # PDPT omits the hoisted |+...+> preparation layer, as `schedule` emits it
-    sched = parse_pdpt(Path(args.schedule).read_text(), n_prep_gates=circuit.prep_layer_size())
-    # each QAOA layer has the same number of gates, so a table whose largest id is
-    # another multiple of it was routed for another p
-    n_alg = len(circuit.gates) - sched.n_prep_gates
+    # PDPT omits the hoisted |+...+> layer, one H per vertex, as `schedule` emits it
+    sched = parse_pdpt(Path(args.schedule).read_text(), n_prep_gates=g.n)
     top_id = max((entry for row in sched.table for entry in row), default=0)
-    per_layer = n_alg // args.p if n_alg else 0
-    if per_layer and top_id not in (0, n_alg) and top_id % per_layer == 0:
-        raise ValueError(f"schedule has gate ids up to {top_id}, but the p={args.p} circuit "
-                         f"has {n_alg} gates: it was likely routed for --p "
-                         f"{top_id // per_layer}")
+    per_layer = g.n_edges + g.n         # gate ids each QAOA layer adds
+    p, rest = divmod(top_id, per_layer) if per_layer else (0, top_id)
+    if p == 0 or rest:
+        raise ValueError(f"schedule has gate ids up to {top_id}, not a whole number of "
+                         f"QAOA layers of {per_layer} gates for this graph")
+    circuit = build_qaoa_circuit(g, _angles(args, p))
     violations = validate_schedule(sched, circuit, sched.grid)
     if violations:
         raise RuntimeError("schedule does not match circuit: " + "; ".join(violations))
 
-    noise = _noise(args) or NoiseParams.noiseless(args.t_gate)
+    noise = _noise(args) or NoiseParams.noiseless()
     n_real = args.realizations
     cut_table = cut_values_table(g)
     k_max, optima = brute_force_maxcut(g)
@@ -134,7 +132,7 @@ def cmd_simulate(args):
         "per_realization_cut": [float(v) for v in ens.per_cut],
         "per_realization_overlap": [float(v) for v in ens.per_overlap],
     }
-    print(f"mean cut {ens.mean_cut:.4f} (ratio {ens.mean_cut / k_max:.4f}), "
+    print(f"p={p}: mean cut {ens.mean_cut:.4f} (ratio {ens.mean_cut / k_max:.4f}), "
           f"overlap {ens.mean_overlap:.4f} over {n_real} realizations")
     _write(args.out, json.dumps(payload, indent=2) + "\n")
 
@@ -323,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("reduce", help="reduce a graph to a Max-2-SAT WCNF file")
     sp.add_argument("--graph", required=True)
     sp.add_argument("--out", required=True)
-    _add_common(sp)
     sp.set_defaults(func=cmd_reduce)
 
     sp = subs.add_parser("schedule", help="compile a QAOA circuit onto the grid")
@@ -335,8 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("simulate", help="noisy ensemble observables for a schedule")
     sp.add_argument("--graph", required=True)
-    sp.add_argument("--schedule", required=True, help="PDPT path from `schedule`")
-    sp.add_argument("--p", type=int, default=4)
+    sp.add_argument("--schedule", required=True, help="PDPT path from `schedule`; sets p")
     sp.add_argument("--gammas", help="comma-separated phase angles (default all 0)")
     sp.add_argument("--betas", help="comma-separated mixer angles (default all 0)")
     sp.add_argument("--out", required=True)
@@ -370,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--classical-label", default="classical")
     sp.add_argument("--out-csv", required=True)
     sp.add_argument("--out-json", required=True)
-    _add_common(sp)
     sp.set_defaults(func=cmd_fit)
 
     # no prefix matching, so that --t2 is not taken for --t2-ratios

@@ -67,7 +67,7 @@ def gen_random_3regular(n: int, seed: int) -> Graph:
             return Graph(n, tuple(sorted(edges)))
 
 
-def cut_values_table(g: Graph, dtype=np.uint16) -> np.ndarray:
+def cut_values_table(g: Graph) -> np.ndarray:
     """Cut value of every basis assignment z in [0, 2^n), vectorized.
 
     Index z encodes vertex i in bit i (little-endian). Shared by the
@@ -76,7 +76,7 @@ def cut_values_table(g: Graph, dtype=np.uint16) -> np.ndarray:
     if g.n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"n={g.n} exceeds brute-force cap {BRUTE_FORCE_MAX_N}")
     z = np.arange(1 << g.n, dtype=np.uint32)
-    cuts = np.zeros(1 << g.n, dtype=dtype)
+    cuts = np.zeros(1 << g.n, dtype=np.uint16)    # holds every cut within the cap
     for (i, j) in g.edges:
         cuts += ((z >> i) ^ (z >> j)) & 1
     return cuts

@@ -131,22 +131,19 @@ def nelder_mead(objective, initial_simplex: np.ndarray, cfg: NmConfig) -> RunRec
         elif fr < values[-2]:
             simplex[-1], values[-1] = xr, fr
         else:
-            if fr < values[-1]:
+            if fr < values[-1]:     # outside contraction
                 xc = centroid + psi * rho * (centroid - worst)
                 fc = f(xc)
-                if fc <= fr:
-                    simplex[-1], values[-1] = xc, fc
-                else:
-                    simplex[1:] = simplex[0] + sigma * (simplex[1:] - simplex[0])
-                    values[1:] = [f(x) for x in simplex[1:]]
+                accept = fc <= fr
+            else:                   # inside contraction
+                xc = centroid - psi * (centroid - worst)
+                fc = f(xc)
+                accept = fc < values[-1]
+            if accept:
+                simplex[-1], values[-1] = xc, fc
             else:
-                xcc = centroid - psi * (centroid - worst)
-                fcc = f(xcc)
-                if fcc < values[-1]:
-                    simplex[-1], values[-1] = xcc, fcc
-                else:
-                    simplex[1:] = simplex[0] + sigma * (simplex[1:] - simplex[0])
-                    values[1:] = [f(x) for x in simplex[1:]]
+                simplex[1:] = simplex[0] + sigma * (simplex[1:] - simplex[0])
+                values[1:] = [f(x) for x in simplex[1:]]
 
         order = np.argsort(values, kind="stable")
         simplex, values = simplex[order], values[order]

@@ -21,6 +21,8 @@ import numpy as np
 
 from .circuit import Gate, LogicalCircuit, dependency_edges
 
+N_TRIES = 4    # placements tried per schedule; the shallowest schedule wins
+
 
 @dataclass(frozen=True)
 class GridTopology:
@@ -178,7 +180,7 @@ def _initial_placement(n_logical: int, gates: list[Gate], grid: GridTopology,
     return placement
 
 
-def schedule(c: LogicalCircuit, t: GridTopology, seed: int, n_tries: int = 4) -> Schedule:
+def schedule(c: LogicalCircuit, t: GridTopology, seed: int) -> Schedule:
     """Greedy list scheduling with distance-reducing SWAP insertion.
 
     Each cycle first executes every ready gate that fits (single-qubit
@@ -189,15 +191,13 @@ def schedule(c: LogicalCircuit, t: GridTopology, seed: int, n_tries: int = 4) ->
     gate is force-routed one step along a shortest path so the schedule
     always terminates.
 
-    Placement tie-breaks are randomized, so n_tries placements are
+    Placement tie-breaks are randomized, so N_TRIES (4) placements are
     attempted and the shallowest schedule wins. Deterministic for a fixed
     seed. Raises ValueError if the grid has fewer sites than the circuit
-    has qubits, or if n_tries < 1.
+    has qubits.
     """
     if t.n_sites < c.n_qubits:
         raise ValueError(f"{t.rows}x{t.cols} grid cannot hold {c.n_qubits} qubits")
-    if n_tries < 1:
-        raise ValueError(f"n_tries must be at least 1, got {n_tries}")
 
     n_prep = c.prep_layer_size()
     alg_gates = list(c.gates[n_prep:])
@@ -217,7 +217,7 @@ def schedule(c: LogicalCircuit, t: GridTopology, seed: int, n_tries: int = 4) ->
     dist = tuple(tuple(abs(ra - rb) + abs(ca - cb) for rb, cb in rc) for ra, ca in rc)
 
     best = None
-    for attempt in range(n_tries):
+    for attempt in range(N_TRIES):
         placement = _initial_placement(c.n_qubits, alg_gates, t, dist,
                                        np.random.default_rng([seed, attempt]))
         table = _route(alg_gates, succs, indeg, unreleased, placement,
@@ -474,13 +474,14 @@ def validate_schedule(s: Schedule, c: LogicalCircuit, t: GridTopology) -> list[s
             out.append(f"gate {gid} on non-adjacent sites {sites}")
 
     # replay SWAP tracking: each gate must touch its logical operands
+    gates_at: list[list[int]] = [[] for _ in s.table]
+    for gid, cy in cycle_of.items():
+        gates_at[cy].append(gid)
     p2l = list(s.placement)
-    for cy, row in enumerate(s.table):
-        for gid, sites in sites_of.items():
-            if cycle_of[gid] != cy:
-                continue
+    for cy, gids in enumerate(gates_at):
+        for gid in gids:
             gate = alg_gates[gid - 1]
-            found = {p2l[site] for site in sites}
+            found = {p2l[site] for site in sites_of[gid]}
             if found != set(gate.qubits):
                 out.append(f"gate {gid} acts on logical {sorted(found)}, "
                            f"expected {sorted(gate.qubits)} (cycle {cy})")

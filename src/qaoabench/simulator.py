@@ -49,7 +49,10 @@ usable CPU (numpy releases the GIL inside its array loops and BLAS calls);
 both simulators above split the amplitude array over the cores of a node
 the same way. The circuit alone fixes the cycles where a block flushes
 the shared phase, and every block applies the same per-row operations, so
-no row's bits depend on the block count. BLAS should then run
+for n >= 2 no row's bits depend on the block count. At n = 1, which the
+pipeline never runs, the in-place kernels' inner loops run across a block's
+rows, and numpy rounds a one-element loop's complex product unlike its vector
+loop's, so the last bit can depend on the block size. BLAS should run
 single-threaded inside the blocks, or its threads compete with them for
 the cores: importing the qaoabench package sets OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS and MKL_NUM_THREADS to 1 unless the user set them, which
@@ -94,8 +97,8 @@ class NoiseParams:
             raise ValueError(f"unphysical noise: t2={self.t2} > 2*t1={2 * self.t1}")
 
     @classmethod
-    def noiseless(cls, t_gate: float = 1.0) -> "NoiseParams":
-        return cls(math.inf, math.inf, t_gate)
+    def noiseless(cls) -> "NoiseParams":
+        return cls(math.inf, math.inf, 1.0)    # then no process reads the gate time
 
     @classmethod
     def from_t2_ratio(cls, t2_over_tg: float, t_gate: float = 10e-9) -> "NoiseParams":
@@ -489,8 +492,8 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
     Gaussian block is drawn only when the dephasing variance is positive
     (at T2 = 2 T1 the uniform block starts the stream). Every realization
     is drawn before any is simulated, and the shared ZZ phase is flushed at
-    cycles the circuit alone fixes. So the final states are bitwise the
-    same for every chunk size and every block count.
+    cycles the circuit alone fixes. So for n >= 2 (see the module docstring)
+    the final states are bitwise the same for every chunk size and block count.
     per_cut takes one dot product per row and mean_probs adds the rows in
     realization order, so they are bitwise the same too. Reruns with one
     master seed are bitwise identical.

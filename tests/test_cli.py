@@ -11,9 +11,10 @@ import pytest
 import qaoabench
 from qaoabench.circuit import QaoaParams, build_qaoa_circuit
 from qaoabench.cli import _pin_worker, main
-from qaoabench.graphs import cut_values_table, read_graph
-from qaoabench.scheduler import parse_pdpt
-from qaoabench.simulator import _n_blocks, probabilities, simulate_logical
+from qaoabench.graphs import brute_force_maxcut, cut_values_table, read_graph
+from qaoabench.scheduler import Schedule, emit_pdpt, parse_pdpt
+from qaoabench.simulator import (NoiseParams, _n_blocks, optima_mask, probabilities,
+                                 run_noisy_ensemble, simulate_logical)
 
 from conftest import APP_B_PDPT
 
@@ -51,7 +52,7 @@ def test_schedule_then_simulate(tmp_path):
     assert sched.n_cycles >= 1
 
     obs = tmp_path / "obs.json"
-    assert run_cli("simulate", "--graph", gpath, "--schedule", pdpt, "--p", 2,
+    assert run_cli("simulate", "--graph", gpath, "--schedule", pdpt,
                    "--gammas", "0.7,0.3", "--betas", "0.2,0.5", "--realizations", 16,
                    "--seed", 5, "--out", obs) == 0
     payload = json.loads(obs.read_text())
@@ -68,7 +69,7 @@ def test_simulate_pdpt_matches_logical_noiseless(tmp_path):
     pdpt = tmp_path / "s.pdpt"
     assert run_cli("schedule", "--graph", gpath, "--p", 2, "--seed", 2, "--out", pdpt) == 0
     obs = tmp_path / "obs.json"
-    assert run_cli("simulate", "--graph", gpath, "--schedule", pdpt, "--p", 2,
+    assert run_cli("simulate", "--graph", gpath, "--schedule", pdpt,
                    "--gammas", "0.7,0.3", "--betas", "0.2,0.5", "--noiseless",
                    "--realizations", 1, "--out", obs) == 0
     g = read_graph(gpath.read_text())
@@ -87,27 +88,70 @@ def test_simulate_rejects_graph_of_another_circuit(tmp_path, capsys):
     run_cli("gen", "--n", 6, "--seed", 4, "--out", other)
     assert read_graph(other.read_text()).edges != read_graph(gpath.read_text()).edges
     capsys.readouterr()
-    for graph, message in ((bigger, "placement does not cover logical qubits 0..7"),
+    # the 15 gate ids of the 6-vertex p=1 table are no whole number of the
+    # 8-vertex graph's 20-gate layers
+    for graph, message in ((bigger, "not a whole number of QAOA layers of 20 gates"),
                            (other, "schedule does not match")):
         obs = tmp_path / "obs.json"
-        assert run_cli("simulate", "--graph", graph, "--schedule", pdpt, "--p", 1,
+        assert run_cli("simulate", "--graph", graph, "--schedule", pdpt,
                        "--gammas", 0.4, "--betas", 0.3, "--realizations", 4,
                        "--out", obs) == 1
         assert message in capsys.readouterr().err
         assert not obs.exists()
 
 
-def test_simulate_names_the_p_a_schedule_was_routed_for(tmp_path, capsys):
-    gpath, pdpt, obs = tmp_path / "g.txt", tmp_path / "s.pdpt", tmp_path / "obs.json"
+def _p1_schedule(tmp_path):
+    """A 6-vertex graph (9 edges) and its p=1 PDPT: gate ids 1..15."""
+    gpath, pdpt = tmp_path / "g.txt", tmp_path / "s.pdpt"
     run_cli("gen", "--n", 6, "--seed", 1, "--out", gpath)
     assert run_cli("schedule", "--graph", gpath, "--p", 1, "--seed", 2, "--out", pdpt) == 0
+    return gpath, pdpt
+
+
+def test_simulate_reads_p_from_the_schedule(tmp_path):
+    gpath, pdpt = _p1_schedule(tmp_path)
+    obs = tmp_path / "obs.json"
+    assert run_cli("simulate", "--graph", gpath, "--schedule", pdpt, "--gammas", 0.4,
+                   "--betas", 0.3, "--realizations", 8, "--seed", 5, "--out", obs) == 0
+    # the same run at p=1 through the library, with the CLI's default noise
+    g = read_graph(gpath.read_text())
+    c = build_qaoa_circuit(g, QaoaParams((0.4,), (0.3,)))
+    sched = parse_pdpt(pdpt.read_text(), n_prep_gates=c.prep_layer_size())
+    k_max, optima = brute_force_maxcut(g)
+    ens = run_noisy_ensemble(sched, c, NoiseParams(200e-6, 100e-6, 10e-9), 8, 5,
+                             cut_table=cut_values_table(g),
+                             overlap_mask=optima_mask(optima, g.n))
+    payload = json.loads(obs.read_text())
+    assert payload["mean_cut"] == ens.mean_cut and payload["k_max"] == k_max
+    assert payload["overlap"] == ens.mean_overlap
+    assert payload["per_realization_cut"] == ens.per_cut.tolist()
+
+
+def test_simulate_angle_count_names_the_derived_p(tmp_path, capsys):
+    gpath, pdpt = _p1_schedule(tmp_path)
+    obs = tmp_path / "obs.json"
     capsys.readouterr()
-    # --p defaults to 4
-    assert run_cli("simulate", "--graph", gpath, "--schedule", pdpt, "--realizations", 4,
-                   "--out", obs) == 1
-    err = capsys.readouterr().err
-    assert "likely routed for --p 1" in err and err.count("\n") == 1
+    assert run_cli("simulate", "--graph", gpath, "--schedule", pdpt, "--gammas", "0.4,0.1",
+                   "--betas", "0.3,0.2", "--realizations", 4, "--out", obs) == 1
+    assert "expected p=1 comma-separated angles" in capsys.readouterr().err
     assert not obs.exists()
+
+
+def test_simulate_rejects_a_partial_layer(tmp_path, capsys):
+    gpath, pdpt = _p1_schedule(tmp_path)
+    sched = parse_pdpt(pdpt.read_text())
+    obs = tmp_path / "obs.json"
+    # drop gate 15, then every gate id
+    for top, keep in ((14, lambda e: e != 15), (0, lambda e: e <= 0)):
+        table = tuple(tuple(e if keep(e) else 0 for e in row) for row in sched.table)
+        pdpt.write_text(emit_pdpt(Schedule(sched.grid, sched.placement, table)))
+        capsys.readouterr()
+        assert run_cli("simulate", "--graph", gpath, "--schedule", pdpt,
+                       "--realizations", 4, "--out", obs) == 1
+        err = capsys.readouterr().err
+        assert (f"gate ids up to {top}, not a whole number of QAOA layers of 15 gates"
+                in err and err.count("\n") == 1)
+        assert not obs.exists()
 
 
 def test_solve_small_instance(tmp_path):
@@ -231,9 +275,16 @@ def test_errors_exit_nonzero(tmp_path, capsys):
     # the JSON artifact flags are gone: PDPT is the one schedule file, and
     # simulate rebuilds the circuit from the graph and the angles
     g, pdpt, js = tmp_path / "g.txt", tmp_path / "s.pdpt", tmp_path / "x.json"
+    # so are flags no command reads: reduce and fit draw no random numbers, and
+    # simulate takes p from the schedule
     for argv in (("schedule", "--graph", g, "--out", pdpt, "--out-json", js),
                  ("schedule", "--graph", g, "--out", pdpt, "--out-circuit", js),
                  ("simulate", "--graph", g, "--schedule", pdpt, "--circuit", js,
+                  "--out", tmp_path / "obs.json"),
+                 ("reduce", "--graph", g, "--out", tmp_path / "g.wcnf", "--seed", 1),
+                 ("fit", "--input", js, "--out-csv", tmp_path / "r.csv",
+                  "--out-json", tmp_path / "r.json", "--seed", 1),
+                 ("simulate", "--graph", g, "--schedule", pdpt, "--p", 1,
                   "--out", tmp_path / "obs.json")):
         with pytest.raises(SystemExit) as exc:
             run_cli(*argv)
@@ -244,7 +295,7 @@ def test_errors_exit_nonzero(tmp_path, capsys):
            "n_prep_gates": 6, "table": [[0] * 9]}
     js.write_text(json.dumps(old, indent=2) + "\n")
     capsys.readouterr()
-    assert run_cli("simulate", "--graph", g, "--schedule", js, "--p", 1,
+    assert run_cli("simulate", "--graph", g, "--schedule", js,
                    "--out", tmp_path / "obs.json") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "PDPT" in err and err.count("\n") == 1
@@ -268,7 +319,7 @@ def test_published_pdpt_feeds_simulate(tmp_path, app_b_graph):
     pdpt = tmp_path / "appb.pdpt"
     pdpt.write_text(APP_B_PDPT)
     obs = tmp_path / "obs.json"
-    assert run_cli("simulate", "--graph", gpath, "--schedule", pdpt, "--p", 4,
+    assert run_cli("simulate", "--graph", gpath, "--schedule", pdpt,
                    "--gammas", "0.4,0.4,0.4,0.4", "--betas", "0.3,0.3,0.3,0.3",
                    "--realizations", 8, "--seed", 0, "--out", obs) == 0
     assert 0.0 < json.loads(obs.read_text())["mean_cut"] <= 12.0

@@ -155,21 +155,8 @@ def test_depth_monotone_in_p(app_b_graph):
 
 def test_grid_too_small():
     c = LogicalCircuit(5, (Gate(GateKind.H, (0,)),))
-    with pytest.raises(ValueError):
-        schedule(c, GridTopology(2, 2), 0)
-
-
-def test_grid_too_small_rejected_before_any_try():
-    c = LogicalCircuit(5, (Gate(GateKind.H, (0,)),))
     with pytest.raises(ValueError, match="cannot hold"):
-        schedule(c, GridTopology(2, 2), 0, n_tries=0)
-
-
-def test_schedule_needs_a_try():
-    c = LogicalCircuit(2, (Gate(GateKind.ZZPHASE, (0, 1), 0.5),))
-    for n_tries in (0, -1):
-        with pytest.raises(ValueError, match="n_tries"):
-            schedule(c, GridTopology(2, 2), 0, n_tries=n_tries)
+        schedule(c, GridTopology(2, 2), 0)
 
 
 def test_validator_catches_hand_built_violations():
