@@ -155,6 +155,12 @@ def test_depth_monotone_in_p(app_b_graph):
 
 def test_grid_too_small():
     c = LogicalCircuit(5, (Gate(GateKind.H, (0,)),))
+    with pytest.raises(ValueError):
+        schedule(c, GridTopology(2, 2), 0)
+
+
+def test_grid_too_small_rejected_before_any_try():
+    c = LogicalCircuit(5, (Gate(GateKind.H, (0,)),))
     with pytest.raises(ValueError, match="cannot hold"):
         schedule(c, GridTopology(2, 2), 0)
 
