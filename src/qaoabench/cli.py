@@ -9,10 +9,12 @@ fully deterministic for a fixed seed and flags. Settings come
 from the command line only. Each flag defaults to the study's constant,
 taken from the library where it states one (NmConfig: 10000 samples per
 evaluation, 20 restarts, 300-update cap; HardwareTimes: T_P + T_M = 1 us,
-T_G = 10 ns) and stated here otherwise (T2 = 100 us, T1 = 200 us, p = 4,
-384 noise realizations, 40 instances per size). An error prints one line
-and exits with status 1; `qaoabench --debug COMMAND ...` lets it raise with
-its traceback instead.
+T_G = 10 ns) and stated here otherwise (T2 = 100 us, p = 4, 384 noise
+realizations, 40 instances per size). `simulate`, `solve` and `bench` set
+the noise by --t2 alone: T1 is always 2 T2, and `--t2 inf` means no noise.
+Every count flag must be at least 1. An error prints one line and exits
+with status 1; `qaoabench --debug COMMAND ...` lets it raise with its
+traceback instead.
 
 BLAS runs single-threaded in every process qaoabench starts (`bench --jobs`
 workers inherit it), since the package sets the thread-count variables to 1
@@ -28,12 +30,10 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis, costmodel, maxsat
 from .circuit import QaoaParams, build_qaoa_circuit
 from .graphs import brute_force_maxcut, cut_values_table, gen_random_3regular, read_graph, write_graph
-from .optimizer import NmConfig, solve_instance
+from .optimizer import NmConfig, _derived_seed, solve_instance
 from .scheduler import choose_grid, emit_pdpt, parse_pdpt, schedule, validate_schedule
 from .simulator import NoiseParams, convergence_study, optima_mask, run_noisy_ensemble
 
@@ -43,10 +43,21 @@ def _nm_config(args) -> NmConfig:
                     n_samples=args.n_samples)
 
 
-def _noise(args) -> NoiseParams | None:
-    if args.noiseless:
-        return None
-    return NoiseParams(t1=args.t1, t2=args.t2, t_gate=args.t_gate)
+# the dest and flag of every count option; each must be at least 1
+_COUNT_FLAGS = {"p": "--p", "max_updates": "--max-updates", "n_restarts": "--restarts",
+                "n_samples": "--samples", "realizations": "--realizations",
+                "n_instances": "--instances", "jobs": "--jobs", "n_seeds": "--n-seeds"}
+
+
+def _check_counts(args) -> None:
+    for dest, flag in _COUNT_FLAGS.items():
+        value = getattr(args, dest, None)
+        if value is not None and value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
+
+
+def _noise(args) -> NoiseParams:
+    return NoiseParams(t1=2.0 * args.t2, t2=args.t2, t_gate=args.t_gate)
 
 
 def _hardware(args) -> costmodel.HardwareTimes:
@@ -115,7 +126,7 @@ def cmd_simulate(args):
     if violations:
         raise RuntimeError("schedule does not match circuit: " + "; ".join(violations))
 
-    noise = _noise(args) or NoiseParams.noiseless()
+    noise = _noise(args)
     n_real = args.realizations
     cut_table = cut_values_table(g)
     k_max, optima = brute_force_maxcut(g)
@@ -164,13 +175,11 @@ def _pin_worker(cpus) -> None:
 
 
 def cmd_bench(args):
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     sizes = [int(s) for s in args.sizes.split(",")]
     p, n_instances = args.p, args.n_instances
     cfg, noise, hw = _nm_config(args), _noise(args), _hardware(args)
-    tasks = [(n, int(np.random.SeedSequence([args.seed, n, inst]).generate_state(1)[0]),
-              p, cfg, args.pipeline, noise, args.realizations, hw)
+    tasks = [(n, _derived_seed(args.seed, n, inst), p, cfg, args.pipeline, noise,
+              args.realizations, hw)
              for n in sizes for inst in range(n_instances)]
     if args.jobs > 1:
         # one CPU per worker, in turn: the jobs share the cores instead of each
@@ -241,7 +250,7 @@ def cmd_convergence(args):
     else:
         # short noiseless optimization so the plateau sits at a meaningful ratio
         cfg = NmConfig(n_restarts=5, max_updates=60)
-        quick = solve_instance(g, p, cfg, "exact", None, seed)
+        quick = solve_instance(g, p, cfg, "exact", NoiseParams.noiseless(), seed)
         params = quick.best_run.best_params
         print(f"pre-optimized angles (exact ratio {quick.best_exact_ratio:.4f})")
 
@@ -285,9 +294,9 @@ def _add_ensemble_flags(sub):
 
 
 def _add_noise_flags(sub):
-    sub.add_argument("--t1", type=float, default=200e-6, help="relaxation time, seconds")
-    sub.add_argument("--t2", type=float, default=100e-6, help="dephasing time, seconds")
-    sub.add_argument("--noiseless", action="store_true", help="disable noise")
+    sub.add_argument("--t2", type=float, default=100e-6,
+                     help="dephasing time, seconds; the relaxation time T1 is 2 T2, "
+                          "and inf means no noise")
     _add_ensemble_flags(sub)
 
 
@@ -391,6 +400,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         args.func(args)
     except Exception as exc:  # CLI boundary: report, do not traceback
         if args.debug:

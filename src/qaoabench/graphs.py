@@ -17,12 +17,14 @@ BRUTE_FORCE_MAX_N = 28
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph: vertex count + edge list (i, j), i != j."""
+    """Simple undirected graph: vertex count n >= 1 + edge list (i, j), i != j."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"a graph needs at least 1 vertex, got n={self.n}")
         seen = set()
         for (i, j) in self.edges:
             if i == j:

@@ -14,6 +14,7 @@ sequential, mirroring how a hybrid loop would drive one device.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,19 +218,25 @@ class InstanceProblem:
     The schedule is angle-independent -- QAOA circuits at one depth share
     their structure -- so routing happens once here and every objective
     evaluation just replays it with fresh angles (and, in the sampled
-    pipeline, fresh noise realizations and fresh measurement shots).
+    pipeline, fresh noise realizations and fresh measurement shots). A noise
+    with no process (T1 = T2 = inf, as NoiseParams.noiseless()) leaves every
+    realization in the logical state, so each evaluation then simulates that
+    one state without the schedule.
     """
 
     def __init__(self, g: Graph, p: int, cfg: NmConfig, pipeline: str,
-                 noise: NoiseParams | None, master_seed: int,
+                 noise: NoiseParams, master_seed: int,
                  n_realizations: int = 384):
         if pipeline not in ("exact", "sampled"):
             raise ValueError(f"pipeline must be 'exact' or 'sampled', got {pipeline!r}")
+        if n_realizations < 1:
+            raise ValueError(f"n_realizations must be at least 1, got {n_realizations}")
         self.g = g
         self.p = p
         self.cfg = cfg
         self.pipeline = pipeline
         self.noise = noise
+        self.noiseless = math.isinf(noise.t1) and math.isinf(noise.t2)
         self.master_seed = master_seed
         self.n_realizations = n_realizations
 
@@ -243,7 +250,7 @@ class InstanceProblem:
 
     def _final_probs(self, params: QaoaParams, ens_seed: int) -> np.ndarray:
         circuit = build_qaoa_circuit(self.g, params)
-        if self.noise is None:
+        if self.noiseless:
             return np.abs(simulate_logical(circuit)) ** 2
         ens = run_noisy_ensemble(self.schedule, circuit, self.noise,
                                  self.n_realizations, ens_seed)
@@ -280,7 +287,7 @@ class InstanceProblem:
 
 
 def solve_instance(g: Graph, p: int, cfg: NmConfig, pipeline: str,
-                   noise: NoiseParams | None, master_seed: int,
+                   noise: NoiseParams, master_seed: int,
                    n_realizations: int = 384) -> InstanceSolveResult:
     """Run cfg.n_restarts independent Nelder-Mead runs and keep the best.
 

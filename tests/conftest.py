@@ -1,5 +1,8 @@
 import qaoabench  # first, so that BLAS runs single-threaded as in the CLI
+import itertools
+
 import pytest
+from hypothesis import strategies as st
 
 from qaoabench.graphs import Graph
 
@@ -69,3 +72,13 @@ def k3():
 @pytest.fixture
 def k4():
     return Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+
+
+@st.composite
+def simple_graphs(draw, max_n: int):
+    """Any simple graph on 1..max_n vertices, each edge in a drawn orientation."""
+    n = draw(st.integers(1, max_n))
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))),
+                          unique=True)) if n > 1 else []
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, tuple((j, i) if flip else (i, j) for (i, j), flip in zip(pairs, flips)))

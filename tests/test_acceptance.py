@@ -98,7 +98,7 @@ def test_criterion_2_noise_channel_fidelity():
 
 def test_criterion_3_convergence_plateau():
     quick = solve_instance(APP_B, 4, NmConfig(n_restarts=5, max_updates=80),
-                           "exact", None, 7)
+                           "exact", NoiseParams.noiseless(), 7)
     circ = build_qaoa_circuit(APP_B, quick.best_run.best_params)
     sched = schedule(circ, choose_grid(8), 7)
     cut_table = cut_values_table(APP_B)
@@ -219,7 +219,7 @@ def test_criterion_9_desk_scale_statement(tmp_path):
     from qaoabench.cli import main
 
     args = ["bench", "--sizes", "4", "--p", "1", "--instances", "2",
-            "--pipeline", "sampled", "--noiseless", "--restarts", "2",
+            "--pipeline", "sampled", "--t2", "inf", "--restarts", "2",
             "--max-updates", "15", "--samples", "500", "--seed", "9"]
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + ["--out", str(out1)]) == 0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qaoabench.analysis import (CrossoverEstimate, FitResult, crossover,
                                 emit_report, fit_exponential, read_timing_csv)
@@ -56,6 +57,24 @@ def test_crossover_invariant_under_common_intercept_shift():
     assert shifted.n_star == pytest.approx(base.n_star, abs=1e-9)
     assert shifted.band_low_cross == pytest.approx(base.band_low_cross, abs=1e-6)
     assert shifted.band_high_cross == pytest.approx(base.band_high_cross, abs=1e-6)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(slope_q=st.floats(0.005, 0.05), slope_gap=st.floats(0.005, 0.05),
+       intercept_q=st.floats(-3.0, 3.0), intercept_c=st.floats(-10.0, -4.0),
+       resid_std=st.floats(0.0, 0.2), shift=st.floats(-5.0, 5.0))
+def test_crossover_shift_invariance_property(slope_q, slope_gap, intercept_q, intercept_c,
+                                             resid_std, shift):
+    def fits(offset):
+        return (FitResult(slope_q, intercept_q + offset, 1.0, 6, 14.0, 70.0, resid_std),
+                FitResult(slope_q + slope_gap, intercept_c + offset, 1.0, 6, 14.0, 70.0, 0.0))
+    base, shifted = crossover(*fits(0.0)), crossover(*fits(shift))
+    assert shifted.n_star == pytest.approx(base.n_star, rel=1e-9, abs=1e-9)
+    for a, b in ((base.band_low_cross, shifted.band_low_cross),
+                 (base.band_high_cross, shifted.band_high_cross)):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert b == pytest.approx(a, abs=1e-6)
 
 
 def test_band_contains_line_and_widens():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import multiprocessing
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import qaoabench
 from qaoabench.circuit import QaoaParams, build_qaoa_circuit
-from qaoabench.cli import _pin_worker, main
+from qaoabench.cli import _pin_worker, build_parser, main
 from qaoabench.graphs import brute_force_maxcut, cut_values_table, read_graph
 from qaoabench.scheduler import Schedule, emit_pdpt, parse_pdpt
 from qaoabench.simulator import (NoiseParams, _n_blocks, optima_mask, probabilities,
@@ -70,7 +71,7 @@ def test_simulate_pdpt_matches_logical_noiseless(tmp_path):
     assert run_cli("schedule", "--graph", gpath, "--p", 2, "--seed", 2, "--out", pdpt) == 0
     obs = tmp_path / "obs.json"
     assert run_cli("simulate", "--graph", gpath, "--schedule", pdpt,
-                   "--gammas", "0.7,0.3", "--betas", "0.2,0.5", "--noiseless",
+                   "--gammas", "0.7,0.3", "--betas", "0.2,0.5", "--t2", "inf",
                    "--realizations", 1, "--out", obs) == 0
     g = read_graph(gpath.read_text())
     c = build_qaoa_circuit(g, QaoaParams((0.7, 0.3), (0.2, 0.5)))
@@ -159,7 +160,7 @@ def test_solve_small_instance(tmp_path):
     gpath.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
     out = tmp_path / "res.json"
     assert run_cli("solve", "--graph", gpath, "--p", 1, "--pipeline", "exact",
-                   "--noiseless", "--restarts", 3, "--max-updates", 40,
+                   "--t2", "inf", "--restarts", 3, "--max-updates", 40,
                    "--seed", 7, "--out", out) == 0
     payload = json.loads(out.read_text())
     assert payload["n"] == 4 and payload["p"] == 1
@@ -169,7 +170,7 @@ def test_solve_small_instance(tmp_path):
 
 # Fixed-seed bench CSVs; every --jobs value must reproduce them byte for byte.
 BENCH_CASES = (
-    (("--sizes", "4", "--noiseless", "--max-updates", 15),
+    (("--sizes", "4", "--t2", "inf", "--max-updates", 15),
      "N,p,mean_seconds,sdom_seconds,n_instances\n4,1,0.0385875,0.0002625,2\n"),
     (("--sizes", "6", "--max-updates", 8, "--realizations", 8),        # paper noise
      "N,p,mean_seconds,sdom_seconds,n_instances\n6,1,0.02104,0.00143,2\n"),
@@ -206,7 +207,7 @@ def test_bench_worker_runs_on_one_cpu():
 def test_fit_reads_bench_csv(tmp_path):
     bench = tmp_path / "bench.csv"
     assert run_cli("bench", "--sizes", "4,6,8", "--p", 1, "--instances", 2,
-                   "--pipeline", "exact", "--noiseless", "--restarts", 1,
+                   "--pipeline", "exact", "--t2", "inf", "--restarts", 1,
                    "--max-updates", 5, "--seed", 3, "--out", bench) == 0
     timing = tmp_path / "classical.csv"
     timing.write_text("".join(f"{n},{10 ** (0.04 * n - 6):.8g},classical\n"
@@ -269,9 +270,28 @@ def test_errors_exit_nonzero(tmp_path, capsys):
                    "--out", tmp_path / "y.wcnf") == 1
     for jobs in (0, -2):
         assert run_cli("bench", "--sizes", 4, "--p", 1, "--instances", 1, "--restarts", 1,
-                       "--max-updates", 1, "--pipeline", "exact", "--noiseless",
+                       "--max-updates", 1, "--pipeline", "exact", "--t2", "inf",
                        "--jobs", jobs, "--out", tmp_path / "b.csv") == 1
     assert not (tmp_path / "b.csv").exists()
+    # a count below 1 fails before any work, naming its flag; the noiseless
+    # solve checks R too, though it never reads it
+    k4 = tmp_path / "k4.txt"
+    k4.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    capsys.readouterr()
+    for flag, argv in (("--n-seeds", ("convergence", "--n", 6, "--p", 1, "--t2-ratios", 1000,
+                                      "--realizations", 4, "--n-seeds", 0)),
+                       ("--instances", ("bench", "--sizes", 4, "--p", 1, "--restarts", 1,
+                                        "--max-updates", 1, "--instances", 0)),
+                       ("--realizations", ("solve", "--graph", k4, "--p", 1, "--t2", "inf",
+                                           "--restarts", 1, "--max-updates", 1,
+                                           "--realizations", 0)),
+                       ("--p", ("schedule", "--graph", k4, "--p", 0)),
+                       ("--restarts", ("solve", "--graph", k4, "--p", 1, "--restarts", -1))):
+        out = tmp_path / "count.out"
+        assert run_cli(*argv, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be at least 1, got ") and err.count("\n") == 1
+        assert not out.exists()
     # the JSON artifact flags are gone: PDPT is the one schedule file, and
     # simulate rebuilds the circuit from the graph and the angles
     g, pdpt, js = tmp_path / "g.txt", tmp_path / "s.pdpt", tmp_path / "x.json"
@@ -300,6 +320,50 @@ def test_errors_exit_nonzero(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "PDPT" in err and err.count("\n") == 1
     assert not (tmp_path / "obs.json").exists()
+
+
+def test_reduce_rejects_a_graph_without_vertices(tmp_path, capsys):
+    for header, n in (("0 0", 0), ("-2 0", -2)):
+        gpath, wpath = tmp_path / "g.txt", tmp_path / "g.wcnf"
+        gpath.write_text(header + "\n")
+        capsys.readouterr()
+        assert run_cli("reduce", "--graph", gpath, "--out", wpath) == 1
+        assert capsys.readouterr().err == f"error: a graph needs at least 1 vertex, got n={n}\n"
+        assert not wpath.exists()
+
+
+def test_gate_time_checked_without_noise(tmp_path, capsys):
+    # --t2 inf turns the noise off and still builds a NoiseParams, which checks T_G
+    gpath, pdpt = _p1_schedule(tmp_path)
+    obs = tmp_path / "obs.json"
+    capsys.readouterr()
+    assert run_cli("simulate", "--graph", gpath, "--schedule", pdpt, "--t2", "inf",
+                   "--t-gate", -1, "--realizations", 2, "--out", obs) == 1
+    assert capsys.readouterr().err == "error: t1, t2, t_gate must be positive\n"
+    assert not obs.exists()
+
+
+def test_cli_surface(capsys):
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    options = {name: [opt for action in sp._actions for opt in action.option_strings
+                      if opt not in ("-h", "--help")]
+               for name, sp in subs.choices.items()}
+    assert sum(len(opts) for opts in options.values()) == 60
+    for name, opts in options.items():
+        assert "--t1" not in opts and "--noiseless" not in opts, name
+    # the noise is --t2 alone: T1 = 2 T2 and --t2 inf turns it off
+    required = {"simulate": ("--graph", "g", "--schedule", "s", "--out", "o"),
+                "solve": ("--graph", "g", "--out", "o"),
+                "bench": ("--sizes", "4", "--out", "o")}
+    for name, argv in required.items():
+        assert "--t2" in options[name]
+        assert build_parser().parse_args([name, *argv, "--t2", "inf"]).t2 == float("inf")
+        for flag in (("--t1", "2e-4"), ("--noiseless",)):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([name, *argv, *flag])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_debug_reraises_errors(tmp_path, capsys):

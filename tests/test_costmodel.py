@@ -7,6 +7,7 @@ from qaoabench.costmodel import (HardwareTimes, InstanceCost, aggregate,
                                  instance_wall_time, single_repetition_time,
                                  write_cost_csv)
 from qaoabench.optimizer import NmConfig, solve_instance
+from qaoabench.simulator import NoiseParams
 
 
 def test_single_repetition_time_examples():
@@ -37,7 +38,7 @@ def test_back_solved_evals_per_run_is_in_the_hundreds():
 
 def test_instance_wall_time(k4):
     cfg = NmConfig(n_restarts=2, max_updates=20)
-    res = solve_instance(k4, 1, cfg, "exact", None, 2)
+    res = solve_instance(k4, 1, cfg, "exact", NoiseParams.noiseless(), 2)
     hw = HardwareTimes()
     cost = instance_wall_time(res, res.depth, hw, n_samples=cfg.n_samples)
     assert cost.total_repetitions == res.total_function_evals * cfg.n_samples
@@ -51,7 +52,7 @@ def test_instance_wall_time(k4):
 
 def test_wall_time_linear_in_each_factor(k4):
     cfg = NmConfig(n_restarts=2, max_updates=20)
-    res = solve_instance(k4, 1, cfg, "exact", None, 2)
+    res = solve_instance(k4, 1, cfg, "exact", NoiseParams.noiseless(), 2)
     hw = HardwareTimes()
     base = instance_wall_time(res, res.depth, hw, n_samples=100).wall_time
     assert instance_wall_time(res, res.depth, hw, n_samples=200).wall_time \

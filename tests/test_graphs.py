@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from qaoabench.graphs import (BRUTE_FORCE_MAX_N, Graph, brute_force_maxcut,
                               cut_values_table, gen_random_3regular, read_graph,
                               write_graph)
 
-from conftest import APP_B_MAXCUT, APP_B_N_OPTIMA
+from conftest import APP_B_MAXCUT, APP_B_N_OPTIMA, simple_graphs
 from oracles import cut_of_code, maxcut_by_python_loop
 
 
@@ -95,6 +96,13 @@ def test_graph_text_round_trip(k3):
     assert write_graph(read_graph(write_graph(g))) == write_graph(g)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(g=simple_graphs(max_n=12))
+def test_graph_text_round_trip_random_graphs(g):
+    text = write_graph(g)
+    assert read_graph(text) == g and write_graph(read_graph(text)) == text
+
+
 def test_read_graph_rejects_malformed():
     with pytest.raises(ValueError):
         read_graph("")
@@ -104,3 +112,10 @@ def test_read_graph_rejects_malformed():
         read_graph("2 2\n0 1\n")
     with pytest.raises(ValueError):
         read_graph("2 1\n0 5\n")
+
+
+def test_graph_needs_a_vertex():
+    for text, n in (("0 0\n", 0), ("-2 0\n", -2)):
+        with pytest.raises(ValueError, match=f"at least 1 vertex, got n={n}"):
+            read_graph(text)
+    assert read_graph("1 0\n") == Graph(1, ())

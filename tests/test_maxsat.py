@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from qaoabench.graphs import Graph, brute_force_maxcut, gen_random_3regular
 from qaoabench.maxsat import CnfFormula, emit_wcnf, reduce_to_max2sat
 
-from conftest import APP_B_MAXCUT
+from conftest import APP_B_MAXCUT, simple_graphs
 from oracles import cut_of_code, max2sat_by_python_loop
 
 SINGLE_EDGE = Graph(2, ((0, 1),))
@@ -28,6 +29,13 @@ def test_reduction_app_b(app_b_graph):
     assert f.n_vars == 8
     assert f.n_clauses == 24
     assert max2sat_by_python_loop(f) == 12 + APP_B_MAXCUT
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(g=simple_graphs(max_n=7))
+def test_e_plus_k_identity_any_simple_graph(g):
+    # the optimum satisfies both clauses of each cut edge and one of each other edge
+    assert max2sat_by_python_loop(reduce_to_max2sat(g)) == g.n_edges + brute_force_maxcut(g)[0]
 
 
 def test_e_plus_k_identity_random_graphs():

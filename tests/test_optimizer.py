@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -92,13 +94,13 @@ def _grid_search_ratio(g, steps=50):
 
 def test_exact_pipeline_beats_grid_search(k4):
     oracle = _grid_search_ratio(k4)
-    res = solve_instance(k4, 1, NmConfig(), "exact", None, 3)
+    res = solve_instance(k4, 1, NmConfig(), "exact", NoiseParams.noiseless(), 3)
     assert res.best_run.best_value / res.k_max >= oracle - 0.01
 
 
 def test_eval_accounting_bound(k4):
     cfg = NmConfig(n_restarts=3, max_updates=40)
-    res = solve_instance(k4, 1, cfg, "exact", None, 5)
+    res = solve_instance(k4, 1, cfg, "exact", NoiseParams.noiseless(), 5)
     assert res.total_function_evals == sum(r.n_function_evals for r in res.runs)
     # per update at most 2 + dim evaluations (reflect + contract + shrink)
     per_run_cap = (2 * 1 + 1) + cfg.max_updates * (2 + 2 * 1)
@@ -107,8 +109,8 @@ def test_eval_accounting_bound(k4):
 
 def test_solve_is_deterministic(k4):
     cfg = NmConfig(n_restarts=2, max_updates=30)
-    a = solve_instance(k4, 1, cfg, "sampled", None, 11)
-    b = solve_instance(k4, 1, cfg, "sampled", None, 11)
+    a = solve_instance(k4, 1, cfg, "sampled", NoiseParams.noiseless(), 11)
+    b = solve_instance(k4, 1, cfg, "sampled", NoiseParams.noiseless(), 11)
     assert a.total_function_evals == b.total_function_evals
     assert a.best_run.best_value == b.best_run.best_value
     assert a.best_run.best_params == b.best_run.best_params
@@ -120,7 +122,7 @@ def test_deeper_circuits_do_not_lose_quality(k3):
     # least the p=1 grid-search value minus optimizer slack
     oracle_p1 = _grid_search_ratio(k3)
     cfg = NmConfig(n_restarts=8, max_updates=120)
-    res = solve_instance(k3, 2, cfg, "exact", None, 7)
+    res = solve_instance(k3, 2, cfg, "exact", NoiseParams.noiseless(), 7)
     assert res.best_run.best_value / res.k_max >= oracle_p1 - 0.02
 
 
@@ -138,4 +140,19 @@ def test_sampled_noisy_pipeline_smoke(k4):
 
 def test_pipeline_name_validated(k4):
     with pytest.raises(ValueError):
-        InstanceProblem(k4, 1, NmConfig(), "both", None, 0)
+        InstanceProblem(k4, 1, NmConfig(), "both", NoiseParams.noiseless(), 0)
+
+
+def test_realization_count_checked_whatever_the_noise(k4):
+    # the noiseless path never reads R, and still rejects R < 1
+    for noise in (NoiseParams.noiseless(), NoiseParams.from_t2_ratio(1000.0)):
+        with pytest.raises(ValueError, match="n_realizations must be at least 1, got 0"):
+            InstanceProblem(k4, 1, NmConfig(), "exact", noise, 0, n_realizations=0)
+
+
+def test_noiseless_shortcut_only_without_any_process(k4):
+    # T1 = T2 = inf simulates the one logical state; any finite time runs the ensemble
+    cases = ((NoiseParams.noiseless(), True), (NoiseParams(math.inf, math.inf, 1e-8), True),
+             (NoiseParams(1.0, 2.0, 0.01), False), (NoiseParams(math.inf, 0.5, 0.01), False))
+    for noise, logical in cases:
+        assert InstanceProblem(k4, 1, NmConfig(), "exact", noise, 0).noiseless is logical
