@@ -126,11 +126,10 @@ def cmd_simulate(args):
     if violations:
         raise RuntimeError("schedule does not match circuit: " + "; ".join(violations))
 
-    noise = _noise(args)
     n_real = args.realizations
     cut_table = cut_values_table(g)
     k_max, optima = brute_force_maxcut(g)
-    ens = run_noisy_ensemble(sched, circuit, noise, n_real, args.seed,
+    ens = run_noisy_ensemble(sched, circuit, _noise(args), n_real, args.seed,
                              cut_table=cut_table,
                              overlap_mask=optima_mask(optima, g.n))
     payload = {
