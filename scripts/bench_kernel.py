@@ -1,4 +1,4 @@
-"""Time the single-qubit kernel per qubit in both forms, to place the matmul cut-over.
+"""Time the single-qubit kernel per qubit in each form, to place its cut-overs.
 
 Run from the repository root:
 
@@ -6,10 +6,14 @@ Run from the repository root:
 
 For each case in CASES (N, realizations R), a random normalized (R, 2^N)
 batch with unit-modulus pending factors gets simulator._apply_1q with
-RX(0.3) on each qubit q, in both forms: "inplace" (the elementwise update)
-and "matmul" (one BLAS product per row), forced by setting
-simulator._MIN_MATMUL_RUN and simulator._MAX_MATMUL_RUN. The matmul form is timed only up to
-2^q = MATMUL_CAP, since its dense (2^(q+1))^2 matrix per row grows as 4^q.
+RX(0.3) on each qubit q, in each of its three forms: "inplace" (the
+elementwise update), "matmul" (one product per row by g^T (x) I_{2^q}) and
+"2x2" (one 2x2 product per pair of runs of 2^q amplitudes), forced by
+setting simulator._MIN_MATMUL_RUN, simulator._MAX_MATMUL_RUN and
+simulator._MIN_2X2_RUN. The matmul form is timed only up to 2^q = MATMUL_CAP,
+since its dense (2^(q+1))^2 matrix per row grows as 4^q, and the 2x2 form
+only from 2^q = PAIR_FLOOR, since below it the product makes one BLAS call
+per handful of amplitudes.
 With 1 block the calling thread applies the kernel CALLS times to the whole
 batch; with 2 blocks the batch is split into two row halves, as
 simulator._run_blocks splits it, and two threads apply it CALLS times each
@@ -35,10 +39,11 @@ from bench_pairs import ROOT, header, quartiles
 sys.path.insert(0, str(ROOT / "src"))
 import qaoabench  # noqa: E402  before numpy loads, so that BLAS runs single-threaded
 
-CASES = ((8, 96), (12, 96), (14, 32))
-FORMS = ("inplace", "matmul")
+CASES = ((8, 96), (12, 96), (14, 32), (16, 96))
+FORMS = ("inplace", "matmul", "2x2")
 BLOCKS = (1, 2)
 MATMUL_CAP = 32
+PAIR_FLOOR = 16
 REPEATS = 9
 
 
@@ -48,7 +53,8 @@ def time_cases() -> list[dict]:
     from qaoabench import simulator
 
     u = (np.cos(0.3), -1j * np.sin(0.3), -1j * np.sin(0.3), np.cos(0.3))
-    cut_over, rows_out = (simulator._MIN_MATMUL_RUN, simulator._MAX_MATMUL_RUN), []
+    cut_over = (simulator._MIN_MATMUL_RUN, simulator._MAX_MATMUL_RUN, simulator._MIN_2X2_RUN)
+    rows_out = []
 
     def run(bufs, n, q, f, calls):
         states, spare = bufs
@@ -67,12 +73,15 @@ def time_cases() -> list[dict]:
             calls = max(4, (1 << 21) // (r << n))
             halves = [[states[: r // 2], spare[: r // 2]], [states[r // 2:], spare[r // 2:]]]
             for q in range(n):
-                forms = [form for form in FORMS if form == "inplace" or 1 << q <= MATMUL_CAP]
+                forms = [form for form in FORMS if form == "inplace"
+                         or (form == "matmul" and 1 << q <= MATMUL_CAP)
+                         or (form == "2x2" and 1 << q >= PAIR_FLOOR)]
                 seconds = {form: {b: [] for b in BLOCKS} for form in forms}
                 for _ in range(REPEATS):
                     for form in forms:
                         simulator._MIN_MATMUL_RUN = simulator._MAX_MATMUL_RUN = (
-                            0 if form == "inplace" else 1 << q)
+                            1 << q if form == "matmul" else 0)
+                        simulator._MIN_2X2_RUN = 1 << q if form == "2x2" else 1 << n
                         for b in BLOCKS:
                             t = time.perf_counter()
                             if b == 1:
@@ -82,7 +91,8 @@ def time_cases() -> list[dict]:
                                 run(halves[0], n, q, f[: r // 2], calls)
                                 other.result()
                             seconds[form][b].append((time.perf_counter() - t) / calls)
-                simulator._MIN_MATMUL_RUN, simulator._MAX_MATMUL_RUN = cut_over
+                (simulator._MIN_MATMUL_RUN, simulator._MAX_MATMUL_RUN,
+                 simulator._MIN_2X2_RUN) = cut_over
                 row = {"n": n, "realizations": r, "qubit": q, "run": 1 << q, "calls": calls,
                        "seconds": {form: {str(b): quartiles(v) for b, v in per.items()}
                                    for form, per in seconds.items()}}
@@ -103,7 +113,7 @@ def main(argv=None) -> int:
     record = json.loads(path.read_text()) if path.exists() else {}
     record.setdefault("kernel", []).append(
         {**header({"change": ROOT}), "repeats": REPEATS, "matmul_cap": MATMUL_CAP,
-         "cases": time_cases()})
+         "pair_floor": PAIR_FLOOR, "cases": time_cases()})
     path.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -56,6 +56,19 @@ def _check_counts(args) -> None:
             raise ValueError(f"{flag} must be at least 1, got {value}")
 
 
+def _csv_list(text: str, flag: str, kind) -> list:
+    """The comma-separated items of a list flag, each converted by kind (int or
+    float); an item kind rejects fails with a message naming the flag and the item."""
+    items = []
+    for item in text.split(","):
+        try:
+            items.append(kind(item))
+        except ValueError:
+            raise ValueError(f"{flag}: {item!r} in {text!r} is not a valid "
+                             f"{kind.__name__}") from None
+    return items
+
+
 def _noise(args) -> NoiseParams:
     return NoiseParams(t1=2.0 * args.t2, t2=args.t2, t_gate=args.t_gate)
 
@@ -70,8 +83,8 @@ def _angles(args, p: int) -> QaoaParams:
         return QaoaParams((0.0,) * p, (0.0,) * p)
     if args.gammas is None or args.betas is None:
         raise ValueError("--gammas and --betas must be given together")
-    gammas = tuple(float(x) for x in args.gammas.split(","))
-    betas = tuple(float(x) for x in args.betas.split(","))
+    gammas = tuple(_csv_list(args.gammas, "--gammas", float))
+    betas = tuple(_csv_list(args.betas, "--betas", float))
     if len(gammas) != p or len(betas) != p:
         raise ValueError(f"expected p={p} comma-separated angles per list")
     return QaoaParams(gammas, betas)
@@ -113,6 +126,8 @@ def cmd_schedule(args):
 
 def cmd_simulate(args):
     g = read_graph(Path(args.graph).read_text())
+    if not g.n_edges:
+        raise ValueError(f"Max-Cut needs at least one edge; the graph has none (n={g.n})")
     # PDPT omits the hoisted |+...+> layer, one H per vertex, as `schedule` emits it
     sched = parse_pdpt(Path(args.schedule).read_text(), n_prep_gates=g.n)
     top_id = max((entry for row in sched.table for entry in row), default=0)
@@ -174,7 +189,7 @@ def _pin_worker(cpus) -> None:
 
 
 def cmd_bench(args):
-    sizes = [int(s) for s in args.sizes.split(",")]
+    sizes = _csv_list(args.sizes, "--sizes", int)
     p, n_instances = args.p, args.n_instances
     cfg, noise, hw = _nm_config(args), _noise(args), _hardware(args)
     tasks = [(n, _derived_seed(args.seed, n, inst), p, cfg, args.pipeline, noise,
@@ -237,12 +252,15 @@ def cmd_fit(args):
 
 def cmd_convergence(args):
     p, seed, n_real = args.p, args.seed, args.realizations
+    ratios = _csv_list(args.t2_ratios, "--t2-ratios", float)
     if args.graph:
         g = read_graph(Path(args.graph).read_text())
     elif args.n is not None:
         g = gen_random_3regular(args.n, seed)
     else:
         raise ValueError("convergence needs --graph or --n")
+    if not g.n_edges:
+        raise ValueError(f"Max-Cut needs at least one edge; the graph has none (n={g.n})")
 
     if args.gammas is not None or args.betas is not None:
         params = _angles(args, p)
@@ -258,7 +276,6 @@ def cmd_convergence(args):
     sched = schedule(circuit, grid, seed)
     cut_table = cut_values_table(g)
     k_max, _ = brute_force_maxcut(g)
-    ratios = [float(r) for r in args.t2_ratios.split(",")]
     seeds = [seed + k for k in range(int(args.n_seeds))]
 
     lines = ["t2_over_tg,seed,realizations,running_mean_ratio"]

@@ -231,6 +231,8 @@ class InstanceProblem:
             raise ValueError(f"pipeline must be 'exact' or 'sampled', got {pipeline!r}")
         if n_realizations < 1:
             raise ValueError(f"n_realizations must be at least 1, got {n_realizations}")
+        if not g.n_edges:
+            raise ValueError(f"Max-Cut needs at least one edge; the graph has none (n={g.n})")
         self.g = g
         self.p = p
         self.cfg = cfg

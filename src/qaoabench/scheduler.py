@@ -300,9 +300,10 @@ def _route(alg_gates: list[Gate], succs: list[list[int]], indeg0: list[int],
 
             # phase 2: distance-reducing SWAPs on the remaining free sites
             _add_partners(index, lookahead, 0.5, alg_gates)
+            gains: dict[tuple[int, int], float] = {}
             while True:
                 move = _pick_swap(blocked, index, alg_gates, p2l, l2p, nbrs, dist,
-                                  busy | frozen)
+                                  busy | frozen, gains)
                 if move is None:
                     break
                 u, v = move
@@ -310,6 +311,16 @@ def _route(alg_gates: list[Gate], succs: list[list[int]], indeg0: list[int],
                 row[u] = row[v] = -swap_counter
                 busy.update((u, v))
                 _apply_swap(u, v, p2l, l2p)
+                # a gain reads the qubits on its two sites and their partners'
+                # sites, so only the swaps touching u, v or a site holding a
+                # partner of the two moved qubits changed
+                stale = {u, v}
+                for q in (p2l[u], p2l[v]):
+                    stale.update(l2p[partner] for partner, _ in index.get(q, ()))
+                for s in stale:
+                    for nb in nbrs[s]:
+                        gains.pop((s, nb), None)
+                        gains.pop((nb, s), None)
 
         table.append(row)
         released = []
@@ -367,7 +378,8 @@ def _swap_gain(u: int, v: int, index, p2l: list[int], l2p: list[int],
 
 def _pick_swap(blocked: list[int], index, alg_gates: list[Gate], p2l: list[int],
                l2p: list[int], nbrs: tuple[tuple[int, ...], ...],
-               dist: tuple[tuple[int, ...], ...], unavailable: set[int]):
+               dist: tuple[tuple[int, ...], ...], unavailable: set[int],
+               gains: dict[tuple[int, int], float]):
     """Best free adjacent swap by pending-distance reduction; None if no gain.
 
     The pending distance is the sum of w * grid distance over the indexed
@@ -382,7 +394,10 @@ def _pick_swap(blocked: list[int], index, alg_gates: list[Gate], p2l: list[int],
 
     Candidates are edges touching an endpoint of a blocked gate, visited in
     gate-id order so equal reductions resolve toward the lowest gate id.
-    Sites in unavailable are neither swapped nor swapped into.
+    Sites in unavailable are neither swapped nor swapped into. gains caches
+    each candidate's gain by its (site, neighbor) pair; the caller drops the
+    entries a swap changes. A cached gain equals the recomputed one, so the
+    pick is the same.
     """
     best = None
     best_gain = 0.0
@@ -397,7 +412,9 @@ def _pick_swap(blocked: list[int], index, alg_gates: list[Gate], p2l: list[int],
             for nb in nbrs[s]:
                 if nb in closed:
                     continue
-                gain = _swap_gain(s, nb, index, p2l, l2p, dist)
+                gain = gains.get((s, nb))
+                if gain is None:
+                    gain = gains[s, nb] = _swap_gain(s, nb, index, p2l, l2p, dist)
                 if gain > best_gain + 1e-9:
                     best_gain = gain
                     best = (s, nb)

@@ -33,15 +33,21 @@ pending phase needs no flush for a jump: the jump's amplitudes gain the
 phase ratio across the jumped qubit, a scalar times one pending factor per
 coupled qubit.
 
-An RX or H on qubit 1, 2 or 3, whose amplitude pairs lie in short runs of
-2^q, is one small dense matrix product per row, as Haner & Steiger apply
-gates to contiguous blocks of amplitudes: the row's (2^(n-1-q), 2^(q+1)) view
-times g^T (x) I_{2^q}, where g is the gate with the row's pending factor
-folded in. Its result goes to a spare buffer the size of the batch, which
-then swaps roles with the state; gates on the other qubits update the
-state in place, with their temporaries in the spare. The pending-noise
-diagonal, the exact step and the probabilities also use whichever buffer
-does not hold the state.
+An RX or H on qubit q pairs each amplitude with the one 2^q away, so a
+row's amplitudes fall into runs of 2^q that share the value of bit q. The
+gate, with the row's pending factor folded in as g, takes one of three
+forms by that run length, as Haner & Steiger apply gates to contiguous
+blocks of amplitudes with small dense products:
+- short runs (qubits 1-3): one product per row, the row's
+  (2^(n-1-q), 2^(q+1)) view times g^T (x) I_{2^q};
+- long runs (2^q >= 256): one 2x2 product per pair of runs, g times the
+  (2, 2^q) block of a 0-run and its 1-run;
+- the runs between (and qubit 0): an elementwise update in place.
+The two products write their result to a spare buffer the size of the
+batch, which then swaps roles with the state, so they read and write the
+batch once; the in-place form keeps its temporaries in the spare. The
+pending-noise diagonal, the exact step and the probabilities also use
+whichever buffer does not hold the state.
 
 The realizations never interact before the final average, so the cycle
 loop of a large batch runs on contiguous blocks of rows, one thread per
@@ -178,21 +184,34 @@ def _gate_matrix(gate: Gate) -> tuple[complex, complex, complex, complex]:
 # in-place form, as do the qubits from 5 on (at least 1.43).
 _MIN_MATMUL_RUN, _MAX_MATMUL_RUN = 2, 8
 
+# MEASUREMENTS PENDING
+_MIN_2X2_RUN = 256
+
 
 def _apply_1q(states: np.ndarray, n: int, q: int, u, f: np.ndarray,
               spare: np.ndarray) -> np.ndarray:
     """Gate u on qubit q of a (R, 2^n) batch after scaling row r's |1> by f[r], with f
     riding in the gate's coefficients; returns the array that holds the result.
 
-    On a short run (_MIN_MATMUL_RUN <= 2^q <= _MAX_MATMUL_RUN) each row's
-    (2^(n-1-q), 2^(q+1)) view is multiplied by g_r^T (x) I_{2^q}, g_r =
-    u diag(1, f[r]), one BLAS product per row into spare. Other runs are updated
-    in place, with the two temporaries in the halves of spare (C-contiguous, the
-    size of states)."""
+    The form follows the run 2^q of amplitudes that share bit q, with g_r =
+    u diag(1, f[r]). On a short run (_MIN_MATMUL_RUN <= 2^q <= _MAX_MATMUL_RUN)
+    each row's (2^(n-1-q), 2^(q+1)) view is multiplied by g_r^T (x) I_{2^q}, one
+    BLAS product per row into spare. On a long run (2^q >= _MIN_2X2_RUN) g_r
+    multiplies each (2, 2^q) block of a 0-run and its 1-run, one 2x2 BLAS
+    product per block into spare. Other runs are updated in place, with the two
+    temporaries in the halves of spare (C-contiguous, the size of states)."""
     u00, u01, u10, u11 = u
     run = 1 << q
+    rows = len(states)
+    if run >= _MIN_2X2_RUN:
+        g = np.empty((rows, 1, 2, 2), dtype=np.complex128)
+        g[:, 0, 0, 0], g[:, 0, 1, 0] = u00, u10
+        np.multiply(f, u01, out=g[:, 0, 0, 1])
+        np.multiply(f, u11, out=g[:, 0, 1, 1])
+        shape = (rows, -1, 2, run)
+        np.matmul(g, states.reshape(shape), out=spare.reshape(shape))
+        return spare
     if _MIN_MATMUL_RUN <= run <= _MAX_MATMUL_RUN:
-        rows = len(states)
         gt = np.empty((rows, 2, 2), dtype=np.complex128)     # g_r transposed
         gt[:, 0, 0], gt[:, 0, 1] = u00, u10
         np.multiply(f, u01, out=gt[:, 1, 0])
@@ -508,8 +527,10 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
     phase. n_candidates and n_jumps count the candidates and the jumps.
     The cycles of a large chunk run on contiguous row blocks, one thread per
     usable CPU (see _n_blocks); the rows are normalized last, over the whole
-    chunk. RX and H on qubits 1-3 are BLAS matrix products, so BLAS should
-    run single-threaded, or its threads compete with the row blocks:
+    chunk. RX and H on qubits 1-3 (short runs) and on qubits q with
+    2^q >= _MIN_2X2_RUN (long runs) are BLAS matrix products, the others an
+    in-place update, so BLAS should run single-threaded, or its threads
+    compete with the row blocks:
     importing qaoabench sets OPENBLAS_NUM_THREADS (and the OpenMP and MKL
     counts) to 1 unless set, but a caller that loads numpy before qaoabench
     has to set them itself.

@@ -332,6 +332,47 @@ def test_reduce_rejects_a_graph_without_vertices(tmp_path, capsys):
         assert not wpath.exists()
 
 
+def test_max_cut_needs_an_edge(tmp_path, capsys):
+    # an edgeless graph fails before anything divides by its maximum cut, 0
+    out = tmp_path / "out.json"
+    for n in (1, 3):
+        gpath = tmp_path / "g.txt"
+        gpath.write_text(f"{n} 0\n")
+        for argv in (("solve", "--graph", gpath, "--p", 1, "--t2", "inf", "--restarts", 1,
+                      "--max-updates", 2, "--samples", 10),
+                     ("simulate", "--graph", gpath, "--schedule", tmp_path / "s.pdpt"),
+                     ("convergence", "--graph", gpath, "--p", 1, "--gammas", 0.1,
+                      "--betas", 0.2, "--realizations", 2)):
+            capsys.readouterr()
+            assert run_cli(*argv, "--out", out) == 1
+            assert capsys.readouterr().err == (
+                f"error: Max-Cut needs at least one edge; the graph has none (n={n})\n")
+            assert not out.exists()
+
+
+def test_list_flags_name_the_flag_and_the_bad_item(tmp_path, capsys):
+    gpath, pdpt = _p1_schedule(tmp_path)
+    out = tmp_path / "out"
+    for argv, flag, text, item, kind in (
+            (("bench", "--sizes", "4,,6", "--p", 1, "--instances", 1), "--sizes", "4,,6", "",
+             "int"),
+            (("bench", "--sizes", "4.5", "--p", 1, "--instances", 1), "--sizes", "4.5", "4.5",
+             "int"),
+            (("convergence", "--n", 6, "--p", 1, "--t2-ratios", "1e3,x"), "--t2-ratios",
+             "1e3,x", "x", "float"),
+            (("convergence", "--n", 6, "--p", 1, "--t2-ratios", ""), "--t2-ratios", "", "",
+             "float"),
+            (("simulate", "--graph", gpath, "--schedule", pdpt, "--gammas", "0.1,",
+              "--betas", 0.2), "--gammas", "0.1,", "", "float"),
+            (("convergence", "--n", 6, "--p", 1, "--gammas", 0.1, "--betas", "0.2.3"),
+             "--betas", "0.2.3", "0.2.3", "float")):
+        capsys.readouterr()
+        assert run_cli(*argv, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {flag}: {item!r} in {text!r} is not a valid {kind}\n")
+        assert not out.exists()
+
+
 def test_gate_time_checked_without_noise(tmp_path, capsys):
     # --t2 inf turns the noise off and still builds a NoiseParams, which checks T_G
     gpath, pdpt = _p1_schedule(tmp_path)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qaoabench.circuit import Gate, GateKind, LogicalCircuit, QaoaParams, build_qaoa_circuit
-from qaoabench.graphs import Graph, brute_force_maxcut, cut_values_table
+from qaoabench.graphs import Graph, brute_force_maxcut, cut_values_table, gen_random_3regular
 from qaoabench import simulator
 from qaoabench.scheduler import GridTopology, Schedule, choose_grid, schedule, validate_schedule
 from qaoabench.simulator import (NoiseParams, _apply_1q, _gate_matrix, _n_blocks, _split1,
@@ -95,10 +95,10 @@ def _kernel_case(rng, kind, n, r, q):
 @pytest.mark.parametrize("kind", [GateKind.H, GateKind.RX])
 def test_single_qubit_kernel_folds_pending_factor(kind):
     # the fused kernel equals scaling the |1> amplitudes by f, then the gate; at
-    # n = 6 qubits 1-3 take the matmul form into the spare, 0 and 4-5 the in-place
-    # form, so the cut-over is crossed at both ends
+    # n = 10 qubits 1-3 take the matmul form and 8-9 the 2x2 form into the spare,
+    # 0 and 4-7 the in-place form, so every cut-over is crossed
     rng = np.random.default_rng(17)
-    n, r = 6, 6
+    n, r = 10, 6
     for q in range(n):
         states, f, gate = _kernel_case(rng, kind, n, r, q)
         expected = states.copy()
@@ -110,7 +110,8 @@ def test_single_qubit_kernel_folds_pending_factor(kind):
         got, spare = states.copy(), np.empty_like(states)
         out = _apply_1q(got, n, q, _gate_matrix(gate), f, spare)
         matmul = simulator._MIN_MATMUL_RUN <= 1 << q <= simulator._MAX_MATMUL_RUN
-        assert out is (spare if matmul else got), q
+        pairs = 1 << q >= simulator._MIN_2X2_RUN
+        assert out is (spare if matmul or pairs else got), q
         assert np.max(np.abs(out - expected)) < 1e-15, q
 
 
@@ -309,19 +310,26 @@ def test_realization_streams_independent_of_chunking(app_b_graph, monkeypatch):
             assert np.array_equal(a.mean_probs, b.mean_probs)
 
 
-# (noise, realizations, chunk rows): one chunk, paper and strong noise, and
-# several chunks whose last is short
-BLOCK_CASES = ((DEFAULT_NOISE, 32, None), (NoiseParams.from_t2_ratio(20.0), 50, None),
-               (NoiseParams.from_t2_ratio(50.0), 50, 11))
+# (graph, noise, realizations, chunk rows): one chunk, paper and strong noise, and
+# several chunks whose last is short, on the app-B graph (N = 8); and two of them
+# on a 10-qubit 3-regular graph, whose qubits 8 and 9 take the 2x2 form
+BLOCK_CASES = (("app-b", DEFAULT_NOISE, 32, None),
+               ("app-b", NoiseParams.from_t2_ratio(20.0), 50, None),
+               ("app-b", NoiseParams.from_t2_ratio(50.0), 50, 11),
+               ("n10", DEFAULT_NOISE, 32, None),
+               ("n10", NoiseParams.from_t2_ratio(50.0), 24, 7))
 
 
-@pytest.mark.parametrize("noise,n_real,chunk_rows", BLOCK_CASES,
-                         ids=["paper", "t2r20", "t2r50-chunked"])
-def test_row_blocks_are_bitwise_invariant(app_b_graph, monkeypatch, noise, n_real, chunk_rows):
+@pytest.mark.parametrize("graph,noise,n_real,chunk_rows", BLOCK_CASES,
+                         ids=["paper", "t2r20", "t2r50-chunked", "n10-paper",
+                              "n10-t2r50-chunked"])
+def test_row_blocks_are_bitwise_invariant(app_b_graph, monkeypatch, graph, noise, n_real,
+                                          chunk_rows):
     # the cycle loop on 1, 2 and 3 row blocks of each chunk gives the same bits
+    g = app_b_graph if graph == "app-b" else gen_random_3regular(10, 4)
     params = QaoaParams((0.9, 0.2, 1.4, 0.8), (0.3, 1.0, 0.5, 0.7))
-    s, c = _scheduled(app_b_graph, params)
-    cut = cut_values_table(app_b_graph)
+    s, c = _scheduled(g, params)
+    cut = cut_values_table(g)
     if chunk_rows is not None:
         monkeypatch.setattr(simulator, "_CHUNK_AMPS", chunk_rows << c.n_qubits)
     runs = []
