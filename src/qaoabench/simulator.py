@@ -40,9 +40,9 @@ forms by that run length, as Haner & Steiger apply gates to contiguous
 blocks of amplitudes with small dense products:
 - short runs (qubits 1-3): one product per row, the row's
   (2^(n-1-q), 2^(q+1)) view times g^T (x) I_{2^q};
-- long runs (2^q >= 256): one 2x2 product per pair of runs, g times the
-  (2, 2^q) block of a 0-run and its 1-run;
-- the runs between (and qubit 0): an elementwise update in place.
+- long runs (qubits 7 and up): one 2x2 product per pair of runs, g times
+  the (2, 2^q) block of a 0-run and its 1-run;
+- the runs between (qubits 4-6) and qubit 0: an elementwise update in place.
 The two products write their result to a spare buffer the size of the
 batch, which then swaps roles with the state, so they read and write the
 batch once; the in-place form keeps its temporaries in the spare. The
@@ -184,8 +184,14 @@ def _gate_matrix(gate: Gate) -> tuple[complex, complex, complex, complex]:
 # in-place form, as do the qubits from 5 on (at least 1.43).
 _MIN_MATMUL_RUN, _MAX_MATMUL_RUN = 2, 8
 
-# MEASUREMENTS PENDING
-_MIN_2X2_RUN = 256
+# Runs of at least this many amplitudes take the 2x2 form of _apply_1q. In the two
+# runs recorded under "kernel" in BENCH_pr14_2x2_kernel.json (scripts/bench_kernel.py:
+# N, R = 8, 96; 12, 96; 14, 32; 16, 96, on one row block and on two at once), the 2x2
+# form took this share of the in-place form's time: 0.37-0.75 on every run of 256
+# and more, and 0.39-0.65 on one block, 0.59-0.99 on two, on runs of 128 (qubit 7,
+# the top qubit at N=8). On runs of 64 it took 0.48-0.78 on one block but 0.89-1.39
+# on two, and on 16 and 32 up to 4.7 on two, so those keep the in-place form.
+_MIN_2X2_RUN = 128
 
 
 def _apply_1q(states: np.ndarray, n: int, q: int, u, f: np.ndarray,

@@ -95,8 +95,8 @@ def _kernel_case(rng, kind, n, r, q):
 @pytest.mark.parametrize("kind", [GateKind.H, GateKind.RX])
 def test_single_qubit_kernel_folds_pending_factor(kind):
     # the fused kernel equals scaling the |1> amplitudes by f, then the gate; at
-    # n = 10 qubits 1-3 take the matmul form and 8-9 the 2x2 form into the spare,
-    # 0 and 4-7 the in-place form, so every cut-over is crossed
+    # n = 10 qubits 1-3 take the matmul form and 7-9 the 2x2 form into the spare,
+    # 0 and 4-6 the in-place form, so every cut-over is crossed
     rng = np.random.default_rng(17)
     n, r = 10, 6
     for q in range(n):
@@ -312,7 +312,8 @@ def test_realization_streams_independent_of_chunking(app_b_graph, monkeypatch):
 
 # (graph, noise, realizations, chunk rows): one chunk, paper and strong noise, and
 # several chunks whose last is short, on the app-B graph (N = 8); and two of them
-# on a 10-qubit 3-regular graph, whose qubits 8 and 9 take the 2x2 form
+# on a 10-qubit 3-regular graph, whose qubits 7-9 take the 2x2 form on 4, 2 and 1
+# pairs of runs per row
 BLOCK_CASES = (("app-b", DEFAULT_NOISE, 32, None),
                ("app-b", NoiseParams.from_t2_ratio(20.0), 50, None),
                ("app-b", NoiseParams.from_t2_ratio(50.0), 50, 11),
