@@ -300,7 +300,7 @@ def _route(alg_gates: list[Gate], succs: list[list[int]], indeg0: list[int],
 
             # phase 2: distance-reducing SWAPs on the remaining free sites
             _add_partners(index, lookahead, 0.5, alg_gates)
-            gains: dict[tuple[int, int], float] = {}
+            gains: dict[int, dict[int, float]] = {}
             while True:
                 move = _pick_swap(blocked, index, alg_gates, p2l, l2p, nbrs, dist,
                                   busy | frozen, gains)
@@ -318,9 +318,10 @@ def _route(alg_gates: list[Gate], succs: list[list[int]], indeg0: list[int],
                 for q in (p2l[u], p2l[v]):
                     stale.update(l2p[partner] for partner, _ in index.get(q, ()))
                 for s in stale:
+                    gains.pop(s, None)
                     for nb in nbrs[s]:
-                        gains.pop((s, nb), None)
-                        gains.pop((nb, s), None)
+                        if nb in gains:
+                            gains[nb].pop(s, None)
 
         table.append(row)
         released = []
@@ -379,7 +380,7 @@ def _swap_gain(u: int, v: int, index, p2l: list[int], l2p: list[int],
 def _pick_swap(blocked: list[int], index, alg_gates: list[Gate], p2l: list[int],
                l2p: list[int], nbrs: tuple[tuple[int, ...], ...],
                dist: tuple[tuple[int, ...], ...], unavailable: set[int],
-               gains: dict[tuple[int, int], float]):
+               gains: dict[int, dict[int, float]]):
     """Best free adjacent swap by pending-distance reduction; None if no gain.
 
     The pending distance is the sum of w * grid distance over the indexed
@@ -394,10 +395,10 @@ def _pick_swap(blocked: list[int], index, alg_gates: list[Gate], p2l: list[int],
 
     Candidates are edges touching an endpoint of a blocked gate, visited in
     gate-id order so equal reductions resolve toward the lowest gate id.
-    Sites in unavailable are neither swapped nor swapped into. gains caches
-    each candidate's gain by its (site, neighbor) pair; the caller drops the
-    entries a swap changes. A cached gain equals the recomputed one, so the
-    pick is the same.
+    Sites in unavailable are neither swapped nor swapped into. gains[s][nb]
+    caches the gain of swapping sites s and nb within one cycle; the caller
+    drops the entries a swap changes. A cached gain equals the recomputed one,
+    so the pick is the same.
     """
     best = None
     best_gain = 0.0
@@ -409,12 +410,13 @@ def _pick_swap(blocked: list[int], index, alg_gates: list[Gate], p2l: list[int],
             if s in closed:
                 continue
             closed.add(s)
+            cached = gains.setdefault(s, {})
             for nb in nbrs[s]:
                 if nb in closed:
                     continue
-                gain = gains.get((s, nb))
+                gain = cached.get(nb)
                 if gain is None:
-                    gain = gains[s, nb] = _swap_gain(s, nb, index, p2l, l2p, dist)
+                    gain = cached[nb] = _swap_gain(s, nb, index, p2l, l2p, dist)
                 if gain > best_gain + 1e-9:
                     best_gain = gain
                     best = (s, nb)

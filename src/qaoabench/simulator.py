@@ -208,26 +208,22 @@ def _apply_1q(states: np.ndarray, n: int, q: int, u, f: np.ndarray,
     temporaries in the halves of spare (C-contiguous, the size of states)."""
     u00, u01, u10, u11 = u
     run = 1 << q
-    rows = len(states)
-    if run >= _MIN_2X2_RUN:
-        g = np.empty((rows, 1, 2, 2), dtype=np.complex128)
-        g[:, 0, 0, 0], g[:, 0, 1, 0] = u00, u10
-        np.multiply(f, u01, out=g[:, 0, 0, 1])
-        np.multiply(f, u11, out=g[:, 0, 1, 1])
-        shape = (rows, -1, 2, run)
-        np.matmul(g, states.reshape(shape), out=spare.reshape(shape))
-        return spare
-    if _MIN_MATMUL_RUN <= run <= _MAX_MATMUL_RUN:
-        gt = np.empty((rows, 2, 2), dtype=np.complex128)     # g_r transposed
-        gt[:, 0, 0], gt[:, 0, 1] = u00, u10
-        np.multiply(f, u01, out=gt[:, 1, 0])
-        np.multiply(f, u11, out=gt[:, 1, 1])
-        m = np.zeros((rows, 2, run, 2, run), dtype=np.complex128)
-        diag = np.arange(run)
-        m[:, :, diag, :, diag] = gt
-        shape = (rows, -1, 2 * run)
-        np.matmul(states.reshape(shape), m.reshape(rows, 2 * run, 2 * run),
-                  out=spare.reshape(shape))
+    if run >= _MIN_2X2_RUN or _MIN_MATMUL_RUN <= run <= _MAX_MATMUL_RUN:
+        rows = len(states)
+        g = np.empty((rows, 2, 2), dtype=np.complex128)      # g_r = u diag(1, f[r])
+        g[:, 0, 0], g[:, 1, 0] = u00, u10
+        np.multiply(f, u01, out=g[:, 0, 1])
+        np.multiply(f, u11, out=g[:, 1, 1])
+        if run >= _MIN_2X2_RUN:
+            shape = (rows, -1, 2, run)
+            np.matmul(g[:, np.newaxis], states.reshape(shape), out=spare.reshape(shape))
+        else:
+            m = np.zeros((rows, 2, run, 2, run), dtype=np.complex128)
+            diag = np.arange(run)
+            m[:, :, diag, :, diag] = g.transpose(0, 2, 1)
+            shape = (rows, -1, 2 * run)
+            np.matmul(states.reshape(shape), m.reshape(rows, 2 * run, 2 * run),
+                      out=spare.reshape(shape))
         return spare
     a0, a1 = _split1(states, n, q)
     f = f.reshape(-1, 1, 1)
