@@ -185,7 +185,7 @@ def _gate_matrix(gate: Gate) -> tuple[complex, complex, complex, complex]:
 _MIN_MATMUL_RUN, _MAX_MATMUL_RUN = 2, 8
 
 # Runs of at least this many amplitudes take the 2x2 form of _apply_1q. In the two
-# runs recorded under "kernel" in BENCH_pr14_2x2_kernel.json (scripts/bench_kernel.py:
+# runs recorded under "kernel" in BENCH_2x2_kernel.json (scripts/bench_kernel.py:
 # N, R = 8, 96; 12, 96; 14, 32; 16, 96, on one row block and on two at once), the 2x2
 # form took this share of the in-place form's time: 0.37-0.75 on every run of 256
 # and more, and 0.39-0.65 on one block, 0.59-0.99 on two, on runs of 128 (qubit 7,
