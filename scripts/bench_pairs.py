@@ -16,6 +16,11 @@ BENCH_<label>.json in the repository root keeps the machine record, both
 git SHAs, every run's end-to-end metrics and operation counts, and per
 workload and metric the median and quartiles of each side and the number
 of pairs the change won (lower is better; ties count for neither side).
+Beside the gated metrics it keeps the unscaled op_s of each run's record
+line, `host_seconds.op_s`, with the same summary: the calibrator's probes
+run in the benchmark's own process, so work the program hands to other
+processes slows the probes and scales op_s down, and a claim on op_s must
+show the host-time gain too.
 A rerun replaces these and keeps the tables that scripts/bench_blocks.py
 and scripts/bench_kernel.py appended to the file.
 
@@ -32,6 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("op_s", "setup_s", "peak_rss_mb")
+HOST_OP_S = "host_seconds.op_s"
 PAIRS = 10
 COMMAND = "python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds 22 --trace 0"
 
@@ -40,8 +46,10 @@ def bench_run(checkout: Path, workload: str, seed: int) -> dict:
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", "22", "--trace", "0"],
                           cwd=checkout, stdout=subprocess.PIPE, text=True, check=True)
-    result = json.loads(proc.stdout.splitlines()[-1])
+    record_line, result_line = proc.stdout.splitlines()[-2:]
+    result = json.loads(result_line)
     out = {name: result["metrics"][name]["value"] for name in METRICS}
+    out[HOST_OP_S] = json.loads(record_line)["record"]["host_seconds"]["op_s"]
     out.update(attempted=result["attempted"], failed=result["failed"])
     return out
 
@@ -67,7 +75,7 @@ def header(sides: dict[str, Path]) -> dict:
 
 def summary(pairs: list[dict]) -> dict:
     out = {}
-    for name in METRICS:
+    for name in (*METRICS, HOST_OP_S):
         out[name] = {side: quartiles([p[side][name] for p in pairs])
                      for side in ("parent", "change")}
         out[name]["change_wins"] = sum(p["change"][name] < p["parent"][name] for p in pairs)
@@ -83,8 +91,9 @@ def run_pairs(sides: dict[str, Path], workloads: list[str], seed: int) -> dict:
             pair = {"seed": seed + i, "first": order[0]}
             for side in order:
                 pair[side] = bench_run(sides[side], workload, seed + i)
-            print(f"pair {i} {workload}: parent {pair['parent']['op_s']:.3f} s, "
-                  f"change {pair['change']['op_s']:.3f} s", file=sys.stderr, flush=True)
+            print(f"pair {i} {workload}: " + ", ".join(
+                f"{side} {pair[side]['op_s']:.3f} s (host {pair[side][HOST_OP_S]:.3f} s)"
+                for side in ("parent", "change")), file=sys.stderr, flush=True)
             runs[workload].append(pair)
     return {w: {"pairs": pairs, "summary": summary(pairs)} for w, pairs in runs.items()}
 

@@ -16,24 +16,30 @@ Every count flag must be at least 1. An error prints one line and exits
 with status 1; `qaoabench --debug COMMAND ...` lets it raise with its
 traceback instead.
 
-BLAS runs single-threaded in every process qaoabench starts (`bench --jobs`
-workers inherit it), since the package sets the thread-count variables to 1
+`solve`, and each instance of `bench --jobs 1`, runs its Nelder-Mead
+restarts on forked worker processes, one per usable CPU and per restart, as
+long as their noise-realization batches fit one chunk of the simulator
+together, each worker pinned to one CPU (optimizer.solve_instance). So with
+--jobs 1 every instance already uses every usable CPU. `bench --jobs J`
+with J above 1 runs J such pinned workers instead, each solving whole
+instances, and their restarts in turn. The output bytes are the same
+either way.
+
+BLAS runs single-threaded in every process qaoabench starts (the workers
+inherit it), since the package sets the thread-count variables to 1
 before numpy loads, keeping a value the user set (see qaoabench/__init__.py).
 """
 from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import analysis, costmodel, maxsat
 from .circuit import QaoaParams, build_qaoa_circuit
 from .graphs import brute_force_maxcut, cut_values_table, gen_random_3regular, read_graph, write_graph
-from .optimizer import NmConfig, _derived_seed, solve_instance
+from .optimizer import NmConfig, _derived_seed, pinned_pool, solve_instance
 from .scheduler import choose_grid, emit_pdpt, parse_pdpt, schedule, validate_schedule
 from .simulator import NoiseParams, convergence_study, optima_mask, run_noisy_ensemble
 
@@ -182,12 +188,6 @@ def _bench_instance(task) -> costmodel.InstanceCost:
     return costmodel.instance_wall_time(result, result.depth, hw, cfg.n_samples)
 
 
-def _pin_worker(cpus) -> None:
-    """Pin this bench worker to the next CPU in the queue, so that its ensembles
-    run on one row block (simulator._n_blocks counts the usable CPUs)."""
-    os.sched_setaffinity(0, {cpus.get()})
-
-
 def cmd_bench(args):
     sizes = _csv_list(args.sizes, "--sizes", int)
     p, n_instances = args.p, args.n_instances
@@ -197,16 +197,12 @@ def cmd_bench(args):
              for n in sizes for inst in range(n_instances)]
     if args.jobs > 1:
         # one CPU per worker, in turn: the jobs share the cores instead of each
-        # running a thread on every core
-        cpus = multiprocessing.Queue()
-        allowed = sorted(os.sched_getaffinity(0))
-        for k in range(args.jobs):
-            cpus.put(allowed[k % len(allowed)])
-        # largest N first (a stable sort), so no worker is left with a big instance
-        # at the end while the others idle; the costs go back in task order
+        # running a process or thread on every core. Largest N first (a stable
+        # sort), so no worker is left with a big instance at the end while the
+        # others idle; the costs go back in task order
         order = sorted(range(len(tasks)), key=lambda i: -tasks[i][0])
         costs = [None] * len(tasks)
-        with ProcessPoolExecutor(args.jobs, initializer=_pin_worker, initargs=(cpus,)) as pool:
+        with pinned_pool(args.jobs) as pool:
             for i, cost in zip(order, pool.map(_bench_instance, [tasks[i] for i in order])):
                 costs[i] = cost
     else:
@@ -377,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--instances", dest="n_instances", type=int, default=40)
     sp.add_argument("--jobs", type=int, default=1,
                     help="worker processes, each solving whole instances on one CPU "
-                         "(the CPUs taken in turn); with 1, large ensembles run on "
-                         "every CPU, one thread each")
+                         "(the CPUs taken in turn); with 1, each instance's restarts "
+                         "run on one pinned worker per usable CPU")
     sp.add_argument("--out", required=True)
     _add_solve_flags(sp)
     _add_common(sp)

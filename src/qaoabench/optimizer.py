@@ -9,12 +9,25 @@ because on hardware each one costs real repetitions.
 
 Each restart owns an independent random stream derived from
 (master seed, restart index); within a restart, evaluations are strictly
-sequential, mirroring how a hybrid loop would drive one device.
+sequential, mirroring how a hybrid loop would drive one device. So
+solve_instance runs the restarts on a pool of forked worker processes
+(pinned_pool), each pinned to one usable CPU, and gets the same bits as one
+process running them in turn. It starts one worker per usable CPU and per
+restart, but no more than keep all workers' ensemble batches within one
+chunk of the simulator (simulator._CHUNK_AMPS amplitudes, what one process
+may hold). Of the two final scorings of the best parameters, a worker runs
+one while the calling process runs the other. With one worker, or in a
+daemonic process (which may not start any), everything runs in the calling
+process, one restart after another, and large ensembles use row-block
+threads instead. `bench --jobs` runs its workers on the same kind of pool;
+each is pinned to one CPU, so it solves its instances in process.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +35,7 @@ import numpy as np
 from .circuit import QaoaParams, build_qaoa_circuit
 from .graphs import Graph, brute_force_maxcut, cut_values_table
 from .scheduler import choose_grid, schedule
-from .simulator import (NoiseParams, optima_mask, run_noisy_ensemble,
+from .simulator import (_CHUNK_AMPS, NoiseParams, optima_mask, run_noisy_ensemble,
                         sample_from_probs, simulate_logical)
 
 SIMPLEX_OFFSET = 0.25  # radians added along each axis to form the initial simplex
@@ -288,6 +301,89 @@ class InstanceProblem:
         return float(probs @ self.cut_table) / self.k_max
 
 
+# ---------------------------------------------------------------------------
+# the process pool
+# ---------------------------------------------------------------------------
+
+def _pin_worker(cpus) -> None:
+    """Pin this pool worker to the next CPU in the queue, so that its ensembles
+    run on one row block (simulator._n_blocks counts the usable CPUs)."""
+    os.sched_setaffinity(0, {cpus.get()})
+
+
+@contextlib.contextmanager
+def pinned_pool(n_workers: int):
+    """A ProcessPoolExecutor of n_workers forked processes, each pinned to one
+    usable CPU, the CPUs taken in turn.
+
+    Forked workers inherit the loaded package; spawned ones would import
+    qaoabench.optimizer again (0.18 s) for every solve. The executor forks
+    all workers at the first task, before it starts its own thread, so the
+    caller must run no thread of its own then (simulator._run_blocks joins
+    its threads before it returns). A task's exception reaches the caller
+    with its type and message when it takes the result. When the with-block
+    raises (a task's exception, or an interrupt), the workers are killed
+    rather than left to finish the tasks already queued; either way none
+    outlives the block.
+    """
+    # imported here, as in simulator._run_blocks: they load logging, which a solve
+    # on one worker and a lone ensemble need not hold
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    ctx = multiprocessing.get_context("fork")
+    cpus = ctx.SimpleQueue()
+    allowed = sorted(os.sched_getaffinity(0))
+    for k in range(n_workers):
+        cpus.put(allowed[k % len(allowed)])
+    pool = ProcessPoolExecutor(n_workers, mp_context=ctx, initializer=_pin_worker,
+                               initargs=(cpus,))
+    try:
+        yield pool
+    except BaseException:
+        # the executor has no public way to stop a running task
+        for proc in list((pool._processes or {}).values()):
+            proc.terminate()
+        raise
+    finally:
+        pool.shutdown(cancel_futures=True)
+        cpus.close()
+
+
+def _restart_workers(n_restarts: int, n_realizations: int, n: int) -> int:
+    """Worker processes for a solve: at most one per usable CPU and one per
+    restart, and no more than hold one chunk of ensemble amplitudes between
+    them; 1 in a daemonic process, which may not start children."""
+    count = min(len(os.sched_getaffinity(0)), n_restarts, _CHUNK_AMPS // (n_realizations << n))
+    if count <= 1:
+        return 1
+    import multiprocessing
+    return 1 if multiprocessing.current_process().daemon else count
+
+
+def _solve(problem: InstanceProblem, pool=None) -> InstanceSolveResult:
+    """The restarts and the final scorings of one instance, on the pool when one
+    is given (the restarts in restart order), else in this process."""
+    runs = list((pool.map if pool else map)(problem.run_restart,
+                                            range(problem.cfg.n_restarts)))
+    best = max(runs, key=lambda r: r.best_value)
+    # a worker scores the overlap while this process takes the exact ratio
+    overlap = pool.submit(problem.final_overlap, best.best_params) if pool else None
+    ratio = problem.final_exact_ratio(best.best_params)
+    overlap = overlap.result() if pool else problem.final_overlap(best.best_params)
+    return InstanceSolveResult(
+        n=problem.g.n,
+        p=problem.p,
+        best_run=best,
+        runs=runs,
+        total_function_evals=sum(r.n_function_evals for r in runs),
+        overlap=overlap,
+        best_exact_ratio=ratio,
+        k_max=problem.k_max,
+        depth=problem.depth,
+    )
+
+
 def solve_instance(g: Graph, p: int, cfg: NmConfig, pipeline: str,
                    noise: NoiseParams, master_seed: int,
                    n_realizations: int = 384) -> InstanceSolveResult:
@@ -298,18 +394,17 @@ def solve_instance(g: Graph, p: int, cfg: NmConfig, pipeline: str,
     hardware. The best run is the one with the highest estimated
     objective; its final state is scored for overlap with the brute-force
     optima and for the exact approximation ratio.
+
+    The restarts run on a pinned_pool of min(usable CPUs, cfg.n_restarts,
+    simulator._CHUNK_AMPS // (R * 2^N)) workers, in restart order, and give
+    the same bits as running them here one after another. Then a worker
+    scores the overlap while this process scores the exact ratio. With one
+    worker, or in a daemonic process, all of it runs here. An error in a
+    worker is raised here with its type and message.
     """
     problem = InstanceProblem(g, p, cfg, pipeline, noise, master_seed, n_realizations)
-    runs = [problem.run_restart(r) for r in range(cfg.n_restarts)]
-    best = max(runs, key=lambda r: r.best_value)
-    return InstanceSolveResult(
-        n=g.n,
-        p=p,
-        best_run=best,
-        runs=runs,
-        total_function_evals=sum(r.n_function_evals for r in runs),
-        overlap=problem.final_overlap(best.best_params),
-        best_exact_ratio=problem.final_exact_ratio(best.best_params),
-        k_max=problem.k_max,
-        depth=problem.depth,
-    )
+    n_workers = _restart_workers(cfg.n_restarts, n_realizations, g.n)
+    if n_workers == 1:
+        return _solve(problem)
+    with pinned_pool(n_workers) as pool:
+        return _solve(problem, pool)

@@ -11,8 +11,9 @@ import pytest
 
 import qaoabench
 from qaoabench.circuit import QaoaParams, build_qaoa_circuit
-from qaoabench.cli import _pin_worker, build_parser, main
+from qaoabench.cli import build_parser, main
 from qaoabench.graphs import brute_force_maxcut, cut_values_table, read_graph
+from qaoabench.optimizer import _pin_worker
 from qaoabench.scheduler import Schedule, emit_pdpt, parse_pdpt
 from qaoabench.simulator import (NoiseParams, _n_blocks, optima_mask, probabilities,
                                  run_noisy_ensemble, simulate_logical)

@@ -1,14 +1,22 @@
+import contextlib
 import math
+import multiprocessing
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
 from qaoabench.circuit import QaoaParams, build_qaoa_circuit
-from qaoabench.graphs import brute_force_maxcut, cut_values_table
+from qaoabench.cli import main
+from qaoabench.graphs import (brute_force_maxcut, cut_values_table, gen_random_3regular,
+                              write_graph)
 from qaoabench.optimizer import (CONTRACTION, EXPANSION, REFLECTION, SHRINK, STALL_FACTOR,
-                                 InstanceProblem, NmConfig, nelder_mead,
-                                 random_initial_simplex, solve_instance)
-from qaoabench.simulator import NoiseParams, probabilities, simulate_logical
+                                 InstanceProblem, NmConfig, _restart_workers, nelder_mead,
+                                 pinned_pool, random_initial_simplex, solve_instance)
+from qaoabench.simulator import (NoiseParams, _n_blocks, probabilities,
+                                 simulate_logical)
 
 
 def _simplex2d():
@@ -156,3 +164,122 @@ def test_noiseless_shortcut_only_without_any_process(k4):
              (NoiseParams(1.0, 2.0, 0.01), False), (NoiseParams(math.inf, 0.5, 0.01), False))
     for noise, logical in cases:
         assert InstanceProblem(k4, 1, NmConfig(), "exact", noise, 0).noiseless is logical
+
+
+# ---------------------------------------------------------------------------
+# restarts on the pinned process pool
+# ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def _one_cpu():
+    """Pin this process to one CPU, so that a solve runs its restarts in turn."""
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(allowed)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, allowed)
+
+
+def _small_solve(pipeline, noise, seed=21):
+    g = gen_random_3regular(6, seed)
+    cfg = NmConfig(n_restarts=3, max_updates=6, n_samples=300)
+    return solve_instance(g, 2, cfg, pipeline, noise, seed, n_realizations=16)
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+def test_pool_and_serial_solves_give_the_same_bytes():
+    assert _restart_workers(3, 16, 6) == 2
+    for pipeline in ("exact", "sampled"):
+        for noise in (NoiseParams.from_t2_ratio(1e4), NoiseParams.noiseless()):
+            pooled = _small_solve(pipeline, noise).to_json()
+            with _one_cpu():
+                assert _restart_workers(3, 16, 6) == 1
+                assert _small_solve(pipeline, noise).to_json() == pooled
+
+
+def test_worker_count():
+    cpus = len(os.sched_getaffinity(0))
+    assert _restart_workers(20, 96, 8) == min(cpus, 20)
+    assert _restart_workers(1, 96, 8) == 1
+    # workers share one chunk of amplitudes: 2^26 / (384 * 2^16) = 2.67
+    assert _restart_workers(20, 384, 16) == min(cpus, 2)
+    assert _restart_workers(20, 384, 18) == 1
+
+
+def test_pool_task_sees_one_cpu():
+    with pinned_pool(2) as pool:
+        seen = [pool.submit(os.sched_getaffinity, 0) for _ in range(4)]
+        blocks = pool.submit(_n_blocks, 384, 1 << 10)
+        assert all(len(f.result()) == 1 for f in seen)
+        assert blocks.result() == 1
+    assert not multiprocessing.active_children()
+
+
+def test_daemonic_caller_solves_in_process():
+    # a multiprocessing.Pool worker may not start children, so it solves serially
+    noise = NoiseParams.from_t2_ratio(1e4)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        remote = pool.apply(_small_solve, ("sampled", noise)).to_json()
+    assert remote == _small_solve("sampled", noise).to_json()
+
+
+def _failing_evaluate(original):
+    def evaluate(self, x, restart, eval_idx):
+        if restart == 1:
+            raise ValueError(f"evaluation {eval_idx} of restart {restart} failed")
+        return original(self, x, restart, eval_idx)
+    return evaluate
+
+
+def test_worker_error_reaches_the_caller(monkeypatch):
+    # forked workers inherit the patched class
+    monkeypatch.setattr(InstanceProblem, "evaluate",
+                        _failing_evaluate(InstanceProblem.evaluate))
+    message = "^evaluation 1 of restart 1 failed$"
+    with pytest.raises(ValueError, match=message):
+        _small_solve("exact", NoiseParams.from_t2_ratio(1e4))
+    assert not multiprocessing.active_children()
+    with _one_cpu(), pytest.raises(ValueError, match=message):
+        _small_solve("exact", NoiseParams.from_t2_ratio(1e4))
+
+
+def test_worker_error_is_one_cli_line(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(InstanceProblem, "evaluate",
+                        _failing_evaluate(InstanceProblem.evaluate))
+    graph = tmp_path / "g.txt"
+    graph.write_text(write_graph(gen_random_3regular(6, 4)))
+    argv = ["solve", "--graph", str(graph), "--p", "1", "--restarts", "2",
+            "--max-updates", "2", "--realizations", "4", "--out", str(tmp_path / "s.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: evaluation 1 of restart 1 failed\n"
+    with pytest.raises(ValueError, match="restart 1 failed"):
+        main(["--debug", *argv])
+    assert not multiprocessing.active_children()
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def test_interrupt_kills_the_workers(monkeypatch):
+    # the workers would sleep for a minute; an exception raised in the caller
+    # while it waits for them must end them at once
+    def slow(self, x, restart, eval_idx):
+        time.sleep(60)
+
+    def interrupt(*_):
+        raise _Interrupted
+
+    monkeypatch.setattr(InstanceProblem, "evaluate", slow)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.perf_counter()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        with pytest.raises(_Interrupted):
+            _small_solve("exact", NoiseParams.from_t2_ratio(1e4))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 30
+    assert not multiprocessing.active_children()
