@@ -21,8 +21,8 @@ line, `host_seconds.op_s`, with the same summary: the calibrator's probes
 run in the benchmark's own process, so work the program hands to other
 processes slows the probes and scales op_s down, and a claim on op_s must
 show the host-time gain too.
-A rerun replaces these and keeps the tables that scripts/bench_blocks.py
-and scripts/bench_kernel.py appended to the file.
+A rerun replaces these and keeps the tables that scripts/bench_blocks.py,
+scripts/bench_kernel.py and scripts/bench_restarts.py appended to the file.
 
 Run nothing else on the host meanwhile: every time here is wall time.
 """

@@ -16,14 +16,14 @@ Every count flag must be at least 1. An error prints one line and exits
 with status 1; `qaoabench --debug COMMAND ...` lets it raise with its
 traceback instead.
 
-`solve`, and each instance of `bench --jobs 1`, runs its Nelder-Mead
-restarts on forked worker processes, one per usable CPU and per restart, as
-long as their noise-realization batches fit one chunk of the simulator
-together, each worker pinned to one CPU (optimizer.solve_instance). So with
---jobs 1 every instance already uses every usable CPU. `bench --jobs J`
-with J above 1 runs J such pinned workers instead, each solving whole
-instances, and their restarts in turn. The output bytes are the same
-either way.
+`solve`, and each instance of `bench --jobs 1`, uses every usable CPU
+(optimizer.solve_instance). When one noise-realization batch (R x 2^N
+amplitudes) runs on one row block of the simulator, the Nelder-Mead
+restarts run on forked worker processes, one per usable CPU and per
+restart, each pinned to one CPU; a larger batch runs its row blocks on one
+thread per CPU instead, the restarts in turn. `bench --jobs J` with J above
+1 runs J pinned workers, each solving whole instances, their
+restarts in turn. The output bytes are the same either way.
 
 BLAS runs single-threaded in every process qaoabench starts (the workers
 inherit it), since the package sets the thread-count variables to 1
@@ -373,8 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--instances", dest="n_instances", type=int, default=40)
     sp.add_argument("--jobs", type=int, default=1,
                     help="worker processes, each solving whole instances on one CPU "
-                         "(the CPUs taken in turn); with 1, each instance's restarts "
-                         "run on one pinned worker per usable CPU")
+                         "(the CPUs taken in turn); with 1, each instance uses every "
+                         "usable CPU: its restarts run on one pinned worker per CPU "
+                         "when a batch fits one row block, else the batch runs on "
+                         "one thread per CPU")
     sp.add_argument("--out", required=True)
     _add_solve_flags(sp)
     _add_common(sp)

@@ -10,17 +10,16 @@ because on hardware each one costs real repetitions.
 Each restart owns an independent random stream derived from
 (master seed, restart index); within a restart, evaluations are strictly
 sequential, mirroring how a hybrid loop would drive one device. So
-solve_instance runs the restarts on a pool of forked worker processes
+solve_instance may run the restarts on a pool of forked worker processes
 (pinned_pool), each pinned to one usable CPU, and gets the same bits as one
-process running them in turn. It starts one worker per usable CPU and per
-restart, but no more than keep all workers' ensemble batches within one
-chunk of the simulator (simulator._CHUNK_AMPS amplitudes, what one process
-may hold). Of the two final scorings of the best parameters, a worker runs
-one while the calling process runs the other. With one worker, or in a
-daemonic process (which may not start any), everything runs in the calling
-process, one restart after another, and large ensembles use row-block
-threads instead. `bench --jobs` runs its workers on the same kind of pool;
-each is pinned to one CPU, so it solves its instances in process.
+process running them in turn. It does so when an ensemble batch (R * 2^N
+amplitudes) runs on one row block of the simulator, one worker per usable
+CPU and per restart; a larger batch already runs its row blocks on every
+CPU, one thread each, and its restarts run one after another in the calling
+process, as they do in a daemonic process (which may not start any
+children). The final scorings of the best parameters run in the calling
+process. `bench --jobs` runs its workers on the same kind of pool; each is
+pinned to one CPU, so it solves its instances in process.
 """
 from __future__ import annotations
 
@@ -35,7 +34,7 @@ import numpy as np
 from .circuit import QaoaParams, build_qaoa_circuit
 from .graphs import Graph, brute_force_maxcut, cut_values_table
 from .scheduler import choose_grid, schedule
-from .simulator import (_CHUNK_AMPS, NoiseParams, optima_mask, run_noisy_ensemble,
+from .simulator import (NoiseParams, _n_blocks, optima_mask, run_noisy_ensemble,
                         sample_from_probs, simulate_logical)
 
 SIMPLEX_OFFSET = 0.25  # radians added along each axis to form the initial simplex
@@ -351,37 +350,17 @@ def pinned_pool(n_workers: int):
 
 
 def _restart_workers(n_restarts: int, n_realizations: int, n: int) -> int:
-    """Worker processes for a solve: at most one per usable CPU and one per
-    restart, and no more than hold one chunk of ensemble amplitudes between
-    them; 1 in a daemonic process, which may not start children."""
-    count = min(len(os.sched_getaffinity(0)), n_restarts, _CHUNK_AMPS // (n_realizations << n))
-    if count <= 1:
+    """Worker processes for a solve: one per usable CPU and per restart when an
+    ensemble batch of R * 2^N amplitudes runs on one row block
+    (simulator._n_blocks), else 1, since a larger batch already runs its
+    blocks on every CPU and two restart workers gained nothing over those
+    threads at N=12, R=384 (the "restarts" table of BENCH_restart_pool.json);
+    1 in a daemonic process, which may not start children."""
+    count = min(len(os.sched_getaffinity(0)), n_restarts)
+    if count <= 1 or _n_blocks(n_realizations, 1 << n) > 1:
         return 1
     import multiprocessing
     return 1 if multiprocessing.current_process().daemon else count
-
-
-def _solve(problem: InstanceProblem, pool=None) -> InstanceSolveResult:
-    """The restarts and the final scorings of one instance, on the pool when one
-    is given (the restarts in restart order), else in this process."""
-    runs = list((pool.map if pool else map)(problem.run_restart,
-                                            range(problem.cfg.n_restarts)))
-    best = max(runs, key=lambda r: r.best_value)
-    # a worker scores the overlap while this process takes the exact ratio
-    overlap = pool.submit(problem.final_overlap, best.best_params) if pool else None
-    ratio = problem.final_exact_ratio(best.best_params)
-    overlap = overlap.result() if pool else problem.final_overlap(best.best_params)
-    return InstanceSolveResult(
-        n=problem.g.n,
-        p=problem.p,
-        best_run=best,
-        runs=runs,
-        total_function_evals=sum(r.n_function_evals for r in runs),
-        overlap=overlap,
-        best_exact_ratio=ratio,
-        k_max=problem.k_max,
-        depth=problem.depth,
-    )
 
 
 def solve_instance(g: Graph, p: int, cfg: NmConfig, pipeline: str,
@@ -395,16 +374,33 @@ def solve_instance(g: Graph, p: int, cfg: NmConfig, pipeline: str,
     objective; its final state is scored for overlap with the brute-force
     optima and for the exact approximation ratio.
 
-    The restarts run on a pinned_pool of min(usable CPUs, cfg.n_restarts,
-    simulator._CHUNK_AMPS // (R * 2^N)) workers, in restart order, and give
-    the same bits as running them here one after another. Then a worker
-    scores the overlap while this process scores the exact ratio. With one
-    worker, or in a daemonic process, all of it runs here. An error in a
-    worker is raised here with its type and message.
+    When one ensemble batch of R * 2^N amplitudes runs on one row block
+    (simulator._n_blocks), the restarts run on a pinned_pool of one worker
+    per usable CPU and per restart, in restart order, and give the same bits
+    as running them here one after another; an error in a worker is raised
+    here with its type and message. Otherwise, or in a daemonic process, they
+    run here in turn, and larger batches use the row-block threads. A caller
+    that runs solves in parallel processes should pin each to one CPU, as
+    pinned_pool does (a pinned process solves in process): in an unpinned
+    worker that is not daemonic, as a ProcessPoolExecutor's are, every solve
+    starts its own workers, one per usable CPU.
     """
     problem = InstanceProblem(g, p, cfg, pipeline, noise, master_seed, n_realizations)
     n_workers = _restart_workers(cfg.n_restarts, n_realizations, g.n)
     if n_workers == 1:
-        return _solve(problem)
-    with pinned_pool(n_workers) as pool:
-        return _solve(problem, pool)
+        runs = [problem.run_restart(r) for r in range(cfg.n_restarts)]
+    else:
+        with pinned_pool(n_workers) as pool:
+            runs = list(pool.map(problem.run_restart, range(cfg.n_restarts)))
+    best = max(runs, key=lambda r: r.best_value)
+    return InstanceSolveResult(
+        n=g.n,
+        p=p,
+        best_run=best,
+        runs=runs,
+        total_function_evals=sum(r.n_function_evals for r in runs),
+        overlap=problem.final_overlap(best.best_params),
+        best_exact_ratio=problem.final_exact_ratio(best.best_params),
+        k_max=problem.k_max,
+        depth=problem.depth,
+    )

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qaoabench.circuit import QaoaParams, build_qaoa_circuit
+from qaoabench import optimizer
 from qaoabench.cli import main
 from qaoabench.graphs import (brute_force_maxcut, cut_values_table, gen_random_3regular,
                               write_graph)
@@ -189,7 +190,7 @@ def _small_solve(pipeline, noise, seed=21):
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
 def test_pool_and_serial_solves_give_the_same_bytes():
-    assert _restart_workers(3, 16, 6) == 2
+    assert _restart_workers(3, 16, 6) > 1
     for pipeline in ("exact", "sampled"):
         for noise in (NoiseParams.from_t2_ratio(1e4), NoiseParams.noiseless()):
             pooled = _small_solve(pipeline, noise).to_json()
@@ -200,11 +201,25 @@ def test_pool_and_serial_solves_give_the_same_bytes():
 
 def test_worker_count():
     cpus = len(os.sched_getaffinity(0))
+    # 96 * 2^8 amplitudes are one row block, 384 * 2^8 and more are several
     assert _restart_workers(20, 96, 8) == min(cpus, 20)
     assert _restart_workers(1, 96, 8) == 1
-    # workers share one chunk of amplitudes: 2^26 / (384 * 2^16) = 2.67
-    assert _restart_workers(20, 384, 16) == min(cpus, 2)
-    assert _restart_workers(20, 384, 18) == 1
+    for r, n in ((96, 8), (128, 8), (192, 8), (384, 8), (384, 12), (16, 6), (1024, 6)):
+        pooled = cpus > 1 and _n_blocks(r, 1 << n) == 1
+        assert _restart_workers(20, r, n) == (min(cpus, 20) if pooled else 1)
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+def test_multi_block_solve_keeps_its_threads(monkeypatch):
+    # 1024 * 2^6 amplitudes run on two row blocks, so the restarts start no pool
+    def no_pool(n_workers):
+        raise AssertionError("a solve of a multi-block batch started a pool")
+
+    monkeypatch.setattr(optimizer, "pinned_pool", no_pool)
+    assert _n_blocks(1024, 1 << 6) > 1
+    g = gen_random_3regular(6, 21)
+    cfg = NmConfig(n_restarts=2, max_updates=2, n_samples=100)
+    solve_instance(g, 1, cfg, "sampled", NoiseParams.from_t2_ratio(1e4), 21, 1024)
 
 
 def test_pool_task_sees_one_cpu():
