@@ -35,7 +35,7 @@ from bench_pairs import ROOT, header, quartiles
 sys.path.insert(0, str(ROOT / "src"))
 import qaoabench  # noqa: E402  before numpy loads, so that BLAS runs single-threaded
 
-CASES = ((8, 96), (8, 192), (8, 384), (10, 384), (12, 96), (12, 384))
+CASES = ((8, 96), (8, 192), (8, 384), (10, 384), (12, 96), (14, 32), (12, 192), (12, 384))
 REPEATS = 5
 P = 2
 CONFIG = {"n_restarts": 10, "max_updates": 3}  # NmConfig fields; 10000 samples
