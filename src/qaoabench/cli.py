@@ -17,13 +17,13 @@ with status 1; `qaoabench --debug COMMAND ...` lets it raise with its
 traceback instead.
 
 `solve`, and each instance of `bench --jobs 1`, uses every usable CPU
-(optimizer.solve_instance). When one noise-realization batch (R x 2^N
-amplitudes) runs on one row block of the simulator, the Nelder-Mead
-restarts run on forked worker processes, one per usable CPU and per
-restart, each pinned to one CPU; a larger batch runs its row blocks on one
-thread per CPU instead, the restarts in turn. `bench --jobs J` with J above
-1 runs J pinned workers, each solving whole instances, their
-restarts in turn. The output bytes are the same either way.
+(optimizer.solve_instance). When one noise-realization batch holds at most
+2^19 amplitudes (R x 2^N), the Nelder-Mead restarts run on forked worker
+processes, one per usable CPU and per restart, each pinned to one CPU; a
+larger batch runs its row blocks on one thread per CPU instead, the
+restarts in turn. `bench --jobs J` with J above 1 runs J pinned workers,
+each solving whole instances, their restarts in turn. The output bytes are
+the same either way.
 
 BLAS runs single-threaded in every process qaoabench starts (the workers
 inherit it), since the package sets the thread-count variables to 1
@@ -375,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="worker processes, each solving whole instances on one CPU "
                          "(the CPUs taken in turn); with 1, each instance uses every "
                          "usable CPU: its restarts run on one pinned worker per CPU "
-                         "when a batch fits one row block, else the batch runs on "
-                         "one thread per CPU")
+                         "when a batch holds at most 2^19 amplitudes, else the batch "
+                         "runs on one thread per CPU")
     sp.add_argument("--out", required=True)
     _add_solve_flags(sp)
     _add_common(sp)

@@ -12,12 +12,13 @@ Each restart owns an independent random stream derived from
 sequential, mirroring how a hybrid loop would drive one device. So
 solve_instance may run the restarts on a pool of forked worker processes
 (pinned_pool), each pinned to one usable CPU, and gets the same bits as one
-process running them in turn. It does so when an ensemble batch (R * 2^N
-amplitudes) runs on one row block of the simulator, one worker per usable
-CPU and per restart; a larger batch already runs its row blocks on every
-CPU, one thread each, and its restarts run one after another in the calling
-process, as they do in a daemonic process (which may not start any
-children). The final scorings of the best parameters run in the calling
+process running them in turn. It does so, one worker per usable CPU and per
+restart, when an ensemble batch holds at most _POOL_MAX_AMPS (2^19)
+amplitudes (R * 2^N), where two workers beat the simulator's row-block
+threads in the recorded table; a larger batch runs its row blocks on every
+CPU, one thread each, and its restarts one after another in the calling
+process, as a daemonic process (which may not start any children) runs all
+of them. The final scorings of the best parameters run in the calling
 process. `bench --jobs` runs its workers on the same kind of pool; each is
 pinned to one CPU, so it solves its instances in process.
 """
@@ -34,7 +35,7 @@ import numpy as np
 from .circuit import QaoaParams, build_qaoa_circuit
 from .graphs import Graph, brute_force_maxcut, cut_values_table
 from .scheduler import choose_grid, schedule
-from .simulator import (NoiseParams, _n_blocks, optima_mask, run_noisy_ensemble,
+from .simulator import (NoiseParams, optima_mask, run_noisy_ensemble,
                         sample_from_probs, simulate_logical)
 
 SIMPLEX_OFFSET = 0.25  # radians added along each axis to form the initial simplex
@@ -349,15 +350,23 @@ def pinned_pool(n_workers: int):
         cpus.close()
 
 
+# Above this many amplitudes per ensemble batch (R * 2^N) a solve runs its restarts
+# in turn and each batch on the simulator's row-block threads. In both runs of
+# scripts/bench_restarts.py recorded in BENCH_restart_pool.json (10 restarts, p=2,
+# median pool time over median threaded time on 2 CPUs), two pinned restart
+# workers took 0.52-0.88x the threaded time up to 2^19 amplitudes (N=8 R=96-384,
+# N=10 R=384, N=12 R=96, N=14 R=32), their quartiles clear of the threaded ones;
+# 0.87x at N=12 R=192 (786432), the quartiles overlapping; and 0.98-1.09x at
+# N=12 R=384 (1572864).
+_POOL_MAX_AMPS = 1 << 19
+
+
 def _restart_workers(n_restarts: int, n_realizations: int, n: int) -> int:
     """Worker processes for a solve: one per usable CPU and per restart when an
-    ensemble batch of R * 2^N amplitudes runs on one row block
-    (simulator._n_blocks), else 1, since a larger batch already runs its
-    blocks on every CPU and two restart workers gained nothing over those
-    threads at N=12, R=384 (the "restarts" table of BENCH_restart_pool.json);
-    1 in a daemonic process, which may not start children."""
+    ensemble batch holds at most _POOL_MAX_AMPS amplitudes, else 1; 1 in a
+    daemonic process, which may not start children."""
     count = min(len(os.sched_getaffinity(0)), n_restarts)
-    if count <= 1 or _n_blocks(n_realizations, 1 << n) > 1:
+    if count <= 1 or n_realizations << n > _POOL_MAX_AMPS:
         return 1
     import multiprocessing
     return 1 if multiprocessing.current_process().daemon else count
@@ -374,16 +383,16 @@ def solve_instance(g: Graph, p: int, cfg: NmConfig, pipeline: str,
     objective; its final state is scored for overlap with the brute-force
     optima and for the exact approximation ratio.
 
-    When one ensemble batch of R * 2^N amplitudes runs on one row block
-    (simulator._n_blocks), the restarts run on a pinned_pool of one worker
-    per usable CPU and per restart, in restart order, and give the same bits
-    as running them here one after another; an error in a worker is raised
-    here with its type and message. Otherwise, or in a daemonic process, they
-    run here in turn, and larger batches use the row-block threads. A caller
-    that runs solves in parallel processes should pin each to one CPU, as
-    pinned_pool does (a pinned process solves in process): in an unpinned
-    worker that is not daemonic, as a ProcessPoolExecutor's are, every solve
-    starts its own workers, one per usable CPU.
+    When one ensemble batch of R * 2^N amplitudes holds at most
+    _POOL_MAX_AMPS, the restarts run on a pinned_pool of one worker per
+    usable CPU and per restart, in restart order, and give the same bits as
+    running them here one after another; an error in a worker is raised here
+    with its type and message. Otherwise, or in a daemonic process, they run
+    here in turn, and a batch of two or more row blocks uses the simulator's
+    threads. A caller that runs solves in parallel processes should pin each
+    to one CPU, as pinned_pool does (a pinned process solves in process): in
+    an unpinned worker that is not daemonic, as a ProcessPoolExecutor's are,
+    every solve starts its own workers, one per usable CPU.
     """
     problem = InstanceProblem(g, p, cfg, pipeline, noise, master_seed, n_realizations)
     n_workers = _restart_workers(cfg.n_restarts, n_realizations, g.n)

@@ -201,25 +201,24 @@ def test_pool_and_serial_solves_give_the_same_bytes():
 
 def test_worker_count():
     cpus = len(os.sched_getaffinity(0))
-    # 96 * 2^8 amplitudes are one row block, 384 * 2^8 and more are several
     assert _restart_workers(20, 96, 8) == min(cpus, 20)
     assert _restart_workers(1, 96, 8) == 1
-    for r, n in ((96, 8), (128, 8), (192, 8), (384, 8), (384, 12), (16, 6), (1024, 6)):
-        pooled = cpus > 1 and _n_blocks(r, 1 << n) == 1
+    # batches up to _POOL_MAX_AMPS = 2^19 amplitudes take the pool
+    for r, n in ((96, 8), (384, 8), (384, 10), (32, 14), (1 << 13, 6), (192, 12),
+                 (384, 12), (1 << 14, 6)):
+        pooled = cpus > 1 and r << n <= 1 << 19
         assert _restart_workers(20, r, n) == (min(cpus, 20) if pooled else 1)
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
-def test_multi_block_solve_keeps_its_threads(monkeypatch):
-    # 1024 * 2^6 amplitudes run on two row blocks, so the restarts start no pool
+def test_large_batch_solve_starts_no_pool(monkeypatch):
+    # _small_solve's batch of 16 * 2^6 amplitudes, just over a lowered bound
     def no_pool(n_workers):
-        raise AssertionError("a solve of a multi-block batch started a pool")
+        raise AssertionError("a solve of a large batch started a pool")
 
+    monkeypatch.setattr(optimizer, "_POOL_MAX_AMPS", (16 << 6) - 1)
     monkeypatch.setattr(optimizer, "pinned_pool", no_pool)
-    assert _n_blocks(1024, 1 << 6) > 1
-    g = gen_random_3regular(6, 21)
-    cfg = NmConfig(n_restarts=2, max_updates=2, n_samples=100)
-    solve_instance(g, 1, cfg, "sampled", NoiseParams.from_t2_ratio(1e4), 21, 1024)
+    _small_solve("sampled", NoiseParams.from_t2_ratio(1e4))
 
 
 def test_pool_task_sees_one_cpu():
