@@ -12,11 +12,12 @@ once one after another in this process, where a batch of two or more row
 blocks runs them on threads ("serial"). The two take turns REPEATS times,
 each going first in every other repeat, with master seed = repeat index,
 and the median and quartiles of the wall seconds are kept. The path is
-forced by replacing optimizer._restart_workers; the record also keeps the
-row blocks of one batch and the worker count the library's own rule
-picks. Each run appends its table, with the machine record and the git
-SHA, to the list under the key "restarts" of BENCH_<label>.json in the
-repository root, next to what is already there, so every run is kept.
+forced by replacing optimizer._POOL_MAX_AMPS, the batch-size bound; the
+record also keeps the row blocks of one batch and the worker count the
+library's own rule picks. Each run appends its table, with the machine
+record and the git SHA, to the list under the key "restarts" of
+BENCH_<label>.json in the repository root, next to what is already there,
+so every run is kept.
 
 BLAS runs single-threaded, as importing qaoabench sets it. Run nothing
 else on the host meanwhile: every time here is wall time.
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -47,21 +47,22 @@ def time_cases() -> list[dict]:
     from qaoabench.simulator import NoiseParams, _n_blocks
 
     config = optimizer.NmConfig(**CONFIG)
-    rule, noise = optimizer._restart_workers, NoiseParams(200e-6, 100e-6, 10e-9)
-    paths = {"pool": min(len(os.sched_getaffinity(0)), config.n_restarts), "serial": 1}
+    bound, noise = optimizer._POOL_MAX_AMPS, NoiseParams(200e-6, 100e-6, 10e-9)
+    paths = {"pool": 1 << 62, "serial": -1}   # bounds every batch is under or over
     rows = []
     for n, r in CASES:
         g = gen_random_3regular(n, 7)
         seconds: dict[str, list[float]] = {path: [] for path in paths}
         for i in range(REPEATS):
-            for path, workers in sorted(paths.items(), reverse=i % 2 == 1):
-                optimizer._restart_workers = lambda *_, w=workers: w
+            for path, path_bound in sorted(paths.items(), reverse=i % 2 == 1):
+                optimizer._POOL_MAX_AMPS = path_bound
                 t = time.perf_counter()
                 optimizer.solve_instance(g, P, config, "sampled", noise, i, r)
                 seconds[path].append(time.perf_counter() - t)
-        optimizer._restart_workers = rule
+        optimizer._POOL_MAX_AMPS = bound
+        rule_workers = optimizer._restart_workers(config.n_restarts) if r << n <= bound else 1
         row = {"n": n, "realizations": r, "blocks": _n_blocks(r, 1 << n),
-               "rule_workers": rule(config.n_restarts, r, n),
+               "rule_workers": rule_workers,
                "seconds": {path: quartiles(v) for path, v in seconds.items()}}
         rows.append(row)
         print(f"N={n:2d} R={r}: " + ", ".join(

@@ -16,14 +16,13 @@ Every count flag must be at least 1. An error prints one line and exits
 with status 1; `qaoabench --debug COMMAND ...` lets it raise with its
 traceback instead.
 
-`solve`, and each instance of `bench --jobs 1`, uses every usable CPU
-(optimizer.solve_instance). When one noise-realization batch holds at most
-2^19 amplitudes (R x 2^N), the Nelder-Mead restarts run on forked worker
-processes, one per usable CPU and per restart, each pinned to one CPU; a
-larger batch runs its row blocks on one thread per CPU instead, the
-restarts in turn. `bench --jobs J` with J above 1 runs J pinned workers,
-each solving whole instances, their restarts in turn. The output bytes are
-the same either way.
+`solve` and `bench` use every usable CPU (optimizer.solve_instances). A
+bench makes one list of (instance, restart) tasks over all its sizes. The
+tasks of every instance whose noise-realization batch holds at most 2^19
+amplitudes (R x 2^N) run on one pool of forked worker processes, one per
+usable CPU, each pinned to one CPU; a larger instance runs its restarts in
+turn, each batch on one row-block thread per CPU. The output bytes are the
+same as one process running every restart in turn.
 
 BLAS runs single-threaded in every process qaoabench starts (the workers
 inherit it), since the package sets the thread-count variables to 1
@@ -38,8 +37,9 @@ from pathlib import Path
 
 from . import analysis, costmodel, maxsat
 from .circuit import QaoaParams, build_qaoa_circuit
-from .graphs import brute_force_maxcut, cut_values_table, gen_random_3regular, read_graph, write_graph
-from .optimizer import NmConfig, _derived_seed, pinned_pool, solve_instance
+from .graphs import (brute_force_maxcut, cut_values_table, gen_random_3regular, read_graph,
+                     require_edge, write_graph)
+from .optimizer import NmConfig, _derived_seed, solve_instance, solve_instances
 from .scheduler import choose_grid, emit_pdpt, parse_pdpt, schedule, validate_schedule
 from .simulator import NoiseParams, convergence_study, optima_mask, run_noisy_ensemble
 
@@ -52,7 +52,7 @@ def _nm_config(args) -> NmConfig:
 # the dest and flag of every count option; each must be at least 1
 _COUNT_FLAGS = {"p": "--p", "max_updates": "--max-updates", "n_restarts": "--restarts",
                 "n_samples": "--samples", "realizations": "--realizations",
-                "n_instances": "--instances", "jobs": "--jobs", "n_seeds": "--n-seeds"}
+                "n_instances": "--instances", "n_seeds": "--n-seeds"}
 
 
 def _check_counts(args) -> None:
@@ -132,8 +132,7 @@ def cmd_schedule(args):
 
 def cmd_simulate(args):
     g = read_graph(Path(args.graph).read_text())
-    if not g.n_edges:
-        raise ValueError(f"Max-Cut needs at least one edge; the graph has none (n={g.n})")
+    require_edge(g)
     # PDPT omits the hoisted |+...+> layer, one H per vertex, as `schedule` emits it
     sched = parse_pdpt(Path(args.schedule).read_text(), n_prep_gates=g.n)
     top_id = max((entry for row in sched.table for entry in row), default=0)
@@ -181,32 +180,14 @@ def cmd_solve(args):
     _write(args.out, result.to_json())
 
 
-def _bench_instance(task) -> costmodel.InstanceCost:
-    n, inst_seed, p, cfg, pipeline, noise, n_real, hw = task
-    result = solve_instance(gen_random_3regular(n, inst_seed), p, cfg, pipeline, noise,
-                            inst_seed, n_real)
-    return costmodel.instance_wall_time(result, result.depth, hw, cfg.n_samples)
-
-
 def cmd_bench(args):
     sizes = _csv_list(args.sizes, "--sizes", int)
     p, n_instances = args.p, args.n_instances
-    cfg, noise, hw = _nm_config(args), _noise(args), _hardware(args)
-    tasks = [(n, _derived_seed(args.seed, n, inst), p, cfg, args.pipeline, noise,
-              args.realizations, hw)
-             for n in sizes for inst in range(n_instances)]
-    if args.jobs > 1:
-        # one CPU per worker, in turn: the jobs share the cores instead of each
-        # running a process or thread on every core. Largest N first (a stable
-        # sort), so no worker is left with a big instance at the end while the
-        # others idle; the costs go back in task order
-        order = sorted(range(len(tasks)), key=lambda i: -tasks[i][0])
-        costs = [None] * len(tasks)
-        with pinned_pool(args.jobs) as pool:
-            for i, cost in zip(order, pool.map(_bench_instance, [tasks[i] for i in order])):
-                costs[i] = cost
-    else:
-        costs = [_bench_instance(t) for t in tasks]
+    cfg, hw = _nm_config(args), _hardware(args)
+    seeds = [(n, _derived_seed(args.seed, n, inst)) for n in sizes for inst in range(n_instances)]
+    results = solve_instances([(gen_random_3regular(n, seed), seed) for n, seed in seeds],
+                              p, cfg, args.pipeline, _noise(args), args.realizations)
+    costs = [costmodel.instance_wall_time(r, r.depth, hw, cfg.n_samples) for r in results]
 
     rows = []
     for k, n in enumerate(sizes):
@@ -255,8 +236,7 @@ def cmd_convergence(args):
         g = gen_random_3regular(args.n, seed)
     else:
         raise ValueError("convergence needs --graph or --n")
-    if not g.n_edges:
-        raise ValueError(f"Max-Cut needs at least one edge; the graph has none (n={g.n})")
+    require_edge(g)
 
     if args.gammas is not None or args.betas is not None:
         params = _angles(args, p)
@@ -368,15 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(func=cmd_solve)
 
-    sp = subs.add_parser("bench", help="sweep sizes, emit the cost CSV")
+    sp = subs.add_parser("bench", help="sweep sizes, emit the cost CSV; one task list "
+                                       "spreads all restarts over one pinned pool")
     sp.add_argument("--sizes", required=True, help="comma-separated vertex counts")
     sp.add_argument("--instances", dest="n_instances", type=int, default=40)
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="worker processes, each solving whole instances on one CPU "
-                         "(the CPUs taken in turn); with 1, each instance uses every "
-                         "usable CPU: its restarts run on one pinned worker per CPU "
-                         "when a batch holds at most 2^19 amplitudes, else the batch "
-                         "runs on one thread per CPU")
     sp.add_argument("--out", required=True)
     _add_solve_flags(sp)
     _add_common(sp)

@@ -41,6 +41,12 @@ class Graph:
         return len(self.edges)
 
 
+def require_edge(g: Graph) -> None:
+    """Reject an edgeless graph before anything divides by its maximum cut, 0."""
+    if not g.n_edges:
+        raise ValueError(f"Max-Cut needs at least one edge; the graph has none (n={g.n})")
+
+
 def gen_random_3regular(n: int, seed: int) -> Graph:
     """Sample a random 3-regular simple graph on n vertices.
 

@@ -10,17 +10,16 @@ because on hardware each one costs real repetitions.
 Each restart owns an independent random stream derived from
 (master seed, restart index); within a restart, evaluations are strictly
 sequential, mirroring how a hybrid loop would drive one device. So
-solve_instance may run the restarts on a pool of forked worker processes
+solve_instances spreads the restarts of all its instances, as one list of
+(instance, restart) tasks, over one pool of forked worker processes
 (pinned_pool), each pinned to one usable CPU, and gets the same bits as one
-process running them in turn. It does so, one worker per usable CPU and per
-restart, when an ensemble batch holds at most _POOL_MAX_AMPS (2^19)
-amplitudes (R * 2^N), where two workers beat the simulator's row-block
-threads in the recorded table; a larger batch runs its row blocks on every
-CPU, one thread each, and its restarts one after another in the calling
-process, as a daemonic process (which may not start any children) runs all
-of them. The final scorings of the best parameters run in the calling
-process. `bench --jobs` runs its workers on the same kind of pool; each is
-pinned to one CPU, so it solves its instances in process.
+process running them in turn. An instance's tasks join the pool when its
+ensemble batch holds at most _POOL_MAX_AMPS (2^19) amplitudes (R * 2^N),
+where pinned workers beat the simulator's row-block threads in the recorded
+table; a larger instance runs its restarts one after another in the calling
+process, each batch on every CPU, one row-block thread each, as a daemonic
+process (which may not start any children) runs all of them. The final
+scorings of each instance's best parameters run in the calling process.
 """
 from __future__ import annotations
 
@@ -33,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import QaoaParams, build_qaoa_circuit
-from .graphs import Graph, brute_force_maxcut, cut_values_table
+from .graphs import Graph, brute_force_maxcut, cut_values_table, require_edge
 from .scheduler import choose_grid, schedule
 from .simulator import (NoiseParams, optima_mask, run_noisy_ensemble,
                         sample_from_probs, simulate_logical)
@@ -244,8 +243,7 @@ class InstanceProblem:
             raise ValueError(f"pipeline must be 'exact' or 'sampled', got {pipeline!r}")
         if n_realizations < 1:
             raise ValueError(f"n_realizations must be at least 1, got {n_realizations}")
-        if not g.n_edges:
-            raise ValueError(f"Max-Cut needs at least one edge; the graph has none (n={g.n})")
+        require_edge(g)
         self.g = g
         self.p = p
         self.cfg = cfg
@@ -350,8 +348,8 @@ def pinned_pool(n_workers: int):
         cpus.close()
 
 
-# Above this many amplitudes per ensemble batch (R * 2^N) a solve runs its restarts
-# in turn and each batch on the simulator's row-block threads. In both runs of
+# Above this many amplitudes per ensemble batch (R * 2^N) an instance runs its
+# restarts in turn and each batch on the simulator's row-block threads. In both runs of
 # scripts/bench_restarts.py recorded in BENCH_restart_pool.json (10 restarts, p=2,
 # median pool time over median threaded time on 2 CPUs), two pinned restart
 # workers took 0.52-0.88x the threaded time up to 2^19 amplitudes (N=8 R=96-384,
@@ -361,15 +359,57 @@ def pinned_pool(n_workers: int):
 _POOL_MAX_AMPS = 1 << 19
 
 
-def _restart_workers(n_restarts: int, n_realizations: int, n: int) -> int:
-    """Worker processes for a solve: one per usable CPU and per restart when an
-    ensemble batch holds at most _POOL_MAX_AMPS amplitudes, else 1; 1 in a
-    daemonic process, which may not start children."""
-    count = min(len(os.sched_getaffinity(0)), n_restarts)
-    if count <= 1 or n_realizations << n > _POOL_MAX_AMPS:
-        return 1
+def _restart_workers(n_tasks: int) -> int:
+    """Worker processes for n_tasks pooled restarts: one per usable CPU and per
+    task, and at most 1 in a daemonic process, which may not start children."""
+    count = min(len(os.sched_getaffinity(0)), n_tasks)
+    if count <= 1:
+        return count
     import multiprocessing
     return 1 if multiprocessing.current_process().daemon else count
+
+
+def solve_instances(instances, p: int, cfg: NmConfig, pipeline: str,
+                    noise: NoiseParams, n_realizations: int = 384) -> list[InstanceSolveResult]:
+    """Solve each (graph, master seed) pair as solve_instance does, the results
+    in instance order.
+
+    Each instance is compiled here, once. The restarts of every instance whose
+    ensemble batch of R * 2^N amplitudes holds at most _POOL_MAX_AMPS form one
+    task list on one pinned_pool of one worker per usable CPU and per task; an
+    error in a worker is raised here with its type and message. The other
+    restarts, and all of them on one CPU or in a daemonic process, run here in
+    turn, as do the final scorings. A process that solves alongside others
+    should be pinned to one CPU, or each starts a pool of its own.
+    """
+    problems = [InstanceProblem(g, p, cfg, pipeline, noise, seed, n_realizations)
+                for g, seed in instances]
+    restarts = range(cfg.n_restarts)
+    tasks = [(problem, r) for problem in problems
+             if n_realizations << problem.g.n <= _POOL_MAX_AMPS for r in restarts]
+    done = {}
+    n_workers = _restart_workers(len(tasks))
+    if n_workers > 1:
+        with pinned_pool(n_workers) as pool:
+            # map(f, problems, restarts) calls f(problem, restart) for each task
+            done = dict(zip(tasks, pool.map(InstanceProblem.run_restart, *zip(*tasks))))
+    results = []
+    for problem in problems:
+        runs = [done[problem, r] if (problem, r) in done else problem.run_restart(r)
+                for r in restarts]
+        best = max(runs, key=lambda r: r.best_value)
+        results.append(InstanceSolveResult(
+            n=problem.g.n,
+            p=p,
+            best_run=best,
+            runs=runs,
+            total_function_evals=sum(r.n_function_evals for r in runs),
+            overlap=problem.final_overlap(best.best_params),
+            best_exact_ratio=problem.final_exact_ratio(best.best_params),
+            k_max=problem.k_max,
+            depth=problem.depth,
+        ))
+    return results
 
 
 def solve_instance(g: Graph, p: int, cfg: NmConfig, pipeline: str,
@@ -381,35 +421,8 @@ def solve_instance(g: Graph, p: int, cfg: NmConfig, pipeline: str,
     every restart, matching how the repetition budget is spent on
     hardware. The best run is the one with the highest estimated
     objective; its final state is scored for overlap with the brute-force
-    optima and for the exact approximation ratio.
-
-    When one ensemble batch of R * 2^N amplitudes holds at most
-    _POOL_MAX_AMPS, the restarts run on a pinned_pool of one worker per
-    usable CPU and per restart, in restart order, and give the same bits as
-    running them here one after another; an error in a worker is raised here
-    with its type and message. Otherwise, or in a daemonic process, they run
-    here in turn, and a batch of two or more row blocks uses the simulator's
-    threads. A caller that runs solves in parallel processes should pin each
-    to one CPU, as pinned_pool does (a pinned process solves in process): in
-    an unpinned worker that is not daemonic, as a ProcessPoolExecutor's are,
-    every solve starts its own workers, one per usable CPU.
+    optima and for the exact approximation ratio. The restarts run as
+    solve_instances runs them: on the pinned pool when a batch of R * 2^N
+    amplitudes holds at most _POOL_MAX_AMPS, else here in turn.
     """
-    problem = InstanceProblem(g, p, cfg, pipeline, noise, master_seed, n_realizations)
-    n_workers = _restart_workers(cfg.n_restarts, n_realizations, g.n)
-    if n_workers == 1:
-        runs = [problem.run_restart(r) for r in range(cfg.n_restarts)]
-    else:
-        with pinned_pool(n_workers) as pool:
-            runs = list(pool.map(problem.run_restart, range(cfg.n_restarts)))
-    best = max(runs, key=lambda r: r.best_value)
-    return InstanceSolveResult(
-        n=g.n,
-        p=p,
-        best_run=best,
-        runs=runs,
-        total_function_evals=sum(r.n_function_evals for r in runs),
-        overlap=problem.final_overlap(best.best_params),
-        best_exact_ratio=problem.final_exact_ratio(best.best_params),
-        k_max=problem.k_max,
-        depth=problem.depth,
-    )
+    return solve_instances([(g, master_seed)], p, cfg, pipeline, noise, n_realizations)[0]

@@ -1,6 +1,6 @@
 import argparse
+import contextlib
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,12 +11,12 @@ import pytest
 
 import qaoabench
 from qaoabench.circuit import QaoaParams, build_qaoa_circuit
+from qaoabench import optimizer
 from qaoabench.cli import build_parser, main
 from qaoabench.graphs import brute_force_maxcut, cut_values_table, read_graph
-from qaoabench.optimizer import _pin_worker
 from qaoabench.scheduler import Schedule, emit_pdpt, parse_pdpt
-from qaoabench.simulator import (NoiseParams, _n_blocks, optima_mask, probabilities,
-                                 run_noisy_ensemble, simulate_logical)
+from qaoabench.simulator import (NoiseParams, optima_mask, probabilities, run_noisy_ensemble,
+                                 simulate_logical)
 
 from conftest import APP_B_PDPT
 
@@ -169,13 +169,16 @@ def test_solve_small_instance(tmp_path):
     assert len(payload["runs"]) == 3
 
 
-# Fixed-seed bench CSVs; every --jobs value must reproduce them byte for byte.
+# Fixed-seed bench CSVs, which the pool and a run of every restart in turn
+# must reproduce byte for byte.
+BENCH_COMMON = ("bench", "--p", 1, "--instances", 2, "--pipeline", "sampled",
+                "--restarts", 2, "--samples", 500, "--seed", 9)
 BENCH_CASES = (
     (("--sizes", "4", "--t2", "inf", "--max-updates", 15),
      "N,p,mean_seconds,sdom_seconds,n_instances\n4,1,0.0385875,0.0002625,2\n"),
     (("--sizes", "6", "--max-updates", 8, "--realizations", 8),        # paper noise
      "N,p,mean_seconds,sdom_seconds,n_instances\n6,1,0.02104,0.00143,2\n"),
-    # two sizes: --jobs 2 hands out N=6 first and must still write N=4 first
+    # two sizes, whose batches hold 8 * 2^4 and 8 * 2^6 amplitudes
     (("--sizes", "4,6", "--max-updates", 8, "--realizations", 8),
      "N,p,mean_seconds,sdom_seconds,n_instances\n"
      "4,1,0.019425,0.000525,2\n6,1,0.02104,0.00143,2\n"),
@@ -183,26 +186,30 @@ BENCH_CASES = (
 
 
 def test_bench_deterministic_bytes(tmp_path):
-    common = ("bench", "--p", 1, "--instances", 2, "--pipeline", "sampled",
-              "--restarts", 2, "--samples", 500, "--seed", 9)
     for case, (args, expected) in enumerate(BENCH_CASES):
-        for jobs in (1, 2):
-            out = tmp_path / f"case{case}-j{jobs}.csv"
-            assert run_cli(*common, *args, "--jobs", jobs, "--out", out) == 0
-            assert out.read_text() == expected
+        out = tmp_path / f"case{case}.csv"
+        assert run_cli(*BENCH_COMMON, *args, "--out", out) == 0
+        assert out.read_text() == expected
 
 
-def test_bench_worker_runs_on_one_cpu():
-    # a bench worker takes one CPU from the queue, so its ensembles keep one block
-    allowed = os.sched_getaffinity(0)
-    cpus = multiprocessing.Queue()
-    cpus.put(max(allowed))
-    try:
-        _pin_worker(cpus)
-        assert os.sched_getaffinity(0) == {max(allowed)}
-        assert _n_blocks(384, 1 << 10) == 1
-    finally:
-        os.sched_setaffinity(0, allowed)
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+def test_bench_pools_only_batches_within_the_bound(tmp_path, monkeypatch):
+    # a bound between the two sizes' batches sends only N=4's restarts to the pool
+    pooled = []
+
+    class RecordingPool:
+        def map(self, fn, problems, restarts):
+            pooled.extend((problem.g.n, r) for problem, r in zip(problems, restarts))
+            return map(fn, problems, restarts)
+
+    monkeypatch.setattr(optimizer, "_POOL_MAX_AMPS", 8 << 4)
+    monkeypatch.setattr(optimizer, "pinned_pool",
+                        lambda n_workers: contextlib.nullcontext(RecordingPool()))
+    args, expected = BENCH_CASES[2]
+    out = tmp_path / "bench.csv"
+    assert run_cli(*BENCH_COMMON, *args, "--out", out) == 0
+    assert out.read_text() == expected
+    assert pooled == [(4, 0), (4, 1), (4, 0), (4, 1)]
 
 
 def test_fit_reads_bench_csv(tmp_path):
@@ -269,11 +276,6 @@ def test_errors_exit_nonzero(tmp_path, capsys):
     assert run_cli("gen", "--n", 7, "--out", tmp_path / "x.txt") == 1
     assert run_cli("reduce", "--graph", tmp_path / "missing.txt",
                    "--out", tmp_path / "y.wcnf") == 1
-    for jobs in (0, -2):
-        assert run_cli("bench", "--sizes", 4, "--p", 1, "--instances", 1, "--restarts", 1,
-                       "--max-updates", 1, "--pipeline", "exact", "--t2", "inf",
-                       "--jobs", jobs, "--out", tmp_path / "b.csv") == 1
-    assert not (tmp_path / "b.csv").exists()
     # a count below 1 fails before any work, naming its flag; the noiseless
     # solve checks R too, though it never reads it
     k4 = tmp_path / "k4.txt"
@@ -391,7 +393,12 @@ def test_cli_surface(capsys):
     options = {name: [opt for action in sp._actions for opt in action.option_strings
                       if opt not in ("-h", "--help")]
                for name, sp in subs.choices.items()}
-    assert sum(len(opts) for opts in options.values()) == 60
+    assert sum(len(opts) for opts in options.values()) == 59
+    # one task list spreads a bench's restarts over the CPUs; no flag picks the workers
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["bench", "--sizes", "4", "--out", "o", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
     for name, opts in options.items():
         assert "--t1" not in opts and "--noiseless" not in opts, name
     # the noise is --t2 alone: T1 = 2 T2 and --t2 inf turns it off

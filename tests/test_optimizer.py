@@ -15,7 +15,8 @@ from qaoabench.graphs import (brute_force_maxcut, cut_values_table, gen_random_3
                               write_graph)
 from qaoabench.optimizer import (CONTRACTION, EXPANSION, REFLECTION, SHRINK, STALL_FACTOR,
                                  InstanceProblem, NmConfig, _restart_workers, nelder_mead,
-                                 pinned_pool, random_initial_simplex, solve_instance)
+                                 pinned_pool, random_initial_simplex, solve_instance,
+                                 solve_instances)
 from qaoabench.simulator import (NoiseParams, _n_blocks, probabilities,
                                  simulate_logical)
 
@@ -182,32 +183,44 @@ def _one_cpu():
         os.sched_setaffinity(0, allowed)
 
 
+_SMALL = NmConfig(n_restarts=3, max_updates=6, n_samples=300)
+
+
 def _small_solve(pipeline, noise, seed=21):
     g = gen_random_3regular(6, seed)
-    cfg = NmConfig(n_restarts=3, max_updates=6, n_samples=300)
-    return solve_instance(g, 2, cfg, pipeline, noise, seed, n_realizations=16)
+    return solve_instance(g, 2, _SMALL, pipeline, noise, seed, n_realizations=16)
+
+
+def _small_solves(pipeline, noise, seeds):
+    """The JSON of each instance of one solve_instances call, in _small_solve's setting."""
+    instances = [(gen_random_3regular(6, seed), seed) for seed in seeds]
+    return [r.to_json() for r in solve_instances(instances, 2, _SMALL, pipeline, noise, 16)]
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
 def test_pool_and_serial_solves_give_the_same_bytes():
-    assert _restart_workers(3, 16, 6) > 1
+    assert _restart_workers(3) > 1
     for pipeline in ("exact", "sampled"):
         for noise in (NoiseParams.from_t2_ratio(1e4), NoiseParams.noiseless()):
-            pooled = _small_solve(pipeline, noise).to_json()
+            pooled = [_small_solve(pipeline, noise, seed).to_json() for seed in (21, 22)]
+            # two instances' six restarts as one task list
+            assert _small_solves(pipeline, noise, (21, 22)) == pooled
             with _one_cpu():
-                assert _restart_workers(3, 16, 6) == 1
-                assert _small_solve(pipeline, noise).to_json() == pooled
+                assert _restart_workers(6) == 1
+                assert _small_solve(pipeline, noise).to_json() == pooled[0]
+                assert _small_solves(pipeline, noise, (21, 22)) == pooled
 
 
 def test_worker_count():
+    # one worker per usable CPU and per pooled task, counted over all instances
     cpus = len(os.sched_getaffinity(0))
-    assert _restart_workers(20, 96, 8) == min(cpus, 20)
-    assert _restart_workers(1, 96, 8) == 1
+    for n_tasks in (0, 1, 3, 20, 800):
+        assert _restart_workers(n_tasks) == min(cpus, n_tasks)
     # batches up to _POOL_MAX_AMPS = 2^19 amplitudes take the pool
-    for r, n in ((96, 8), (384, 8), (384, 10), (32, 14), (1 << 13, 6), (192, 12),
-                 (384, 12), (1 << 14, 6)):
-        pooled = cpus > 1 and r << n <= 1 << 19
-        assert _restart_workers(20, r, n) == (min(cpus, 20) if pooled else 1)
+    for r, n, pooled in ((96, 8, True), (384, 8, True), (384, 10, True), (32, 14, True),
+                         (1 << 13, 6, True), (192, 12, False), (384, 12, False),
+                         (1 << 14, 6, False)):
+        assert (r << n <= optimizer._POOL_MAX_AMPS) is pooled
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
