@@ -369,7 +369,7 @@ def _restart_workers(n_tasks: int) -> int:
     return 1 if multiprocessing.current_process().daemon else count
 
 
-def solve_instances(instances, p: int, cfg: NmConfig, pipeline: str,
+def solve_instances(instances: list[tuple[Graph, int]], p: int, cfg: NmConfig, pipeline: str,
                     noise: NoiseParams, n_realizations: int = 384) -> list[InstanceSolveResult]:
     """Solve each (graph, master seed) pair as solve_instance does, the results
     in instance order.
