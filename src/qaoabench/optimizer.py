@@ -11,9 +11,9 @@ Each restart owns an independent random stream derived from
 (master seed, restart index); within a restart, evaluations are strictly
 sequential, mirroring how a hybrid loop would drive one device. So
 solve_instances spreads the restarts of all its instances, as one list of
-(instance, restart) tasks, over one pool of forked worker processes
-(pinned_pool), each pinned to one usable CPU, and gets the same bits as one
-process running them in turn. An instance's tasks join the pool when its
+(instance, restart) tasks handed out largest N first, over one pool of
+forked worker processes (pinned_pool), each pinned to one usable CPU, and
+gets the same bits as one process running them in turn. An instance's tasks join the pool when its
 ensemble batch holds at most _POOL_MAX_AMPS (2^19) amplitudes (R * 2^N),
 where pinned workers beat the simulator's row-block threads in the recorded
 table; a larger instance runs its restarts one after another in the calling
@@ -376,17 +376,25 @@ def solve_instances(instances: list[tuple[Graph, int]], p: int, cfg: NmConfig, p
 
     Each instance is compiled here, once. The restarts of every instance whose
     ensemble batch of R * 2^N amplitudes holds at most _POOL_MAX_AMPS form one
-    task list on one pinned_pool of one worker per usable CPU and per task; an
-    error in a worker is raised here with its type and message. The other
-    restarts, and all of them on one CPU or in a daemonic process, run here in
-    turn, as do the final scorings. A process that solves alongside others
-    should be pinned to one CPU, or each starts a pool of its own.
+    task list, largest N first, on one pinned_pool of one worker per usable
+    CPU and per task; an error in a worker is raised here with its type and
+    message. The other restarts, and all of them on one CPU or in a daemonic
+    process, run here in turn, as do the final scorings; an instance off the
+    pool is compiled only when its turn comes. A process that solves
+    alongside others should be pinned to one CPU, or each starts a pool of
+    its own.
     """
-    problems = [InstanceProblem(g, p, cfg, pipeline, noise, seed, n_realizations)
-                for g, seed in instances]
+    def build(k):
+        g, seed = instances[k]
+        return InstanceProblem(g, p, cfg, pipeline, noise, seed, n_realizations)
+
     restarts = range(cfg.n_restarts)
-    tasks = [(problem, r) for problem in problems
-             if n_realizations << problem.g.n <= _POOL_MAX_AMPS for r in restarts]
+    # largest N first, so that the pool ends on its shortest tasks
+    pooled = sorted((k for k, (g, _) in enumerate(instances)
+                     if n_realizations << g.n <= _POOL_MAX_AMPS),
+                    key=lambda k: -instances[k][0].n)
+    problems = {k: build(k) for k in pooled}
+    tasks = [(problems[k], r) for k in pooled for r in restarts]
     done = {}
     n_workers = _restart_workers(len(tasks))
     if n_workers > 1:
@@ -394,8 +402,10 @@ def solve_instances(instances: list[tuple[Graph, int]], p: int, cfg: NmConfig, p
             # map(f, problems, restarts) calls f(problem, restart) for each task
             done = dict(zip(tasks, pool.map(InstanceProblem.run_restart, *zip(*tasks))))
     results = []
-    for problem in problems:
-        runs = [done[problem, r] if (problem, r) in done else problem.run_restart(r)
+    for k in range(len(instances)):
+        # an instance off the pool is built only now, and dropped after its scorings
+        problem = problems.pop(k) if k in problems else build(k)
+        runs = [done.pop((problem, r)) if (problem, r) in done else problem.run_restart(r)
                 for r in restarts]
         best = max(runs, key=lambda r: r.best_value)
         results.append(InstanceSolveResult(

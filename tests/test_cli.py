@@ -194,22 +194,37 @@ def test_bench_deterministic_bytes(tmp_path):
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
 def test_bench_pools_only_batches_within_the_bound(tmp_path, monkeypatch):
-    # a bound between the two sizes' batches sends only N=4's restarts to the pool
-    pooled = []
+    # the pool takes the largest N first; a bound between the two sizes'
+    # batches sends only N=4's restarts to it, and N=6 is built after the pool
+    pooled, events = [], []
 
     class RecordingPool:
         def map(self, fn, problems, restarts):
+            events.append("pool")
             pooled.extend((problem.g.n, r) for problem, r in zip(problems, restarts))
             return map(fn, problems, restarts)
 
-    monkeypatch.setattr(optimizer, "_POOL_MAX_AMPS", 8 << 4)
+    def recording_init(self, g, *rest):
+        events.append(g.n)
+        init(self, g, *rest)
+
+    init = optimizer.InstanceProblem.__init__
+    monkeypatch.setattr(optimizer.InstanceProblem, "__init__", recording_init)
     monkeypatch.setattr(optimizer, "pinned_pool",
                         lambda n_workers: contextlib.nullcontext(RecordingPool()))
     args, expected = BENCH_CASES[2]
-    out = tmp_path / "bench.csv"
-    assert run_cli(*BENCH_COMMON, *args, "--out", out) == 0
-    assert out.read_text() == expected
-    assert pooled == [(4, 0), (4, 1), (4, 0), (4, 1)]
+    for bound, tasks, order in (
+            (optimizer._POOL_MAX_AMPS, [(6, 0), (6, 1)] * 2 + [(4, 0), (4, 1)] * 2,
+             [6, 6, 4, 4, "pool"]),
+            (8 << 4, [(4, 0), (4, 1)] * 2, [4, 4, "pool", 6, 6])):
+        monkeypatch.setattr(optimizer, "_POOL_MAX_AMPS", bound)
+        pooled.clear()
+        events.clear()
+        out = tmp_path / "bench.csv"
+        assert run_cli(*BENCH_COMMON, *args, "--out", out) == 0
+        assert out.read_text() == expected
+        assert pooled == tasks
+        assert events == order
 
 
 def test_fit_reads_bench_csv(tmp_path):

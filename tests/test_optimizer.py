@@ -216,11 +216,6 @@ def test_worker_count():
     cpus = len(os.sched_getaffinity(0))
     for n_tasks in (0, 1, 3, 20, 800):
         assert _restart_workers(n_tasks) == min(cpus, n_tasks)
-    # batches up to _POOL_MAX_AMPS = 2^19 amplitudes take the pool
-    for r, n, pooled in ((96, 8, True), (384, 8, True), (384, 10, True), (32, 14, True),
-                         (1 << 13, 6, True), (192, 12, False), (384, 12, False),
-                         (1 << 14, 6, False)):
-        assert (r << n <= optimizer._POOL_MAX_AMPS) is pooled
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
