@@ -10,9 +10,9 @@ For each case in CASES, every one of ROUNDS rounds runs
 the case's variants in VARIANTS, each in a fresh process with PYTHONPATH=src
 in its own checkout: the parent with `--jobs 1` and with `--jobs 2`, and
 this checkout with no extra flag. In the mixed case, this checkout also
-runs with optimizer._POOL_MAX_AMPS raised past every batch, so that its
-restarts over the bound join the pool as well ("change_all_pooled"); in
-the pooled case that variant would run the same path as "change". The variant that goes first rotates from round
+runs with optimizer._POOL_MAX_AMPS lowered to 2^19, so that N=12 runs its
+restarts in turn on the row-block threads ("change_threaded"); in the
+pooled case that variant would run the same path as "change". The variant that goes first rotates from round
 to round, so drift of the host's speed spreads over all of them. Every run
 must write the same CSV bytes as the first run of its case. The wall
 seconds of a run include the interpreter's start.
@@ -42,18 +42,18 @@ SEED = 5
 COMMON = ("--instances", "4", "--p", "2", "--restarts", "5", "--max-updates", "20")
 # name -> (flags, variants)
 CASES = {
-    # every batch within the pool's 2^19 amplitudes
+    # every batch within 2^19 amplitudes
     "pooled": (("--sizes", "8,10,12", "--realizations", "96"),
                ("parent_jobs1", "parent_jobs2", "change")),
-    # N=12 at R=384 holds 1.5 * 2^20 amplitudes, so it keeps its row-block threads
+    # N=12 at R=384 holds 1.5 * 2^20 amplitudes, the largest batch the pool takes
     "mixed": (("--sizes", "8,12", "--realizations", "384"),
-              ("parent_jobs1", "parent_jobs2", "change", "change_all_pooled")),
+              ("parent_jobs1", "parent_jobs2", "change", "change_threaded")),
 }
 # name -> (side, extra flags, optimizer._POOL_MAX_AMPS or None to keep it)
 VARIANTS = {"parent_jobs1": ("parent", ("--jobs", "1"), None),
             "parent_jobs2": ("parent", ("--jobs", "2"), None),
             "change": ("change", (), None),
-            "change_all_pooled": ("change", (), 1 << 62)}
+            "change_threaded": ("change", (), 1 << 19)}
 # runs the CLI with the pool bound given as the first argument
 RAISED_BOUND = ("import sys; from qaoabench import optimizer; "
                 "optimizer._POOL_MAX_AMPS = int(sys.argv[1]); "

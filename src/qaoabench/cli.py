@@ -18,10 +18,10 @@ traceback instead.
 
 `solve` and `bench` use every usable CPU (optimizer.solve_instances). A
 bench makes one list of (instance, restart) tasks over all its sizes. The
-tasks of every instance whose noise-realization batch holds at most 2^19
-amplitudes (R x 2^N) run on one pool of forked worker processes, one per
-usable CPU, each pinned to one CPU; a larger instance runs its restarts in
-turn, each batch on one row-block thread per CPU. The output bytes are the
+tasks of every instance whose noise-realization batch holds at most
+1.5 x 2^20 amplitudes (R x 2^N) run on one pool of forked worker processes,
+one per usable CPU, each pinned to one CPU; a larger instance runs its
+restarts in turn, each batch on one row-block thread per CPU. The output bytes are the
 same as one process running every restart in turn.
 
 BLAS runs single-threaded in every process qaoabench starts (the workers

@@ -11,15 +11,15 @@ Each restart owns an independent random stream derived from
 (master seed, restart index); within a restart, evaluations are strictly
 sequential, mirroring how a hybrid loop would drive one device. So
 solve_instances spreads the restarts of all its instances, as one list of
-(instance, restart) tasks handed out largest N first, over one pool of
-forked worker processes (pinned_pool), each pinned to one usable CPU, and
-gets the same bits as one process running them in turn. An instance's tasks join the pool when its
-ensemble batch holds at most _POOL_MAX_AMPS (2^19) amplitudes (R * 2^N),
-where pinned workers beat the simulator's row-block threads in the recorded
-table; a larger instance runs its restarts one after another in the calling
-process, each batch on every CPU, one row-block thread each, as a daemonic
-process (which may not start any children) runs all of them. The final
-scorings of each instance's best parameters run in the calling process.
+(instance, restart) tasks, largest N first, over one pool of forked worker
+processes (pinned_pool), each pinned to one usable CPU, and gets the same
+bits as one process running them in turn. An instance's tasks join the pool
+when its ensemble batch holds at most _POOL_MAX_AMPS (1.5 * 2^20) amplitudes
+(R * 2^N), where pinned workers beat or tie the row-block threads in the
+recorded tables; a larger instance runs its restarts one after another in
+the calling process, each batch on every CPU, one row-block thread each, as
+a daemonic process (which may not start any children) runs all of them. The
+final scorings of each instance's best parameters run in the caller.
 """
 from __future__ import annotations
 
@@ -348,15 +348,16 @@ def pinned_pool(n_workers: int):
         cpus.close()
 
 
-# Above this many amplitudes per ensemble batch (R * 2^N) an instance runs its
-# restarts in turn and each batch on the simulator's row-block threads. In both runs of
-# scripts/bench_restarts.py recorded in BENCH_restart_pool.json (10 restarts, p=2,
-# median pool time over median threaded time on 2 CPUs), two pinned restart
-# workers took 0.52-0.88x the threaded time up to 2^19 amplitudes (N=8 R=96-384,
-# N=10 R=384, N=12 R=96, N=14 R=32), their quartiles clear of the threaded ones;
-# 0.87x at N=12 R=192 (786432), the quartiles overlapping; and 0.98-1.09x at
-# N=12 R=384 (1572864).
-_POOL_MAX_AMPS = 1 << 19
+# Above this many amplitudes per ensemble batch (R * 2^N), the largest measured
+# (N=12 R=384, or N=14 R=96), an instance runs its restarts in turn and each batch
+# on the simulator's row-block threads, which hold one batch, not one per worker.
+# In BENCH_restart_pool.json (scripts/bench_restarts.py: one solve of 10 restarts,
+# p=2, 2 CPUs) two pinned workers took 0.52-0.88x the threaded time up to 2^19
+# amplitudes, 0.87x at N=12 R=192 and 0.96-1.09x, a tie, at N=12 R=384. In a sweep's
+# longer task list the pool wins there too: pooling N=12 in the mixed case of
+# BENCH_task_list.json (scripts/bench_sweep.py, N=8 and 12 at R=384) was faster
+# than threads in every round.
+_POOL_MAX_AMPS = 3 << 19
 
 
 def _restart_workers(n_tasks: int) -> int:
@@ -376,25 +377,19 @@ def solve_instances(instances: list[tuple[Graph, int]], p: int, cfg: NmConfig, p
 
     Each instance is compiled here, once. The restarts of every instance whose
     ensemble batch of R * 2^N amplitudes holds at most _POOL_MAX_AMPS form one
-    task list, largest N first, on one pinned_pool of one worker per usable
-    CPU and per task; an error in a worker is raised here with its type and
-    message. The other restarts, and all of them on one CPU or in a daemonic
-    process, run here in turn, as do the final scorings; an instance off the
-    pool is compiled only when its turn comes. A process that solves
-    alongside others should be pinned to one CPU, or each starts a pool of
-    its own.
+    task list on one pinned_pool of one worker per usable CPU and per task; an
+    error in a worker is raised here with its type and message. The others
+    run here in turn, compiled when their turn comes, as do all restarts on
+    one CPU or in a daemonic process, and the final scorings. A process that
+    solves alongside others should be pinned to one CPU, or each starts a
+    pool of its own.
     """
-    def build(k):
-        g, seed = instances[k]
-        return InstanceProblem(g, p, cfg, pipeline, noise, seed, n_realizations)
-
     restarts = range(cfg.n_restarts)
-    # largest N first, so that the pool ends on its shortest tasks
-    pooled = sorted((k for k, (g, _) in enumerate(instances)
-                     if n_realizations << g.n <= _POOL_MAX_AMPS),
-                    key=lambda k: -instances[k][0].n)
-    problems = {k: build(k) for k in pooled}
-    tasks = [(problems[k], r) for k in pooled for r in restarts]
+    # the pooled instances, largest N first, so that the pool ends on its shortest tasks
+    problems = {k: InstanceProblem(g, p, cfg, pipeline, noise, seed, n_realizations)
+                for k, (g, seed) in sorted(enumerate(instances), key=lambda e: -e[1][0].n)
+                if n_realizations << g.n <= _POOL_MAX_AMPS}
+    tasks = [(problem, r) for problem in problems.values() for r in restarts]
     done = {}
     n_workers = _restart_workers(len(tasks))
     if n_workers > 1:
@@ -402,9 +397,9 @@ def solve_instances(instances: list[tuple[Graph, int]], p: int, cfg: NmConfig, p
             # map(f, problems, restarts) calls f(problem, restart) for each task
             done = dict(zip(tasks, pool.map(InstanceProblem.run_restart, *zip(*tasks))))
     results = []
-    for k in range(len(instances)):
-        # an instance off the pool is built only now, and dropped after its scorings
-        problem = problems.pop(k) if k in problems else build(k)
+    for k, (g, seed) in enumerate(instances):
+        problem = problems.pop(k, None) or InstanceProblem(g, p, cfg, pipeline, noise, seed,
+                                                           n_realizations)
         runs = [done.pop((problem, r)) if (problem, r) in done else problem.run_restart(r)
                 for r in restarts]
         best = max(runs, key=lambda r: r.best_value)
