@@ -1,27 +1,43 @@
-"""Time the single-qubit kernel per qubit in each form, to place its cut-overs.
+"""Time the single-qubit kernel per qubit in each form, to place its cut-overs,
+or the random draws of one noisy evaluation.
 
 Run from the repository root:
 
-    python3 scripts/bench_kernel.py --label NAME
+    python3 scripts/bench_kernel.py --label NAME [--table kernel|rng]
 
-For each case in CASES (N, realizations R), a random normalized (R, 2^N)
-batch with unit-modulus pending factors gets simulator._apply_1q with
-RX(0.3) on each qubit q, in each of its three forms: "inplace" (the
-elementwise update), "matmul" (one product per row by g^T (x) I_{2^q}) and
-"2x2" (one 2x2 product per pair of runs of 2^q amplitudes), forced by
-setting simulator._MIN_MATMUL_RUN, simulator._MAX_MATMUL_RUN and
-simulator._MIN_2X2_RUN. The matmul form is timed only up to 2^q = MATMUL_CAP,
-since its dense (2^(q+1))^2 matrix per row grows as 4^q, and the 2x2 form
-only from 2^q = PAIR_FLOOR, since below it the product makes one BLAS call
-per handful of amplitudes.
+The kernel table (the default): for each case in CASES (N, realizations R),
+a random normalized (R, 2^N) batch with unit-modulus pending factors gets
+simulator._apply_1q with RX(0.3) on each qubit q, in each of its three
+forms: "inplace" (the elementwise update), "matmul" (one product per row by
+g^T (x) I_{2^q}) and "2x2" (one 2x2 product per pair of runs of 2^q
+amplitudes), forced by setting simulator._MIN_MATMUL_RUN,
+simulator._MAX_MATMUL_RUN and simulator._MIN_2X2_RUN. The matmul form is
+timed only up to 2^q = MATMUL_CAP, since its dense (2^(q+1))^2 matrix per
+row grows as 4^q, and the 2x2 form only from 2^q = PAIR_FLOOR, since below
+it the product makes one BLAS call per handful of amplitudes.
 With 1 block the calling thread applies the kernel CALLS times to the whole
 batch; with 2 blocks the batch is split into two row halves, as
 simulator._run_blocks splits it, and two threads apply it CALLS times each
 to their half at once. The time per call is the wall time over CALLS; it is
 taken REPEATS times, the forms and block counts taking turns, and the
-median and quartiles are kept. Each run appends its table, with the
-machine record and the git SHA, to the list under the key "kernel" of
-BENCH_<label>.json in the repository root, next to what is already there.
+median and quartiles are kept.
+
+The rng table: for each case in RNG_CASES (N, R), the random 3-regular
+graph with seed 7 at p=4 under paper noise (T1 = 200 us, T2 = 100 us,
+T_G = 10 ns), scheduled with seed 0, gives the cycle count. "draws" times
+the noise draws of one run_noisy_ensemble call: "loop" builds one
+default_rng([seed, r]) per realization, as the simulator did before its
+bulk draws, and "bulk" is simulator._draw_noise. "estimate" times one
+sampled estimate of 10000 shots from that instance's ensemble distribution:
+"choice" draws them with Generator.choice, as sample_from_probs did before
+it sorted its uniforms, and "sorted" is sample_from_probs; both end in
+estimate_cut. Each side checks that it gives the other's bits. Every call
+uses a fresh seed; the two sides take turns REPEATS times, with the median
+and quartiles of the time per call kept.
+
+Each run appends its table, with the machine record and the git SHA, to the
+list under the key "kernel" or "rng" of BENCH_<label>.json in the
+repository root, next to what is already there.
 
 BLAS runs single-threaded, as importing qaoabench sets it. Run nothing
 else on the host meanwhile: every time here is wall time.
@@ -40,6 +56,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import qaoabench  # noqa: E402  before numpy loads, so that BLAS runs single-threaded
 
 CASES = ((8, 96), (12, 96), (14, 32), (16, 96))
+RNG_CASES = ((8, 96), (8, 384), (12, 96), (14, 32))
 FORMS = ("inplace", "matmul", "2x2")
 BLOCKS = (1, 2)
 MATMUL_CAP = 32
@@ -104,16 +121,90 @@ def time_cases() -> list[dict]:
     return rows_out
 
 
+def time_rng() -> list[dict]:
+    import numpy as np
+    from qaoabench import simulator
+    from qaoabench.circuit import QaoaParams, build_qaoa_circuit
+    from qaoabench.graphs import cut_values_table, gen_random_3regular
+    from qaoabench.optimizer import NmConfig, estimate_cut
+    from qaoabench.scheduler import choose_grid, schedule
+
+    noise = simulator.NoiseParams(200e-6, 100e-6, 10e-9)
+    sigma = np.sqrt(noise.dephasing_var(noise.t_gate))
+    shots = NmConfig().n_samples
+    params = QaoaParams((0.9, 0.2, 1.4, 0.8), (0.3, 1.0, 0.5, 0.7))
+
+    def loop_draws(seed, shape):
+        eps, us = np.zeros(shape), np.empty(shape)
+        for r in range(shape[0]):
+            rng = np.random.default_rng([seed, r])
+            eps[r] = sigma * rng.standard_normal(shape[1:])
+            us[r] = rng.random(shape[1:])
+        return eps, us
+
+    def bulk_draws(seed, shape):
+        eps, us = np.zeros(shape), np.empty(shape)
+        simulator._draw_noise(eps, us, seed, sigma)
+        return eps, us
+
+    def choice_estimate(seed, probs, table):
+        rng = np.random.default_rng([seed, 2])
+        p = probs / probs.sum()
+        return estimate_cut(rng.choice(len(p), size=shots, p=p).astype(np.uint32), table)
+
+    def sorted_estimate(seed, probs, table):
+        rng = np.random.default_rng([seed, 2])
+        return estimate_cut(simulator.sample_from_probs(probs, shots, rng), table)
+
+    sides = {"draws": {"loop": loop_draws, "bulk": bulk_draws},
+             "estimate": {"choice": choice_estimate, "sorted": sorted_estimate}}
+    rows_out = []
+    for n, r in RNG_CASES:
+        g = gen_random_3regular(n, 7)
+        c = build_qaoa_circuit(g, params)
+        s = schedule(c, choose_grid(n), 0)
+        probs = simulator.run_noisy_ensemble(s, c, noise, r, 0).mean_probs
+        table = cut_values_table(g)
+        args = {"draws": ((r, s.n_cycles, n),), "estimate": (probs, table)}
+        calls = max(4, 4096 // r)
+        seconds = {section: {side: [] for side in funcs} for section, funcs in sides.items()}
+        seed = 0
+        for i in range(REPEATS):
+            for section, funcs in sides.items():
+                outs = []
+                for side, func in sorted(funcs.items(), reverse=i % 2 == 1):
+                    t = time.perf_counter()
+                    for k in range(calls):
+                        out = func(seed + k, *args[section])
+                    seconds[section][side].append((time.perf_counter() - t) / calls)
+                    outs.append(out)
+                assert np.array_equal(*outs), (n, r, section)
+            seed += calls
+        row = {"n": n, "realizations": r, "cycles": s.n_cycles, "shots": shots,
+               "calls": calls, "seconds": {section: {side: quartiles(v) for side, v in per.items()}
+                                           for section, per in seconds.items()}}
+        rows_out.append(row)
+        print(f"N={n:2d} R={r:3d}: " + "; ".join(
+            f"{section} " + ", ".join(f"{side} {q['median'] * 1e3:.3f} ms"
+                                      for side, q in row["seconds"][section].items())
+            for section in sides), file=sys.stderr, flush=True)
+    return rows_out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="adds to BENCH_<label>.json")
+    parser.add_argument("--table", choices=("kernel", "rng"), default="kernel")
     args = parser.parse_args(argv)
 
     path = ROOT / f"BENCH_{args.label}.json"
     record = json.loads(path.read_text()) if path.exists() else {}
-    record.setdefault("kernel", []).append(
-        {**header({"change": ROOT}), "repeats": REPEATS, "matmul_cap": MATMUL_CAP,
-         "pair_floor": PAIR_FLOOR, "cases": time_cases()})
+    if args.table == "kernel":
+        table = {"matmul_cap": MATMUL_CAP, "pair_floor": PAIR_FLOOR, "cases": time_cases()}
+    else:
+        table = {"cases": time_rng()}
+    record.setdefault(args.table, []).append(
+        {**header({"change": ROOT}), "repeats": REPEATS, **table})
     path.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -73,6 +73,7 @@ dense 2^M-site oracle that does apply SWAP unitaries.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -382,11 +383,11 @@ def _apply_pending_noise(states: np.ndarray, pending: np.ndarray, spare: np.ndar
 
 
 def _candidate_steps(states: np.ndarray, pending: np.ndarray, ph: np.ndarray,
-                     damp_amp: float, us: np.ndarray, p_damp: float, j: np.ndarray,
-                     spare: np.ndarray) -> int:
-    """One cycle's noise on a block with jump candidates (us < p_damp), given the
-    cycle's dephasing phases ph and uniform draws us, both (rows, n), and the
-    pending ZZ coupling matrix j; returns the number of jumps. Every no-jump
+                     damp_amp: float, us: np.ndarray, cand: np.ndarray, p_damp: float,
+                     j: np.ndarray, spare: np.ndarray) -> int:
+    """One cycle's noise on a block with jump candidates (cand = us < p_damp), given
+    the cycle's dephasing phases ph, uniform draws us and candidates cand, all
+    (rows, n), and the pending ZZ coupling matrix j; returns the number of jumps. Every no-jump
     factor ph * damp_amp goes into pending. A candidate qubit q sees the
     factors of the qubits below it, as the per-qubit loop does: they are folded
     into pending just before its step. Its rows' P(q=1) comes from a gathered
@@ -398,7 +399,6 @@ def _candidate_steps(states: np.ndarray, pending: np.ndarray, ph: np.ndarray,
     the scalar exp(i sum_b c_b) times the factor exp(-2i c_b) on each qubit b's
     |1> amplitudes, a pending factor. So D needs no flush here."""
     n = pending.shape[1]
-    cand = us < p_damp
     step = ph * damp_amp
     todo = np.ones(cand.shape, dtype=bool)      # factors not yet in pending
     jumps = 0
@@ -434,23 +434,25 @@ def _candidate_steps(states: np.ndarray, pending: np.ndarray, ph: np.ndarray,
 
 
 def _run_cycles(block: np.ndarray, spare: np.ndarray, pending: np.ndarray, eps: np.ndarray,
-                us: np.ndarray, groups, p_damp: float) -> int:
+                us: np.ndarray, cand: np.ndarray, groups, p_damp: float) -> int:
     """Every cycle of the schedule on a block of rows, with a spare buffer of the
-    block's shape, the rows' pending factors and (rows, n_cycles, n) draws; returns
-    the block's number of jumps. The state moves between block and spare as the
-    kernels swap them, and ends in block. The shared phase is flushed only before
-    an RX or H on a qubit it touches and at the end, so at cycles the circuit alone
-    fixes, and each row's rounding does not depend on the rows it runs with."""
+    block's shape, the rows' pending factors, (rows, n_cycles, n) draws and their
+    jump candidates cand (us < p_damp); returns the block's number of jumps. The
+    state moves between block and spare as the kernels swap them, and ends in
+    block. The shared phase is flushed only before an RX or H on a qubit it
+    touches and at the end, so at cycles the circuit alone fixes, and each row's
+    rounding does not depend on the rows it runs with."""
     n = pending.shape[1]
     damp_amp = math.sqrt(1.0 - p_damp)
     phase, states = _PendingPhase(n), block
     jumps = 0
+    hits = cand.any(axis=(0, 2))        # per cycle: whether any row has a candidate
     for cy, group in enumerate(groups):
         states, spare = phase.apply_gates(states, spare, n, group, pending)
         ph = np.exp(1j * eps[:, cy])
-        if (us[:, cy] < p_damp).any():
-            jumps += _candidate_steps(states, pending, ph, damp_amp, us[:, cy], p_damp,
-                                      phase.j, spare)
+        if hits[cy]:
+            jumps += _candidate_steps(states, pending, ph, damp_amp, us[:, cy], cand[:, cy],
+                                      p_damp, phase.j, spare)
         else:
             pending *= ph * damp_amp
     phase.flush(states)
@@ -479,15 +481,15 @@ def _n_blocks(rows: int, dim: int) -> int:
 
 
 def _run_blocks(states: np.ndarray, spare: np.ndarray, eps: np.ndarray, us: np.ndarray,
-                groups, p_damp: float, n_blocks: int) -> int:
+                cand: np.ndarray, groups, p_damp: float, n_blocks: int) -> int:
     """_run_cycles on n_blocks contiguous row blocks of states and spare: the calling
     thread runs the first, a thread pool the others (numpy releases the GIL in its
     array loops and BLAS calls). Returns the number of jumps in all blocks."""
     rows, n = len(states), eps.shape[2]
     pending = np.ones((rows, n), dtype=np.complex128)
     bounds = [rows * b // n_blocks for b in range(n_blocks + 1)]
-    blocks = [(states[lo:hi], spare[lo:hi], pending[lo:hi], eps[lo:hi], us[lo:hi])
-              for lo, hi in zip(bounds, bounds[1:])]
+    blocks = [(states[lo:hi], spare[lo:hi], pending[lo:hi], eps[lo:hi], us[lo:hi],
+               cand[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     if n_blocks == 1:
         return _run_cycles(*blocks[0], groups, p_damp)
     # imported here: it loads logging, 0.65 MB that single-block runs need not hold
@@ -497,6 +499,101 @@ def _run_blocks(states: np.ndarray, spare: np.ndarray, eps: np.ndarray, us: np.n
         jumps = _run_cycles(*blocks[0], groups, p_damp)
         # result() re-raises a worker's exception here
         return jumps + sum(future.result() for future in futures)
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): the entropy's uint32 words
+# are hashed into a pool of 4 words, mixed pairwise, and hashed again into the output
+_POOL_SIZE = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128 in numpy's pcg64.h)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(seed) -> list[int]:
+    """The uint32 words SeedSequence makes of an integer seed, lowest first; it
+    rejects what SeedSequence rejects, with the same error."""
+    if isinstance(seed, (float, np.inexact)):
+        raise TypeError("seed must be integer")
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    return words
+
+
+def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiply) constants of count successive SeedSequence hashes, as
+    columns: h_k and h_{k+1}, where h_0 = init and h_{k+1} = h_k * mult mod 2^32."""
+    h = [init]
+    for _ in range(count):
+        h.append(h[-1] * mult & _MASK32)
+    h = np.array(h, dtype=np.uint32)[:, np.newaxis]
+    return h[:-1], h[1:]
+
+
+def _hash(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    v = (v ^ xor) * mul
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return out ^ (out >> 16)
+
+
+def _seed_states(master_seed: int, rows: int) -> np.ndarray:
+    """Row r is SeedSequence([master_seed, r]).generate_state(4, np.uint64), for
+    every r < rows at once: numpy's uint32 hashing and mixing, run across rows.
+    The constants of successive hashes do not depend on the words hashed, so
+    each step hashes a column of pool words against a column of constants."""
+    words = _seed_words(master_seed)
+    entropy = np.empty((len(words) + 1, rows), dtype=np.uint32)
+    entropy[:-1] = np.array(words, dtype=np.uint32)[:, np.newaxis]
+    entropy[-1] = np.arange(rows)
+    extra = entropy[_POOL_SIZE:]      # words past the pool mix into every pool word
+    xor, mul = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE ** 2 + len(extra) * _POOL_SIZE)
+    pool = np.zeros((_POOL_SIZE, rows), dtype=np.uint32)
+    pool[: len(entropy)] = entropy[:_POOL_SIZE]
+    pool = _hash(pool, xor[:_POOL_SIZE], mul[:_POOL_SIZE])
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[dst] = _mix(pool[dst], _hash(pool[src], xor[k: k + 3], mul[k: k + 3]))
+        k += 3
+    for word in extra:
+        pool = _mix(pool, _hash(word, xor[k: k + _POOL_SIZE], mul[k: k + _POOL_SIZE]))
+        k += _POOL_SIZE
+    xor, mul = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    out = _hash(np.concatenate((pool, pool)), xor, mul)    # the pool, cycled to 8 words
+    return np.ascontiguousarray(out.T).view("<u8").astype(np.uint64)
+
+
+def _draw_noise(eps: np.ndarray, us: np.ndarray, master_seed: int, sigma: float) -> None:
+    """Fill the (R, n_cycles, n) blocks with realization r's stream of
+    default_rng([master_seed, r]): sigma times a Gaussian block (only for sigma
+    > 0; eps is left as it is otherwise), then a uniform block. One PCG64 is
+    reseeded per row through its state setter, from the seeds _seed_states
+    derives, by PCG's srandom: inc = 2 * seq + 1, state = (seed + inc) * mult +
+    inc mod 2^128."""
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for r, (s_hi, s_lo, i_hi, i_lo) in enumerate(_seed_states(master_seed, len(us)).tolist()):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        pcg["state"] = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
+        pcg["inc"] = inc
+        bitgen.state = state
+        if sigma > 0:
+            gen.standard_normal(out=eps[r])
+        gen.random(out=us[r])
+    if sigma > 0:
+        eps *= sigma
 
 
 def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
@@ -511,9 +608,13 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
     Realization r consumes the random stream of default_rng([master_seed, r])
     -- a Gaussian block then a uniform block, (n_cycles x n) each; the
     Gaussian block is drawn only when the dephasing variance is positive
-    (at T2 = 2 T1 the uniform block starts the stream). Every realization
-    is drawn before any is simulated, and the shared ZZ phase is flushed at
-    cycles the circuit alone fixes. So for n >= 2 (see the module docstring)
+    (at T2 = 2 T1 the uniform block starts the stream). The streams are
+    drawn in bulk (_draw_noise): the SeedSequence hashing of every
+    [master_seed, r] runs at once across r, and one PCG64, set to each row's
+    seeded state in turn, draws that row's blocks in place, so the numbers
+    are those of the per-realization generators, bit for bit. Every
+    realization is drawn before any is simulated, and the shared ZZ phase is
+    flushed at cycles the circuit alone fixes. So for n >= 2 (see the module docstring)
     the final states are bitwise the same for every chunk size and block count.
     per_cut takes one dot product per row and mean_probs adds the rows in
     realization order, so they are bitwise the same too. Reruns with one
@@ -523,8 +624,8 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
     gates share one phase vector, applied before an RX or H on a qubit it
     touches and at the end. The pending no-jump noise rides in the fused
     RX/H kernel, or in one multiply per row at the end. A jump candidate
-    (u < p_damp) takes the exact step on its qubit alone
-    (_candidate_steps), from a copy of the row with the pending factors
+    (u < p_damp, compared once per call) takes the exact step on its qubit
+    alone (_candidate_steps), from a copy of the row with the pending factors
     applied; a jump writes the row back and corrects it for the pending
     phase. n_candidates and n_jumps count the candidates and the jumps.
     The cycles of a large chunk run on contiguous row blocks, one thread per
@@ -556,11 +657,8 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
     chunk_spare = np.empty((chunk_rows, dim), dtype=np.complex128)
     eps = np.zeros((n_realizations, n_cycles, n))
     us = np.empty((n_realizations, n_cycles, n))
-    for r in range(n_realizations):
-        rng = np.random.default_rng([master_seed, r])
-        if sigma > 0:
-            eps[r] = sigma * rng.standard_normal((n_cycles, n))
-        us[r] = rng.random((n_cycles, n))
+    _draw_noise(eps, us, master_seed, sigma)
+    cand = us < p_damp
 
     sum_probs = np.zeros(dim)
     per_cut = np.empty(n_realizations) if cut_table is not None else None
@@ -573,8 +671,8 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
         stop = min(start + chunk_rows, n_realizations)
         states, spare = chunk_states[: stop - start], chunk_spare[: stop - start]
         states[:] = prep
-        n_jumps += _run_blocks(states, spare, eps[start:stop], us[start:stop], groups, p_damp,
-                               _n_blocks(stop - start, dim))
+        n_jumps += _run_blocks(states, spare, eps[start:stop], us[start:stop],
+                               cand[start:stop], groups, p_damp, _n_blocks(stop - start, dim))
 
         probs = probabilities(states, spare)
         norms = probs.sum(axis=1, keepdims=True)
@@ -590,7 +688,7 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
 
     return TrajectoryEnsemble(n_realizations, n, master_seed, sum_probs / n_realizations,
                               per_cut=per_cut, per_overlap=per_overlap, states=all_states,
-                              n_candidates=int(np.count_nonzero(us < p_damp)),
+                              n_candidates=int(np.count_nonzero(cand)),
                               n_jumps=n_jumps)
 
 
@@ -600,8 +698,23 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
 
 def sample_from_probs(probs: np.ndarray, n_samples: int,
                       rng: np.random.Generator) -> np.ndarray:
-    p = probs / probs.sum()
-    return rng.choice(len(p), size=n_samples, p=p).astype(np.uint32)
+    """n_samples basis states (uint32 codes) drawn from probs, normalized to sum 1.
+
+    The draws are those of rng.choice(len(probs), n_samples, p=probs /
+    probs.sum()), in ascending order: the same multiset, and rng is left in the
+    same state. choice draws n_samples uniforms and looks each up in the CDF
+    cumsum(p) / its last entry (sample k where cdf[k-1] <= u < cdf[k]); here the
+    uniforms are sorted once, and each state's count is the difference of the
+    number of uniforms below successive CDF entries."""
+    total = probs.sum()
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"probabilities must have a positive finite sum, got {total}")
+    if (probs < 0).any():
+        raise ValueError("probabilities must be non-negative")
+    cdf = (probs / total).cumsum()
+    cdf /= cdf[-1]
+    below = np.sort(rng.random(n_samples)).searchsorted(cdf)
+    return np.repeat(np.arange(len(cdf), dtype=np.uint32), np.diff(below, prepend=0))
 
 
 def optima_mask(optima, n: int) -> np.ndarray:

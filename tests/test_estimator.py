@@ -71,3 +71,50 @@ def test_approximation_ratio(k3):
 def test_estimate_rejects_empty(k3):
     with pytest.raises(ValueError):
         estimate_cut(np.array([], dtype=np.int64), cut_values_table(k3))
+
+
+def _distributions():
+    """Unnormalized probabilities: dense and with zero-probability states (the first
+    and last among them) at several N, a point mass, and one state."""
+    rng = np.random.default_rng(11)
+    out = []
+    for n in (4, 8, 12):
+        dense = rng.random(1 << n) ** 4
+        sparse = np.where(rng.random(1 << n) < 0.5, 0.0, dense)
+        sparse[[0, -1]] = 0.0
+        out += [pytest.param(dense, id=f"n{n}-dense"), pytest.param(sparse, id=f"n{n}-zeros")]
+    point = np.zeros(1 << 6)
+    point[37] = 2.5
+    return out + [pytest.param(point, id="point-mass"),
+                  pytest.param(np.array([0.3]), id="one-state")]
+
+
+@pytest.mark.parametrize("probs", _distributions())
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sampler_draws_what_choice_draws(probs, seed):
+    # the same multiset as Generator.choice, sorted; the same cut estimate bit for
+    # bit on an integer table (integer sums are exact); the same generator state after
+    table = np.random.default_rng(seed).integers(0, 20, len(probs)).astype(np.uint16)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    samples = sample_from_probs(probs, 10_000, ours)
+    want = theirs.choice(len(probs), 10_000, p=probs / probs.sum()).astype(np.uint32)
+    assert samples.dtype == np.uint32
+    assert np.array_equal(samples, np.sort(want))
+    assert estimate_cut(samples, table) == estimate_cut(want, table)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("probs", [np.array([0.5, -0.1, 0.6]), np.array([0.5, np.nan]),
+                                   np.zeros(4), np.array([np.inf, 1.0])],
+                         ids=["negative", "nan", "zero-sum", "inf"])
+def test_sampler_rejects_what_choice_rejects(probs):
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(ValueError):
+        np.random.default_rng(0).choice(len(probs), 10, p=probs / probs.sum())
+    with pytest.raises(ValueError, match="probabilities"):
+        sample_from_probs(probs, 10, np.random.default_rng(0))
+
+
+def test_sampler_rejects_a_negative_sum():
+    # dividing by the sum would turn these into [1, -0.0], which choice accepts
+    with pytest.raises(ValueError, match="positive finite sum"):
+        sample_from_probs(np.array([-1.0, 0.0]), 10, np.random.default_rng(0))

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import threading
 
 import numpy as np
@@ -451,6 +452,39 @@ def _uniform_draws(noise, n_realizations, master_seed, n_cycles, n):
             rng.standard_normal((n_cycles, n))
         us[r] = rng.random((n_cycles, n))
     return us
+
+
+# Master seeds of one and two entropy words, 2^64 - 1, and two seeds of four words,
+# whose entropy, r appended, runs past SeedSequence's pool of four words
+STREAM_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**96, 3**70)
+
+
+@pytest.mark.parametrize("master_seed", STREAM_SEEDS)
+def test_bulk_draws_match_per_realization_generators(master_seed):
+    rows, n_cycles, n = 384, 3, 4
+    seeds = simulator._seed_states(master_seed, rows)
+    # paper noise draws a Gaussian block; at T2 = 2 T1 the uniform block starts the stream
+    for noise in (DEFAULT_NOISE, NoiseParams(t1=1.0, t2=2.0, t_gate=0.01)):
+        sigma = math.sqrt(noise.dephasing_var(noise.t_gate))
+        eps, us = np.zeros((rows, n_cycles, n)), np.empty((rows, n_cycles, n))
+        simulator._draw_noise(eps, us, master_seed, sigma)
+        for r in range(rows):
+            ss = np.random.SeedSequence([master_seed, r])
+            assert np.array_equal(seeds[r], ss.generate_state(4, np.uint64))
+            rng = np.random.default_rng([master_seed, r])
+            want = sigma * rng.standard_normal((n_cycles, n)) if sigma > 0 else 0.0
+            assert np.array_equal(eps[r], np.broadcast_to(want, (n_cycles, n)))
+            assert np.array_equal(us[r], rng.random((n_cycles, n)))
+        assert (sigma > 0) == (noise is DEFAULT_NOISE)
+
+
+@pytest.mark.parametrize("bad", [-1, -2**70, np.int64(-3), 1.5, np.float64(2.0)])
+def test_bad_master_seed_fails_as_default_rng_does(app_b_graph, bad):
+    with pytest.raises((TypeError, ValueError)) as want:
+        np.random.default_rng([bad, 0])
+    s, c = _scheduled(app_b_graph, QaoaParams((0.7,), (0.4,)))
+    with pytest.raises(want.type, match=re.escape(str(want.value))):
+        run_noisy_ensemble(s, c, DEFAULT_NOISE, 4, bad)
 
 
 def _coupled_qubits(groups):
