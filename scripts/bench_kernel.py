@@ -27,13 +27,16 @@ graph with seed 7 at p=4 under paper noise (T1 = 200 us, T2 = 100 us,
 T_G = 10 ns), scheduled with seed 0, gives the cycle count. "draws" times
 the noise draws of one run_noisy_ensemble call: "loop" builds one
 default_rng([seed, r]) per realization, as the simulator did before its
-bulk draws, and "bulk" is simulator._draw_noise. "estimate" times one
-sampled estimate of 10000 shots from that instance's ensemble distribution:
-"choice" draws them with Generator.choice, as sample_from_probs did before
-it sorted its uniforms, and "sorted" is sample_from_probs; both end in
-estimate_cut. Each side checks that it gives the other's bits. Every call
-uses a fresh seed; the two sides take turns REPEATS times, with the median
-and quartiles of the time per call kept.
+bulk draws, and "bulk" is streams.draw_noise; "one-stream" draws the
+same blocks from one default_rng([seed]) per call, the contract ROADMAP
+item 6 weighed, so its numbers differ and only its time is kept.
+"estimate" times one sampled estimate of 10000 shots from that instance's
+ensemble distribution: "choice" draws them with Generator.choice, as
+sample_from_probs did before it sorted its uniforms, and "sorted" is
+sample_from_probs; both end in estimate_cut. loop and bulk, and choice and
+sorted, must give the same bits. Every call uses a fresh seed; the sides
+take turns REPEATS times, and the median and quartiles of the time per
+call are kept.
 
 Each run appends its table, with the machine record and the git SHA, to the
 list under the key "kernel" or "rng" of BENCH_<label>.json in the
@@ -123,7 +126,7 @@ def time_cases() -> list[dict]:
 
 def time_rng() -> list[dict]:
     import numpy as np
-    from qaoabench import simulator
+    from qaoabench import simulator, streams
     from qaoabench.circuit import QaoaParams, build_qaoa_circuit
     from qaoabench.graphs import cut_values_table, gen_random_3regular
     from qaoabench.optimizer import NmConfig, estimate_cut
@@ -144,7 +147,15 @@ def time_rng() -> list[dict]:
 
     def bulk_draws(seed, shape):
         eps, us = np.zeros(shape), np.empty(shape)
-        simulator._draw_noise(eps, us, seed, sigma)
+        streams.draw_noise(eps, us, seed, sigma)
+        return eps, us
+
+    def one_stream_draws(seed, shape):
+        eps, us = np.zeros(shape), np.empty(shape)
+        rng = np.random.default_rng([seed])
+        rng.standard_normal(out=eps)
+        eps *= sigma
+        rng.random(out=us)
         return eps, us
 
     def choice_estimate(seed, probs, table):
@@ -156,7 +167,7 @@ def time_rng() -> list[dict]:
         rng = np.random.default_rng([seed, 2])
         return estimate_cut(simulator.sample_from_probs(probs, shots, rng), table)
 
-    sides = {"draws": {"loop": loop_draws, "bulk": bulk_draws},
+    sides = {"draws": {"loop": loop_draws, "bulk": bulk_draws, "one-stream": one_stream_draws},
              "estimate": {"choice": choice_estimate, "sorted": sorted_estimate}}
     rows_out = []
     for n, r in RNG_CASES:
@@ -171,14 +182,15 @@ def time_rng() -> list[dict]:
         seed = 0
         for i in range(REPEATS):
             for section, funcs in sides.items():
-                outs = []
+                outs = {}
                 for side, func in sorted(funcs.items(), reverse=i % 2 == 1):
                     t = time.perf_counter()
                     for k in range(calls):
                         out = func(seed + k, *args[section])
                     seconds[section][side].append((time.perf_counter() - t) / calls)
-                    outs.append(out)
-                assert np.array_equal(*outs), (n, r, section)
+                    outs[side] = out
+                same = [out for side, out in outs.items() if side != "one-stream"]
+                assert np.array_equal(*same), (n, r, section)
             seed += calls
         row = {"n": n, "realizations": r, "cycles": s.n_cycles, "shots": shots,
                "calls": calls, "seconds": {section: {side: quartiles(v) for side, v in per.items()}

@@ -7,6 +7,7 @@ Library layout, one module per pipeline stage; import the stage you use:
   circuit    QAOA logical circuits (H / ZZPhase / RX)
   scheduler  grid routing with SWAP insertion, PDPT format, validation
   simulator  state-vector simulation with stochastic T1/T2 trajectories
+  streams    the simulator's per-realization random streams, drawn in bulk
   optimizer  multi-start Nelder-Mead with evaluation accounting, sampled
              cut estimates
   costmodel  projected hardware wall-clock time, per-size aggregation

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from qaoabench.circuit import Gate, GateKind, LogicalCircuit, QaoaParams, build_qaoa_circuit
 from qaoabench.graphs import Graph, brute_force_maxcut, cut_values_table, gen_random_3regular
-from qaoabench import simulator
+from qaoabench import simulator, streams
 from qaoabench.scheduler import GridTopology, Schedule, choose_grid, schedule, validate_schedule
 from qaoabench.simulator import (NoiseParams, _apply_1q, _gate_matrix, _n_blocks, _split1,
                                  apply_rx, init_zero_state, optima_mask, probabilities,
@@ -462,12 +462,12 @@ STREAM_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**96, 3**70)
 @pytest.mark.parametrize("master_seed", STREAM_SEEDS)
 def test_bulk_draws_match_per_realization_generators(master_seed):
     rows, n_cycles, n = 384, 3, 4
-    seeds = simulator._seed_states(master_seed, rows)
+    seeds = streams.seed_states(master_seed, rows)
     # paper noise draws a Gaussian block; at T2 = 2 T1 the uniform block starts the stream
     for noise in (DEFAULT_NOISE, NoiseParams(t1=1.0, t2=2.0, t_gate=0.01)):
         sigma = math.sqrt(noise.dephasing_var(noise.t_gate))
         eps, us = np.zeros((rows, n_cycles, n)), np.empty((rows, n_cycles, n))
-        simulator._draw_noise(eps, us, master_seed, sigma)
+        streams.draw_noise(eps, us, master_seed, sigma)
         for r in range(rows):
             ss = np.random.SeedSequence([master_seed, r])
             assert np.array_equal(seeds[r], ss.generate_state(4, np.uint64))
