@@ -387,8 +387,8 @@ def _candidate_steps(states: np.ndarray, pending: np.ndarray, ph: np.ndarray,
                      j: np.ndarray, spare: np.ndarray) -> int:
     """One cycle's noise on a block with jump candidates (cand = us < p_damp), given
     the cycle's dephasing phases ph, uniform draws us and candidates cand, all
-    (rows, n), and the pending ZZ coupling matrix j; returns the number of jumps. Every no-jump
-    factor ph * damp_amp goes into pending. A candidate qubit q sees the
+    (rows, n), and the pending ZZ coupling matrix j; returns the number of jumps.
+    Every no-jump factor ph * damp_amp goes into pending. A candidate qubit q sees the
     factors of the qubits below it, as the per-qubit loop does: they are folded
     into pending just before its step. Its rows' P(q=1) comes from a gathered
     copy with their pending factors applied, and only a jump writes a row back.
@@ -519,8 +519,9 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
     seeded state in turn, draws that row's blocks in place, so the numbers
     are those of the per-realization generators, bit for bit. Every
     realization is drawn before any is simulated, and the shared ZZ phase is
-    flushed at cycles the circuit alone fixes. So for n >= 2 (see the module docstring)
-    the final states are bitwise the same for every chunk size and block count.
+    flushed at cycles the circuit alone fixes. So for n >= 2 (see the module
+    docstring) the final states are bitwise the same for every chunk size and
+    block count.
     per_cut takes one dot product per row and mean_probs adds the rows in
     realization order, so they are bitwise the same too. Reruns with one
     master seed are bitwise identical.
