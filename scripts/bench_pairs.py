@@ -22,7 +22,8 @@ run in the benchmark's own process, so work the program hands to other
 processes slows the probes and scales op_s down, and a claim on op_s must
 show the host-time gain too.
 A rerun replaces these and keeps the tables that scripts/bench_blocks.py,
-scripts/bench_kernel.py and scripts/bench_restarts.py appended to the file.
+scripts/bench_kernel.py, scripts/bench_restarts.py and
+scripts/bench_scheduler.py added to the file.
 
 Run nothing else on the host meanwhile: every time here is wall time.
 """

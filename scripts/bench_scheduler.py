@@ -5,13 +5,15 @@ compare against:
 
     python3 scripts/bench_scheduler.py --parent ../parent --out BENCH_scheduler.json
 
-Depth sweep: for each N in SIZES, GRAPHS random 3-regular graphs (graph
-seeds 0, 1, ...), a p=4 QAOA circuit with fixed angles, scheduled by
-schedule() on choose_grid(N) with the graph seed as schedule seed and the
-default number of tries. Each schedule records its cycles, SWAPs and wall
-seconds. Each checkout's sweep runs in a fresh interpreter that imports
-qaoabench from that checkout's src/. The file also keeps the machine record
-and both git SHAs.
+Depth sweep: for each p in DEPTHS and each N in SIZES, GRAPHS random
+3-regular graphs (graph seeds 0, 1, ...), a QAOA circuit with fixed angles,
+scheduled by schedule() on choose_grid(N) with the graph seed as schedule
+seed and the default number of tries. Each schedule records its cycles,
+SWAPs (Schedule.n_swaps) and wall seconds. Each checkout's sweep runs in a
+fresh interpreter that imports qaoabench from that checkout's src/. The
+sweep, the machine record and both git SHAs go under the key "sweep" of
+the output file; a file that exists keeps its other keys, such as the
+tables of scripts/bench_pairs.py.
 
 Benchmark pairs of the `schedule-sweep` workload come from
 `scripts/bench_pairs.py schedule-sweep`.
@@ -30,9 +32,9 @@ from pathlib import Path
 
 from bench_pairs import ROOT, header
 
-SIZES = (16, 24, 50, 80, 128, 192, 256)
+SIZES = (16, 24, 50, 80, 128, 192, 256, 384, 512)
 GRAPHS = 3
-P = 4
+DEPTHS = (1, 2, 4)
 
 
 def sweep() -> list[dict]:
@@ -42,20 +44,20 @@ def sweep() -> list[dict]:
     from qaoabench.scheduler import choose_grid, schedule
 
     rows = []
-    for n in SIZES:
-        grid = choose_grid(n)
-        for graph_seed in range(GRAPHS):
-            g = gen_random_3regular(n, graph_seed)
-            c = build_qaoa_circuit(g, QaoaParams((0.3,) * P, (0.7,) * P))
-            t = time.perf_counter()
-            s = schedule(c, grid, graph_seed)
-            seconds = time.perf_counter() - t
-            # count SWAP ids, which reads the same on code without Schedule.n_swaps
-            swaps = len({e for row in s.table for e in row if e < 0})
-            rows.append({"n": n, "graph_seed": graph_seed, "grid": [grid.rows, grid.cols],
-                         "cycles": s.n_cycles, "swaps": swaps, "seconds": seconds})
-            print(f"  N={n:3d} graph {graph_seed}: {s.n_cycles} cycles, {swaps} SWAPs, "
-                  f"{seconds:.2f} s", file=sys.stderr, flush=True)
+    for p in DEPTHS:
+        for n in SIZES:
+            grid = choose_grid(n)
+            for graph_seed in range(GRAPHS):
+                g = gen_random_3regular(n, graph_seed)
+                c = build_qaoa_circuit(g, QaoaParams((0.3,) * p, (0.7,) * p))
+                t = time.perf_counter()
+                s = schedule(c, grid, graph_seed)
+                seconds = time.perf_counter() - t
+                rows.append({"p": p, "n": n, "graph_seed": graph_seed,
+                             "grid": [grid.rows, grid.cols], "cycles": s.n_cycles,
+                             "swaps": s.n_swaps, "seconds": seconds})
+                print(f"  p={p} N={n:3d} graph {graph_seed}: {s.n_cycles} cycles, "
+                      f"{s.n_swaps} SWAPs, {seconds:.2f} s", file=sys.stderr, flush=True)
     return rows
 
 
@@ -81,11 +83,13 @@ def main(argv=None) -> int:
         parser.error("--parent and --out are required")
 
     sides = {"parent": args.parent.resolve(), "change": ROOT}
-    record = header(sides)
-    record["sweep"] = {"sizes": list(SIZES), "graphs_per_size": GRAPHS, "p": P}
+    table = header(sides)
+    table.update(sizes=list(SIZES), graphs_per_size=GRAPHS, p=list(DEPTHS))
     for side, path in sides.items():
         print(f"depth sweep, {side}", file=sys.stderr, flush=True)
-        record["sweep"][side] = sweep_in(path)
+        table[side] = sweep_in(path)
+    record = json.loads(args.out.read_text()) if args.out.exists() else {}
+    record["sweep"] = table
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -135,16 +135,15 @@ def dependency_edges(c: LogicalCircuit) -> list[tuple[int, int]]:
 
     A dependency is any same-qubit pair that does not commute; commuting
     gates (notably the ZZ phases within one cost layer) may be freely
-    reordered by a scheduler.
+    reordered by a scheduler. On a shared qubit, two gates of the
+    {H, RX, ZZPhase} set commute (_gates_commute) exactly when they are of
+    the same kind, so the kinds alone decide each pair.
     """
     by_qubit: dict[int, list[int]] = {}
     for idx, gate in enumerate(c.gates):
         for q in gate.qubits:
             by_qubit.setdefault(q, []).append(idx)
-    deps: set[tuple[int, int]] = set()
-    for indices in by_qubit.values():
-        for pos_b, b in enumerate(indices):
-            for a in indices[:pos_b]:
-                if not _gates_commute(c.gates[a], c.gates[b]):
-                    deps.add((a, b))
-    return sorted(deps)
+    kinds = [gate.kind for gate in c.gates]
+    return sorted({(a, b) for indices in by_qubit.values()
+                   for pos_b, b in enumerate(indices) for a in indices[:pos_b]
+                   if kinds[a] != kinds[b]})

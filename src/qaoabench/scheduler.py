@@ -186,10 +186,12 @@ def schedule(c: LogicalCircuit, t: GridTopology, seed: int) -> Schedule:
     Each cycle first executes every ready gate that fits (single-qubit
     gates, and two-qubit gates whose operands sit on adjacent free sites),
     then spends remaining free sites on SWAPs that maximally reduce the
-    total grid distance of pending two-qubit gates, tie-broken by lowest
-    gate id. If a cycle would otherwise be empty, the lowest-id blocked
-    gate is force-routed one step along a shortest path so the schedule
-    always terminates.
+    weighted grid distance of the blocked and lookahead two-qubit gates,
+    tie-broken by lowest gate id. The cycle lists and scores its candidate
+    SWAPs once and keeps that one list current as it swaps (_cycle_swaps).
+    If a cycle would otherwise be empty, the lowest-id blocked gate is
+    force-routed one step along a shortest path so the schedule always
+    terminates.
 
     Placement tie-breaks are randomized, so N_TRIES (4) placements are
     attempted and the shallowest schedule wins. Deterministic for a fixed
@@ -237,6 +239,9 @@ def _route(alg_gates: list[Gate], succs: list[list[int]], indeg0: list[int],
     ready (gates whose predecessors have all executed, in id order) and
     lookahead (two-qubit gates whose predecessors have all executed or are
     ready) are updated from the gates each cycle releases, not rescanned.
+    A cycle runs phase 1 (the ready gates that fit), then, if a gate is
+    blocked, an optional forced step and phase 2: the SWAPs _cycle_swaps
+    picks from the cycle's one candidate list.
     """
     n_alg = len(alg_gates)
     two_qubit = [g.arity == 2 for g in alg_gates]
@@ -265,18 +270,21 @@ def _route(alg_gates: list[Gate], succs: list[list[int]], indeg0: list[int],
 
         # phase 1: execute ready gates that fit on the current placement
         for g in ready:
-            gate = alg_gates[g]
-            sites = [l2p[q] for q in gate.qubits]
-            if any(s in busy for s in sites):
-                if two_qubit[g]:
+            if two_qubit[g]:
+                qa, qb = alg_gates[g].qubits
+                sa, sb = l2p[qa], l2p[qb]
+                if sa in busy or sb in busy or dist[sa][sb] != 1:
                     blocked.append(g)
-                continue
-            if two_qubit[g] and dist[sites[0]][sites[1]] != 1:
-                blocked.append(g)
-                continue
-            for s in sites:
-                row[s] = g + 1
-                busy.add(s)
+                    continue
+                row[sa] = row[sb] = g + 1
+                busy.add(sa)
+                busy.add(sb)
+            else:
+                sa = l2p[alg_gates[g].qubits[0]]
+                if sa in busy:
+                    continue
+                row[sa] = g + 1
+                busy.add(sa)
             done_now.append(g)
 
         if blocked:
@@ -300,28 +308,10 @@ def _route(alg_gates: list[Gate], succs: list[list[int]], indeg0: list[int],
 
             # phase 2: distance-reducing SWAPs on the remaining free sites
             _add_partners(index, lookahead, 0.5, alg_gates)
-            gains: dict[int, dict[int, float]] = {}
-            while True:
-                move = _pick_swap(blocked, index, alg_gates, p2l, l2p, nbrs, dist,
-                                  busy | frozen, gains)
-                if move is None:
-                    break
-                u, v = move
+            for u, v in _cycle_swaps(blocked, index, alg_gates, p2l, l2p, nbrs, dist,
+                                     busy | frozen):
                 swap_counter += 1
                 row[u] = row[v] = -swap_counter
-                busy.update((u, v))
-                _apply_swap(u, v, p2l, l2p)
-                # a gain reads the qubits on its two sites and their partners'
-                # sites, so only the swaps touching u, v or a site holding a
-                # partner of the two moved qubits changed
-                stale = {u, v}
-                for q in (p2l[u], p2l[v]):
-                    stale.update(l2p[partner] for partner, _ in index.get(q, ()))
-                for s in stale:
-                    gains.pop(s, None)
-                    for nb in nbrs[s]:
-                        if nb in gains:
-                            gains[nb].pop(s, None)
 
         table.append(row)
         released = []
@@ -377,50 +367,54 @@ def _swap_gain(u: int, v: int, index, p2l: list[int], l2p: list[int],
     return gain
 
 
-def _pick_swap(blocked: list[int], index, alg_gates: list[Gate], p2l: list[int],
-               l2p: list[int], nbrs: tuple[tuple[int, ...], ...],
-               dist: tuple[tuple[int, ...], ...], unavailable: set[int],
-               gains: dict[int, dict[int, float]]):
-    """Best free adjacent swap by pending-distance reduction; None if no gain.
+def _cycle_swaps(blocked: list[int], index, alg_gates: list[Gate], p2l: list[int],
+                 l2p: list[int], nbrs: tuple[tuple[int, ...], ...],
+                 dist: tuple[tuple[int, ...], ...], unavailable: set[int]) -> list[tuple[int, int]]:
+    """One cycle's distance-reducing SWAPs, in order; each is applied to p2l, l2p.
 
     The pending distance is the sum of w * grid distance over the indexed
-    gates: weight 1 for the blocked gates, 0.5 for the lookahead. A swap
-    moves at most the two logical qubits on its sites, so its gain is
-    summed over the gates on those two qubits only (_swap_gain). Weights
-    are 1 and 0.5 and distances are small integers, so every term and
-    partial sum is an exact multiple of 0.5 in floating point: the local
-    gain equals the difference of the two full sums bit for bit, and the
-    > best + 1e-9 test resolves ties exactly as comparing the full sums
-    would.
-
-    Candidates are edges touching an endpoint of a blocked gate, visited in
-    gate-id order so equal reductions resolve toward the lowest gate id.
-    Sites in unavailable are neither swapped nor swapped into. gains[s][nb]
-    caches the gain of swapping sites s and nb within one cycle; the caller
-    drops the entries a swap changes. A cached gain equals the recomputed one,
-    so the pick is the same.
+    gates: weight 1 for the blocked gates, 0.5 for the lookahead. The
+    candidates are the edges at the operand sites of the blocked gates,
+    visited in gate-id order, each from its first-visited end, none touching
+    an unavailable site. They are listed and scored (_swap_gain) once. Each
+    step swaps the first candidate of the largest gain, if that gain is
+    above 1e-9, so equal reductions resolve toward the lowest gate id.
+    Weights are 1 and 0.5 and distances are small integers, so every gain is
+    an exact multiple of 0.5 in floating point and ties are exact. The
+    swapped sites are then in use: the candidates touching them are dropped
+    (gain -inf), and the candidates on a site holding a partner of the two
+    moved qubits are rescored, as only their gains changed.
     """
-    best = None
-    best_gain = 0.0
-    # unavailable sites, and sites whose every swap has been scored
     closed = set(unavailable)
+    cands: list[tuple[int, int]] = []
     for g in blocked:
         for q in alg_gates[g].qubits:
             s = l2p[q]
-            if s in closed:
-                continue
-            closed.add(s)
-            cached = gains.setdefault(s, {})
-            for nb in nbrs[s]:
-                if nb in closed:
-                    continue
-                gain = cached.get(nb)
-                if gain is None:
-                    gain = cached[nb] = _swap_gain(s, nb, index, p2l, l2p, dist)
-                if gain > best_gain + 1e-9:
-                    best_gain = gain
-                    best = (s, nb)
-    return best
+            if s not in closed:
+                closed.add(s)
+                for nb in nbrs[s]:
+                    if nb not in closed:
+                        cands.append((s, nb))
+    gains = [_swap_gain(s, nb, index, p2l, l2p, dist) for s, nb in cands]
+    swaps: list[tuple[int, int]] = []
+    if max(gains, default=0.0) <= 1e-9:
+        return swaps
+    at: dict[int, list[int]] = {}    # site -> positions of the candidates on it
+    for i, (s, nb) in enumerate(cands):
+        at.setdefault(s, []).append(i)
+        at.setdefault(nb, []).append(i)
+    while (best := max(gains)) > 1e-9:
+        u, v = cands[gains.index(best)]
+        _apply_swap(u, v, p2l, l2p)
+        swaps.append((u, v))
+        for i in at.pop(u, ()) + at.pop(v, ()):
+            gains[i] = -math.inf
+        stale = {i for q in (p2l[u], p2l[v]) for partner, _ in index.get(q, ())
+                 for i in at.get(l2p[partner], ())}
+        for i in stale:
+            if gains[i] != -math.inf:
+                gains[i] = _swap_gain(*cands[i], index, p2l, l2p, dist)
+    return swaps
 
 
 def _best_swap_step(sa: int, steps: list[int], index, p2l: list[int],

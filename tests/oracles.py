@@ -14,7 +14,9 @@ noise code with the per-qubit trajectory reference. Two oracles use
 apply_gate: the all-sites physical simulation, because it checks SWAP
 tracking and not the kernels, and the per-qubit trajectory reference,
 because it checks the deferred noise and the fused kernels of
-run_noisy_ensemble.
+run_noisy_ensemble. pick_swap_rewalk is the scheduler's SWAP pick as it was
+before each cycle kept one candidate list: it walks and scores every
+candidate afresh for each SWAP.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ from scipy.linalg import expm
 
 from qaoabench.circuit import Gate, GateKind
 from qaoabench.graphs import Graph
+from qaoabench.scheduler import _swap_gain
 from qaoabench.simulator import (_split1, apply_rx, apply_zzphase, cycle_gate_groups,
                                  init_zero_state, probabilities)
 
@@ -123,6 +126,34 @@ def logical_depth(c) -> int:
             ready_at[q] = layer
         depth = max(depth, layer)
     return depth
+
+
+def pick_swap_rewalk(blocked, index, alg_gates, p2l, l2p, nbrs, dist, unavailable):
+    """Best free adjacent swap by pending-distance reduction; None if no gain.
+
+    Candidates are edges touching an operand site of a blocked gate, visited
+    in gate-id order, each from its first-visited end; sites in unavailable
+    are neither swapped nor swapped into. Every candidate is scored afresh
+    by _swap_gain, and only a gain above the best so far by 1e-9 replaces
+    it, so equal reductions resolve toward the lowest gate id.
+    """
+    best = None
+    best_gain = 0.0
+    closed = set(unavailable)
+    for g in blocked:
+        for q in alg_gates[g].qubits:
+            s = l2p[q]
+            if s in closed:
+                continue
+            closed.add(s)
+            for nb in nbrs[s]:
+                if nb in closed:
+                    continue
+                gain = _swap_gain(s, nb, index, p2l, l2p, dist)
+                if gain > best_gain + 1e-9:
+                    best_gain = gain
+                    best = (s, nb)
+    return best
 
 
 def plus_state(n: int) -> np.ndarray:

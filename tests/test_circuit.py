@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qaoabench.circuit import (Gate, GateKind, LogicalCircuit, QaoaParams,
                                build_qaoa_circuit, dependency_edges, _gates_commute)
@@ -101,6 +102,26 @@ def test_commutation_rules():
     assert not _gates_commute(zz_a, rx)
     assert _gates_commute(rx, Gate(GateKind.RX, (1,), 0.9))
     assert _gates_commute(zz_a, h)                # disjoint support
+
+
+def _gate(kind: GateKind, a: int, b: int) -> Gate:
+    return Gate(kind, (a, b) if kind == GateKind.ZZPHASE else (a,), 0.1)
+
+
+# derandomized: any order of the three kinds, not only the QAOA layering
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 5), specs=st.lists(
+    st.tuples(st.sampled_from(list(GateKind)), st.integers(0, 4), st.integers(1, 4)),
+    max_size=24))
+@example(n=2, specs=[(GateKind.RX, 0, 1), (GateKind.H, 0, 1),           # H after RX
+                     (GateKind.ZZPHASE, 0, 1), (GateKind.ZZPHASE, 1, 3)])  # ZZ twice on 0-1
+def test_dependency_edges_equal_all_pairs_commute_rule(n, specs):
+    gates = tuple(_gate(kind, a % n, (a + b) % n) for kind, a, b in specs
+                  if kind != GateKind.ZZPHASE or b % n)
+    c = LogicalCircuit(n, gates)
+    expected = [(a, b) for a in range(len(gates)) for b in range(a + 1, len(gates))
+                if not _gates_commute(gates[a], gates[b])]
+    assert dependency_edges(c) == expected
 
 
 def test_dependency_edges_respect_layers(k3):

@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from qaoabench.circuit import Gate, GateKind, LogicalCircuit, QaoaParams, build_qaoa_circuit
 from qaoabench.graphs import gen_random_3regular
-from qaoabench.scheduler import (GridTopology, Schedule, _add_partners, _swap_gain,
-                                 choose_grid, emit_pdpt, parse_pdpt, schedule, validate_schedule)
+from qaoabench.scheduler import (GridTopology, Schedule, _add_partners, _apply_swap,
+                                 _cycle_swaps, _swap_gain, choose_grid, emit_pdpt, parse_pdpt,
+                                 schedule, validate_schedule)
 
 from conftest import APP_B_PDPT, PUBLISHED_DEPTH
-from oracles import logical_depth
+from oracles import logical_depth, pick_swap_rewalk
 
 
 def test_choose_grid():
@@ -130,6 +131,39 @@ def test_swap_gain_equals_full_recomputation():
         p2l[u], p2l[v] = p2l[v], p2l[u]
         l2p = [p2l.index(q) for q in range(n_qubits)]
         assert gain == before - _pending_distance(index, l2p, dist)
+
+
+# derandomized: random cycles on small grids, with unused, busy and frozen sites
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rows=st.integers(1, 4), cols=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_cycle_swaps_equal_rewalk_oracle(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    t = GridTopology(rows, cols)
+    nbrs = tuple(tuple(t.neighbors(s)) for s in range(t.n_sites))
+    dist = tuple(tuple(t.distance(a, b) for b in range(t.n_sites)) for a in range(t.n_sites))
+    n_qubits = int(rng.integers(2, t.n_sites + 1))
+    p2l = [q if q < n_qubits else -1 for q in map(int, rng.permutation(t.n_sites))]
+    l2p = [p2l.index(q) for q in range(n_qubits)]
+    gates = [Gate(GateKind.ZZPHASE, tuple(int(q) for q in rng.choice(n_qubits, 2, replace=False)))
+             for _ in range(int(rng.integers(1, 2 * n_qubits + 1)))]
+    n_blocked = int(rng.integers(1, len(gates) + 1))
+    blocked = list(range(n_blocked))
+    index = {}
+    _add_partners(index, blocked, 1.0, gates)
+    _add_partners(index, range(n_blocked, len(gates)), 0.5, gates)
+    busy = {int(s) for s in rng.choice(t.n_sites, int(rng.integers(t.n_sites // 2 + 1)),
+                                       replace=False)}
+    frozen = {int(rng.integers(t.n_sites))} if rng.random() < 0.5 else set()
+
+    expected = []
+    p2l_o, l2p_o, unavailable = list(p2l), list(l2p), busy | frozen
+    while (move := pick_swap_rewalk(blocked, index, gates, p2l_o, l2p_o, nbrs, dist,
+                                    unavailable)) is not None:
+        expected.append(move)
+        _apply_swap(*move, p2l_o, l2p_o)
+        unavailable = unavailable | set(move)
+    assert _cycle_swaps(blocked, index, gates, p2l, l2p, nbrs, dist, busy | frozen) == expected
+    assert (p2l, l2p) == (p2l_o, l2p_o)
 
 
 def test_schedule_deterministic(app_b_graph):
