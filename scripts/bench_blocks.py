@@ -32,7 +32,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import qaoabench  # noqa: E402  before numpy loads, so that BLAS runs single-threaded
 
 CASES = ((8, 64), (8, 96), (8, 128), (8, 192), (8, 384), (8, 768), (10, 48), (10, 96),
-         (10, 192), (10, 384), (12, 48), (12, 96), (14, 32))
+         (10, 192), (10, 384), (12, 48), (12, 96), (14, 32), (16, 96))
 BLOCKS = (1, 2)
 REPEATS = 15
 

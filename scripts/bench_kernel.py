@@ -1,5 +1,5 @@
-"""Time the single-qubit kernel per qubit in each form, to place its cut-overs,
-or the random draws of one noisy evaluation.
+"""Time the single-qubit kernel per bit in each form and the layout rotation, to
+place their cut-overs, or the random draws of one noisy evaluation.
 
 Run from the repository root:
 
@@ -7,14 +7,18 @@ Run from the repository root:
 
 The kernel table (the default): for each case in CASES (N, realizations R),
 a random normalized (R, 2^N) batch with unit-modulus pending factors gets
-simulator._apply_1q with RX(0.3) on each qubit q, in each of its three
+simulator._apply_1q with RX(0.3) on each bit q, in each of its three
 forms: "inplace" (the elementwise update), "matmul" (one product per row by
 g^T (x) I_{2^q}) and "2x2" (one 2x2 product per pair of runs of 2^q
 amplitudes), forced by setting simulator._MIN_MATMUL_RUN,
 simulator._MAX_MATMUL_RUN and simulator._MIN_2X2_RUN. The matmul form is
 timed only up to 2^q = MATMUL_CAP, since its dense (2^(q+1))^2 matrix per
 row grows as 4^q, and the 2x2 form only from 2^q = PAIR_FLOOR, since below
-it the product makes one BLAS call per handful of amplitudes.
+it the product makes one BLAS call per handful of amplitudes. The "rotate"
+form, on the rows of q >= 1, is no gate but the layout change of the cycle
+loop: simulator._rotate by q bits, the transposing copy into the spare that
+moves bit b of every index to bit (b + q) % N. _layout_plan weighs a
+rotation against an in-place application by simulator._ROTATE_COST.
 With 1 block the calling thread applies the kernel CALLS times to the whole
 batch; with 2 blocks the batch is split into two row halves, as
 simulator._run_blocks splits it, and two threads apply it CALLS times each
@@ -60,7 +64,7 @@ import qaoabench  # noqa: E402  before numpy loads, so that BLAS runs single-thr
 
 CASES = ((8, 96), (12, 96), (14, 32), (16, 96))
 RNG_CASES = ((8, 96), (8, 384), (12, 96), (14, 32))
-FORMS = ("inplace", "matmul", "2x2")
+FORMS = ("inplace", "matmul", "2x2", "rotate")
 BLOCKS = (1, 2)
 MATMUL_CAP = 32
 PAIR_FLOOR = 16
@@ -76,10 +80,12 @@ def time_cases() -> list[dict]:
     cut_over = (simulator._MIN_MATMUL_RUN, simulator._MAX_MATMUL_RUN, simulator._MIN_2X2_RUN)
     rows_out = []
 
-    def run(bufs, n, q, f, calls):
+    def run(bufs, n, q, f, calls, form):
         states, spare = bufs
         for _ in range(calls):
-            if simulator._apply_1q(states, n, q, u, f, spare) is spare:
+            out = (simulator._rotate(states, spare, n, q) if form == "rotate"
+                   else simulator._apply_1q(states, n, q, u, f, spare))
+            if out is spare:
                 states, spare = spare, states
         bufs[:] = states, spare
 
@@ -95,7 +101,8 @@ def time_cases() -> list[dict]:
             for q in range(n):
                 forms = [form for form in FORMS if form == "inplace"
                          or (form == "matmul" and 1 << q <= MATMUL_CAP)
-                         or (form == "2x2" and 1 << q >= PAIR_FLOOR)]
+                         or (form == "2x2" and 1 << q >= PAIR_FLOOR)
+                         or (form == "rotate" and q >= 1)]
                 seconds = {form: {b: [] for b in BLOCKS} for form in forms}
                 for _ in range(REPEATS):
                     for form in forms:
@@ -105,10 +112,11 @@ def time_cases() -> list[dict]:
                         for b in BLOCKS:
                             t = time.perf_counter()
                             if b == 1:
-                                run([states, spare], n, q, f, calls)
+                                run([states, spare], n, q, f, calls, form)
                             else:
-                                other = pool.submit(run, halves[1], n, q, f[r // 2:], calls)
-                                run(halves[0], n, q, f[: r // 2], calls)
+                                other = pool.submit(run, halves[1], n, q, f[r // 2:], calls,
+                                                    form)
+                                run(halves[0], n, q, f[: r // 2], calls, form)
                                 other.result()
                             seconds[form][b].append((time.perf_counter() - t) / calls)
                 (simulator._MIN_MATMUL_RUN, simulator._MAX_MATMUL_RUN,

@@ -194,9 +194,11 @@ def schedule(c: LogicalCircuit, t: GridTopology, seed: int) -> Schedule:
     terminates.
 
     Placement tie-breaks are randomized, so N_TRIES (4) placements are
-    attempted and the shallowest schedule wins. Deterministic for a fixed
-    seed. Raises ValueError if the grid has fewer sites than the circuit
-    has qubits.
+    attempted and the shallowest schedule wins (the first of equals). A try
+    stops routing once its cycles, with gates left, would reach the best
+    try's count, as it can no longer win. Deterministic for a fixed seed.
+    Raises ValueError if the grid has fewer sites than the circuit has
+    qubits.
     """
     if t.n_sites < c.n_qubits:
         raise ValueError(f"{t.rows}x{t.cols} grid cannot hold {c.n_qubits} qubits")
@@ -223,8 +225,8 @@ def schedule(c: LogicalCircuit, t: GridTopology, seed: int) -> Schedule:
         placement = _initial_placement(c.n_qubits, alg_gates, t, dist,
                                        np.random.default_rng([seed, attempt]))
         table = _route(alg_gates, succs, indeg, unreleased, placement,
-                       c.n_qubits, t, nbrs, dist)
-        if best is None or len(table) < len(best[1]):
+                       c.n_qubits, t, nbrs, dist, None if best is None else len(best[1]) - 1)
+        if table is not None:
             best = (placement, table)
     placement, table = best
     return Schedule(t, tuple(placement), tuple(tuple(r) for r in table), n_prep)
@@ -233,8 +235,10 @@ def schedule(c: LogicalCircuit, t: GridTopology, seed: int) -> Schedule:
 def _route(alg_gates: list[Gate], succs: list[list[int]], indeg0: list[int],
            unreleased0: list[int], placement: list[int], n_qubits: int,
            t: GridTopology, nbrs: tuple[tuple[int, ...], ...],
-           dist: tuple[tuple[int, ...], ...]) -> list[list[int]]:
-    """Cycle rows of one schedule from a fixed initial placement.
+           dist: tuple[tuple[int, ...], ...],
+           max_rows: int | None = None) -> list[list[int]] | None:
+    """Cycle rows of one schedule from a fixed initial placement, or None once
+    max_rows rows are routed and gates remain: the table would be longer.
 
     ready (gates whose predecessors have all executed, in id order) and
     lookahead (two-qubit gates whose predecessors have all executed or are
@@ -261,6 +265,8 @@ def _route(alg_gates: list[Gate], succs: list[list[int]], indeg0: list[int],
     max_cycles = 64 + 8 * (n_alg + 1) * (t.rows + t.cols)
 
     while ready:
+        if max_rows is not None and len(table) >= max_rows:
+            return None
         if len(table) > max_cycles:
             raise RuntimeError("scheduler failed to converge; this is a bug")
         row = [0] * t.n_sites

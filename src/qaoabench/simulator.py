@@ -1,8 +1,10 @@
 """State-vector simulation of scheduled circuits with stochastic T1/T2 noise.
 
 States are complex128 arrays whose last axis indexes the 2^n computational
-basis states (qubit q lives in bit q of the index); leading axes, when
-present, are independent noise realizations, so every kernel is batched.
+basis states (logical qubit q lives in bit q of the index, except while the
+cycle loop of an ensemble has moved the bit layout; see below); leading
+axes, when present, are independent noise realizations, so every kernel is
+batched.
 
 Noise follows the per-qubit, per-cycle trajectory picture: after each clock
 cycle every logical qubit receives one stochastic single-qubit operation of
@@ -33,21 +35,33 @@ pending phase needs no flush for a jump: the jump's amplitudes gain the
 phase ratio across the jumped qubit, a scalar times one pending factor per
 coupled qubit.
 
-An RX or H on qubit q pairs each amplitude with the one 2^q away, so a
-row's amplitudes fall into runs of 2^q that share the value of bit q. The
-gate, with the row's pending factor folded in as g, takes one of three
-forms by that run length, as Haner & Steiger apply gates to contiguous
-blocks of amplitudes with small dense products:
-- short runs (qubits 1-3): one product per row, the row's
-  (2^(n-1-q), 2^(q+1)) view times g^T (x) I_{2^q};
-- long runs (qubits 7 and up): one 2x2 product per pair of runs, g times
-  the (2, 2^q) block of a 0-run and its 1-run;
-- the runs between (qubits 4-6) and qubit 0: an elementwise update in place.
+An RX or H on the qubit in bit b pairs each amplitude with the one 2^b
+away, so a row's amplitudes fall into runs of 2^b that share the value of
+bit b. The gate, with the row's pending factor folded in as g, takes one of
+three forms by that run length, as Haner & Steiger apply gates to
+contiguous blocks of amplitudes with small dense products:
+- short runs (bits 1-3): one product per row, the row's
+  (2^(n-1-b), 2^(b+1)) view times g^T (x) I_{2^b};
+- long runs (bits 7 and up): one 2x2 product per pair of runs, g times
+  the (2, 2^b) block of a 0-run and its 1-run;
+- the runs between (bits 4-6) and bit 0: an elementwise update in place.
 The two products write their result to a spare buffer the size of the
 batch, which then swaps roles with the state, so they read and write the
-batch once; the in-place form keeps its temporaries in the spare. The
-pending-noise diagonal, the exact step and the probabilities also use
-whichever buffer does not hold the state.
+batch once; the in-place form keeps its temporaries in the spare and costs
+about 2-3.5 products from 12 qubits on. The pending-noise diagonal, the
+exact step and the probabilities also use whichever buffer does not hold
+the state.
+
+So from 10 qubits on (_MIN_ROTATE_QUBITS) the cycle loop moves the bit
+layout, as distributed simulators reorder qubits to keep gates off costly
+bit positions (both papers above): logical qubit q sits in bit
+(q + offset) % n, and one transposing copy into the spare changes the
+offset (_rotate). _layout_plan picks the offset of every RX and H from the
+schedule alone, so that they run products, and the loop rotates back to
+offset 0 before its final flush. The coupling matrix, the pending factors
+and the draws stay indexed by logical qubit; the phase vector, the pending
+diagonal of an exact step and its P(q=1) are built in the current layout.
+Below 10 qubits the offset stays 0.
 
 The realizations never interact before the final average, so the cycle
 loop of a large batch runs on contiguous blocks of rows, one thread per
@@ -75,6 +89,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -139,7 +154,7 @@ def init_zero_state(n: int) -> np.ndarray:
 
 
 def _split1(state: np.ndarray, n: int, q: int):
-    """Views (a0, a1) of the amplitudes with qubit q equal to 0 / 1."""
+    """Views (a0, a1) of the amplitudes with bit q equal to 0 / 1."""
     shaped = state.reshape(state.shape[:-1] + (1 << (n - 1 - q), 2, 1 << q))
     return shaped[..., 0, :], shaped[..., 1, :]
 
@@ -175,29 +190,35 @@ def _gate_matrix(gate: Gate) -> tuple[complex, complex, complex, complex]:
     return (c, mis, mis, c)
 
 
-# Contiguous runs 2^q of a qubit that _apply_1q applies as a matmul: the qubits
+# Contiguous runs 2^b of a bit b that _apply_1q applies as a matmul: the bits
 # where it won in every recorded case. In BENCH_pr9_kernel.json
 # (scripts/bench_kernel.py: N, R = 8, 96; 12, 96; 14, 32, on one row block and on
 # two at once), the matmul form took this share of the in-place form's time:
-# 0.14-0.34 on qubit 1, 0.23-0.55 on qubit 2 and 0.45-0.79 on qubit 3 in every
-# case. Qubit 0 (0.83-0.92, but 1.41 at N=8 on one block, which is how N=8,
-# R=96 runs) and qubit 4 (0.75-0.89 at N=12 and 14, but 1.5-2.0 at N=8) keep the
-# in-place form, as do the qubits from 5 on (at least 1.43).
+# 0.14-0.34 on bit 1, 0.23-0.55 on bit 2 and 0.45-0.79 on bit 3 in every
+# case. Bit 0 (0.83-0.92, but 1.41 at N=8 on one block, which is how N=8,
+# R=96 runs) and bit 4 (0.75-0.89 at N=12 and 14, but 1.5-2.0 at N=8) keep the
+# in-place form, as do the bits from 5 on (at least 1.43).
 _MIN_MATMUL_RUN, _MAX_MATMUL_RUN = 2, 8
 
 # Runs of at least this many amplitudes take the 2x2 form of _apply_1q. In the two
 # runs recorded under "kernel" in BENCH_2x2_kernel.json (scripts/bench_kernel.py:
 # N, R = 8, 96; 12, 96; 14, 32; 16, 96, on one row block and on two at once), the 2x2
 # form took this share of the in-place form's time: 0.37-0.75 on every run of 256
-# and more, and 0.39-0.65 on one block, 0.59-0.99 on two, on runs of 128 (qubit 7,
-# the top qubit at N=8). On runs of 64 it took 0.48-0.78 on one block but 0.89-1.39
+# and more, and 0.39-0.65 on one block, 0.59-0.99 on two, on runs of 128 (bit 7,
+# the top bit at N=8). On runs of 64 it took 0.48-0.78 on one block but 0.89-1.39
 # on two, and on 16 and 32 up to 4.7 on two, so those keep the in-place form.
 _MIN_2X2_RUN = 128
 
 
+def _product_bit(b: int) -> bool:
+    """Whether _apply_1q runs a BLAS product on bit b, not the in-place update."""
+    run = 1 << b
+    return run >= _MIN_2X2_RUN or _MIN_MATMUL_RUN <= run <= _MAX_MATMUL_RUN
+
+
 def _apply_1q(states: np.ndarray, n: int, q: int, u, f: np.ndarray,
               spare: np.ndarray) -> np.ndarray:
-    """Gate u on qubit q of a (R, 2^n) batch after scaling row r's |1> by f[r], with f
+    """Gate u on bit q of a (R, 2^n) batch after scaling row r's |1> by f[r], with f
     riding in the gate's coefficients; returns the array that holds the result.
 
     The form follows the run 2^q of amplitudes that share bit q, with g_r =
@@ -209,7 +230,7 @@ def _apply_1q(states: np.ndarray, n: int, q: int, u, f: np.ndarray,
     temporaries in the halves of spare (C-contiguous, the size of states)."""
     u00, u01, u10, u11 = u
     run = 1 << q
-    if run >= _MIN_2X2_RUN or _MIN_MATMUL_RUN <= run <= _MAX_MATMUL_RUN:
+    if _product_bit(q):
         rows = len(states)
         g = np.empty((rows, 2, 2), dtype=np.complex128)      # g_r = u diag(1, f[r])
         g[:, 0, 0], g[:, 1, 0] = u00, u10
@@ -238,18 +259,73 @@ def _apply_1q(states: np.ndarray, n: int, q: int, u, f: np.ndarray,
     return states
 
 
+def _rotate(states: np.ndarray, spare: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Copy a (R, 2^n) batch into spare with bit b of every index moved to bit
+    (b + k) % n, and return spare: per row, one transposing copy of the (2^k,
+    2^(n-k)) view, so the high k bits become the low ones."""
+    rows, k = len(states), k % n
+    np.copyto(spare.reshape(rows, 1 << (n - k), 1 << k),
+              states.reshape(rows, 1 << k, 1 << (n - k)).transpose(0, 2, 1))
+    return spare
+
+
+# From this many qubits on, _run_cycles moves the bit layout so that RX and H avoid the
+# in-place form: shifted by 3, its bits 0 and 4-6 land on product bits 3 and 7-9.
+_MIN_ROTATE_QUBITS = 10
+
+# A rotation's cost in in-place applications of _apply_1q moved to a product bit. In
+# the kernel table of BENCH_layout_rotation.json (scripts/bench_kernel.py: N, R = 12,
+# 96; 14, 32; 16, 96, on one row block and on two at once), a rotation by any k took
+# 0.23-1.15 of what such a move saves, the in-place time on bit 0 or 4-6 less the
+# products' median time; its median is about a third to a half.
+_ROTATE_COST = 0.5
+
+
+def _layout_plan(groups, n: int) -> list[int] | None:
+    """The bit offset of the batch's layout (logical qubit q in bit (q + offset) % n)
+    at each RX or H of groups, in order, or None below _MIN_ROTATE_QUBITS, where the
+    offset stays 0. The layout starts and ends at offset 0.
+
+    A Viterbi pass over the n offsets minimizes the number of gates that run the
+    in-place form plus _ROTATE_COST per change of offset, the last change back to 0
+    included; ties keep the lower offset. The plan depends on the schedule alone,
+    so every row block moves alike."""
+    if n < _MIN_ROTATE_QUBITS:
+        return None
+    qubits = [gate.qubits[0] for group in groups for gate in group
+              if gate.kind != GateKind.ZZPHASE]
+    in_place = [0.0 if _product_bit(b) else 1.0 for b in range(n)]
+    cost = [0.0] + [_ROTATE_COST] * (n - 1)     # at offset o before the next gate
+    moves = []                                  # per gate: the offset each offset came from
+    for q in qubits:
+        best = min(range(n), key=cost.__getitem__)
+        move = cost[best] + _ROTATE_COST
+        moves.append([o if cost[o] <= move else best for o in range(n)])
+        cost = [min(cost[o], move) + in_place[(q + o) % n] for o in range(n)]
+    offset = min(range(n), key=lambda o: cost[o] + (_ROTATE_COST if o else 0.0))
+    plan = []
+    for came_from in reversed(moves):
+        plan.append(offset)
+        offset = came_from[offset]
+    return plan[::-1]
+
+
 class _PendingPhase:
-    """ZZPhase gates summed into an upper-triangular coupling matrix j. flush applies
-    them all as one multiply by the phase vector exp(-i theta / 2), theta(z) =
-    sum_{a<b} j_ab s_a s_b with s_q = 1 - 2 * (bit q of z), built by doubling."""
+    """ZZPhase gates summed into an upper-triangular coupling matrix j over the logical
+    qubits. flush applies them all as one multiply by the phase vector exp(-i theta /
+    2), theta(z) = sum_{a<b} j'_ab s_a s_b with s_b = 1 - 2 * (bit b of z), built by
+    doubling; j' is j moved into the batch's bit layout, whose offset (logical qubit
+    q in bit (q + offset) % n) apply_gates keeps."""
 
     def __init__(self, n: int):
         self.j, self.phase, self.qubits = np.zeros((n, n)), np.empty(1 << n, complex), set()
+        self.offset = 0
 
     def flush(self, states: np.ndarray) -> None:
         if not self.qubits:
             return
-        ph, e = self.phase, np.exp(-0.5j * self.j)[..., None]
+        j = self.j if not self.offset else np.roll(self.j + self.j.T, self.offset, axis=(0, 1))
+        ph, e = self.phase, np.exp(-0.5j * j)[..., None]
         ph[0] = 1.0
         g = np.ones((len(e), 1), complex)   # g[b - k] = exp(-i/2 sum_{a<k} j_ab s_a), low k bits
         for k in range(len(e)):
@@ -261,20 +337,25 @@ class _PendingPhase:
         self.qubits.clear()
 
     def apply_gates(self, states: np.ndarray, spare: np.ndarray, n: int, gates,
-                    pending: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                    pending: np.ndarray, offsets) -> tuple[np.ndarray, np.ndarray]:
         """Apply gates in order to a (R, 2^n) batch; returns (state, spare), the two
         buffers' roles swapped after each gate whose result went to the spare. An
-        RX or H flushes the phase if it touches the qubit and takes the qubit's
-        pending noise along."""
+        RX or H takes the next layout offset from the iterator offsets, rotating the
+        batch into it first (_rotate) if it differs from the current one, flushes the
+        phase if it touches the qubit, and takes the qubit's pending noise along."""
         for gate in gates:
             if gate.kind == GateKind.ZZPHASE:
                 self.j[min(gate.qubits), max(gate.qubits)] += gate.angle
                 self.qubits.update(gate.qubits)
                 continue
-            q = gate.qubits[0]
+            q, offset = gate.qubits[0], next(offsets)
+            if offset != self.offset:
+                states, spare = _rotate(states, spare, n, offset - self.offset), states
+                self.offset = offset
             if q in self.qubits:
                 self.flush(states)
-            if _apply_1q(states, n, q, _gate_matrix(gate), pending[:, q], spare) is spare:
+            u = _gate_matrix(gate)
+            if _apply_1q(states, n, (q + offset) % n, u, pending[:, q], spare) is spare:
                 states, spare = spare, states
             pending[:, q] = 1.0
         return states, spare
@@ -286,7 +367,8 @@ def simulate_logical(c: LogicalCircuit, state: np.ndarray | None = None) -> np.n
     if state is None:
         state = init_zero_state(n)
     phase, rows = _PendingPhase(n), state[np.newaxis]
-    out, _ = phase.apply_gates(rows, np.empty_like(rows), n, c.gates, np.ones((1, n), complex))
+    out, _ = phase.apply_gates(rows, np.empty_like(rows), n, c.gates,
+                               np.ones((1, n), complex), repeat(0))
     phase.flush(out)
     if out is not rows:
         state[:] = out[0]
@@ -384,10 +466,12 @@ def _apply_pending_noise(states: np.ndarray, pending: np.ndarray, spare: np.ndar
 
 def _candidate_steps(states: np.ndarray, pending: np.ndarray, ph: np.ndarray,
                      damp_amp: float, us: np.ndarray, cand: np.ndarray, p_damp: float,
-                     j: np.ndarray, spare: np.ndarray) -> int:
+                     j: np.ndarray, offset: int, spare: np.ndarray) -> int:
     """One cycle's noise on a block with jump candidates (cand = us < p_damp), given
     the cycle's dephasing phases ph, uniform draws us and candidates cand, all
-    (rows, n), and the pending ZZ coupling matrix j; returns the number of jumps.
+    (rows, n) over the logical qubits, the pending ZZ coupling matrix j and the
+    block's layout offset (logical qubit q in bit (q + offset) % n); returns the
+    number of jumps.
     Every no-jump factor ph * damp_amp goes into pending. A candidate qubit q sees the
     factors of the qubits below it, as the per-qubit loop does: they are folded
     into pending just before its step. Its rows' P(q=1) comes from a gathered
@@ -403,15 +487,15 @@ def _candidate_steps(states: np.ndarray, pending: np.ndarray, ph: np.ndarray,
     todo = np.ones(cand.shape, dtype=bool)      # factors not yet in pending
     jumps = 0
     for q in np.flatnonzero(cand.any(axis=0)):
-        rows = np.flatnonzero(cand[:, q])
+        rows, b = np.flatnonzero(cand[:, q]), (q + offset) % n
         pend, fold = pending[rows], todo[rows]
         fold[:, q:] = False
         np.multiply(pend, step[rows], out=pend, where=fold)
         todo[rows, : q + 1] = False
         sub = states[rows]
-        _apply_pending_noise(sub, pend, spare)
+        _apply_pending_noise(sub, np.roll(pend, offset, axis=1) if offset else pend, spare)
         probs = probabilities(sub, spare)
-        w1 = probs.reshape(len(rows), -1, 2, 1 << q)[:, :, 1].sum(axis=(1, 2))  # |a1|^2
+        w1 = probs.reshape(len(rows), -1, 2, 1 << b)[:, :, 1].sum(axis=(1, 2))  # |a1|^2
         jump = us[rows, q] < p_damp * (w1 / probs.sum(axis=1))
         stay = ~jump
         # out of place: numpy rounds an in-place complex product of one element
@@ -420,7 +504,7 @@ def _candidate_steps(states: np.ndarray, pending: np.ndarray, ph: np.ndarray,
         if jump.any():
             k = np.flatnonzero(jump)
             moved = sub[k]
-            a0, a1 = _split1(moved, n, q)
+            a0, a1 = _split1(moved, n, b)
             c = j[q] + j[:, q]       # exp(0) is exactly 1 where nothing is pending
             scale = ph[rows[k], q] / np.sqrt(w1[k]) * np.exp(1j * c.sum())
             pend[k] = np.exp(-2j * c)
@@ -434,27 +518,35 @@ def _candidate_steps(states: np.ndarray, pending: np.ndarray, ph: np.ndarray,
 
 
 def _run_cycles(block: np.ndarray, spare: np.ndarray, pending: np.ndarray, eps: np.ndarray,
-                us: np.ndarray, cand: np.ndarray, groups, p_damp: float) -> int:
+                us: np.ndarray, cand: np.ndarray, groups, plan: list[int] | None,
+                p_damp: float) -> int:
     """Every cycle of the schedule on a block of rows, with a spare buffer of the
     block's shape, the rows' pending factors, (rows, n_cycles, n) draws and their
     jump candidates cand (us < p_damp); returns the block's number of jumps. The
-    state moves between block and spare as the kernels swap them, and ends in
-    block. The shared phase is flushed only before an RX or H on a qubit it
-    touches and at the end, so at cycles the circuit alone fixes, and each row's
-    rounding does not depend on the rows it runs with."""
+    state moves between block and spare as the kernels and rotations swap them,
+    and ends in block. Each RX or H runs at its offset in plan (_layout_plan; at
+    offset 0 if None), and the block rotates back to offset 0 before the final
+    flush. The shared phase is
+    flushed only before an RX or H on a qubit it touches and at the end, so at
+    cycles the circuit alone fixes, and each row's rounding does not depend on the
+    rows it runs with."""
     n = pending.shape[1]
     damp_amp = math.sqrt(1.0 - p_damp)
     phase, states = _PendingPhase(n), block
+    offsets = repeat(0) if plan is None else iter(plan)
     jumps = 0
     hits = cand.any(axis=(0, 2))        # per cycle: whether any row has a candidate
     for cy, group in enumerate(groups):
-        states, spare = phase.apply_gates(states, spare, n, group, pending)
+        states, spare = phase.apply_gates(states, spare, n, group, pending, offsets)
         ph = np.exp(1j * eps[:, cy])
         if hits[cy]:
             jumps += _candidate_steps(states, pending, ph, damp_amp, us[:, cy], cand[:, cy],
-                                      p_damp, phase.j, spare)
+                                      p_damp, phase.j, phase.offset, spare)
         else:
             pending *= ph * damp_amp
+    if phase.offset:
+        states, spare = _rotate(states, spare, n, -phase.offset), states
+        phase.offset = 0
     phase.flush(states)
     _apply_pending_noise(states, pending, spare)
     if states is not block:
@@ -481,7 +573,8 @@ def _n_blocks(rows: int, dim: int) -> int:
 
 
 def _run_blocks(states: np.ndarray, spare: np.ndarray, eps: np.ndarray, us: np.ndarray,
-                cand: np.ndarray, groups, p_damp: float, n_blocks: int) -> int:
+                cand: np.ndarray, groups, plan: list[int] | None, p_damp: float,
+                n_blocks: int) -> int:
     """_run_cycles on n_blocks contiguous row blocks of states and spare: the calling
     thread runs the first, a thread pool the others (numpy releases the GIL in its
     array loops and BLAS calls). Returns the number of jumps in all blocks."""
@@ -491,12 +584,13 @@ def _run_blocks(states: np.ndarray, spare: np.ndarray, eps: np.ndarray, us: np.n
     blocks = [(states[lo:hi], spare[lo:hi], pending[lo:hi], eps[lo:hi], us[lo:hi],
                cand[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     if n_blocks == 1:
-        return _run_cycles(*blocks[0], groups, p_damp)
+        return _run_cycles(*blocks[0], groups, plan, p_damp)
     # imported here: it loads logging, 0.65 MB that single-block runs need not hold
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(n_blocks - 1) as pool:
-        futures = [pool.submit(_run_cycles, *block, groups, p_damp) for block in blocks[1:]]
-        jumps = _run_cycles(*blocks[0], groups, p_damp)
+        futures = [pool.submit(_run_cycles, *block, groups, plan, p_damp)
+                   for block in blocks[1:]]
+        jumps = _run_cycles(*blocks[0], groups, plan, p_damp)
         # result() re-raises a worker's exception here
         return jumps + sum(future.result() for future in futures)
 
@@ -536,10 +630,14 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
     phase. n_candidates and n_jumps count the candidates and the jumps.
     The cycles of a large chunk run on contiguous row blocks, one thread per
     usable CPU (see _n_blocks); the rows are normalized last, over the whole
-    chunk. RX and H on qubits 1-3 (short runs) and on qubits q with
-    2^q >= _MIN_2X2_RUN (long runs) are BLAS matrix products, the others an
-    in-place update, so BLAS should run single-threaded, or its threads
-    compete with the row blocks:
+    chunk. RX and H on bits 1-3 (short runs) and on bits b with
+    2^b >= _MIN_2X2_RUN (long runs) are BLAS matrix products, the others an
+    in-place update. From 10 qubits on, the cycle loop moves logical qubit q
+    to bit (q + offset) % n, by one transposing copy per change of offset, at
+    offsets _layout_plan picks from the schedule so that RX and H run the
+    products; the plan draws nothing, so the streams, chunks and blocks are
+    as above, and below 10 qubits the layout never moves. BLAS should run
+    single-threaded, or its threads compete with the row blocks:
     importing qaoabench sets OPENBLAS_NUM_THREADS (and the OpenMP and MKL
     counts) to 1 unless set, but a caller that loads numpy before qaoabench
     has to set them itself.
@@ -549,6 +647,7 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
     n = c.n_qubits
     dim = 1 << n
     groups = cycle_gate_groups(s, c)
+    plan = _layout_plan(groups, n)
     n_cycles = len(groups)
     prep = simulate_logical(LogicalCircuit(n, c.gates[: s.n_prep_gates]))
 
@@ -578,7 +677,8 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
         states, spare = chunk_states[: stop - start], chunk_spare[: stop - start]
         states[:] = prep
         n_jumps += _run_blocks(states, spare, eps[start:stop], us[start:stop],
-                               cand[start:stop], groups, p_damp, _n_blocks(stop - start, dim))
+                               cand[start:stop], groups, plan, p_damp,
+                               _n_blocks(stop - start, dim))
 
         probs = probabilities(states, spare)
         norms = probs.sum(axis=1, keepdims=True)

@@ -312,23 +312,25 @@ def test_realization_streams_independent_of_chunking(app_b_graph, monkeypatch):
 
 
 # (graph, noise, realizations, chunk rows): one chunk, paper and strong noise, and
-# several chunks whose last is short, on the app-B graph (N = 8); and two of them
-# on a 10-qubit 3-regular graph, whose qubits 7-9 take the 2x2 form on 4, 2 and 1
-# pairs of runs per row
+# several chunks whose last is short, on the app-B graph (N = 8); two of them on a
+# 10-qubit 3-regular graph, whose bits 7-9 take the 2x2 form on 4, 2 and 1 pairs of
+# runs per row; and strong noise on a 12-qubit one, whose rotated layout meets jumps
 BLOCK_CASES = (("app-b", DEFAULT_NOISE, 32, None),
                ("app-b", NoiseParams.from_t2_ratio(20.0), 50, None),
                ("app-b", NoiseParams.from_t2_ratio(50.0), 50, 11),
                ("n10", DEFAULT_NOISE, 32, None),
-               ("n10", NoiseParams.from_t2_ratio(50.0), 24, 7))
+               ("n10", NoiseParams.from_t2_ratio(50.0), 24, 7),
+               ("n12", NoiseParams.from_t2_ratio(20.0), 24, None))
 
 
 @pytest.mark.parametrize("graph,noise,n_real,chunk_rows", BLOCK_CASES,
                          ids=["paper", "t2r20", "t2r50-chunked", "n10-paper",
-                              "n10-t2r50-chunked"])
+                              "n10-t2r50-chunked", "n12-t2r20"])
 def test_row_blocks_are_bitwise_invariant(app_b_graph, monkeypatch, graph, noise, n_real,
                                           chunk_rows):
     # the cycle loop on 1, 2 and 3 row blocks of each chunk gives the same bits
-    g = app_b_graph if graph == "app-b" else gen_random_3regular(10, 4)
+    g = {"app-b": app_b_graph, "n10": gen_random_3regular(10, 4),
+         "n12": gen_random_3regular(12, 4)}[graph]
     params = QaoaParams((0.9, 0.2, 1.4, 0.8), (0.3, 1.0, 0.5, 0.7))
     s, c = _scheduled(g, params)
     cut = cut_values_table(g)
@@ -529,6 +531,62 @@ def test_exact_step_on_candidate_qubits_matches_per_qubit_reference(app_b_graph,
     assert any(q in coupled[cycle] for cycle, q in jumps)
     assert ens.n_jumps == len(jumps)
     assert ens.n_candidates == int(candidates.sum())
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_rotated_layout_matches_per_qubit_reference(monkeypatch, n):
+    # from 10 qubits on the cycle loop moves the bit layout; under strong damping,
+    # jumps fire while it is moved, and the block rotates back at the end
+    s, c = _scheduled(gen_random_3regular(n, 3), QaoaParams((0.9, 0.2, 1.4, 0.8),
+                                                            (0.3, 1.0, 0.5, 0.7)))
+    noise = NoiseParams.from_t2_ratio(5.0)
+    candidate_steps, steps = simulator._candidate_steps, []     # (offset, jumps)
+
+    def recording(*args):
+        jumps = candidate_steps(*args)
+        steps.append((args[-2], jumps))
+        return jumps
+
+    monkeypatch.setattr(simulator, "_candidate_steps", recording)
+    ens = run_noisy_ensemble(s, c, noise, 8, 23, keep_states=True)
+    ref, _ = per_qubit_trajectories(s, c, noise, 8, 23)
+    assert np.max(np.abs(ens.states - ref)) < 1e-12
+    assert any(offset != 0 and jumps > 0 for offset, jumps in steps)
+    assert ens.n_jumps == sum(jumps for _, jumps in steps)
+
+
+def test_rotate_moves_every_bit():
+    n, rows = 5, 3
+    states = np.arange(rows << n, dtype=complex).reshape(rows, 1 << n)
+    index = np.arange(1 << n)
+    for k in range(-n, 2 * n):
+        out = simulator._rotate(states, np.empty_like(states), n, k)
+        # bit b of the old index is bit (b + k) % n of the new one
+        moved = sum(((index >> b) & 1) << ((b + k) % n) for b in range(n))
+        assert np.array_equal(out[:, moved], states)
+
+
+def test_layout_plan():
+    # no rotation below 10 qubits; from 10 on, never more in-place applications, nor a
+    # higher cost, than the fixed layout
+    params = QaoaParams((0.3,) * 4, (0.7,) * 4)
+    for n in range(4, 17, 2):
+        for seed in range(10):
+            c = build_qaoa_circuit(gen_random_3regular(n, seed), params)
+            groups = simulator.cycle_gate_groups(schedule(c, choose_grid(n), seed), c)
+            plan = simulator._layout_plan(groups, n)
+            if n < simulator._MIN_ROTATE_QUBITS:
+                assert plan is None
+                continue
+            qubits = [gate.qubits[0] for group in groups for gate in group
+                      if gate.kind != GateKind.ZZPHASE]
+            assert len(plan) == len(qubits)
+            in_place = [sum(not simulator._product_bit((q + o) % n)
+                            for q, o in zip(qubits, offsets))
+                        for offsets in (plan, [0] * len(plan))]
+            rotations = sum(a != b for a, b in zip([0] + plan, plan + [0]))
+            assert in_place[0] + simulator._ROTATE_COST * rotations <= in_place[1]
+            assert in_place[0] <= in_place[1]
 
 
 def test_flushes_do_not_depend_on_the_draws(app_b_graph, monkeypatch):
