@@ -48,7 +48,7 @@ contiguous blocks of amplitudes with small dense products:
 The two products write their result to a spare buffer the size of the
 batch, which then swaps roles with the state, so they read and write the
 batch once; the in-place form keeps its temporaries in the spare and costs
-about 2-3.5 products from 12 qubits on. The pending-noise diagonal, the
+about 2-4 products from 12 qubits on. The pending-noise diagonal, the
 exact step and the probabilities also use whichever buffer does not hold
 the state.
 
@@ -276,8 +276,8 @@ _MIN_ROTATE_QUBITS = 10
 # A rotation's cost in in-place applications of _apply_1q moved to a product bit. In
 # the kernel table of BENCH_layout_rotation.json (scripts/bench_kernel.py: N, R = 12,
 # 96; 14, 32; 16, 96, on one row block and on two at once), a rotation by any k took
-# 0.23-1.15 of what such a move saves, the in-place time on bit 0 or 4-6 less the
-# products' median time; its median is about a third to a half.
+# 0.21-0.89 of what such a move saves, the in-place time on bit 0 or 4-6 less the
+# products' median time, and 0.30-0.43 in the medians.
 _ROTATE_COST = 0.5
 
 
