@@ -13,7 +13,9 @@ workloads take turns within each pair index, so drift of the host's speed
 spreads over all of them.
 
 BENCH_<label>.json in the repository root keeps the machine record, both
-git SHAs, every run's end-to-end metrics and operation counts, and per
+git SHAs with the paths under src/ and scripts/ that each tree has edited
+since its commit (so a table timed on an uncommitted tree says so), every
+run's end-to-end metrics and operation counts, and per
 workload and metric the median and quartiles of each side and the number
 of pairs the change won (lower is better; ties count for neither side).
 Beside the gated metrics it keeps the unscaled op_s of each run's record
@@ -65,13 +67,22 @@ def git_sha(checkout: Path) -> str:
                           text=True, check=True).stdout.strip()
 
 
+def edited_paths(checkout: Path) -> list[str]:
+    """Paths under src/ and scripts/ that differ from HEAD or are untracked."""
+    out = subprocess.run(["git", "status", "--porcelain", "--", "src", "scripts"],
+                         cwd=checkout, stdout=subprocess.PIPE, text=True, check=True).stdout
+    return [line[3:] for line in out.splitlines()]
+
+
 def header(sides: dict[str, Path]) -> dict:
-    """Schema, machine record and the git SHA of each side."""
+    """Schema, machine record, and the git SHA of each side with the paths
+    under src/ and scripts/ edited since that commit (none on a clean tree)."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from run import machine_record
 
     return {"schema": 1, "machine": machine_record(),
-            "git_sha": {side: git_sha(path) for side, path in sides.items()}}
+            "git_sha": {side: git_sha(path) for side, path in sides.items()},
+            "edited_paths": {side: edited_paths(path) for side, path in sides.items()}}
 
 
 def summary(pairs: list[dict]) -> dict:

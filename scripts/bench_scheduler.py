@@ -9,8 +9,11 @@ Depth sweep: for each p in DEPTHS and each N in SIZES, GRAPHS random
 3-regular graphs (graph seeds 0, 1, ...), a QAOA circuit with fixed angles,
 scheduled by schedule() on choose_grid(N) with the graph seed as schedule
 seed and the default number of tries. Each schedule records its cycles,
-SWAPs (Schedule.n_swaps) and wall seconds. Each checkout's sweep runs in a
-fresh interpreter that imports qaoabench from that checkout's src/. The
+SWAPs (Schedule.n_swaps) and wall seconds, and beside the total the seconds
+spent in its two phases, summed over the tries: the initial placements
+(scheduler._initial_placement) and the routing (scheduler._route). Each
+checkout's sweep runs in a fresh interpreter that imports qaoabench from
+that checkout's src/. The
 sweep, the machine record and both git SHAs go under the key "sweep" of
 the output file; a file that exists keeps its other keys, such as the
 tables of scripts/bench_pairs.py.
@@ -37,12 +40,37 @@ GRAPHS = 3
 DEPTHS = (1, 2, 4)
 
 
+def time_phases(module, names: dict[str, str]) -> dict[str, float]:
+    """Wrap module.<name> so that every call adds its seconds to phases[key].
+
+    `schedule` looks its phases up as module globals at each call, so the
+    wrappers time them without a change to the scheduler.
+    """
+    phases = dict.fromkeys(names.values(), 0.0)
+
+    def timed(fn, key):
+        def wrapper(*args, **kwargs):
+            t = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                phases[key] += time.perf_counter() - t
+        return wrapper
+
+    for name, key in names.items():
+        setattr(module, name, timed(getattr(module, name), key))
+    return phases
+
+
 def sweep() -> list[dict]:
     """Schedule each sweep case with the qaoabench found on sys.path."""
+    from qaoabench import scheduler
     from qaoabench.circuit import QaoaParams, build_qaoa_circuit
     from qaoabench.graphs import gen_random_3regular
     from qaoabench.scheduler import choose_grid, schedule
 
+    phases = time_phases(scheduler, {"_initial_placement": "placement_seconds",
+                                     "_route": "route_seconds"})
     rows = []
     for p in DEPTHS:
         for n in SIZES:
@@ -50,14 +78,17 @@ def sweep() -> list[dict]:
             for graph_seed in range(GRAPHS):
                 g = gen_random_3regular(n, graph_seed)
                 c = build_qaoa_circuit(g, QaoaParams((0.3,) * p, (0.7,) * p))
+                phases.update(dict.fromkeys(phases, 0.0))
                 t = time.perf_counter()
                 s = schedule(c, grid, graph_seed)
                 seconds = time.perf_counter() - t
                 rows.append({"p": p, "n": n, "graph_seed": graph_seed,
                              "grid": [grid.rows, grid.cols], "cycles": s.n_cycles,
-                             "swaps": s.n_swaps, "seconds": seconds})
+                             "swaps": s.n_swaps, "seconds": seconds, **phases})
                 print(f"  p={p} N={n:3d} graph {graph_seed}: {s.n_cycles} cycles, "
-                      f"{s.n_swaps} SWAPs, {seconds:.2f} s", file=sys.stderr, flush=True)
+                      f"{s.n_swaps} SWAPs, {seconds:.2f} s (placement "
+                      f"{phases['placement_seconds']:.2f} s, routing "
+                      f"{phases['route_seconds']:.2f} s)", file=sys.stderr, flush=True)
     return rows
 
 

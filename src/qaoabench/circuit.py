@@ -147,3 +147,32 @@ def dependency_edges(c: LogicalCircuit) -> list[tuple[int, int]]:
     return sorted({(a, b) for indices in by_qubit.values()
                    for pos_b, b in enumerate(indices) for a in indices[:pos_b]
                    if kinds[a] != kinds[b]})
+
+
+def run_predecessors(c: LogicalCircuit) -> list[list[int]]:
+    """Per gate, in ascending order, the gates it must immediately follow.
+
+    On each qubit the gates fall into maximal runs of one kind; a gate's
+    predecessors are the previous run on each of its qubits. Every pair is
+    in dependency_edges, and the transitive closure of these lists equals
+    that of dependency_edges: an edge (a, b) spans the runs between a's and
+    b's, and one gate of each of them chains a to b. So a scheduler that
+    releases a gate once its predecessors have run sees the same ready
+    gates with either, while these lists hold one run per qubit where
+    dependency_edges holds every earlier gate of another kind.
+    """
+    current: dict[int, list[int]] = {}    # qubit -> its latest run
+    previous: dict[int, list[int]] = {}   # qubit -> the run before it
+    kinds = [gate.kind for gate in c.gates]
+    preds: list[list[int]] = []
+    for idx, gate in enumerate(c.gates):
+        mine: set[int] = set()
+        for q in gate.qubits:
+            run = current.get(q)
+            if run is None or kinds[run[0]] != kinds[idx]:
+                previous[q] = run or []
+                current[q] = run = []
+            run.append(idx)
+            mine.update(previous[q])
+        preds.append(sorted(mine))
+    return preds

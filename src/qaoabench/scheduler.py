@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Gate, LogicalCircuit, dependency_edges
+from .circuit import Gate, LogicalCircuit, dependency_edges, run_predecessors
 
 N_TRIES = 4    # placements tried per schedule; the shallowest schedule wins
 
@@ -129,50 +129,57 @@ def _initial_placement(n_logical: int, gates: list[Gate], grid: GridTopology,
     """Greedy interaction-aware placement; returns site -> logical (-1 unused).
 
     Qubits are placed in order of interaction weight with already-placed
-    qubits, each at the free site minimizing the weighted distance to its
-    placed partners. Ties are broken by the seeded rng so distinct seeds
-    explore distinct placements.
+    qubits (their attachment), each at the free site minimizing the weighted
+    distance to its placed partners. While no unplaced qubit is attached
+    (at the start, or when only non-interacting qubits remain) the next one
+    is of the largest total weight and goes nearest the grid centre. Ties
+    are broken by the seeded rng so distinct seeds explore distinct
+    placements.
+
+    Nothing is rescanned: placing a qubit adds each of its edge weights to
+    the partner's attachment, and the free sites are scored from the
+    distance rows of the chosen qubit's placed partners alone. The unplaced
+    qubits and the free sites stay in ascending lists, so every tie-break
+    draws from the same candidate list, and the rng makes the same draws,
+    as a rescan of every qubit and site would.
     """
-    weights = _interaction_weights(gates)
     total = [0] * n_logical
-    partners: dict[int, list[tuple[int, int]]] = {q: [] for q in range(n_logical)}
-    for (u, v), w in weights.items():
+    partners: list[list[tuple[int, int]]] = [[] for _ in range(n_logical)]
+    for (u, v), w in _interaction_weights(gates).items():
         total[u] += w
         total[v] += w
         partners[u].append((v, w))
         partners[v].append((u, w))
 
-    center = grid.site(grid.rows // 2, grid.cols // 2)
-    free = set(range(grid.n_sites))
+    center = dist[grid.site(grid.rows // 2, grid.cols // 2)]
+    attach = [0] * n_logical
+    unplaced = list(range(n_logical))
+    free = list(range(grid.n_sites))
     site_of = [-1] * n_logical
-    placed: list[int] = []
 
     def pick(options: list[int]) -> int:
-        return int(options[rng.integers(len(options))]) if len(options) > 1 else options[0]
+        return options[rng.integers(len(options))] if len(options) > 1 else options[0]
 
-    while len(placed) < n_logical:
-        unplaced = [q for q in range(n_logical) if site_of[q] == -1]
-        attach = {q: sum(w for v, w in partners[q] if site_of[v] != -1) for q in unplaced}
-        best_attach = max(attach.values())
+    while unplaced:
+        best_attach = max(map(attach.__getitem__, unplaced))
         if best_attach > 0:
-            cands = [q for q in unplaced if attach[q] == best_attach]
+            q = pick([q for q in unplaced if attach[q] == best_attach])
+            costs = [0] * len(free)
+            for v, w in partners[q]:
+                if site_of[v] != -1:
+                    row = dist[site_of[v]]
+                    costs = [c + w * row[s] for c, s in zip(costs, free)]
         else:
-            # nothing placed yet, or only non-interacting qubits remain
-            top = max(total[q] for q in unplaced)
-            cands = [q for q in unplaced if total[q] == top]
-        q = pick(sorted(cands))
-
-        def cost(site: int) -> int:
-            c = sum(w * dist[site][site_of[v]]
-                    for v, w in partners[q] if site_of[v] != -1)
-            return c if best_attach > 0 else dist[site][center]
-
-        costs = {s: cost(s) for s in free}
-        best_cost = min(costs.values())
-        site = pick(sorted(s for s, c in costs.items() if c == best_cost))
+            top = max(map(total.__getitem__, unplaced))
+            q = pick([q for q in unplaced if total[q] == top])
+            costs = [center[s] for s in free]
+        best_cost = min(costs)
+        site = pick([s for s, c in zip(free, costs) if c == best_cost])
         site_of[q] = site
-        free.discard(site)
-        placed.append(q)
+        unplaced.remove(q)
+        free.remove(site)
+        for v, w in partners[q]:
+            attach[v] += w
 
     placement = [-1] * grid.n_sites
     for q, s in enumerate(site_of):
@@ -197,6 +204,14 @@ def schedule(c: LogicalCircuit, t: GridTopology, seed: int) -> Schedule:
     attempted and the shallowest schedule wins (the first of equals). A try
     stops routing once its cycles, with gates left, would reach the best
     try's count, as it can no longer win. Deterministic for a fixed seed.
+
+    Nothing is rescanned: the dependencies are set up once for all tries,
+    each gate waiting on the previous run of another kind on each of its
+    qubits (run_predecessors; the same ready gates and lookahead as every
+    pair of dependency_edges, whose transitive closure it equals), each
+    placement keeps its attachments and site costs current as it places
+    (_initial_placement), and each cycle scores its candidate SWAPs in one
+    loop (_swap_gains).
     Raises ValueError if the grid has fewer sites than the circuit has
     qubits.
     """
@@ -206,12 +221,11 @@ def schedule(c: LogicalCircuit, t: GridTopology, seed: int) -> Schedule:
     n_prep = c.prep_layer_size()
     alg_gates = list(c.gates[n_prep:])
     n_alg = len(alg_gates)
-    preds: list[list[int]] = [[] for _ in range(n_alg)]
+    preds = [[a - n_prep for a in p if a >= n_prep] for p in run_predecessors(c)[n_prep:]]
     succs: list[list[int]] = [[] for _ in range(n_alg)]
-    for a, b in dependency_edges(c):
-        if a >= n_prep and b >= n_prep:
-            preds[b - n_prep].append(a - n_prep)
-            succs[a - n_prep].append(b - n_prep)
+    for b, p in enumerate(preds):
+        for a in p:
+            succs[a].append(b)
     indeg = [len(p) for p in preds]
     # per gate, predecessors not yet ready: a two-qubit gate that is not
     # ready itself belongs to the lookahead once this reaches 0
@@ -355,22 +369,35 @@ def _add_partners(index: dict[int, list[tuple[int, float]]], gates, weight: floa
         index.setdefault(b, []).append((a, weight))
 
 
-def _swap_gain(u: int, v: int, index, p2l: list[int], l2p: list[int],
-               dist: tuple[tuple[int, ...], ...]) -> float:
-    """Drop in the weighted distance of the indexed gates if sites u, v swap.
+def _swap_gains(pairs, index, p2l: list[int], l2p: list[int],
+                dist: tuple[tuple[int, ...], ...]) -> list[float]:
+    """Drop in the weighted distance of the indexed gates if sites u, v swap,
+    for each (u, v) of pairs, scored in one loop.
 
     Only gates on the logical qubits at u and v move; a gate on both keeps
     its distance and contributes nothing.
     """
-    gain = 0.0
-    qu, qv = p2l[u], p2l[v]
-    for q, here, there, other in ((qu, u, v, qv), (qv, v, u, qu)):
-        d_here, d_there = dist[here], dist[there]
-        for partner, w in index.get(q, ()):
-            if partner != other:
+    gains = []
+    for u, v in pairs:
+        qu, qv = p2l[u], p2l[v]
+        d_u, d_v = dist[u], dist[v]
+        gain = 0.0
+        for partner, w in index.get(qu, ()):
+            if partner != qv:
                 sp = l2p[partner]
-                gain += w * (d_here[sp] - d_there[sp])
-    return gain
+                gain += w * (d_u[sp] - d_v[sp])
+        for partner, w in index.get(qv, ()):
+            if partner != qu:
+                sp = l2p[partner]
+                gain += w * (d_v[sp] - d_u[sp])
+        gains.append(gain)
+    return gains
+
+
+def _swap_gain(u: int, v: int, index, p2l: list[int], l2p: list[int],
+               dist: tuple[tuple[int, ...], ...]) -> float:
+    """_swap_gains of the one pair (u, v)."""
+    return _swap_gains(((u, v),), index, p2l, l2p, dist)[0]
 
 
 def _cycle_swaps(blocked: list[int], index, alg_gates: list[Gate], p2l: list[int],
@@ -382,7 +409,7 @@ def _cycle_swaps(blocked: list[int], index, alg_gates: list[Gate], p2l: list[int
     gates: weight 1 for the blocked gates, 0.5 for the lookahead. The
     candidates are the edges at the operand sites of the blocked gates,
     visited in gate-id order, each from its first-visited end, none touching
-    an unavailable site. They are listed and scored (_swap_gain) once. Each
+    an unavailable site. They are listed and scored (_swap_gains) once. Each
     step swaps the first candidate of the largest gain, if that gain is
     above 1e-9, so equal reductions resolve toward the lowest gate id.
     Weights are 1 and 0.5 and distances are small integers, so every gain is
@@ -401,7 +428,7 @@ def _cycle_swaps(blocked: list[int], index, alg_gates: list[Gate], p2l: list[int
                 for nb in nbrs[s]:
                     if nb not in closed:
                         cands.append((s, nb))
-    gains = [_swap_gain(s, nb, index, p2l, l2p, dist) for s, nb in cands]
+    gains = _swap_gains(cands, index, p2l, l2p, dist)
     swaps: list[tuple[int, int]] = []
     if max(gains, default=0.0) <= 1e-9:
         return swaps
@@ -415,11 +442,10 @@ def _cycle_swaps(blocked: list[int], index, alg_gates: list[Gate], p2l: list[int
         swaps.append((u, v))
         for i in at.pop(u, ()) + at.pop(v, ()):
             gains[i] = -math.inf
-        stale = {i for q in (p2l[u], p2l[v]) for partner, _ in index.get(q, ())
-                 for i in at.get(l2p[partner], ())}
-        for i in stale:
-            if gains[i] != -math.inf:
-                gains[i] = _swap_gain(*cands[i], index, p2l, l2p, dist)
+        stale = list({i for q in (p2l[u], p2l[v]) for partner, _ in index.get(q, ())
+                      for i in at.get(l2p[partner], ()) if gains[i] != -math.inf})
+        for i, gain in zip(stale, _swap_gains([cands[i] for i in stale], index, p2l, l2p, dist)):
+            gains[i] = gain
     return swaps
 
 
@@ -430,7 +456,9 @@ def _best_swap_step(sa: int, steps: list[int], index, p2l: list[int],
     The largest _swap_gain over the indexed (blocked) gates wins; gains are
     exact, so ties are exact and go to the lowest site.
     """
-    return max(sorted(steps), key=lambda nb: _swap_gain(sa, nb, index, p2l, l2p, dist))
+    steps = sorted(steps)
+    gains = _swap_gains([(sa, nb) for nb in steps], index, p2l, l2p, dist)
+    return steps[gains.index(max(gains))]
 
 
 # ---------------------------------------------------------------------------

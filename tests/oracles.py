@@ -16,7 +16,9 @@ tracking and not the kernels, and the per-qubit trajectory reference,
 because it checks the deferred noise and the fused kernels of
 run_noisy_ensemble. pick_swap_rewalk is the scheduler's SWAP pick as it was
 before each cycle kept one candidate list: it walks and scores every
-candidate afresh for each SWAP.
+candidate afresh for each SWAP. initial_placement_rescan is the scheduler's
+placement as it was before it kept its attachments and site costs
+incrementally: it rescans every qubit and every free site at each step.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from scipy.linalg import expm
 
 from qaoabench.circuit import Gate, GateKind
 from qaoabench.graphs import Graph
-from qaoabench.scheduler import _swap_gain
+from qaoabench.scheduler import _interaction_weights, _swap_gain
 from qaoabench.simulator import (_split1, apply_rx, apply_zzphase, cycle_gate_groups,
                                  init_zero_state, probabilities)
 
@@ -154,6 +156,63 @@ def pick_swap_rewalk(blocked, index, alg_gates, p2l, l2p, nbrs, dist, unavailabl
                     best_gain = gain
                     best = (s, nb)
     return best
+
+
+def initial_placement_rescan(n_logical, gates, grid, dist, rng) -> list[int]:
+    """Greedy interaction-aware placement; returns site -> logical (-1 unused).
+
+    Qubits are placed in order of interaction weight with already-placed
+    qubits, each at the free site minimizing the weighted distance to its
+    placed partners. Ties are broken by the seeded rng so distinct seeds
+    explore distinct placements. This is the scheduler's placement as it
+    was before it kept its bookkeeping incrementally: every step recomputes
+    the attachment of every unplaced qubit and the cost of every free site.
+    """
+    weights = _interaction_weights(gates)
+    total = [0] * n_logical
+    partners: dict[int, list[tuple[int, int]]] = {q: [] for q in range(n_logical)}
+    for (u, v), w in weights.items():
+        total[u] += w
+        total[v] += w
+        partners[u].append((v, w))
+        partners[v].append((u, w))
+
+    center = grid.site(grid.rows // 2, grid.cols // 2)
+    free = set(range(grid.n_sites))
+    site_of = [-1] * n_logical
+    placed: list[int] = []
+
+    def pick(options: list[int]) -> int:
+        return int(options[rng.integers(len(options))]) if len(options) > 1 else options[0]
+
+    while len(placed) < n_logical:
+        unplaced = [q for q in range(n_logical) if site_of[q] == -1]
+        attach = {q: sum(w for v, w in partners[q] if site_of[v] != -1) for q in unplaced}
+        best_attach = max(attach.values())
+        if best_attach > 0:
+            cands = [q for q in unplaced if attach[q] == best_attach]
+        else:
+            # nothing placed yet, or only non-interacting qubits remain
+            top = max(total[q] for q in unplaced)
+            cands = [q for q in unplaced if total[q] == top]
+        q = pick(sorted(cands))
+
+        def cost(site: int) -> int:
+            c = sum(w * dist[site][site_of[v]]
+                    for v, w in partners[q] if site_of[v] != -1)
+            return c if best_attach > 0 else dist[site][center]
+
+        costs = {s: cost(s) for s in free}
+        best_cost = min(costs.values())
+        site = pick(sorted(s for s, c in costs.items() if c == best_cost))
+        site_of[q] = site
+        free.discard(site)
+        placed.append(q)
+
+    placement = [-1] * grid.n_sites
+    for q, s in enumerate(site_of):
+        placement[s] = q
+    return placement
 
 
 def plus_state(n: int) -> np.ndarray:

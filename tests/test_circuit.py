@@ -3,7 +3,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qaoabench.circuit import (Gate, GateKind, LogicalCircuit, QaoaParams,
-                               build_qaoa_circuit, dependency_edges, _gates_commute)
+                               build_qaoa_circuit, dependency_edges, run_predecessors,
+                               _gates_commute)
 from qaoabench.graphs import Graph, gen_random_3regular
 from qaoabench.simulator import simulate_logical
 
@@ -122,6 +123,34 @@ def test_dependency_edges_equal_all_pairs_commute_rule(n, specs):
     expected = [(a, b) for a in range(len(gates)) for b in range(a + 1, len(gates))
                 if not _gates_commute(gates[a], gates[b])]
     assert dependency_edges(c) == expected
+
+
+def _closure(n_gates: int, preds: list[list[int]]) -> set[tuple[int, int]]:
+    """Every pair (a, b) with a path a -> ... -> b; each predecessor precedes its gate."""
+    ancestors: list[set[int]] = []
+    for b in range(n_gates):
+        ancestors.append(set().union(*({a} | ancestors[a] for a in preds[b])))
+    return {(a, b) for b in range(n_gates) for a in ancestors[b]}
+
+
+# derandomized: the gate lists of the all-pairs test above
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 5), specs=st.lists(
+    st.tuples(st.sampled_from(list(GateKind)), st.integers(0, 4), st.integers(1, 4)),
+    max_size=24))
+@example(n=2, specs=[(GateKind.RX, 0, 1), (GateKind.H, 0, 1),
+                     (GateKind.ZZPHASE, 0, 1), (GateKind.ZZPHASE, 1, 3)])
+def test_run_predecessors_span_dependency_edges(n, specs):
+    gates = tuple(_gate(kind, a % n, (a + b) % n) for kind, a, b in specs
+                  if kind != GateKind.ZZPHASE or b % n)
+    c = LogicalCircuit(n, gates)
+    preds = run_predecessors(c)
+    edges = dependency_edges(c)
+    assert {(a, b) for b, p in enumerate(preds) for a in p} <= set(edges)
+    edge_preds: list[list[int]] = [[] for _ in gates]
+    for a, b in edges:
+        edge_preds[b].append(a)
+    assert _closure(len(gates), preds) == _closure(len(gates), edge_preds)
 
 
 def test_dependency_edges_respect_layers(k3):

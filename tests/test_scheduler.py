@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 from qaoabench.circuit import Gate, GateKind, LogicalCircuit, QaoaParams, build_qaoa_circuit
 from qaoabench.graphs import gen_random_3regular
 from qaoabench.scheduler import (GridTopology, Schedule, _add_partners, _apply_swap,
-                                 _cycle_swaps, _swap_gain, choose_grid, emit_pdpt, parse_pdpt,
-                                 schedule, validate_schedule)
+                                 _cycle_swaps, _initial_placement, _swap_gain, choose_grid,
+                                 emit_pdpt, parse_pdpt, schedule, validate_schedule)
 
 from conftest import APP_B_PDPT, PUBLISHED_DEPTH
-from oracles import logical_depth, pick_swap_rewalk
+from oracles import initial_placement_rescan, logical_depth, pick_swap_rewalk
 
 
 def test_choose_grid():
@@ -164,6 +164,23 @@ def test_cycle_swaps_equal_rewalk_oracle(rows, cols, seed):
         unavailable = unavailable | set(move)
     assert _cycle_swaps(blocked, index, gates, p2l, l2p, nbrs, dist, busy | frozen) == expected
     assert (p2l, l2p) == (p2l_o, l2p_o)
+
+
+# derandomized: the incremental placement against the rescan, tie-break draws included
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from(range(4, 41, 2)), p=st.integers(1, 4),
+       graph_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1),
+       extra_side=st.sampled_from((0, 1)))
+def test_initial_placement_equals_rescan_oracle(n, p, graph_seed, seed, extra_side):
+    c = build_qaoa_circuit(gen_random_3regular(n, graph_seed), QaoaParams((0.3,) * p, (0.7,) * p))
+    gates = list(c.gates[c.prep_layer_size():])
+    side = choose_grid(n).rows
+    t = GridTopology(side, side + extra_side)
+    dist = tuple(tuple(t.distance(a, b) for b in range(t.n_sites)) for a in range(t.n_sites))
+    rng, rng_o = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert _initial_placement(n, gates, t, dist, rng) == \
+        initial_placement_rescan(n, gates, t, dist, rng_o)
+    assert rng.bit_generator.state == rng_o.bit_generator.state
 
 
 def test_schedule_deterministic(app_b_graph):
