@@ -1,5 +1,6 @@
-"""Time the single-qubit kernel per bit in each form and the layout rotation, to
-place their cut-overs, or the random draws of one noisy evaluation.
+"""Time the gate kernel per bit in each form, for one gate and for groups of two and
+three, and the layout copies, to place their cut-overs and weights, or the random
+draws of one noisy evaluation.
 
 Run from the repository root:
 
@@ -7,18 +8,27 @@ Run from the repository root:
 
 The kernel table (the default): for each case in CASES (N, realizations R),
 a random normalized (R, 2^N) batch with unit-modulus pending factors gets
-simulator._apply_1q with RX(0.3) on each bit q, in each of its three
-forms: "inplace" (the elementwise update), "matmul" (one product per row by
-g^T (x) I_{2^q}) and "2x2" (one 2x2 product per pair of runs of 2^q
-amplitudes), forced by setting simulator._MIN_MATMUL_RUN,
-simulator._MAX_MATMUL_RUN and simulator._MIN_2X2_RUN. The matmul form is
-timed only up to 2^q = MATMUL_CAP, since its dense (2^(q+1))^2 matrix per
-row grows as 4^q, and the 2x2 form only from 2^q = PAIR_FLOOR, since below
-it the product makes one BLAS call per handful of amplitudes. The "rotate"
-form, on the rows of q >= 1, is no gate but the layout change of the cycle
-loop: simulator._rotate by q bits, the transposing copy into the spare that
-moves bit b of every index to bit (b + q) % N. _layout_plan weighs a
-rotation against an in-place application by simulator._ROTATE_COST.
+simulator._apply_group with RX(0.3) on each bit q, in each of its forms,
+forced by replacing simulator._group_form. One gate: "inplace" (the
+elementwise update), "matmul" (the short form: one product per row by
+g^T (x) I_{2^q}) and "2x2" (the long form: one 2x2 product per pair of runs
+of 2^q amplitudes). The matmul form is timed only up to 2^q = MATMUL_CAP,
+since its dense (2^(q+1))^2 matrix per row grows as 4^q, and the 2x2 form
+only from 2^q = PAIR_FLOOR, since below it the product makes one BLAS call
+per handful of amplitudes. From GROUP_MIN_N qubits on, groups of k = 2
+("pair") and 3 ("triple") RX(0.3) gates on bits q..q+k-1 run as one product
+by the Kronecker product of their per-row matrices: "pair-short" and
+"triple-short" (one product per row by G^T (x) I_{2^q}, bit 0 included)
+while 2^(q+k) <= GROUP_SHORT_CAP, "pair-long" and "triple-long" (one
+2^k x 2^k product per block of 2^k runs) from 2^q = GROUP_LONG_FLOOR on;
+together they cover the short-run and bit-0 positions, the long runs and
+the groups across bits 3/4 and 6/7. The "rotate" form, on the rows of q >=
+1, is no gate but the layout change of the cycle loop: simulator._rotate by
+q bits, the transposing copy into the spare that moves bit b of every index
+to bit (b + q) % N. "permute", on the row of q = 0, is the cycle loop's last
+copy, simulator._permute by a fixed random permutation of the bits.
+simulator._layout_plan weighs a product, an in-place update and a rotation by
+these times (simulator._group_cost, _ROTATE_COST).
 With 1 block the calling thread applies the kernel CALLS times to the whole
 batch; with 2 blocks the batch is split into two row halves, as
 simulator._run_blocks splits it, and two threads apply it CALLS times each
@@ -64,11 +74,35 @@ import qaoabench  # noqa: E402  before numpy loads, so that BLAS runs single-thr
 
 CASES = ((8, 96), (12, 96), (14, 32), (16, 96))
 RNG_CASES = ((8, 96), (8, 384), (12, 96), (14, 32))
-FORMS = ("inplace", "matmul", "2x2", "rotate")
 BLOCKS = (1, 2)
 MATMUL_CAP = 32
 PAIR_FLOOR = 16
+GROUP_MIN_N = 12
+GROUP_SHORT_CAP = 64
+GROUP_LONG_FLOOR = 8
 REPEATS = 9
+
+# form -> (gates per product, the form _apply_group is forced into)
+GATE_FORMS = {"inplace": (1, "inplace"), "matmul": (1, "short"), "2x2": (1, "long"),
+              "pair-short": (2, "short"), "pair-long": (2, "long"),
+              "triple-short": (3, "short"), "triple-long": (3, "long")}
+
+
+def forms_at(n: int, q: int) -> list[str]:
+    """The forms timed on bit q of an n-qubit batch."""
+    forms = ["inplace"]
+    if 1 << q <= MATMUL_CAP:
+        forms.append("matmul")
+    if 1 << q >= PAIR_FLOOR:
+        forms.append("2x2")
+    if n >= GROUP_MIN_N:
+        for k, name in ((2, "pair"), (3, "triple")):
+            if q + k <= n and 1 << (q + k) <= GROUP_SHORT_CAP:
+                forms.append(f"{name}-short")
+            if q + k <= n and 1 << q >= GROUP_LONG_FLOOR:
+                forms.append(f"{name}-long")
+    forms.append("rotate" if q >= 1 else "permute")
+    return forms
 
 
 def time_cases() -> list[dict]:
@@ -77,14 +111,19 @@ def time_cases() -> list[dict]:
     from qaoabench import simulator
 
     u = (np.cos(0.3), -1j * np.sin(0.3), -1j * np.sin(0.3), np.cos(0.3))
-    cut_over = (simulator._MIN_MATMUL_RUN, simulator._MAX_MATMUL_RUN, simulator._MIN_2X2_RUN)
+    group_form = simulator._group_form
     rows_out = []
 
-    def run(bufs, n, q, f, calls, form):
+    def run(bufs, n, q, f, calls, form, source):
         states, spare = bufs
+        k = GATE_FORMS.get(form, (1,))[0]
         for _ in range(calls):
-            out = (simulator._rotate(states, spare, n, q) if form == "rotate"
-                   else simulator._apply_1q(states, n, q, u, f, spare))
+            if form == "rotate":
+                out = simulator._rotate(states, spare, n, q)
+            elif form == "permute":
+                out = simulator._permute(states, spare, n, source)
+            else:
+                out = simulator._apply_group(states, n, q, (u,) * k, f[:, :k], spare)
             if out is spare:
                 states, spare = spare, states
         bufs[:] = states, spare
@@ -95,40 +134,37 @@ def time_cases() -> list[dict]:
             states = rng.standard_normal((r, 1 << n)) + 1j * rng.standard_normal((r, 1 << n))
             states /= np.linalg.norm(states, axis=1, keepdims=True)
             spare = states.copy()
-            f = np.exp(1j * rng.uniform(-np.pi, np.pi, r))
+            f = np.exp(1j * rng.uniform(-np.pi, np.pi, (r, 3)))
+            source = [int(b) for b in rng.permutation(n)]
             calls = max(4, (1 << 21) // (r << n))
             halves = [[states[: r // 2], spare[: r // 2]], [states[r // 2:], spare[r // 2:]]]
             for q in range(n):
-                forms = [form for form in FORMS if form == "inplace"
-                         or (form == "matmul" and 1 << q <= MATMUL_CAP)
-                         or (form == "2x2" and 1 << q >= PAIR_FLOOR)
-                         or (form == "rotate" and q >= 1)]
+                forms = forms_at(n, q)
                 seconds = {form: {b: [] for b in BLOCKS} for form in forms}
                 for _ in range(REPEATS):
                     for form in forms:
-                        simulator._MIN_MATMUL_RUN = simulator._MAX_MATMUL_RUN = (
-                            1 << q if form == "matmul" else 0)
-                        simulator._MIN_2X2_RUN = 1 << q if form == "2x2" else 1 << n
+                        if form in GATE_FORMS:
+                            simulator._group_form = lambda b, k, forced=GATE_FORMS[form][1]: forced
                         for b in BLOCKS:
                             t = time.perf_counter()
                             if b == 1:
-                                run([states, spare], n, q, f, calls, form)
+                                run([states, spare], n, q, f, calls, form, source)
                             else:
                                 other = pool.submit(run, halves[1], n, q, f[r // 2:], calls,
-                                                    form)
-                                run(halves[0], n, q, f[: r // 2], calls, form)
+                                                    form, source)
+                                run(halves[0], n, q, f[: r // 2], calls, form, source)
                                 other.result()
                             seconds[form][b].append((time.perf_counter() - t) / calls)
-                (simulator._MIN_MATMUL_RUN, simulator._MAX_MATMUL_RUN,
-                 simulator._MIN_2X2_RUN) = cut_over
+                        simulator._group_form = group_form
                 row = {"n": n, "realizations": r, "qubit": q, "run": 1 << q, "calls": calls,
                        "seconds": {form: {str(b): quartiles(v) for b, v in per.items()}
                                    for form, per in seconds.items()}}
                 rows_out.append(row)
                 print(f"N={n:2d} R={r} q={q:2d}: " + "; ".join(
                     f"{form} " + ", ".join(
-                        f"{b} block(s) {row['seconds'][form][str(b)]['median'] * 1e3:.3f} ms"
-                        for b in BLOCKS) for form in forms), file=sys.stderr, flush=True)
+                        f"{row['seconds'][form][str(b)]['median'] * 1e3:.3f}"
+                        for b in BLOCKS) for form in forms) + " ms (1, 2 blocks)",
+                    file=sys.stderr, flush=True)
     return rows_out
 
 
@@ -220,7 +256,9 @@ def main(argv=None) -> int:
     path = ROOT / f"BENCH_{args.label}.json"
     record = json.loads(path.read_text()) if path.exists() else {}
     if args.table == "kernel":
-        table = {"matmul_cap": MATMUL_CAP, "pair_floor": PAIR_FLOOR, "cases": time_cases()}
+        table = {"matmul_cap": MATMUL_CAP, "pair_floor": PAIR_FLOOR,
+                 "group_min_n": GROUP_MIN_N, "group_short_cap": GROUP_SHORT_CAP,
+                 "group_long_floor": GROUP_LONG_FLOOR, "cases": time_cases()}
     else:
         table = {"cases": time_rng()}
     record.setdefault(args.table, []).append(

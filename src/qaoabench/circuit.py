@@ -113,53 +113,19 @@ def build_qaoa_circuit(g: Graph, params: QaoaParams) -> LogicalCircuit:
     return LogicalCircuit(g.n, tuple(gates))
 
 
-def _gates_commute(a: Gate, b: Gate) -> bool:
-    """Whether two gates commute as unitaries.
-
-    Disjoint supports always commute. On shared qubits only the safe cases
-    are recognized: diagonal ZZ phases commute with each other, and
-    same-axis single-qubit rotations (RX with RX, H with H) commute on the
-    same qubit. Everything else is treated as ordered.
-    """
-    if not set(a.qubits) & set(b.qubits):
-        return True
-    if a.kind == GateKind.ZZPHASE and b.kind == GateKind.ZZPHASE:
-        return True
-    if a.kind == b.kind and a.qubits == b.qubits and a.kind in (GateKind.RX, GateKind.H):
-        return True
-    return False
-
-
-def dependency_edges(c: LogicalCircuit) -> list[tuple[int, int]]:
-    """Pairs (a, b), a < b, where gate b must execute after gate a.
-
-    A dependency is any same-qubit pair that does not commute; commuting
-    gates (notably the ZZ phases within one cost layer) may be freely
-    reordered by a scheduler. On a shared qubit, two gates of the
-    {H, RX, ZZPhase} set commute (_gates_commute) exactly when they are of
-    the same kind, so the kinds alone decide each pair.
-    """
-    by_qubit: dict[int, list[int]] = {}
-    for idx, gate in enumerate(c.gates):
-        for q in gate.qubits:
-            by_qubit.setdefault(q, []).append(idx)
-    kinds = [gate.kind for gate in c.gates]
-    return sorted({(a, b) for indices in by_qubit.values()
-                   for pos_b, b in enumerate(indices) for a in indices[:pos_b]
-                   if kinds[a] != kinds[b]})
-
-
 def run_predecessors(c: LogicalCircuit) -> list[list[int]]:
     """Per gate, in ascending order, the gates it must immediately follow.
 
-    On each qubit the gates fall into maximal runs of one kind; a gate's
-    predecessors are the previous run on each of its qubits. Every pair is
-    in dependency_edges, and the transitive closure of these lists equals
-    that of dependency_edges: an edge (a, b) spans the runs between a's and
-    b's, and one gate of each of them chains a to b. So a scheduler that
-    releases a gate once its predecessors have run sees the same ready
-    gates with either, while these lists hold one run per qubit where
-    dependency_edges holds every earlier gate of another kind.
+    On a shared qubit, two gates of the {H, RX, ZZPhase} set commute exactly
+    when they are of the same kind, so on each qubit the gates fall into
+    maximal runs of one kind, and a gate's predecessors are the previous run
+    on each of its qubits. Every non-commuting pair (a, b), a < b, is a chain
+    of these pairs: it spans the runs between a's and b's, and one gate of
+    each of them chains a to b. So a scheduler that releases a gate once its
+    predecessors have run sees the same ready gates as with every such pair,
+    and a schedule whose cycles increase along every predecessor pair orders
+    every non-commuting pair (tests/oracles.py dependency_edges holds all of
+    them).
     """
     current: dict[int, list[int]] = {}    # qubit -> its latest run
     previous: dict[int, list[int]] = {}   # qubit -> the run before it

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Gate, LogicalCircuit, dependency_edges, run_predecessors
+from .circuit import Gate, LogicalCircuit, run_predecessors
 
 N_TRIES = 4    # placements tried per schedule; the shallowest schedule wins
 
@@ -208,7 +208,7 @@ def schedule(c: LogicalCircuit, t: GridTopology, seed: int) -> Schedule:
     Nothing is rescanned: the dependencies are set up once for all tries,
     each gate waiting on the previous run of another kind on each of its
     qubits (run_predecessors; the same ready gates and lookahead as every
-    pair of dependency_edges, whose transitive closure it equals), each
+    non-commuting pair, whose transitive closure it equals), each
     placement keeps its attachments and site costs current as it places
     (_initial_placement), and each cycle scores its candidate SWAPs in one
     loop (_swap_gains).
@@ -394,12 +394,6 @@ def _swap_gains(pairs, index, p2l: list[int], l2p: list[int],
     return gains
 
 
-def _swap_gain(u: int, v: int, index, p2l: list[int], l2p: list[int],
-               dist: tuple[tuple[int, ...], ...]) -> float:
-    """_swap_gains of the one pair (u, v)."""
-    return _swap_gains(((u, v),), index, p2l, l2p, dist)[0]
-
-
 def _cycle_swaps(blocked: list[int], index, alg_gates: list[Gate], p2l: list[int],
                  l2p: list[int], nbrs: tuple[tuple[int, ...], ...],
                  dist: tuple[tuple[int, ...], ...], unavailable: set[int]) -> list[tuple[int, int]]:
@@ -453,8 +447,8 @@ def _best_swap_step(sa: int, steps: list[int], index, p2l: list[int],
                     l2p: list[int], dist: tuple[tuple[int, ...], ...]) -> int:
     """Among shortest-path steps for the forced gate, pick the most helpful.
 
-    The largest _swap_gain over the indexed (blocked) gates wins; gains are
-    exact, so ties are exact and go to the lowest site.
+    The largest gain (_swap_gains) over the indexed (blocked) gates wins;
+    gains are exact, so ties are exact and go to the lowest site.
     """
     steps = sorted(steps)
     gains = _swap_gains([(sa, nb) for nb in steps], index, p2l, l2p, dist)
@@ -535,14 +529,15 @@ def validate_schedule(s: Schedule, c: LogicalCircuit, t: GridTopology) -> list[s
         for u, v in swap_cycles.get(cy, []):
             p2l[u], p2l[v] = p2l[v], p2l[u]
 
-    # logical dependency order, commuting pairs exempt
-    for a, b in dependency_edges(c):
-        if a < n_prep:
-            continue
-        ca, cb = cycle_of.get(a - n_prep + 1), cycle_of.get(b - n_prep + 1)
-        if ca is not None and cb is not None and ca >= cb:
-            out.append(f"gate {b - n_prep + 1} (cycle {cb}) does not follow "
-                       f"its dependency {a - n_prep + 1} (cycle {ca})")
+    # logical dependency order, commuting pairs exempt: each gate after the previous
+    # run of another kind on each of its qubits (run_predecessors); every
+    # non-commuting pair is a chain of these, so the cycles then increase along it
+    # (the gate ids cover the table exactly here, so every gate has a cycle)
+    for gid, preds in enumerate(run_predecessors(c)[n_prep:], 1):
+        for dep in (a - n_prep + 1 for a in preds if a >= n_prep):
+            if cycle_of[dep] >= cycle_of[gid]:
+                out.append(f"gate {gid} (cycle {cycle_of[gid]}) does not follow "
+                           f"its dependency {dep} (cycle {cycle_of[dep]})")
     return out
 
 

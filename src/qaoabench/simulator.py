@@ -37,31 +37,42 @@ coupled qubit.
 
 An RX or H on the qubit in bit b pairs each amplitude with the one 2^b
 away, so a row's amplitudes fall into runs of 2^b that share the value of
-bit b. The gate, with the row's pending factor folded in as g, takes one of
-three forms by that run length, as Haner & Steiger apply gates to
-contiguous blocks of amplitudes with small dense products:
-- short runs (bits 1-3): one product per row, the row's
-  (2^(n-1-b), 2^(b+1)) view times g^T (x) I_{2^b};
-- long runs (bits 7 and up): one 2x2 product per pair of runs, g times
-  the (2, 2^b) block of a 0-run and its 1-run;
-- the runs between (bits 4-6) and bit 0: an elementwise update in place.
+bit b. The RX and H gates of one cycle act on different qubits and commute,
+so k of them on adjacent bits b..b+k-1 can share one pass as a 2^k x 2^k
+product (gate fusion, as in both papers above). _apply_group takes a group
+of k <= 3 gates, each with its row's pending factor folded in as g, and
+applies the Kronecker product G of their g in one of three forms, by the
+block of 2^(b+k) amplitudes that share every other bit, as Haner & Steiger
+apply gates to contiguous blocks of amplitudes with small dense products:
+- short blocks (up to 16 amplitudes; one gate on bits 1-3, a group also on
+  bit 0): one product per row, the row's (2^(n-b-k), 2^(b+k)) view times
+  G^T (x) I_{2^b};
+- long blocks (from 256 on; one gate on bits 7 and up): one 2^k x 2^k
+  product per block, G times its (2^k, 2^b) view;
+- one gate on bit 0 or bits 4-6 (blocks of 2 and of 32-128): an
+  elementwise update in place; a group on a block of 32-128 has no form.
 The two products write their result to a spare buffer the size of the
 batch, which then swaps roles with the state, so they read and write the
-batch once; the in-place form keeps its temporaries in the spare and costs
-about 2-4 products from 12 qubits on. The pending-noise diagonal, the
-exact step and the probabilities also use whichever buffer does not hold
-the state.
+batch once, whatever k; the in-place form keeps its temporaries in the spare
+and costs about 3 products from 12 qubits on. The pending-noise diagonal,
+the exact step and the probabilities also use whichever buffer does not
+hold the state.
 
 So from 10 qubits on (_MIN_ROTATE_QUBITS) the cycle loop moves the bit
 layout, as distributed simulators reorder qubits to keep gates off costly
-bit positions (both papers above): logical qubit q sits in bit
-(q + offset) % n, and one transposing copy into the spare changes the
-offset (_rotate). _layout_plan picks the offset of every RX and H from the
-schedule alone, so that they run products, and the loop rotates back to
-offset 0 before its final flush. The coupling matrix, the pending factors
-and the draws stay indexed by logical qubit; the phase vector, the pending
-diagonal of an exact step and its P(q=1) are built in the current layout.
-Below 10 qubits the offset stays 0.
+bit positions and to bring gates together (both papers above): logical
+qubit q sits in bit bits[q], a map that _layout_plan fixes from the
+schedule alone. It relabels the qubits once, so that qubits whose gates
+share cycles sit side by side (_relabel), and then only rotates that
+labelling, bits[q] = (labels[q] + offset) % n, by one transposing copy into
+the spare per change of offset (_rotate). Per cycle it picks the offset and
+the split of the cycle's RX and H gates into groups that cost least by the
+kernel table, rotations included. The prepared state is built in the first
+layout, and one permuting copy (_permute) moves logical qubit q back to bit
+q before the final flush. The coupling matrix, the pending factors and the
+draws stay indexed by logical qubit; the phase vector, the pending diagonal
+of an exact step and its P(q=1) are built in the current layout. Below 10
+qubits every gate runs alone and logical qubit q stays in bit q.
 
 The realizations never interact before the final average, so the cycle
 loop of a large batch runs on contiguous blocks of rows, one thread per
@@ -88,8 +99,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
-from itertools import repeat
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -190,7 +201,8 @@ def _gate_matrix(gate: Gate) -> tuple[complex, complex, complex, complex]:
     return (c, mis, mis, c)
 
 
-# Contiguous runs 2^b of a bit b that _apply_1q applies as a matmul: the bits
+# Contiguous runs 2^b of a bit b where one gate takes the short form of _apply_group
+# (a matmul per row): the bits
 # where it won in every recorded case. In BENCH_pr9_kernel.json
 # (scripts/bench_kernel.py: N, R = 8, 96; 12, 96; 14, 32, on one row block and on
 # two at once), the matmul form took this share of the in-place form's time:
@@ -200,7 +212,8 @@ def _gate_matrix(gate: Gate) -> tuple[complex, complex, complex, complex]:
 # in-place form, as do the bits from 5 on (at least 1.43).
 _MIN_MATMUL_RUN, _MAX_MATMUL_RUN = 2, 8
 
-# Runs of at least this many amplitudes take the 2x2 form of _apply_1q. In the two
+# Runs of at least this many amplitudes take the long (2x2) form of _apply_group for
+# one gate. In the two
 # runs recorded under "kernel" in BENCH_2x2_kernel.json (scripts/bench_kernel.py:
 # N, R = 8, 96; 12, 96; 14, 32; 16, 96, on one row block and on two at once), the 2x2
 # form took this share of the in-place form's time: 0.37-0.75 on every run of 256
@@ -210,53 +223,78 @@ _MIN_MATMUL_RUN, _MAX_MATMUL_RUN = 2, 8
 _MIN_2X2_RUN = 128
 
 
-def _product_bit(b: int) -> bool:
-    """Whether _apply_1q runs a BLAS product on bit b, not the in-place update."""
-    run = 1 << b
-    return run >= _MIN_2X2_RUN or _MIN_MATMUL_RUN <= run <= _MAX_MATMUL_RUN
+def _group_form(b: int, k: int) -> str | None:
+    """The form of _apply_group for k gates on bits b..b+k-1: "long", "short",
+    "inplace" (one gate only), or None where a group has no product form.
+
+    It goes by the block of 2^(b+k) amplitudes that share every other bit: the
+    long form from the block of one gate at _MIN_2X2_RUN on, the short form up to
+    the block of one gate at _MAX_MATMUL_RUN (one gate needs runs of at least
+    _MIN_MATMUL_RUN for it; a group also takes it on bit 0)."""
+    block = 1 << (b + k)
+    if block >= 2 * _MIN_2X2_RUN:
+        return "long"
+    if block <= 2 * _MAX_MATMUL_RUN and (k > 1 or 1 << b >= _MIN_MATMUL_RUN):
+        return "short"
+    return "inplace" if k == 1 else None
 
 
-def _apply_1q(states: np.ndarray, n: int, q: int, u, f: np.ndarray,
-              spare: np.ndarray) -> np.ndarray:
-    """Gate u on bit q of a (R, 2^n) batch after scaling row r's |1> by f[r], with f
-    riding in the gate's coefficients; returns the array that holds the result.
-
-    The form follows the run 2^q of amplitudes that share bit q, with g_r =
-    u diag(1, f[r]). On a short run (_MIN_MATMUL_RUN <= 2^q <= _MAX_MATMUL_RUN)
-    each row's (2^(n-1-q), 2^(q+1)) view is multiplied by g_r^T (x) I_{2^q}, one
-    BLAS product per row into spare. On a long run (2^q >= _MIN_2X2_RUN) g_r
-    multiplies each (2, 2^q) block of a 0-run and its 1-run, one 2x2 BLAS
-    product per block into spare. Other runs are updated in place, with the two
-    temporaries in the halves of spare (C-contiguous, the size of states)."""
-    u00, u01, u10, u11 = u
-    run = 1 << q
-    if _product_bit(q):
-        rows = len(states)
+def _group_matrix(us, fs: np.ndarray) -> np.ndarray:
+    """Per row r, G_r = g_{k-1} (x) ... (x) g_0 with g_i = us[i] diag(1, fs[r, i]),
+    as a (rows, 2^k, 2^k) array; g_i acts on bit i of its index."""
+    rows, out = len(fs), None
+    for i, (u00, u01, u10, u11) in enumerate(us):
         g = np.empty((rows, 2, 2), dtype=np.complex128)      # g_r = u diag(1, f[r])
         g[:, 0, 0], g[:, 1, 0] = u00, u10
-        np.multiply(f, u01, out=g[:, 0, 1])
-        np.multiply(f, u11, out=g[:, 1, 1])
-        if run >= _MIN_2X2_RUN:
-            shape = (rows, -1, 2, run)
-            np.matmul(g[:, np.newaxis], states.reshape(shape), out=spare.reshape(shape))
-        else:
-            m = np.zeros((rows, 2, run, 2, run), dtype=np.complex128)
-            diag = np.arange(run)
-            m[:, :, diag, :, diag] = g.transpose(0, 2, 1)
-            shape = (rows, -1, 2 * run)
-            np.matmul(states.reshape(shape), m.reshape(rows, 2 * run, 2 * run),
-                      out=spare.reshape(shape))
-        return spare
-    a0, a1 = _split1(states, n, q)
-    f = f.reshape(-1, 1, 1)
-    flat = spare.reshape(-1)
-    t, t0 = flat[: a0.size].reshape(a0.shape), flat[a0.size: 2 * a0.size].reshape(a0.shape)
-    np.multiply(a1, u01 * f, out=t)
-    a1 *= u11 * f
-    a1 += np.multiply(a0, u10, out=t0)
-    a0 *= u00
-    a0 += t
-    return states
+        np.multiply(fs[:, i], u01, out=g[:, 0, 1])
+        np.multiply(fs[:, i], u11, out=g[:, 1, 1])
+        out = g if out is None else (g[:, :, np.newaxis, :, np.newaxis]
+                                     * out[:, np.newaxis, :, np.newaxis, :]
+                                     ).reshape(rows, 2 << i, 2 << i)
+    return out
+
+
+def _apply_group(states: np.ndarray, n: int, b: int, us, fs: np.ndarray,
+                 spare: np.ndarray) -> np.ndarray:
+    """Gates us[i] on bits b + i of a (R, 2^n) batch, i < k = len(us), after scaling
+    row r's |1> on bit b + i by fs[r, i], with fs riding in the gates'
+    coefficients; returns the array that holds the result.
+
+    The gates commute, so they act as one product by G_r = g_{k-1} (x) ... (x)
+    g_0, g_i = us[i] diag(1, fs[r, i]) (_group_matrix), in the form _group_form
+    picks. Long: G_r multiplies each (2^k, 2^b) block of the 2^k runs of 2^b
+    amplitudes that differ only in bits b..b+k-1, one BLAS product per block
+    into spare. Short (and bit 0): each row's (2^(n-b-k), 2^(b+k)) view is
+    multiplied by G_r^T (x) I_{2^b}, one BLAS product per row into spare. In
+    place, for one gate only: the two temporaries sit in the halves of spare
+    (C-contiguous, the size of states)."""
+    k, run = len(us), 1 << b
+    form = _group_form(b, k)
+    if form == "inplace":
+        (u00, u01, u10, u11), = us
+        a0, a1 = _split1(states, n, b)
+        f = fs[:, 0].reshape(-1, 1, 1)
+        flat = spare.reshape(-1)
+        t, t0 = flat[: a0.size].reshape(a0.shape), flat[a0.size: 2 * a0.size].reshape(a0.shape)
+        np.multiply(a1, u01 * f, out=t)
+        a1 *= u11 * f
+        a1 += np.multiply(a0, u10, out=t0)
+        a0 *= u00
+        a0 += t
+        return states
+    rows, d = len(states), 1 << k
+    g = _group_matrix(us, fs)
+    if form == "long":
+        shape = (rows, -1, d, run)
+        np.matmul(g[:, np.newaxis], states.reshape(shape), out=spare.reshape(shape))
+    else:
+        m = np.zeros((rows, d, run, d, run), dtype=np.complex128)
+        diag = np.arange(run)
+        m[:, :, diag, :, diag] = g.transpose(0, 2, 1)
+        shape = (rows, -1, d * run)
+        np.matmul(states.reshape(shape), m.reshape(rows, d * run, d * run),
+                  out=spare.reshape(shape))
+    return spare
 
 
 def _rotate(states: np.ndarray, spare: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -269,62 +307,186 @@ def _rotate(states: np.ndarray, spare: np.ndarray, n: int, k: int) -> np.ndarray
     return spare
 
 
-# From this many qubits on, _run_cycles moves the bit layout so that RX and H avoid the
-# in-place form: shifted by 3, its bits 0 and 4-6 land on product bits 3 and 7-9.
+def _permute(states: np.ndarray, spare: np.ndarray, n: int, source) -> np.ndarray:
+    """Copy a (R, 2^n) batch into spare with bit c of every new index taken from
+    bit source[c] of the old one, and return spare: one transposing copy of the
+    rows' (2, ..., 2) views."""
+    rows = len(states)
+    axes = (0,) + tuple(n - source[n - 1 - i] for i in range(n))
+    np.copyto(spare.reshape((rows,) + (2,) * n),
+              states.reshape((rows,) + (2,) * n).transpose(axes))
+    return spare
+
+
+# From this many qubits on, _run_cycles moves the bit layout so that RX and H run
+# products: shifted by 3, the in-place bits 0 and 4-6 of one gate land on product bits
+# 3 and 7-9.
 _MIN_ROTATE_QUBITS = 10
 
-# A rotation's cost in in-place applications of _apply_1q moved to a product bit. In
-# the kernel table of BENCH_layout_rotation.json (scripts/bench_kernel.py: N, R = 12,
-# 96; 14, 32; 16, 96, on one row block and on two at once), a rotation by any k took
-# 0.21-0.89 of what such a move saves, the in-place time on bit 0 or 4-6 less the
-# products' median time, and 0.30-0.43 in the medians.
-_ROTATE_COST = 0.5
+# The costs _layout_plan weighs, in units of the median time of one gate's product, from
+# the kernel table of BENCH_grouped_products.json (scripts/bench_kernel.py: N, R = 12,
+# 96; 14, 32; 16, 96, on one row block and on two at once; medians over those six
+# settings, rounded to 0.05). A product of k gates on bits b..b+k-1 goes by its block
+# of 2^(b+k) amplitudes (_group_form): in the short form 1.0, 1.1 and 1.5 on blocks
+# of 4, 8 and 16 for any k (measured 0.99-1.01, 1.07-1.11 and 1.46-1.51); in the
+# long form 0.9, 1.0 and 1.25 for k = 1, 2 and 3 on blocks of 2048 and more
+# (measured 0.92, 1.01 and 1.26), more on smaller blocks (k = 1, 2, 3: 1.59, 1.6 and
+# 1.8 on 256; 1.18, 1.26 and 1.39 on 512; 1.01, 1.14 and 1.30 on 1024). One gate in
+# place costs 3.2 (medians 2.2-3.4), and a rotation 0.8 (0.79; quartiles 0.69-0.96).
+_SHORT_COST = {4: 1.0, 8: 1.1, 16: 1.5}
+_LONG_COST = (0.0, 0.9, 1.0, 1.25)
+_SMALL_LONG_COST = {256: 0.6, 512: 0.2, 1024: 0.1}
+_INPLACE_COST = 3.2
+_ROTATE_COST = 0.8
 
 
-def _layout_plan(groups, n: int) -> list[int] | None:
-    """The bit offset of the batch's layout (logical qubit q in bit (q + offset) % n)
-    at each RX or H of groups, in order, or None below _MIN_ROTATE_QUBITS, where the
-    offset stays 0. The layout starts and ends at offset 0.
+def _group_cost(b: int, k: int) -> float:
+    """What _layout_plan weighs one product of k gates on bits b..b+k-1 at."""
+    form = _group_form(b, k)
+    if form is None:
+        return math.inf
+    if form == "inplace":
+        return _INPLACE_COST
+    block = 1 << (b + k)
+    if form == "short":
+        return _SHORT_COST[block]
+    return _LONG_COST[k] + _SMALL_LONG_COST.get(block, 0.0)
 
-    A Viterbi pass over the n offsets minimizes the number of gates that run the
-    in-place form plus _ROTATE_COST per change of offset, the last change back to 0
-    included; ties keep the lower offset. The plan depends on the schedule alone,
-    so every row block moves alike."""
+
+@lru_cache(maxsize=1 << 16)
+def _mask_groups(n: int, mask: int) -> tuple[float, tuple[tuple[int, int], ...]]:
+    """The cheapest split of the bits set in mask into groups of k <= 3 adjacent
+    bits (_group_cost): its cost and its groups (b, k), b ascending.
+    A pass over the bits keeps, per bit, the cheapest split of the set bits below
+    it that ends there; ties keep the split found first, with fewer groups."""
+    best: list[tuple[float, tuple]] = [(0.0, ())] + [(math.inf, ())] * n
+    for b in range(n):
+        cost, parts = best[b]
+        if cost == math.inf:
+            continue
+        if not mask >> b & 1:
+            if cost < best[b + 1][0]:
+                best[b + 1] = (cost, parts)
+            continue
+        for k in range(1, min(3, n - b) + 1):
+            if not mask >> (b + k - 1) & 1:
+                break
+            total = cost + _group_cost(b, k)
+            if total < best[b + k][0]:
+                best[b + k] = (total, parts + ((b, k),))
+    return best[n]
+
+
+def _relabel(cycles: list[list[int]], n: int) -> list[int]:
+    """A fixed position for each logical qubit, from the qubits of each cycle's RX
+    and H gates: a greedy chain over how many cycles each pair shares. It starts
+    at the pair sharing most and grows at the end whose last qubit shares most with
+    an unplaced one; ties go to the lower qubit, then to the chain's right end."""
+    shared = [[0] * n for _ in range(n)]
+    for qubits in cycles:
+        for a in qubits:
+            row = shared[a]
+            for b in qubits:
+                row[b] += 1
+    for a in range(n):
+        shared[a][a] = -1
+    a = max(range(n), key=lambda q: max(shared[q]))
+    b = shared[a].index(max(shared[a]))
+    chain, left = [a, b], set(range(n)) - {a, b}
+    while left:
+        head, tail = shared[chain[0]], shared[chain[-1]]
+        q = max(sorted(left), key=lambda q: max(head[q], tail[q]))
+        if tail[q] >= head[q]:
+            chain.append(q)
+        else:
+            chain.insert(0, q)
+        left.discard(q)
+    labels = [0] * n
+    for pos, q in enumerate(chain):
+        labels[q] = pos
+    return labels
+
+
+def _layout_plan(groups, n: int):
+    """The cycle loop's layout and gate groups for the schedule's cycles groups, or
+    None below _MIN_ROTATE_QUBITS, where every gate runs alone in the layout of
+    logical qubit q in bit q.
+
+    Returns (bits, steps). bits is the starting layout: logical qubit q sits in bit
+    bits[q]. steps has one entry per RX or H of groups, in order: None where the
+    gate ran with an earlier one of its cycle, else (shift, gates, qubits), a
+    rotation of the layout by shift bits (_rotate) and then one product of the
+    gates (_apply_group) on their qubits, which sit on adjacent bits, lowest
+    first.
+
+    The layout is a fixed relabelling (_relabel), rotated by an offset: qubit q
+    in bit (labels[q] + offset) % n. A Viterbi pass over the n offsets, one step
+    per cycle with RX or H gates, minimizes the cost of each cycle's gates at its
+    offset (_mask_groups) plus _ROTATE_COST per change of offset; the start is
+    free (the state is prepared in any layout alike), ties keep the lower offset.
+    The plan depends on the schedule alone, so every row block moves alike."""
     if n < _MIN_ROTATE_QUBITS:
         return None
-    qubits = [gate.qubits[0] for group in groups for gate in group
-              if gate.kind != GateKind.ZZPHASE]
-    in_place = [0.0 if _product_bit(b) else 1.0 for b in range(n)]
-    cost = [0.0] + [_ROTATE_COST] * (n - 1)     # at offset o before the next gate
-    moves = []                                  # per gate: the offset each offset came from
-    for q in qubits:
+    cycles = [[gate for gate in group if gate.kind != GateKind.ZZPHASE] for group in groups]
+    cycles = [gates for gates in cycles if gates]
+    labels = _relabel([[gate.qubits[0] for gate in gates] for gates in cycles], n)
+    full = (1 << n) - 1
+    cost = [0.0] * n                    # at offset o after the cycles so far
+    moves, splits = [], []              # per cycle: where each offset came from; its split
+    for gates in cycles:
+        mask = 0
+        for gate in gates:
+            mask |= 1 << labels[gate.qubits[0]]
+        split = [_mask_groups(n, (mask << o | mask >> (n - o)) & full) for o in range(n)]
         best = min(range(n), key=cost.__getitem__)
         move = cost[best] + _ROTATE_COST
         moves.append([o if cost[o] <= move else best for o in range(n)])
-        cost = [min(cost[o], move) + in_place[(q + o) % n] for o in range(n)]
-    offset = min(range(n), key=lambda o: cost[o] + (_ROTATE_COST if o else 0.0))
-    plan = []
+        cost = [min(cost[o], move) + split[o][0] for o in range(n)]
+        splits.append(split)
+    offset = min(range(n), key=cost.__getitem__)
+    offsets = []
     for came_from in reversed(moves):
-        plan.append(offset)
+        offsets.append(offset)
         offset = came_from[offset]
-    return plan[::-1]
+    offsets.reverse()
+    start = offsets[0] if offsets else 0
+    steps, previous = [], start
+    for gates, split, offset in zip(cycles, splits, offsets):
+        on_bit = {(labels[gate.qubits[0]] + offset) % n: gate for gate in gates}
+        lead = {}                       # first gate of each group in cycle order -> group
+        for b, k in split[offset][1]:
+            group = tuple(on_bit[b + i] for i in range(k))
+            lead[min(group, key=gates.index)] = group
+        shift = offset - previous
+        for gate in gates:
+            if gate in lead:
+                group = lead[gate]
+                steps.append((shift, group, tuple(g.qubits[0] for g in group)))
+                shift = 0
+            else:
+                steps.append(None)
+        previous = offset
+    return [(label + start) % n for label in labels], steps
 
 
 class _PendingPhase:
     """ZZPhase gates summed into an upper-triangular coupling matrix j over the logical
     qubits. flush applies them all as one multiply by the phase vector exp(-i theta /
     2), theta(z) = sum_{a<b} j'_ab s_a s_b with s_b = 1 - 2 * (bit b of z), built by
-    doubling; j' is j moved into the batch's bit layout, whose offset (logical qubit
-    q in bit (q + offset) % n) apply_gates keeps."""
+    doubling; j' is j moved into the batch's bit layout bits (logical qubit q in bit
+    bits[q]), which apply_gates keeps."""
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, bits=None):
         self.j, self.phase, self.qubits = np.zeros((n, n)), np.empty(1 << n, complex), set()
-        self.offset = 0
+        self.bits = tuple(range(n)) if bits is None else tuple(bits)
 
     def flush(self, states: np.ndarray) -> None:
         if not self.qubits:
             return
-        j = self.j if not self.offset else np.roll(self.j + self.j.T, self.offset, axis=(0, 1))
+        j = self.j
+        if self.bits != tuple(range(len(j))):
+            at = np.argsort(self.bits)      # the logical qubit in each bit
+            j = (j + j.T)[np.ix_(at, at)]
         ph, e = self.phase, np.exp(-0.5j * j)[..., None]
         ph[0] = 1.0
         g = np.ones((len(e), 1), complex)   # g[b - k] = exp(-i/2 sum_{a<k} j_ab s_a), low k bits
@@ -337,27 +499,34 @@ class _PendingPhase:
         self.qubits.clear()
 
     def apply_gates(self, states: np.ndarray, spare: np.ndarray, n: int, gates,
-                    pending: np.ndarray, offsets) -> tuple[np.ndarray, np.ndarray]:
+                    pending: np.ndarray, steps=None) -> tuple[np.ndarray, np.ndarray]:
         """Apply gates in order to a (R, 2^n) batch; returns (state, spare), the two
-        buffers' roles swapped after each gate whose result went to the spare. An
-        RX or H takes the next layout offset from the iterator offsets, rotating the
-        batch into it first (_rotate) if it differs from the current one, flushes the
-        phase if it touches the qubit, and takes the qubit's pending noise along."""
+        buffers' roles swapped after each product whose result went to the spare.
+        An RX or H takes the next entry of the iterator steps (_layout_plan; each
+        gate alone in the current layout if steps is None): it skips a gate that
+        already ran in its group, and for (shift, group, qubits) rotates the batch
+        by shift (_rotate), flushes the phase if it touches the group's qubits, and
+        applies the group's gates with their qubits' pending noise in one product."""
         for gate in gates:
             if gate.kind == GateKind.ZZPHASE:
                 self.j[min(gate.qubits), max(gate.qubits)] += gate.angle
                 self.qubits.update(gate.qubits)
                 continue
-            q, offset = gate.qubits[0], next(offsets)
-            if offset != self.offset:
-                states, spare = _rotate(states, spare, n, offset - self.offset), states
-                self.offset = offset
-            if q in self.qubits:
+            step = (0, (gate,), gate.qubits) if steps is None else next(steps)
+            if step is None:
+                continue
+            shift, group, qubits = step
+            if shift:
+                states, spare = _rotate(states, spare, n, shift), states
+                self.bits = tuple((b + shift) % n for b in self.bits)
+            if not self.qubits.isdisjoint(qubits):
                 self.flush(states)
-            u = _gate_matrix(gate)
-            if _apply_1q(states, n, (q + offset) % n, u, pending[:, q], spare) is spare:
+            # the pending columns; a slice, not a gather, for one gate
+            cols = slice(qubits[0], qubits[0] + 1) if len(qubits) == 1 else qubits
+            if _apply_group(states, n, self.bits[qubits[0]], [_gate_matrix(g) for g in group],
+                            pending[:, cols], spare) is spare:
                 states, spare = spare, states
-            pending[:, q] = 1.0
+            pending[:, cols] = 1.0
         return states, spare
 
 
@@ -368,7 +537,7 @@ def simulate_logical(c: LogicalCircuit, state: np.ndarray | None = None) -> np.n
         state = init_zero_state(n)
     phase, rows = _PendingPhase(n), state[np.newaxis]
     out, _ = phase.apply_gates(rows, np.empty_like(rows), n, c.gates,
-                               np.ones((1, n), complex), repeat(0))
+                               np.ones((1, n), complex))
     phase.flush(out)
     if out is not rows:
         state[:] = out[0]
@@ -466,12 +635,12 @@ def _apply_pending_noise(states: np.ndarray, pending: np.ndarray, spare: np.ndar
 
 def _candidate_steps(states: np.ndarray, pending: np.ndarray, ph: np.ndarray,
                      damp_amp: float, us: np.ndarray, cand: np.ndarray, p_damp: float,
-                     j: np.ndarray, offset: int, spare: np.ndarray) -> int:
+                     j: np.ndarray, bits: tuple[int, ...], spare: np.ndarray) -> int:
     """One cycle's noise on a block with jump candidates (cand = us < p_damp), given
     the cycle's dephasing phases ph, uniform draws us and candidates cand, all
     (rows, n) over the logical qubits, the pending ZZ coupling matrix j and the
-    block's layout offset (logical qubit q in bit (q + offset) % n); returns the
-    number of jumps.
+    block's layout bits (logical qubit q in bit bits[q]); returns the number of
+    jumps.
     Every no-jump factor ph * damp_amp goes into pending. A candidate qubit q sees the
     factors of the qubits below it, as the per-qubit loop does: they are folded
     into pending just before its step. Its rows' P(q=1) comes from a gathered
@@ -483,17 +652,18 @@ def _candidate_steps(states: np.ndarray, pending: np.ndarray, ph: np.ndarray,
     the scalar exp(i sum_b c_b) times the factor exp(-2i c_b) on each qubit b's
     |1> amplitudes, a pending factor. So D needs no flush here."""
     n = pending.shape[1]
+    at = None if bits == tuple(range(n)) else np.argsort(bits)     # the qubit in each bit
     step = ph * damp_amp
     todo = np.ones(cand.shape, dtype=bool)      # factors not yet in pending
     jumps = 0
     for q in np.flatnonzero(cand.any(axis=0)):
-        rows, b = np.flatnonzero(cand[:, q]), (q + offset) % n
+        rows, b = np.flatnonzero(cand[:, q]), bits[q]
         pend, fold = pending[rows], todo[rows]
         fold[:, q:] = False
         np.multiply(pend, step[rows], out=pend, where=fold)
         todo[rows, : q + 1] = False
         sub = states[rows]
-        _apply_pending_noise(sub, np.roll(pend, offset, axis=1) if offset else pend, spare)
+        _apply_pending_noise(sub, pend if at is None else pend[:, at], spare)
         probs = probabilities(sub, spare)
         w1 = probs.reshape(len(rows), -1, 2, 1 << b)[:, :, 1].sum(axis=(1, 2))  # |a1|^2
         jump = us[rows, q] < p_damp * (w1 / probs.sum(axis=1))
@@ -518,35 +688,34 @@ def _candidate_steps(states: np.ndarray, pending: np.ndarray, ph: np.ndarray,
 
 
 def _run_cycles(block: np.ndarray, spare: np.ndarray, pending: np.ndarray, eps: np.ndarray,
-                us: np.ndarray, cand: np.ndarray, groups, plan: list[int] | None,
-                p_damp: float) -> int:
+                us: np.ndarray, cand: np.ndarray, groups, plan, p_damp: float) -> int:
     """Every cycle of the schedule on a block of rows, with a spare buffer of the
     block's shape, the rows' pending factors, (rows, n_cycles, n) draws and their
     jump candidates cand (us < p_damp); returns the block's number of jumps. The
-    state moves between block and spare as the kernels and rotations swap them,
-    and ends in block. Each RX or H runs at its offset in plan (_layout_plan; at
-    offset 0 if None), and the block rotates back to offset 0 before the final
-    flush. The shared phase is
-    flushed only before an RX or H on a qubit it touches and at the end, so at
-    cycles the circuit alone fixes, and each row's rounding does not depend on the
-    rows it runs with."""
+    state moves between block and spare as the kernels and copies swap them, and
+    ends in block. The block starts in plan's layout and runs its steps
+    (_layout_plan; each gate alone with logical qubit q in bit q if None), and one
+    copy (_permute) moves logical qubit q back to bit q before the final flush.
+    The shared phase is flushed only before an RX or H on a qubit it touches and
+    at the end, so at cycles the circuit alone fixes, and each row's rounding does
+    not depend on the rows it runs with."""
     n = pending.shape[1]
     damp_amp = math.sqrt(1.0 - p_damp)
-    phase, states = _PendingPhase(n), block
-    offsets = repeat(0) if plan is None else iter(plan)
+    bits, steps = (None, None) if plan is None else (plan[0], iter(plan[1]))
+    phase, states = _PendingPhase(n, bits), block
     jumps = 0
     hits = cand.any(axis=(0, 2))        # per cycle: whether any row has a candidate
     for cy, group in enumerate(groups):
-        states, spare = phase.apply_gates(states, spare, n, group, pending, offsets)
+        states, spare = phase.apply_gates(states, spare, n, group, pending, steps)
         ph = np.exp(1j * eps[:, cy])
         if hits[cy]:
             jumps += _candidate_steps(states, pending, ph, damp_amp, us[:, cy], cand[:, cy],
-                                      p_damp, phase.j, phase.offset, spare)
+                                      p_damp, phase.j, phase.bits, spare)
         else:
             pending *= ph * damp_amp
-    if phase.offset:
-        states, spare = _rotate(states, spare, n, -phase.offset), states
-        phase.offset = 0
+    if phase.bits != tuple(range(n)):
+        states, spare = _permute(states, spare, n, phase.bits), states
+        phase.bits = tuple(range(n))
     phase.flush(states)
     _apply_pending_noise(states, pending, spare)
     if states is not block:
@@ -573,7 +742,7 @@ def _n_blocks(rows: int, dim: int) -> int:
 
 
 def _run_blocks(states: np.ndarray, spare: np.ndarray, eps: np.ndarray, us: np.ndarray,
-                cand: np.ndarray, groups, plan: list[int] | None, p_damp: float,
+                cand: np.ndarray, groups, plan, p_damp: float,
                 n_blocks: int) -> int:
     """_run_cycles on n_blocks contiguous row blocks of states and spare: the calling
     thread runs the first, a thread pool the others (numpy releases the GIL in its
@@ -630,13 +799,16 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
     phase. n_candidates and n_jumps count the candidates and the jumps.
     The cycles of a large chunk run on contiguous row blocks, one thread per
     usable CPU (see _n_blocks); the rows are normalized last, over the whole
-    chunk. RX and H on bits 1-3 (short runs) and on bits b with
-    2^b >= _MIN_2X2_RUN (long runs) are BLAS matrix products, the others an
-    in-place update. From 10 qubits on, the cycle loop moves logical qubit q
-    to bit (q + offset) % n, by one transposing copy per change of offset, at
-    offsets _layout_plan picks from the schedule so that RX and H run the
-    products; the plan draws nothing, so the streams, chunks and blocks are
-    as above, and below 10 qubits the layout never moves. BLAS should run
+    chunk. RX and H gates of one cycle on adjacent bits share one BLAS
+    product (_apply_group; a lone RX or H on bit 0 or 4-6 is updated in
+    place). From 10 qubits on, the cycle loop keeps logical qubit q in bit
+    bits[q], a relabelling of the qubits from the schedule that one
+    transposing copy per change of offset rotates, and _layout_plan picks per
+    cycle the offset and the groups from the schedule alone; the prepared
+    state starts in that layout, and one copy moves every qubit back to its
+    own bit at the end, so states are returned in logical order. The plan
+    draws nothing, so the streams, chunks and blocks are as above, and below
+    10 qubits every gate runs alone in the fixed layout. BLAS should run
     single-threaded, or its threads compete with the row blocks:
     importing qaoabench sets OPENBLAS_NUM_THREADS (and the OpenMP and MKL
     counts) to 1 unless set, but a caller that loads numpy before qaoabench
@@ -649,7 +821,11 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
     groups = cycle_gate_groups(s, c)
     plan = _layout_plan(groups, n)
     n_cycles = len(groups)
-    prep = simulate_logical(LogicalCircuit(n, c.gates[: s.n_prep_gates]))
+    prep_gates = c.gates[: s.n_prep_gates]
+    if plan is not None:            # prepared in the plan's starting layout
+        prep_gates = tuple(replace(gate, qubits=tuple(plan[0][q] for q in gate.qubits))
+                           for gate in prep_gates)
+    prep = simulate_logical(LogicalCircuit(n, prep_gates))
 
     var = noise.dephasing_var(noise.t_gate)
     sigma = math.sqrt(var) if var > 0 else 0.0

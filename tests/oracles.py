@@ -19,6 +19,9 @@ before each cycle kept one candidate list: it walks and scores every
 candidate afresh for each SWAP. initial_placement_rescan is the scheduler's
 placement as it was before it kept its attachments and site costs
 incrementally: it rescans every qubit and every free site at each step.
+_gates_commute and dependency_edges are the commutation rule and the full
+list of ordered gate pairs that circuit.run_predecessors, the scheduler and
+validate_schedule are checked against; _swap_gain scores one SWAP.
 """
 from __future__ import annotations
 
@@ -27,9 +30,9 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from qaoabench.circuit import Gate, GateKind
+from qaoabench.circuit import Gate, GateKind, LogicalCircuit
 from qaoabench.graphs import Graph
-from qaoabench.scheduler import _interaction_weights, _swap_gain
+from qaoabench.scheduler import _interaction_weights, _swap_gains
 from qaoabench.simulator import (_split1, apply_rx, apply_zzphase, cycle_gate_groups,
                                  init_zero_state, probabilities)
 
@@ -128,6 +131,48 @@ def logical_depth(c) -> int:
             ready_at[q] = layer
         depth = max(depth, layer)
     return depth
+
+
+def _gates_commute(a: Gate, b: Gate) -> bool:
+    """Whether two gates commute as unitaries.
+
+    Disjoint supports always commute. On shared qubits only the safe cases
+    are recognized: diagonal ZZ phases commute with each other, and
+    same-axis single-qubit rotations (RX with RX, H with H) commute on the
+    same qubit. Everything else is treated as ordered.
+    """
+    if not set(a.qubits) & set(b.qubits):
+        return True
+    if a.kind == GateKind.ZZPHASE and b.kind == GateKind.ZZPHASE:
+        return True
+    if a.kind == b.kind and a.qubits == b.qubits and a.kind in (GateKind.RX, GateKind.H):
+        return True
+    return False
+
+
+def dependency_edges(c: LogicalCircuit) -> list[tuple[int, int]]:
+    """Pairs (a, b), a < b, where gate b must execute after gate a.
+
+    A dependency is any same-qubit pair that does not commute; commuting
+    gates (notably the ZZ phases within one cost layer) may be freely
+    reordered by a scheduler. On a shared qubit, two gates of the
+    {H, RX, ZZPhase} set commute (_gates_commute) exactly when they are of
+    the same kind, so the kinds alone decide each pair.
+    """
+    by_qubit: dict[int, list[int]] = {}
+    for idx, gate in enumerate(c.gates):
+        for q in gate.qubits:
+            by_qubit.setdefault(q, []).append(idx)
+    kinds = [gate.kind for gate in c.gates]
+    return sorted({(a, b) for indices in by_qubit.values()
+                   for pos_b, b in enumerate(indices) for a in indices[:pos_b]
+                   if kinds[a] != kinds[b]})
+
+
+def _swap_gain(u: int, v: int, index, p2l: list[int], l2p: list[int],
+               dist: tuple[tuple[int, ...], ...]) -> float:
+    """scheduler._swap_gains of the one pair (u, v)."""
+    return _swap_gains(((u, v),), index, p2l, l2p, dist)[0]
 
 
 def pick_swap_rewalk(blocked, index, alg_gates, p2l, l2p, nbrs, dist, unavailable):

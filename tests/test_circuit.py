@@ -3,12 +3,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qaoabench.circuit import (Gate, GateKind, LogicalCircuit, QaoaParams,
-                               build_qaoa_circuit, dependency_edges, run_predecessors,
-                               _gates_commute)
+                               build_qaoa_circuit, run_predecessors)
 from qaoabench.graphs import Graph, gen_random_3regular
 from qaoabench.simulator import simulate_logical
 
-from oracles import logical_depth, plus_state
+from oracles import _gates_commute, dependency_edges, logical_depth, plus_state
 
 
 def test_params_validation():

@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 from qaoabench.circuit import Gate, GateKind, LogicalCircuit, QaoaParams, build_qaoa_circuit
 from qaoabench.graphs import gen_random_3regular
 from qaoabench.scheduler import (GridTopology, Schedule, _add_partners, _apply_swap,
-                                 _cycle_swaps, _initial_placement, _swap_gain, choose_grid,
+                                 _cycle_swaps, _initial_placement, choose_grid,
                                  emit_pdpt, parse_pdpt, schedule, validate_schedule)
 
 from conftest import APP_B_PDPT, PUBLISHED_DEPTH
-from oracles import initial_placement_rescan, logical_depth, pick_swap_rewalk
+from oracles import _swap_gain, initial_placement_rescan, logical_depth, pick_swap_rewalk
 
 
 def test_choose_grid():

@@ -11,7 +11,7 @@ from qaoabench.circuit import Gate, GateKind, LogicalCircuit, QaoaParams, build_
 from qaoabench.graphs import Graph, brute_force_maxcut, cut_values_table, gen_random_3regular
 from qaoabench import simulator, streams
 from qaoabench.scheduler import GridTopology, Schedule, choose_grid, schedule, validate_schedule
-from qaoabench.simulator import (NoiseParams, _apply_1q, _gate_matrix, _n_blocks, _split1,
+from qaoabench.simulator import (NoiseParams, _apply_group, _gate_matrix, _n_blocks, _split1,
                                  apply_rx, init_zero_state, optima_mask, probabilities,
                                  run_noisy_ensemble, sample_from_probs, simulate_logical)
 
@@ -109,7 +109,7 @@ def test_single_qubit_kernel_folds_pending_factor(kind):
         else:
             apply_h(expected, n, q)
         got, spare = states.copy(), np.empty_like(states)
-        out = _apply_1q(got, n, q, _gate_matrix(gate), f, spare)
+        out = _apply_group(got, n, q, (_gate_matrix(gate),), f[:, None], spare)
         matmul = simulator._MIN_MATMUL_RUN <= 1 << q <= simulator._MAX_MATMUL_RUN
         pairs = 1 << q >= simulator._MIN_2X2_RUN
         assert out is (spare if matmul or pairs else got), q
@@ -125,11 +125,58 @@ def test_single_qubit_kernel_rows_independent_of_batch(kind):
     for q in range(n):
         states, f, gate = _kernel_case(rng, kind, n, r, q)
         u = _gate_matrix(gate)
-        batch = _apply_1q(states.copy(), n, q, u, f, np.empty_like(states))
+        batch = _apply_group(states.copy(), n, q, (u,), f[:, None], np.empty_like(states))
         for i in range(r):
             row = states[i: i + 1].copy()
-            alone = _apply_1q(row, n, q, u, f[i: i + 1], np.empty_like(row))
+            alone = _apply_group(row, n, q, (u,), f[i: i + 1, None], np.empty_like(row))
             assert np.array_equal(alone[0], batch[i]), (q, i)
+
+
+# (first bit, gates, form): bit 0, the short runs, across bits 3/4, the runs between,
+# across bits 6/7 and the long runs, in both product forms wherever their blocks
+# stay small enough to build
+GROUP_CASES = [(b, k, form) for k in (2, 3) for b in range(11 - k)
+               for form in ("short", "long") if form == "long" or 1 << (b + k) <= 64]
+
+
+@pytest.mark.parametrize("b,k,form", GROUP_CASES)
+def test_group_kernel_matches_single_gates(monkeypatch, b, k, form):
+    # one product of k gates on bits b..b+k-1 equals the gates one by one, each
+    # with its pending factor, in whichever form the rule gives a single gate
+    rng = np.random.default_rng(100 * b + k)
+    n, r = 11, 5
+    states = rng.standard_normal((r, 1 << n)) + 1j * rng.standard_normal((r, 1 << n))
+    fs = np.exp(1j * rng.uniform(-math.pi, math.pi, (r, k))) * rng.uniform(0.5, 1.0, (r, k))
+    us = [_gate_matrix(Gate(GateKind.RX, (0,), rng.uniform(-math.pi, math.pi))) if i % 2
+          else _gate_matrix(Gate(GateKind.H, (0,))) for i in range(k)]
+    expected, spare = states.copy(), np.empty_like(states)
+    for i in range(k):
+        out = _apply_group(expected, n, b + i, us[i:i + 1], fs[:, i:i + 1], spare)
+        if out is spare:
+            expected, spare = spare, expected
+    rule = simulator._group_form
+    monkeypatch.setattr(simulator, "_group_form",
+                        lambda bb, kk: form if kk > 1 else rule(bb, kk))
+    out = _apply_group(states.copy(), n, b, us, fs, spare)
+    assert np.max(np.abs(out - expected)) < 1e-14
+    # each row gets the same bits alone as in the batch, as the row blocks need
+    alone = _apply_group(states[2:3].copy(), n, b, us, fs[2:3], np.empty_like(states[2:3]))
+    assert np.array_equal(alone[0], out[2])
+
+
+def test_group_form_rule():
+    # one gate keeps its cut-overs; a group takes the short form on blocks 2^(b+k) up to
+    # 16 amplitudes, bit 0 included, and the long form from 256 on
+    for b in range(12):
+        run = 1 << b
+        one = simulator._group_form(b, 1)
+        assert one == ("long" if run >= simulator._MIN_2X2_RUN else "short"
+                       if simulator._MIN_MATMUL_RUN <= run <= simulator._MAX_MATMUL_RUN
+                       else "inplace")
+    assert [simulator._group_form(b, 2) for b in range(8)] == \
+        ["short"] * 3 + [None] * 3 + ["long"] * 2
+    assert [simulator._group_form(b, 3) for b in range(7)] == \
+        ["short"] * 2 + [None] * 3 + ["long"] * 2
 
 
 def test_qaoa_states_match_dense_oracle(k3, k4):
@@ -535,24 +582,32 @@ def test_exact_step_on_candidate_qubits_matches_per_qubit_reference(app_b_graph,
 
 @pytest.mark.parametrize("n", [10, 12])
 def test_rotated_layout_matches_per_qubit_reference(monkeypatch, n):
-    # from 10 qubits on the cycle loop moves the bit layout; under strong damping,
-    # jumps fire while it is moved, and the block rotates back at the end
+    # from 10 qubits on the cycle loop relabels the qubits, moves the bit layout and
+    # applies a cycle's gates in groups; under strong damping, jumps fire while it is
+    # moved, and one copy moves every qubit back at the end
     s, c = _scheduled(gen_random_3regular(n, 3), QaoaParams((0.9, 0.2, 1.4, 0.8),
                                                             (0.3, 1.0, 0.5, 0.7)))
     noise = NoiseParams.from_t2_ratio(5.0)
-    candidate_steps, steps = simulator._candidate_steps, []     # (offset, jumps)
+    candidate_steps, steps = simulator._candidate_steps, []     # (layout, jumps)
+    apply_group, sizes = simulator._apply_group, []
 
     def recording(*args):
         jumps = candidate_steps(*args)
         steps.append((args[-2], jumps))
         return jumps
 
+    def counting(states, n_, b, us, fs, spare):
+        sizes.append(len(us))
+        return apply_group(states, n_, b, us, fs, spare)
+
     monkeypatch.setattr(simulator, "_candidate_steps", recording)
+    monkeypatch.setattr(simulator, "_apply_group", counting)
     ens = run_noisy_ensemble(s, c, noise, 8, 23, keep_states=True)
     ref, _ = per_qubit_trajectories(s, c, noise, 8, 23)
     assert np.max(np.abs(ens.states - ref)) < 1e-12
-    assert any(offset != 0 and jumps > 0 for offset, jumps in steps)
+    assert any(bits != tuple(range(n)) and jumps > 0 for bits, jumps in steps)
     assert ens.n_jumps == sum(jumps for _, jumps in steps)
+    assert 2 in sizes and 3 in sizes
 
 
 def test_rotate_moves_every_bit():
@@ -566,10 +621,69 @@ def test_rotate_moves_every_bit():
         assert np.array_equal(out[:, moved], states)
 
 
+def test_permute_moves_every_bit():
+    n, rows = 6, 3
+    states = np.arange(rows << n, dtype=complex).reshape(rows, 1 << n)
+    index = np.arange(1 << n)
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        source = rng.permutation(n)
+        out = simulator._permute(states, np.empty_like(states), n, source)
+        # bit source[c] of the old index is bit c of the new one
+        moved = sum(((index >> source[c]) & 1) << c for c in range(n))
+        assert np.array_equal(out[:, moved], states)
+
+
+def _plan_cost(plan, groups, n):
+    """Replay a plan: check that each step's gates sit on adjacent bits with a form,
+    and return the cost it was planned at."""
+    bits, steps = list(plan[0]), iter(plan[1])
+    cost, seen = 0.0, []
+    for group in groups:
+        for gate in group:
+            if gate.kind == GateKind.ZZPHASE:
+                continue
+            step = next(steps)
+            if step is None:
+                assert gate in seen
+                continue
+            shift, gates, qubits = step
+            assert qubits == tuple(g.qubits[0] for g in gates)
+            if shift:
+                cost += simulator._ROTATE_COST
+                bits = [(b + shift) % n for b in bits]
+            assert gate in gates and all(g in group for g in gates)
+            b = bits[gates[0].qubits[0]]
+            assert [bits[g.qubits[0]] for g in gates] == list(range(b, b + len(gates)))
+            assert simulator._group_form(b, len(gates)) is not None
+            cost += simulator._group_cost(b, len(gates))
+            seen.extend(gates)
+    assert next(steps, "end") == "end"
+    assert sorted(seen, key=id) == sorted((g for group in groups for g in group
+                                           if g.kind != GateKind.ZZPHASE), key=id)
+    return cost
+
+
+def _ungrouped_cost(groups, n):
+    """The cheapest cost of the gates one by one with logical qubit q in bit
+    (q + offset) % n, the offset free to change before any gate at _ROTATE_COST."""
+    weight = [simulator._group_cost(b, 1) for b in range(n)]
+    cost = [0.0] * n
+    for group in groups:
+        for gate in group:
+            if gate.kind != GateKind.ZZPHASE:
+                move = min(cost) + simulator._ROTATE_COST
+                cost = [min(c, move) + weight[(gate.qubits[0] + o) % n]
+                        for o, c in enumerate(cost)]
+    return min(cost)
+
+
 def test_layout_plan():
-    # no rotation below 10 qubits; from 10 on, never more in-place applications, nor a
-    # higher cost, than the fixed layout
+    # no plan below 10 qubits; from 10 on, every RX and H runs once, in groups on
+    # adjacent bits with a product form, and the grouped plan never costs more than
+    # the gates one by one in a rotating layout
     params = QaoaParams((0.3,) * 4, (0.7,) * 4)
+    saved = []
     for n in range(4, 17, 2):
         for seed in range(10):
             c = build_qaoa_circuit(gen_random_3regular(n, seed), params)
@@ -578,14 +692,24 @@ def test_layout_plan():
             if n < simulator._MIN_ROTATE_QUBITS:
                 assert plan is None
                 continue
-            qubits = [gate.qubits[0] for group in groups for gate in group
-                      if gate.kind != GateKind.ZZPHASE]
-            assert len(plan) == len(qubits)
-            in_place = [sum(not simulator._product_bit((q + o) % n)
-                            for q, o in zip(qubits, offsets))
-                        for offsets in (plan, [0] * len(plan))]
-            rotations = sum(a != b for a, b in zip([0] + plan, plan + [0]))
-            assert in_place[0] + simulator._ROTATE_COST * rotations <= in_place[1]
+            assert sorted(plan[0]) == list(range(n))
+            cost = _plan_cost(plan, groups, n)
+            ungrouped = _ungrouped_cost(groups, n)
+            assert cost <= ungrouped
+            saved.append(cost / ungrouped)
+    assert max(saved) < 0.9
+
+
+def test_keep_states_in_logical_order():
+    # a relabelled, grouped noiseless run returns each state with qubit q in bit q
+    g = gen_random_3regular(12, 5)
+    s, c = _scheduled(g, QaoaParams((0.9, 0.2), (0.3, 1.0)))
+    bits, _ = simulator._layout_plan(simulator.cycle_gate_groups(s, c), 12)
+    assert list(bits) != list(range(12))
+    ens = run_noisy_ensemble(s, c, NoiseParams.noiseless(), 3, 0, keep_states=True)
+    expected = simulate_logical(c)
+    for state in ens.states:
+        assert np.max(np.abs(state - expected)) < 1e-12
 
 
 def test_flushes_do_not_depend_on_the_draws(app_b_graph, monkeypatch):
