@@ -239,21 +239,6 @@ def _group_form(b: int, k: int) -> str | None:
     return "inplace" if k == 1 else None
 
 
-def _group_matrix(us, fs: np.ndarray) -> np.ndarray:
-    """Per row r, G_r = g_{k-1} (x) ... (x) g_0 with g_i = us[i] diag(1, fs[r, i]),
-    as a (rows, 2^k, 2^k) array; g_i acts on bit i of its index."""
-    rows, out = len(fs), None
-    for i, (u00, u01, u10, u11) in enumerate(us):
-        g = np.empty((rows, 2, 2), dtype=np.complex128)      # g_r = u diag(1, f[r])
-        g[:, 0, 0], g[:, 1, 0] = u00, u10
-        np.multiply(fs[:, i], u01, out=g[:, 0, 1])
-        np.multiply(fs[:, i], u11, out=g[:, 1, 1])
-        out = g if out is None else (g[:, :, np.newaxis, :, np.newaxis]
-                                     * out[:, np.newaxis, :, np.newaxis, :]
-                                     ).reshape(rows, 2 << i, 2 << i)
-    return out
-
-
 def _apply_group(states: np.ndarray, n: int, b: int, us, fs: np.ndarray,
                  spare: np.ndarray) -> np.ndarray:
     """Gates us[i] on bits b + i of a (R, 2^n) batch, i < k = len(us), after scaling
@@ -261,13 +246,13 @@ def _apply_group(states: np.ndarray, n: int, b: int, us, fs: np.ndarray,
     coefficients; returns the array that holds the result.
 
     The gates commute, so they act as one product by G_r = g_{k-1} (x) ... (x)
-    g_0, g_i = us[i] diag(1, fs[r, i]) (_group_matrix), in the form _group_form
-    picks. Long: G_r multiplies each (2^k, 2^b) block of the 2^k runs of 2^b
-    amplitudes that differ only in bits b..b+k-1, one BLAS product per block
-    into spare. Short (and bit 0): each row's (2^(n-b-k), 2^(b+k)) view is
-    multiplied by G_r^T (x) I_{2^b}, one BLAS product per row into spare. In
-    place, for one gate only: the two temporaries sit in the halves of spare
-    (C-contiguous, the size of states)."""
+    g_0, g_i = us[i] diag(1, fs[r, i]), in the form _group_form picks. Long:
+    G_r multiplies each (2^k, 2^b) block of the 2^k runs of 2^b amplitudes that
+    differ only in bits b..b+k-1, one BLAS product per block into spare. Short
+    (and bit 0): each row's (2^(n-b-k), 2^(b+k)) view is multiplied by G_r^T (x)
+    I_{2^b}, one BLAS product per row into spare. In place, for one gate only:
+    the two temporaries sit in the halves of spare (C-contiguous, the size of
+    states)."""
     k, run = len(us), 1 << b
     form = _group_form(b, k)
     if form == "inplace":
@@ -282,8 +267,16 @@ def _apply_group(states: np.ndarray, n: int, b: int, us, fs: np.ndarray,
         a0 *= u00
         a0 += t
         return states
-    rows, d = len(states), 1 << k
-    g = _group_matrix(us, fs)
+    rows, d, g = len(states), 1 << k, None
+    for i, (u00, u01, u10, u11) in enumerate(us):     # g = G_r, (rows, 2^k, 2^k)
+        gi = np.empty((rows, 2, 2), dtype=np.complex128)    # g_i = us[i] diag(1, fs[r, i])
+        gi[:, 0, 0], gi[:, 1, 0] = u00, u10
+        np.multiply(fs[:, i], u01, out=gi[:, 0, 1])
+        np.multiply(fs[:, i], u11, out=gi[:, 1, 1])
+        if g is not None:
+            gi = (gi[:, :, np.newaxis, :, np.newaxis] * g[:, np.newaxis, :, np.newaxis, :]
+                  ).reshape(rows, 2 << i, 2 << i)
+        g = gi
     if form == "long":
         shape = (rows, -1, d, run)
         np.matmul(g[:, np.newaxis], states.reshape(shape), out=spare.reshape(shape))

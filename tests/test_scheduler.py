@@ -246,6 +246,17 @@ def test_validator_catches_dependency_inversion():
     assert any("does not follow" in m for m in msgs)
 
 
+def test_validator_checks_every_predecessor():
+    # the ZZ gate follows RX on qubit 0 but runs before RX on qubit 1, its second
+    # predecessor
+    t = GridTopology(2, 2)
+    c = LogicalCircuit(2, (Gate(GateKind.RX, (0,), 0.3), Gate(GateKind.RX, (1,), 0.4),
+                           Gate(GateKind.ZZPHASE, (0, 1), 0.5)))
+    late = Schedule(t, (0, 1, -1, -1), ((1, 0, 0, 0), (3, 3, 0, 0), (0, 2, 0, 0)))
+    assert validate_schedule(late, c, t) == ["gate 3 (cycle 1) does not follow its "
+                                             "dependency 2 (cycle 2)"]
+
+
 def test_validator_catches_swap_bookkeeping_breakage(app_b_graph):
     c = build_qaoa_circuit(app_b_graph, QaoaParams((0.1,) * 4, (0.2,) * 4))
     s = parse_pdpt(APP_B_PDPT, n_prep_gates=c.prep_layer_size())

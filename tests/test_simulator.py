@@ -701,9 +701,13 @@ def test_layout_plan():
 
 
 def test_keep_states_in_logical_order():
-    # a relabelled, grouped noiseless run returns each state with qubit q in bit q
+    # a relabelled, grouped noiseless run returns each state with qubit q in bit q; its
+    # prepared state, here RX gates in place of the H layer so that the relabelling
+    # changes it, starts in the plan's layout
     g = gen_random_3regular(12, 5)
     s, c = _scheduled(g, QaoaParams((0.9, 0.2), (0.3, 1.0)))
+    c = LogicalCircuit(12, tuple(Gate(GateKind.RX, (q,), 0.1 * (q + 1)) for q in range(12))
+                       + c.gates[12:])
     bits, _ = simulator._layout_plan(simulator.cycle_gate_groups(s, c), 12)
     assert list(bits) != list(range(12))
     ens = run_noisy_ensemble(s, c, NoiseParams.noiseless(), 3, 0, keep_states=True)
