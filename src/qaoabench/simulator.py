@@ -319,13 +319,14 @@ _MIN_ROTATE_QUBITS = 10
 # The costs _layout_plan weighs, in units of the median time of one gate's product, from
 # the kernel table of BENCH_grouped_products.json (scripts/bench_kernel.py: N, R = 12,
 # 96; 14, 32; 16, 96, on one row block and on two at once; medians over those six
-# settings, rounded to 0.05). A product of k gates on bits b..b+k-1 goes by its block
-# of 2^(b+k) amplitudes (_group_form): in the short form 1.0, 1.1 and 1.5 on blocks
-# of 4, 8 and 16 for any k (measured 0.99-1.01, 1.07-1.11 and 1.46-1.51); in the
-# long form 0.9, 1.0 and 1.25 for k = 1, 2 and 3 on blocks of 2048 and more
-# (measured 0.92, 1.01 and 1.26), more on smaller blocks (k = 1, 2, 3: 1.59, 1.6 and
-# 1.8 on 256; 1.18, 1.26 and 1.39 on 512; 1.01, 1.14 and 1.30 on 1024). One gate in
-# place costs 3.2 (medians 2.2-3.4), and a rotation 0.8 (0.79; quartiles 0.69-0.96).
+# settings, rounded to about 0.05). A product of k gates on bits b..b+k-1 goes by its
+# block of 2^(b+k) amplitudes (_group_form): in the short form 1.0, 1.1 and 1.5 on
+# blocks of 4, 8 and 16 for any k (measured 0.99-1.01, 1.08-1.11 and 1.50-1.53); in
+# the long form 0.9, 1.0 and 1.25 for k = 1, 2 and 3 on blocks of 2048 and more
+# (measured 0.93, 1.02 and 1.24), more on smaller blocks (k = 1, 2, 3: 1.55, 1.64 and
+# 1.78 on 256; 1.19, 1.24 and 1.40 on 512; 1.00, 1.13 and 1.28 on 1024). One gate in
+# place costs 3.2 (3.14; 2.9-3.5 per setting), and a rotation 0.8 (0.81; quartiles
+# 0.69-0.95).
 _SHORT_COST = {4: 1.0, 8: 1.1, 16: 1.5}
 _LONG_COST = (0.0, 0.9, 1.0, 1.25)
 _SMALL_LONG_COST = {256: 0.6, 512: 0.2, 1024: 0.1}
