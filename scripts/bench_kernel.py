@@ -23,10 +23,12 @@ while 2^(q+k) <= GROUP_SHORT_CAP, "pair-long" and "triple-long" (one
 2^k x 2^k product per block of 2^k runs) from 2^q = GROUP_LONG_FLOOR on;
 together they cover the short-run and bit-0 positions, the long runs and
 the groups across bits 3/4 and 6/7. The "rotate" form, on the rows of q >=
-1, is no gate but the layout change of the cycle loop: simulator._rotate by
-q bits, the transposing copy into the spare that moves bit b of every index
-to bit (b + q) % N. "permute", on the row of q = 0, is the cycle loop's last
-copy, simulator._permute by a fixed random permutation of the bits.
+1, is no gate but the layout change of the cycle loop at a change of
+offset: simulator._permute with the cyclic source (c - q) % N, the
+transposing copy into the spare that moves bit b of every index to bit
+(b + q) % N (tables recorded before it timed the shift-only copy that
+_permute replaced). "permute", on the row of q = 0, is the cycle loop's
+last copy, simulator._permute by a fixed random permutation of the bits.
 simulator._layout_plan weighs a product, an in-place update and a rotation by
 these times (simulator._group_cost, _ROTATE_COST).
 With 1 block the calling thread applies the kernel CALLS times to the whole
@@ -117,9 +119,10 @@ def time_cases() -> list[dict]:
     def run(bufs, n, q, f, calls, form, source):
         states, spare = bufs
         k = GATE_FORMS.get(form, (1,))[0]
+        cyclic = [(c - q) % n for c in range(n)]
         for _ in range(calls):
             if form == "rotate":
-                out = simulator._rotate(states, spare, n, q)
+                out = simulator._permute(states, spare, n, cyclic)
             elif form == "permute":
                 out = simulator._permute(states, spare, n, source)
             else:

@@ -165,19 +165,40 @@ def emit_report(fits: dict[str, FitResult], points: dict[str, list],
     return buf.getvalue(), json.dumps(summary, indent=2) + "\n"
 
 
+def _point(n: str, seconds: str, row: int) -> tuple[float, float]:
+    try:
+        return float(n), float(seconds)
+    except ValueError:
+        raise ValueError(f"row {row}: N {n!r} and seconds {seconds!r} must be numbers") from None
+
+
 def read_timing_csv(text: str) -> dict[str, list[tuple[float, float]]]:
-    """Parse (N, seconds, label) rows, grouped by label; header optional."""
+    """Parse (N, seconds, label) rows, grouped by label; header optional, blank lines
+    skipped."""
     out: dict[str, list[tuple[float, float]]] = {}
-    reader = csv.reader(io.StringIO(text))
-    for row in reader:
+    for i, row in enumerate(csv.reader(io.StringIO(text)), 1):
         if not row or not row[0].strip():
             continue
         try:
-            n = float(row[0])
+            float(row[0])
         except ValueError:
             continue                # header row
         if len(row) < 2:
-            raise ValueError(f"timing row needs at least N and seconds: {row}")
+            raise ValueError(f"row {i}: a timing row needs at least N and seconds: {row}")
         label = row[2].strip() if len(row) > 2 and row[2].strip() else "default"
-        out.setdefault(label, []).append((n, float(row[1])))
+        out.setdefault(label, []).append(_point(row[0], row[1], i))
+    return out
+
+
+def read_bench_csv(text: str) -> dict[str, list[tuple[float, float]]]:
+    """(N, mean_seconds) of the rows of a bench CSV (costmodel.write_cost_csv: a
+    header, then N,p,mean_seconds,sdom_seconds,n_instances), grouped by label
+    qaoa-p<p>; blank lines skipped."""
+    out: dict[str, list[tuple[float, float]]] = {}
+    for i, row in enumerate(csv.reader(io.StringIO(text)), 1):
+        if not row or row[:3] == ["N", "p", "mean_seconds"]:      # blank, or the header
+            continue
+        if len(row) != 5:
+            raise ValueError(f"row {i}: a bench row has 5 fields, got {len(row)}: {row}")
+        out.setdefault(f"qaoa-p{row[1]}", []).append(_point(row[0], row[2], i))
     return out

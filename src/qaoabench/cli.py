@@ -203,14 +203,15 @@ def cmd_fit(args):
     points: dict[str, list[tuple[float, float]]] = {}
     for path in args.input:
         text = Path(path).read_text()
-        first = text.splitlines()[0] if text.strip() else ""
-        if first.startswith("N,p,mean_seconds"):
-            for line in text.splitlines()[1:]:
-                n, p, mean, _sdom, _cnt = line.split(",")
-                points.setdefault(f"qaoa-p{p}", []).append((float(n), float(mean)))
-        else:
-            for label, pts in analysis.read_timing_csv(text).items():
-                points.setdefault(label, []).extend(pts)
+        bench = text.lstrip().startswith("N,p,mean_seconds")
+        try:
+            found = (analysis.read_bench_csv if bench else analysis.read_timing_csv)(text)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        for label, pts in found.items():
+            points.setdefault(label, []).extend(pts)
+    if not points:
+        raise ValueError(f"no data points in {', '.join(args.input)}")
 
     fits = {label: analysis.fit_exponential(pts) for label, pts in points.items()}
     cross = None

@@ -58,21 +58,20 @@ and costs about 3 products from 12 qubits on. The pending-noise diagonal,
 the exact step and the probabilities also use whichever buffer does not
 hold the state.
 
-So from 10 qubits on (_MIN_ROTATE_QUBITS) the cycle loop moves the bit
-layout, as distributed simulators reorder qubits to keep gates off costly
-bit positions and to bring gates together (both papers above): logical
-qubit q sits in bit bits[q], a map that _layout_plan fixes from the
-schedule alone. It relabels the qubits once, so that qubits whose gates
-share cycles sit side by side (_relabel), and then only rotates that
-labelling, bits[q] = (labels[q] + offset) % n, by one transposing copy into
-the spare per change of offset (_rotate). Per cycle it picks the offset and
-the split of the cycle's RX and H gates into groups that cost least by the
-kernel table, rotations included. The prepared state is built in the first
-layout, and one permuting copy (_permute) moves logical qubit q back to bit
-q before the final flush. The coupling matrix, the pending factors and the
-draws stay indexed by logical qubit; the phase vector, the pending diagonal
-of an exact step and its P(q=1) are built in the current layout. Below 10
-qubits every gate runs alone and logical qubit q stays in bit q.
+So the cycle loop moves the bit layout, as distributed simulators reorder
+qubits to keep gates off costly bit positions and to bring gates together
+(both papers above): logical qubit q sits in bit bits[q], a map that
+_layout_plan fixes from the schedule alone with the groups. From 10 qubits on
+(_MIN_ROTATE_QUBITS) it relabels the qubits once, so that qubits whose gates
+share cycles sit side by side (_relabel), and per cycle rotates that labelling,
+bits[q] = (labels[q] + offset) % n, by the offset and split into groups that
+cost least by the kernel table, rotations included. Below 10 qubits q stays in
+bit q and every gate is a group of its own. Every change of layout is one
+transposing copy (_permute): into the first layout for the prepared state, at
+each change of offset, and back to q in bit q before the final flush. The
+coupling matrix, the pending factors and the draws stay indexed by logical
+qubit; the phase vector, the pending diagonal of an exact step and its P(q=1)
+are built in the current layout.
 
 The realizations never interact before the final average, so the cycle
 loop of a large batch runs on contiguous blocks of rows, one thread per
@@ -99,7 +98,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -223,6 +222,7 @@ _MIN_MATMUL_RUN, _MAX_MATMUL_RUN = 2, 8
 _MIN_2X2_RUN = 128
 
 
+@lru_cache(maxsize=None)
 def _group_form(b: int, k: int) -> str | None:
     """The form of _apply_group for k gates on bits b..b+k-1: "long", "short",
     "inplace" (one gate only), or None where a group has no product form.
@@ -258,7 +258,7 @@ def _apply_group(states: np.ndarray, n: int, b: int, us, fs: np.ndarray,
     if form == "inplace":
         (u00, u01, u10, u11), = us
         a0, a1 = _split1(states, n, b)
-        f = fs[:, 0].reshape(-1, 1, 1)
+        f = fs.reshape(-1, 1, 1)
         flat = spare.reshape(-1)
         t, t0 = flat[: a0.size].reshape(a0.shape), flat[a0.size: 2 * a0.size].reshape(a0.shape)
         np.multiply(a1, u01 * f, out=t)
@@ -270,9 +270,9 @@ def _apply_group(states: np.ndarray, n: int, b: int, us, fs: np.ndarray,
     rows, d, g = len(states), 1 << k, None
     for i, (u00, u01, u10, u11) in enumerate(us):     # g = G_r, (rows, 2^k, 2^k)
         gi = np.empty((rows, 2, 2), dtype=np.complex128)    # g_i = us[i] diag(1, fs[r, i])
-        gi[:, 0, 0], gi[:, 1, 0] = u00, u10
-        np.multiply(fs[:, i], u01, out=gi[:, 0, 1])
-        np.multiply(fs[:, i], u11, out=gi[:, 1, 1])
+        gi[:, 0, 0], gi[:, 1, 0], f = u00, u10, fs[:, i]
+        np.multiply(f, u01, out=gi[:, 0, 1])
+        np.multiply(f, u11, out=gi[:, 1, 1])
         if g is not None:
             gi = (gi[:, :, np.newaxis, :, np.newaxis] * g[:, np.newaxis, :, np.newaxis, :]
                   ).reshape(rows, 2 << i, 2 << i)
@@ -290,16 +290,6 @@ def _apply_group(states: np.ndarray, n: int, b: int, us, fs: np.ndarray,
     return spare
 
 
-def _rotate(states: np.ndarray, spare: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Copy a (R, 2^n) batch into spare with bit b of every index moved to bit
-    (b + k) % n, and return spare: per row, one transposing copy of the (2^k,
-    2^(n-k)) view, so the high k bits become the low ones."""
-    rows, k = len(states), k % n
-    np.copyto(spare.reshape(rows, 1 << (n - k), 1 << k),
-              states.reshape(rows, 1 << k, 1 << (n - k)).transpose(0, 2, 1))
-    return spare
-
-
 def _permute(states: np.ndarray, spare: np.ndarray, n: int, source) -> np.ndarray:
     """Copy a (R, 2^n) batch into spare with bit c of every new index taken from
     bit source[c] of the old one, and return spare: one transposing copy of the
@@ -311,9 +301,9 @@ def _permute(states: np.ndarray, spare: np.ndarray, n: int, source) -> np.ndarra
     return spare
 
 
-# From this many qubits on, _run_cycles moves the bit layout so that RX and H run
-# products: shifted by 3, the in-place bits 0 and 4-6 of one gate land on product bits
-# 3 and 7-9.
+# From this many qubits on, _layout_plan relabels and rotates the bit layout so that RX
+# and H run products: shifted by 3, the in-place bits 0 and 4-6 of one gate land on
+# product bits 3 and 7-9.
 _MIN_ROTATE_QUBITS = 10
 
 # The costs _layout_plan weighs, in units of the median time of one gate's product, from
@@ -326,7 +316,7 @@ _MIN_ROTATE_QUBITS = 10
 # (measured 0.93, 1.02 and 1.24), more on smaller blocks (k = 1, 2, 3: 1.55, 1.64 and
 # 1.78 on 256; 1.19, 1.24 and 1.40 on 512; 1.00, 1.13 and 1.28 on 1024). One gate in
 # place costs 3.2 (3.14; 2.9-3.5 per setting), and a rotation 0.8 (0.81; quartiles
-# 0.69-0.95).
+# 0.69-0.95; timed as a copy by the shift alone, which a _permute by a shift matches).
 _SHORT_COST = {4: 1.0, 8: 1.1, 16: 1.5}
 _LONG_COST = (0.0, 0.9, 1.0, 1.25)
 _SMALL_LONG_COST = {256: 0.6, 512: 0.2, 1024: 0.1}
@@ -402,25 +392,25 @@ def _relabel(cycles: list[list[int]], n: int) -> list[int]:
 
 
 def _layout_plan(groups, n: int):
-    """The cycle loop's layout and gate groups for the schedule's cycles groups, or
-    None below _MIN_ROTATE_QUBITS, where every gate runs alone in the layout of
-    logical qubit q in bit q.
+    """The cycle loop's layouts and gate groups for the schedule's cycles groups.
 
     Returns (bits, steps). bits is the starting layout: logical qubit q sits in bit
     bits[q]. steps has one entry per RX or H of groups, in order: None where the
-    gate ran with an earlier one of its cycle, else (shift, gates, qubits), a
-    rotation of the layout by shift bits (_rotate) and then one product of the
-    gates (_apply_group) on their qubits, which sit on adjacent bits, lowest
-    first.
+    gate ran with an earlier one of its cycle, else (layout, gates), a move of the
+    batch into layout (_permute) unless that is None, then one product of the gates
+    (_apply_group), whose qubits sit on adjacent bits, lowest first.
 
-    The layout is a fixed relabelling (_relabel), rotated by an offset: qubit q
-    in bit (labels[q] + offset) % n. A Viterbi pass over the n offsets, one step
-    per cycle with RX or H gates, minimizes the cost of each cycle's gates at its
-    offset (_mask_groups) plus _ROTATE_COST per change of offset; the start is
-    free (the state is prepared in any layout alike), ties keep the lower offset.
-    The plan depends on the schedule alone, so every row block moves alike."""
+    Below _MIN_ROTATE_QUBITS q stays in bit q and every gate is a step of its own.
+    From there on the layout is a fixed relabelling (_relabel) rotated by an
+    offset, q in bit (labels[q] + offset) % n. A Viterbi pass over the n offsets,
+    one step per cycle with RX or H gates, minimizes the cost of each cycle's gates
+    at its offset (_mask_groups) plus _ROTATE_COST per change of offset; the start
+    is free (one copy moves the prepared state into any layout), ties keep the
+    lower offset. The plan depends on the schedule alone, so every row block moves
+    alike."""
     if n < _MIN_ROTATE_QUBITS:
-        return None
+        return tuple(range(n)), [(None, (gate,)) for group in groups for gate in group
+                                 if gate.kind != GateKind.ZZPHASE]
     cycles = [[gate for gate in group if gate.kind != GateKind.ZZPHASE] for group in groups]
     cycles = [gates for gates in cycles if gates]
     labels = _relabel([[gate.qubits[0] for gate in gates] for gates in cycles], n)
@@ -442,25 +432,20 @@ def _layout_plan(groups, n: int):
     for came_from in reversed(moves):
         offsets.append(offset)
         offset = came_from[offset]
-    offsets.reverse()
-    start = offsets[0] if offsets else 0
-    steps, previous = [], start
-    for gates, split, offset in zip(cycles, splits, offsets):
+    start = previous = offset           # the first cycle's offset, 0 without cycles
+    steps = []
+    for gates, split, offset in zip(cycles, splits, reversed(offsets)):
         on_bit = {(labels[gate.qubits[0]] + offset) % n: gate for gate in gates}
         lead = {}                       # first gate of each group in cycle order -> group
         for b, k in split[offset][1]:
             group = tuple(on_bit[b + i] for i in range(k))
             lead[min(group, key=gates.index)] = group
-        shift = offset - previous
-        for gate in gates:
-            if gate in lead:
-                group = lead[gate]
-                steps.append((shift, group, tuple(g.qubits[0] for g in group)))
-                shift = 0
-            else:
-                steps.append(None)
+        layout = None if offset == previous else tuple((label + offset) % n for label in labels)
+        # the cycle's first gate leads its group, so its step makes the cycle's move
+        steps += [(None if i else layout, lead[gate]) if gate in lead else None
+                  for i, gate in enumerate(gates)]
         previous = offset
-    return [(label + start) % n for label in labels], steps
+    return tuple((label + start) % n for label in labels), steps
 
 
 class _PendingPhase:
@@ -470,9 +455,17 @@ class _PendingPhase:
     doubling; j' is j moved into the batch's bit layout bits (logical qubit q in bit
     bits[q]), which apply_gates keeps."""
 
-    def __init__(self, n: int, bits=None):
+    def __init__(self, bits):
+        n = len(bits)
         self.j, self.phase, self.qubits = np.zeros((n, n)), np.empty(1 << n, complex), set()
-        self.bits = tuple(range(n)) if bits is None else tuple(bits)
+        self.bits = tuple(bits)
+
+    def move(self, states: np.ndarray, spare: np.ndarray, layout) -> tuple[np.ndarray, ...]:
+        """Copy a (R, 2^n) batch into spare with logical qubit q moved from bit bits[q]
+        to bit layout[q] (_permute), which becomes bits; returns (state, spare)."""
+        source = [self.bits[q] for q in np.argsort(layout)]    # per new bit, its old one
+        self.bits = tuple(layout)
+        return _permute(states, spare, len(source), source), states
 
     def flush(self, states: np.ndarray) -> None:
         if not self.qubits:
@@ -493,26 +486,27 @@ class _PendingPhase:
         self.qubits.clear()
 
     def apply_gates(self, states: np.ndarray, spare: np.ndarray, n: int, gates,
-                    pending: np.ndarray, steps=None) -> tuple[np.ndarray, np.ndarray]:
+                    pending: np.ndarray, steps) -> tuple[np.ndarray, np.ndarray]:
         """Apply gates in order to a (R, 2^n) batch; returns (state, spare), the two
-        buffers' roles swapped after each product whose result went to the spare.
-        An RX or H takes the next entry of the iterator steps (_layout_plan; each
-        gate alone in the current layout if steps is None): it skips a gate that
-        already ran in its group, and for (shift, group, qubits) rotates the batch
-        by shift (_rotate), flushes the phase if it touches the group's qubits, and
-        applies the group's gates with their qubits' pending noise in one product."""
+        buffers' roles swapped after each copy or product whose result went to the
+        spare. An RX or H takes the next entry of the iterator steps (_layout_plan):
+        it skips a gate that already ran in its group, and for (layout, group) moves
+        the batch into layout unless that is None (move), flushes the phase if it
+        touches the group's qubits, and applies the group's gates with their qubits'
+        pending noise in one product."""
+        zz = GateKind.ZZPHASE               # looked up once: an enum member costs 0.1 us
         for gate in gates:
-            if gate.kind == GateKind.ZZPHASE:
+            if gate.kind is zz:
                 self.j[min(gate.qubits), max(gate.qubits)] += gate.angle
                 self.qubits.update(gate.qubits)
                 continue
-            step = (0, (gate,), gate.qubits) if steps is None else next(steps)
+            step = next(steps)
             if step is None:
                 continue
-            shift, group, qubits = step
-            if shift:
-                states, spare = _rotate(states, spare, n, shift), states
-                self.bits = tuple((b + shift) % n for b in self.bits)
+            layout, group = step
+            if layout is not None:
+                states, spare = self.move(states, spare, layout)
+            qubits = [g.qubits[0] for g in group]
             if not self.qubits.isdisjoint(qubits):
                 self.flush(states)
             # the pending columns; a slice, not a gather, for one gate
@@ -529,9 +523,10 @@ def simulate_logical(c: LogicalCircuit, state: np.ndarray | None = None) -> np.n
     n = c.n_qubits
     if state is None:
         state = init_zero_state(n)
-    phase, rows = _PendingPhase(n), state[np.newaxis]
+    phase, rows = _PendingPhase(range(n)), state[np.newaxis]
+    steps = ((None, (gate,)) for gate in c.gates if gate.kind != GateKind.ZZPHASE)
     out, _ = phase.apply_gates(rows, np.empty_like(rows), n, c.gates,
-                               np.ones((1, n), complex))
+                               np.ones((1, n), complex), steps)
     phase.flush(out)
     if out is not rows:
         state[:] = out[0]
@@ -687,16 +682,14 @@ def _run_cycles(block: np.ndarray, spare: np.ndarray, pending: np.ndarray, eps: 
     block's shape, the rows' pending factors, (rows, n_cycles, n) draws and their
     jump candidates cand (us < p_damp); returns the block's number of jumps. The
     state moves between block and spare as the kernels and copies swap them, and
-    ends in block. The block starts in plan's layout and runs its steps
-    (_layout_plan; each gate alone with logical qubit q in bit q if None), and one
-    copy (_permute) moves logical qubit q back to bit q before the final flush.
-    The shared phase is flushed only before an RX or H on a qubit it touches and
-    at the end, so at cycles the circuit alone fixes, and each row's rounding does
-    not depend on the rows it runs with."""
+    ends in block. The block starts in the layout of plan (_layout_plan) and runs
+    its steps, and one more copy (_PendingPhase.move) moves logical qubit q back to
+    bit q before the final flush. The shared phase is flushed only before an RX or
+    H on a qubit it touches and at the end, so at cycles the circuit alone fixes,
+    and each row's rounding does not depend on the rows it runs with."""
     n = pending.shape[1]
     damp_amp = math.sqrt(1.0 - p_damp)
-    bits, steps = (None, None) if plan is None else (plan[0], iter(plan[1]))
-    phase, states = _PendingPhase(n, bits), block
+    phase, states, steps = _PendingPhase(plan[0]), block, iter(plan[1])
     jumps = 0
     hits = cand.any(axis=(0, 2))        # per cycle: whether any row has a candidate
     for cy, group in enumerate(groups):
@@ -708,8 +701,7 @@ def _run_cycles(block: np.ndarray, spare: np.ndarray, pending: np.ndarray, eps: 
         else:
             pending *= ph * damp_amp
     if phase.bits != tuple(range(n)):
-        states, spare = _permute(states, spare, n, phase.bits), states
-        phase.bits = tuple(range(n))
+        states, spare = phase.move(states, spare, range(n))
     phase.flush(states)
     _apply_pending_noise(states, pending, spare)
     if states is not block:
@@ -783,30 +775,16 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
     realization order, so they are bitwise the same too. Reruns with one
     master seed are bitwise identical.
 
-    Each diagonal operation costs at most one pass over a chunk. ZZPhase
-    gates share one phase vector, applied before an RX or H on a qubit it
-    touches and at the end. The pending no-jump noise rides in the fused
-    RX/H kernel, or in one multiply per row at the end. A jump candidate
-    (u < p_damp, compared once per call) takes the exact step on its qubit
-    alone (_candidate_steps), from a copy of the row with the pending factors
-    applied; a jump writes the row back and corrects it for the pending
-    phase. n_candidates and n_jumps count the candidates and the jumps.
-    The cycles of a large chunk run on contiguous row blocks, one thread per
-    usable CPU (see _n_blocks); the rows are normalized last, over the whole
-    chunk. RX and H gates of one cycle on adjacent bits share one BLAS
-    product (_apply_group; a lone RX or H on bit 0 or 4-6 is updated in
-    place). From 10 qubits on, the cycle loop keeps logical qubit q in bit
-    bits[q], a relabelling of the qubits from the schedule that one
-    transposing copy per change of offset rotates, and _layout_plan picks per
-    cycle the offset and the groups from the schedule alone; the prepared
-    state starts in that layout, and one copy moves every qubit back to its
-    own bit at the end, so states are returned in logical order. The plan
-    draws nothing, so the streams, chunks and blocks are as above, and below
-    10 qubits every gate runs alone in the fixed layout. BLAS should run
-    single-threaded, or its threads compete with the row blocks:
-    importing qaoabench sets OPENBLAS_NUM_THREADS (and the OpenMP and MKL
-    counts) to 1 unless set, but a caller that loads numpy before qaoabench
-    has to set them itself.
+    The module docstring describes the kernels, the pending noise, the exact
+    step of a jump candidate (u < p_damp; _candidate_steps), the row blocks
+    (_n_blocks) and the bit layout (_layout_plan). The plan draws nothing, so
+    the streams, chunks and blocks are as above, and states are returned in
+    logical order. n_candidates and n_jumps count the candidates and the jumps.
+    The rows are normalized last, over the whole chunk. BLAS should run
+    single-threaded, or its threads compete with the row blocks: importing
+    qaoabench sets OPENBLAS_NUM_THREADS (and the OpenMP and MKL counts) to 1
+    unless set, but a caller that loads numpy before qaoabench has to set them
+    itself.
     """
     if n_realizations < 1:
         raise ValueError("need at least one realization")
@@ -815,11 +793,9 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
     groups = cycle_gate_groups(s, c)
     plan = _layout_plan(groups, n)
     n_cycles = len(groups)
-    prep_gates = c.gates[: s.n_prep_gates]
-    if plan is not None:            # prepared in the plan's starting layout
-        prep_gates = tuple(replace(gate, qubits=tuple(plan[0][q] for q in gate.qubits))
-                           for gate in prep_gates)
-    prep = simulate_logical(LogicalCircuit(n, prep_gates))
+    prep = simulate_logical(LogicalCircuit(n, c.gates[: s.n_prep_gates]))[np.newaxis]
+    if plan[0] != tuple(range(n)):      # moved into the first layout
+        prep = _permute(prep, np.empty_like(prep), n, np.argsort(plan[0]))
 
     var = noise.dephasing_var(noise.t_gate)
     sigma = math.sqrt(var) if var > 0 else 0.0

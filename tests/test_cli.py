@@ -244,6 +244,42 @@ def test_fit_reads_bench_csv(tmp_path):
     assert "fit,qaoa-p1," in out_csv.read_text()
 
 
+BENCH_HEADER = "N,p,mean_seconds,sdom_seconds,n_instances\n"
+BENCH_ROWS = "".join(f"{n},1,{0.1 * n:g},0.01,2\n" for n in (4, 6, 8))
+
+
+def test_fit_skips_blank_lines(tmp_path):
+    bench = tmp_path / "bench.csv"
+    bench.write_text("\n" + BENCH_HEADER + "\n" + BENCH_ROWS.replace("\n", "\n\n"))
+    out_json = tmp_path / "report.json"
+    assert run_cli("fit", "--input", bench, "--out-csv", tmp_path / "report.csv",
+                   "--out-json", out_json) == 0
+    assert json.loads(out_json.read_text())["fits"]["qaoa-p1"]["n_points"] == 3
+
+
+@pytest.mark.parametrize("text,message", [
+    (BENCH_HEADER + BENCH_ROWS + "10,1,0.5,0.01\n", "row 5: a bench row has 5 fields, got 4"),
+    (BENCH_HEADER + "4,1,x,0.01,2\n" + BENCH_ROWS, "row 2: N '4' and seconds 'x' must be numbers"),
+    ("N,seconds,label\n8,1.5,classical\n10,x,classical\n",
+     "row 3: N '10' and seconds 'x' must be numbers"),
+    ("8\n", "row 1: a timing row needs at least N and seconds"),
+    ("", "no data points in "),
+    (BENCH_HEADER, "no data points in "),
+], ids=["bench-short-row", "bench-seconds", "timing-seconds", "timing-short-row", "empty",
+        "header-only"])
+def test_fit_rejects_bad_input_in_one_line(tmp_path, capsys, text, message):
+    # each error names the file, and the row where there is one
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    out_csv = tmp_path / "report.csv"
+    assert run_cli("fit", "--input", path, "--out-csv", out_csv,
+                   "--out-json", tmp_path / "report.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err and message in err
+    assert not out_csv.exists()
+
+
 def test_fit_with_published_averages_and_synthetic_classical(tmp_path):
     timing = tmp_path / "timing.csv"
     rows = ["N,seconds,label"]

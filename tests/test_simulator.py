@@ -610,24 +610,15 @@ def test_rotated_layout_matches_per_qubit_reference(monkeypatch, n):
     assert 2 in sizes and 3 in sizes
 
 
-def test_rotate_moves_every_bit():
-    n, rows = 5, 3
-    states = np.arange(rows << n, dtype=complex).reshape(rows, 1 << n)
-    index = np.arange(1 << n)
-    for k in range(-n, 2 * n):
-        out = simulator._rotate(states, np.empty_like(states), n, k)
-        # bit b of the old index is bit (b + k) % n of the new one
-        moved = sum(((index >> b) & 1) << ((b + k) % n) for b in range(n))
-        assert np.array_equal(out[:, moved], states)
-
-
 def test_permute_moves_every_bit():
     n, rows = 6, 3
     states = np.arange(rows << n, dtype=complex).reshape(rows, 1 << n)
     index = np.arange(1 << n)
     rng = np.random.default_rng(5)
-    for _ in range(10):
-        source = rng.permutation(n)
+    # every rotation of the bits (bit b to bit (b + k) % n), then random permutations
+    sources = [[(c - k) % n for c in range(n)] for k in range(-n, 2 * n)]
+    sources += [rng.permutation(n) for _ in range(10)]
+    for source in sources:
         out = simulator._permute(states, np.empty_like(states), n, source)
         # bit source[c] of the old index is bit c of the new one
         moved = sum(((index >> source[c]) & 1) << c for c in range(n))
@@ -647,11 +638,13 @@ def _plan_cost(plan, groups, n):
             if step is None:
                 assert gate in seen
                 continue
-            shift, gates, qubits = step
-            assert qubits == tuple(g.qubits[0] for g in gates)
-            if shift:
+            layout, gates = step
+            if layout is not None:
+                assert sorted(layout) == list(range(n)) and list(layout) != bits
+                # a rotation of the starting layout, which the plan costs as one
+                assert len({(a - b) % n for a, b in zip(layout, plan[0])}) == 1
                 cost += simulator._ROTATE_COST
-                bits = [(b + shift) % n for b in bits]
+                bits = list(layout)
             assert gate in gates and all(g in group for g in gates)
             b = bits[gates[0].qubits[0]]
             assert [bits[g.qubits[0]] for g in gates] == list(range(b, b + len(gates)))
@@ -679,9 +672,10 @@ def _ungrouped_cost(groups, n):
 
 
 def test_layout_plan():
-    # no plan below 10 qubits; from 10 on, every RX and H runs once, in groups on
-    # adjacent bits with a product form, and the grouped plan never costs more than
-    # the gates one by one in a rotating layout
+    # below 10 qubits, logical qubit q in bit q throughout and one step per gate; from
+    # 10 on, every RX and H runs once, in groups on adjacent bits with a product form,
+    # and the grouped plan never costs more than the gates one by one in a rotating
+    # layout
     params = QaoaParams((0.3,) * 4, (0.7,) * 4)
     saved = []
     for n in range(4, 17, 2):
@@ -690,7 +684,9 @@ def test_layout_plan():
             groups = simulator.cycle_gate_groups(schedule(c, choose_grid(n), seed), c)
             plan = simulator._layout_plan(groups, n)
             if n < simulator._MIN_ROTATE_QUBITS:
-                assert plan is None
+                assert tuple(plan[0]) == tuple(range(n))
+                assert plan[1] == [(None, (gate,)) for group in groups for gate in group
+                                   if gate.kind != GateKind.ZZPHASE]
                 continue
             assert sorted(plan[0]) == list(range(n))
             cost = _plan_cost(plan, groups, n)
