@@ -460,7 +460,7 @@ class _PendingPhase:
         self.j, self.phase, self.qubits = np.zeros((n, n)), np.empty(1 << n, complex), set()
         self.bits = tuple(bits)
 
-    def move(self, states: np.ndarray, spare: np.ndarray, layout) -> tuple[np.ndarray, ...]:
+    def move(self, states: np.ndarray, spare: np.ndarray, layout) -> tuple[np.ndarray, np.ndarray]:
         """Copy a (R, 2^n) batch into spare with logical qubit q moved from bit bits[q]
         to bit layout[q] (_permute), which becomes bits; returns (state, spare)."""
         source = [self.bits[q] for q in np.argsort(layout)]    # per new bit, its old one
