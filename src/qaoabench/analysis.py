@@ -172,33 +172,34 @@ def _point(n: str, seconds: str, row: int) -> tuple[float, float]:
         raise ValueError(f"row {row}: N {n!r} and seconds {seconds!r} must be numbers") from None
 
 
-def read_timing_csv(text: str) -> dict[str, list[tuple[float, float]]]:
-    """Parse (N, seconds, label) rows, grouped by label; header optional, blank lines
-    skipped."""
+def read_points(text: str) -> dict[str, list[tuple[float, float]]]:
+    """(N, seconds) data points grouped by label, from a bench CSV or a timing CSV.
+
+    The first non-blank row picks the format. A bench CSV starts with the
+    header of costmodel.write_cost_csv, and each of its N,p,mean_seconds,
+    sdom_seconds,n_instances rows gives (N, mean_seconds) under the label
+    qaoa-p<p>. Any other text holds (N, seconds, label) rows, the label
+    "default" when left out, under an optional header: a first row whose N
+    is not a number. Only that first row may be a header; blank rows are
+    skipped, and any other malformed row raises ValueError naming its row.
+    """
+    rows = [(i, row) for i, row in enumerate(csv.reader(io.StringIO(text)), 1)
+            if any(cell.strip() for cell in row)]
     out: dict[str, list[tuple[float, float]]] = {}
-    for i, row in enumerate(csv.reader(io.StringIO(text)), 1):
-        if not row or not row[0].strip():
-            continue
+    if rows and rows[0][1][:3] == ["N", "p", "mean_seconds"]:
+        for i, row in rows[1:]:
+            if len(row) != 5:
+                raise ValueError(f"row {i}: a bench row has 5 fields, got {len(row)}: {row}")
+            out.setdefault(f"qaoa-p{row[1]}", []).append(_point(row[0], row[2], i))
+        return out
+    if rows:
         try:
-            float(row[0])
+            float(rows[0][1][0])
         except ValueError:
-            continue                # header row
+            rows = rows[1:]         # the header
+    for i, row in rows:
         if len(row) < 2:
             raise ValueError(f"row {i}: a timing row needs at least N and seconds: {row}")
         label = row[2].strip() if len(row) > 2 and row[2].strip() else "default"
         out.setdefault(label, []).append(_point(row[0], row[1], i))
-    return out
-
-
-def read_bench_csv(text: str) -> dict[str, list[tuple[float, float]]]:
-    """(N, mean_seconds) of the rows of a bench CSV (costmodel.write_cost_csv: a
-    header, then N,p,mean_seconds,sdom_seconds,n_instances), grouped by label
-    qaoa-p<p>; blank lines skipped."""
-    out: dict[str, list[tuple[float, float]]] = {}
-    for i, row in enumerate(csv.reader(io.StringIO(text)), 1):
-        if not row or row[:3] == ["N", "p", "mean_seconds"]:      # blank, or the header
-            continue
-        if len(row) != 5:
-            raise ValueError(f"row {i}: a bench row has 5 fields, got {len(row)}: {row}")
-        out.setdefault(f"qaoa-p{row[1]}", []).append(_point(row[0], row[2], i))
     return out

@@ -17,12 +17,10 @@ with status 1; `qaoabench --debug COMMAND ...` lets it raise with its
 traceback instead.
 
 `solve` and `bench` use every usable CPU (optimizer.solve_instances). A
-bench makes one list of (instance, restart) tasks over all its sizes. The
-tasks of every instance whose noise-realization batch holds at most
-1.5 x 2^20 amplitudes (R x 2^N) run on one pool of forked worker processes,
-one per usable CPU, each pinned to one CPU; a larger instance runs its
-restarts in turn, each batch on one row-block thread per CPU. The output bytes are the
-same as one process running every restart in turn.
+bench makes one list of (instance, restart) tasks over all its sizes, and
+the tasks run on one pool of forked worker processes, one per usable CPU,
+each pinned to one CPU. The output bytes are the same as one process
+running every restart in turn.
 
 BLAS runs single-threaded in every process qaoabench starts (the workers
 inherit it), since the package sets the thread-count variables to 1
@@ -202,10 +200,8 @@ def cmd_bench(args):
 def cmd_fit(args):
     points: dict[str, list[tuple[float, float]]] = {}
     for path in args.input:
-        text = Path(path).read_text()
-        bench = text.lstrip().startswith("N,p,mean_seconds")
         try:
-            found = (analysis.read_bench_csv if bench else analysis.read_timing_csv)(text)
+            found = analysis.read_points(Path(path).read_text())
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         for label, pts in found.items():

@@ -13,13 +13,10 @@ sequential, mirroring how a hybrid loop would drive one device. So
 solve_instances spreads the restarts of all its instances, as one list of
 (instance, restart) tasks, largest N first, over one pool of forked worker
 processes (pinned_pool), each pinned to one usable CPU, and gets the same
-bits as one process running them in turn. An instance's tasks join the pool
-when its ensemble batch holds at most _POOL_MAX_AMPS (1.5 * 2^20) amplitudes
-(R * 2^N), where pinned workers beat or tie the row-block threads in the
-recorded tables; a larger instance runs its restarts one after another in
-the calling process, each batch on every CPU, one row-block thread each, as
-a daemonic process (which may not start any children) runs all of them. The
-final scorings of each instance's best parameters run in the caller.
+bits as one process running them in turn. On one CPU, for one task, or in a
+daemonic process (which may not start any children) the restarts run in turn
+in the calling process instead, each batch on up to one row-block thread per
+usable CPU. The final scorings of each instance's best parameters run in the caller.
 """
 from __future__ import annotations
 
@@ -348,18 +345,6 @@ def pinned_pool(n_workers: int):
         cpus.close()
 
 
-# Above this many amplitudes per ensemble batch (R * 2^N), the largest measured
-# (N=12 R=384, or N=14 R=96), an instance runs its restarts in turn and each batch
-# on the simulator's row-block threads, which hold one batch, not one per worker.
-# In BENCH_restart_pool.json (scripts/bench_restarts.py: one solve of 10 restarts,
-# p=2, 2 CPUs) two pinned workers took 0.52-0.88x the threaded time up to 2^19
-# amplitudes, 0.87x at N=12 R=192 and 0.96-1.09x, a tie, at N=12 R=384. In a sweep's
-# longer task list the pool wins there too: pooling N=12 in the mixed case of
-# BENCH_task_list.json (scripts/bench_sweep.py, N=8 and 12 at R=384) was faster
-# than threads in every round.
-_POOL_MAX_AMPS = 3 << 19
-
-
 def _restart_workers(n_tasks: int) -> int:
     """Worker processes for n_tasks pooled restarts: one per usable CPU and per
     task, and at most 1 in a daemonic process, which may not start children."""
@@ -375,33 +360,32 @@ def solve_instances(instances: list[tuple[Graph, int]], p: int, cfg: NmConfig, p
     """Solve each (graph, master seed) pair as solve_instance does, the results
     in instance order.
 
-    Each instance is compiled here, once. The restarts of every instance whose
-    ensemble batch of R * 2^N amplitudes holds at most _POOL_MAX_AMPS form one
-    task list on one pinned_pool of one worker per usable CPU and per task; an
-    error in a worker is raised here with its type and message. The others
-    run here in turn, compiled when their turn comes, as do all restarts on
-    one CPU or in a daemonic process, and the final scorings. A process that
-    solves alongside others should be pinned to one CPU, or each starts a
-    pool of its own.
+    Each instance is compiled here, once. The restarts of all instances form
+    one task list, largest N first, so that the pool ends on its shortest
+    tasks. It runs on one pinned_pool of one worker per usable CPU and per
+    task; an error in a worker is raised here with its type and message. On
+    one CPU, for one task or in a daemonic process the tasks run here in turn.
+    The final scorings run here. Each worker holds its own ensemble batch,
+    states and spare of 32 * R * 2^N bytes (at most 2 GiB under
+    simulator._CHUNK_AMPS), so the peak memory grows with the worker count:
+    about 0.8 GB per worker at N=16, R=384. A process that solves alongside
+    others should be pinned to one CPU, or each starts a pool of its own.
     """
     restarts = range(cfg.n_restarts)
-    # the pooled instances, largest N first, so that the pool ends on its shortest tasks
-    problems = {k: InstanceProblem(g, p, cfg, pipeline, noise, seed, n_realizations)
-                for k, (g, seed) in sorted(enumerate(instances), key=lambda e: -e[1][0].n)
-                if n_realizations << g.n <= _POOL_MAX_AMPS}
-    tasks = [(problem, r) for problem in problems.values() for r in restarts]
-    done = {}
+    problems = [InstanceProblem(g, p, cfg, pipeline, noise, seed, n_realizations)
+                for g, seed in instances]
+    tasks = [(problem, r) for problem in sorted(problems, key=lambda q: -q.g.n)
+             for r in restarts]
     n_workers = _restart_workers(len(tasks))
     if n_workers > 1:
         with pinned_pool(n_workers) as pool:
             # map(f, problems, restarts) calls f(problem, restart) for each task
             done = dict(zip(tasks, pool.map(InstanceProblem.run_restart, *zip(*tasks))))
+    else:
+        done = {(problem, r): problem.run_restart(r) for problem, r in tasks}
     results = []
-    for k, (g, seed) in enumerate(instances):
-        problem = problems.pop(k, None) or InstanceProblem(g, p, cfg, pipeline, noise, seed,
-                                                           n_realizations)
-        runs = [done.pop((problem, r)) if (problem, r) in done else problem.run_restart(r)
-                for r in restarts]
+    for problem in problems:
+        runs = [done[problem, r] for r in restarts]
         best = max(runs, key=lambda r: r.best_value)
         results.append(InstanceSolveResult(
             n=problem.g.n,
@@ -427,7 +411,6 @@ def solve_instance(g: Graph, p: int, cfg: NmConfig, pipeline: str,
     hardware. The best run is the one with the highest estimated
     objective; its final state is scored for overlap with the brute-force
     optima and for the exact approximation ratio. The restarts run as
-    solve_instances runs them: on the pinned pool when a batch of R * 2^N
-    amplitudes holds at most _POOL_MAX_AMPS, else here in turn.
+    solve_instances runs them: on the pinned pool, or here in turn on one CPU.
     """
     return solve_instances([(g, master_seed)], p, cfg, pipeline, noise, n_realizations)[0]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qaoabench.analysis import (CrossoverEstimate, FitResult, crossover,
-                                emit_report, fit_exponential, read_timing_csv)
+                                emit_report, fit_exponential, read_points)
 
 TABLE_P4 = [(8, 100.6), (10, 102.8), (12, 106.6), (14, 107.5), (16, 113.1), (20, 118.8)]
 
@@ -120,7 +120,7 @@ def test_emit_report_deterministic():
 
 def test_read_timing_csv():
     text = "N,seconds,label\n8,100.6,qaoa-p4\n10,102.8,qaoa-p4\n30,0.5,classical\n"
-    groups = read_timing_csv(text)
+    groups = read_points(text)
     assert set(groups) == {"qaoa-p4", "classical"}
     assert groups["qaoa-p4"] == [(8.0, 100.6), (10.0, 102.8)]
-    assert read_timing_csv("8,1.5\n")["default"] == [(8.0, 1.5)]
+    assert read_points("8,1.5\n")["default"] == [(8.0, 1.5)]

@@ -193,9 +193,9 @@ def test_bench_deterministic_bytes(tmp_path):
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
-def test_bench_pools_only_batches_within_the_bound(tmp_path, monkeypatch):
-    # the pool takes the largest N first; a bound between the two sizes'
-    # batches sends only N=4's restarts to it, and N=6 is built after the pool
+def test_bench_pools_every_instance_largest_first(tmp_path, monkeypatch):
+    # every instance is built once, in instance order, before the pool, which
+    # takes all restarts of both sizes, largest N first
     pooled, events = [], []
 
     class RecordingPool:
@@ -213,18 +213,11 @@ def test_bench_pools_only_batches_within_the_bound(tmp_path, monkeypatch):
     monkeypatch.setattr(optimizer, "pinned_pool",
                         lambda n_workers: contextlib.nullcontext(RecordingPool()))
     args, expected = BENCH_CASES[2]
-    for bound, tasks, order in (
-            (optimizer._POOL_MAX_AMPS, [(6, 0), (6, 1)] * 2 + [(4, 0), (4, 1)] * 2,
-             [6, 6, 4, 4, "pool"]),
-            (8 << 4, [(4, 0), (4, 1)] * 2, [4, 4, "pool", 6, 6])):
-        monkeypatch.setattr(optimizer, "_POOL_MAX_AMPS", bound)
-        pooled.clear()
-        events.clear()
-        out = tmp_path / "bench.csv"
-        assert run_cli(*BENCH_COMMON, *args, "--out", out) == 0
-        assert out.read_text() == expected
-        assert pooled == tasks
-        assert events == order
+    out = tmp_path / "bench.csv"
+    assert run_cli(*BENCH_COMMON, *args, "--out", out) == 0
+    assert out.read_text() == expected
+    assert pooled == [(6, 0), (6, 1)] * 2 + [(4, 0), (4, 1)] * 2
+    assert events == [4, 4, 6, 6, "pool"]
 
 
 def test_fit_reads_bench_csv(tmp_path):
@@ -262,11 +255,13 @@ def test_fit_skips_blank_lines(tmp_path):
     (BENCH_HEADER + "4,1,x,0.01,2\n" + BENCH_ROWS, "row 2: N '4' and seconds 'x' must be numbers"),
     ("N,seconds,label\n8,1.5,classical\n10,x,classical\n",
      "row 3: N '10' and seconds 'x' must be numbers"),
+    ("N,seconds,label\n8,1.5,c\n1O,2.0,c\n12,2.5,c\n14,3.1,c\n",
+     "row 3: N '1O' and seconds '2.0' must be numbers"),
     ("8\n", "row 1: a timing row needs at least N and seconds"),
     ("", "no data points in "),
     (BENCH_HEADER, "no data points in "),
-], ids=["bench-short-row", "bench-seconds", "timing-seconds", "timing-short-row", "empty",
-        "header-only"])
+], ids=["bench-short-row", "bench-seconds", "timing-seconds", "timing-typo",
+        "timing-short-row", "empty", "header-only"])
 def test_fit_rejects_bad_input_in_one_line(tmp_path, capsys, text, message):
     # each error names the file, and the row where there is one
     path = tmp_path / "input.csv"

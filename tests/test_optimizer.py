@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from qaoabench.circuit import QaoaParams, build_qaoa_circuit
-from qaoabench import optimizer
 from qaoabench.cli import main
 from qaoabench.graphs import (brute_force_maxcut, cut_values_table, gen_random_3regular,
                               write_graph)
@@ -216,17 +215,6 @@ def test_worker_count():
     cpus = len(os.sched_getaffinity(0))
     for n_tasks in (0, 1, 3, 20, 800):
         assert _restart_workers(n_tasks) == min(cpus, n_tasks)
-
-
-@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
-def test_large_batch_solve_starts_no_pool(monkeypatch):
-    # _small_solve's batch of 16 * 2^6 amplitudes, just over a lowered bound
-    def no_pool(n_workers):
-        raise AssertionError("a solve of a large batch started a pool")
-
-    monkeypatch.setattr(optimizer, "_POOL_MAX_AMPS", (16 << 6) - 1)
-    monkeypatch.setattr(optimizer, "pinned_pool", no_pool)
-    _small_solve("sampled", NoiseParams.from_t2_ratio(1e4))
 
 
 def test_pool_task_sees_one_cpu():
