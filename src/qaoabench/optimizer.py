@@ -16,7 +16,8 @@ processes (pinned_pool), each pinned to one usable CPU, and gets the same
 bits as one process running them in turn. On one CPU, for one task, or in a
 daemonic process (which may not start any children) the restarts run in turn
 in the calling process instead, each batch on up to one row-block thread per
-usable CPU. The final scorings of each instance's best parameters run in the caller.
+usable CPU. The final scorings of each instance's best parameters run in the
+caller.
 """
 from __future__ import annotations
 
