@@ -165,6 +165,14 @@ def emit_report(fits: dict[str, FitResult], points: dict[str, list],
     return buf.getvalue(), json.dumps(summary, indent=2) + "\n"
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _point(n: str, seconds: str, row: int) -> tuple[float, float]:
     try:
         return float(n), float(seconds)
@@ -179,9 +187,10 @@ def read_points(text: str) -> dict[str, list[tuple[float, float]]]:
     header of costmodel.write_cost_csv, and each of its N,p,mean_seconds,
     sdom_seconds,n_instances rows gives (N, mean_seconds) under the label
     qaoa-p<p>. Any other text holds (N, seconds, label) rows, the label
-    "default" when left out, under an optional header: a first row whose N
-    is not a number. Only that first row may be a header; blank rows are
-    skipped, and any other malformed row raises ValueError naming its row.
+    "default" when left out, under an optional header: a first row in which
+    neither N nor seconds is a number. Only that first row may be a header;
+    blank rows are skipped, and any other malformed row raises ValueError
+    naming its row.
     """
     rows = [(i, row) for i, row in enumerate(csv.reader(io.StringIO(text)), 1)
             if any(cell.strip() for cell in row)]
@@ -192,11 +201,8 @@ def read_points(text: str) -> dict[str, list[tuple[float, float]]]:
                 raise ValueError(f"row {i}: a bench row has 5 fields, got {len(row)}: {row}")
             out.setdefault(f"qaoa-p{row[1]}", []).append(_point(row[0], row[2], i))
         return out
-    if rows:
-        try:
-            float(rows[0][1][0])
-        except ValueError:
-            rows = rows[1:]         # the header
+    if rows and not any(map(_is_number, rows[0][1][:2])):
+        rows = rows[1:]             # the header
     for i, row in rows:
         if len(row) < 2:
             raise ValueError(f"row {i}: a timing row needs at least N and seconds: {row}")

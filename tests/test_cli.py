@@ -257,11 +257,13 @@ def test_fit_skips_blank_lines(tmp_path):
      "row 3: N '10' and seconds 'x' must be numbers"),
     ("N,seconds,label\n8,1.5,c\n1O,2.0,c\n12,2.5,c\n14,3.1,c\n",
      "row 3: N '1O' and seconds '2.0' must be numbers"),
+    ("1O,2.0,c\n12,2.5,c\n14,3.1,c\n16,3.9,c\n",
+     "row 1: N '1O' and seconds '2.0' must be numbers"),
     ("8\n", "row 1: a timing row needs at least N and seconds"),
     ("", "no data points in "),
     (BENCH_HEADER, "no data points in "),
 ], ids=["bench-short-row", "bench-seconds", "timing-seconds", "timing-typo",
-        "timing-short-row", "empty", "header-only"])
+        "timing-first-row-typo", "timing-short-row", "empty", "header-only"])
 def test_fit_rejects_bad_input_in_one_line(tmp_path, capsys, text, message):
     # each error names the file, and the row where there is one
     path = tmp_path / "input.csv"
