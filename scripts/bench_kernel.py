@@ -9,13 +9,14 @@ Run from the repository root:
 The kernel table (the default): for each case in CASES (N, realizations R),
 a random normalized (R, 2^N) batch with unit-modulus pending factors gets
 simulator._apply_group with RX(0.3) on each bit q, in each of its forms,
-forced by replacing simulator._group_form. One gate: "inplace" (the
-elementwise update), "matmul" (the short form: one product per row by
-g^T (x) I_{2^q}) and "2x2" (the long form: one 2x2 product per pair of runs
-of 2^q amplitudes). The matmul form is timed only up to 2^q = MATMUL_CAP,
-since its dense (2^(q+1))^2 matrix per row grows as 4^q, and the 2x2 form
-only from 2^q = PAIR_FLOOR, since below it the product makes one BLAS call
-per handful of amplitudes. From GROUP_MIN_N qubits on, groups of k = 2
+forced by replacing simulator._group_form. One gate: "matmul" (the short
+form: one product per row by g^T (x) I_{2^q}) and "2x2" (the long form: one
+2x2 product per pair of runs of 2^q amplitudes); tables recorded while the
+simulator had an elementwise in-place form also hold it, as "inplace". The
+matmul form is timed only up to 2^q = MATMUL_CAP, since its dense
+(2^(q+1))^2 matrix per row grows as 4^q, and the 2x2 form only from 2^q =
+PAIR_FLOOR, since below it the product makes one BLAS call per handful of
+amplitudes. From GROUP_MIN_N qubits on, groups of k = 2
 ("pair") and 3 ("triple") RX(0.3) gates on bits q..q+k-1 run as one product
 by the Kronecker product of their per-row matrices: "pair-short" and
 "triple-short" (one product per row by G^T (x) I_{2^q}, bit 0 included)
@@ -29,8 +30,8 @@ transposing copy into the spare that moves bit b of every index to bit
 (b + q) % N (tables recorded before it timed the shift-only copy that
 _permute replaced). "permute", on the row of q = 0, is the cycle loop's
 last copy, simulator._permute by a fixed random permutation of the bits.
-simulator._layout_plan weighs a product, an in-place update and a rotation by
-these times (simulator._group_cost, _ROTATE_COST).
+simulator._layout_plan weighs a product and a rotation by these times
+(simulator._group_cost, _ROTATE_COST).
 With 1 block the calling thread applies the kernel CALLS times to the whole
 batch; with 2 blocks the batch is split into two row halves, as
 simulator._run_blocks splits it, and two threads apply it CALLS times each
@@ -85,14 +86,14 @@ GROUP_LONG_FLOOR = 8
 REPEATS = 9
 
 # form -> (gates per product, the form _apply_group is forced into)
-GATE_FORMS = {"inplace": (1, "inplace"), "matmul": (1, "short"), "2x2": (1, "long"),
+GATE_FORMS = {"matmul": (1, "short"), "2x2": (1, "long"),
               "pair-short": (2, "short"), "pair-long": (2, "long"),
               "triple-short": (3, "short"), "triple-long": (3, "long")}
 
 
 def forms_at(n: int, q: int) -> list[str]:
     """The forms timed on bit q of an n-qubit batch."""
-    forms = ["inplace"]
+    forms = []
     if 1 << q <= MATMUL_CAP:
         forms.append("matmul")
     if 1 << q >= PAIR_FLOOR:

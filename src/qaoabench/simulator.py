@@ -41,37 +41,33 @@ bit b. The RX and H gates of one cycle act on different qubits and commute,
 so k of them on adjacent bits b..b+k-1 can share one pass as a 2^k x 2^k
 product (gate fusion, as in both papers above). _apply_group takes a group
 of k <= 3 gates, each with its row's pending factor folded in as g, and
-applies the Kronecker product G of their g in one of three forms, by the
-block of 2^(b+k) amplitudes that share every other bit, as Haner & Steiger
-apply gates to contiguous blocks of amplitudes with small dense products:
-- short blocks (up to 16 amplitudes; one gate on bits 1-3, a group also on
-  bit 0): one product per row, the row's (2^(n-b-k), 2^(b+k)) view times
-  G^T (x) I_{2^b};
-- long blocks (from 256 on; one gate on bits 7 and up): one 2^k x 2^k
-  product per block, G times its (2^k, 2^b) view;
-- one gate on bit 0 or bits 4-6 (blocks of 2 and of 32-128): an
-  elementwise update in place; a group on a block of 32-128 has no form.
-The two products write their result to a spare buffer the size of the
-batch, which then swaps roles with the state, so they read and write the
-batch once, whatever k; the in-place form keeps its temporaries in the spare
-and costs about 3 products from 12 qubits on. The pending-noise diagonal,
-the exact step and the probabilities also use whichever buffer does not
-hold the state.
+applies the Kronecker product G of their g as BLAS products in one of two
+forms, by the block of 2^(b+k) amplitudes that share every other bit, as
+Haner & Steiger apply gates to contiguous blocks of amplitudes with small
+dense products:
+- short blocks (up to 16 amplitudes; one gate on bits 0-3): one product per
+  row, the row's (2^(n-b-k), 2^(b+k)) view times G^T (x) I_{2^b};
+- long blocks (one gate from bit 4 on, a group from 256 amplitudes on): one
+  2^k x 2^k product per block, G times its (2^k, 2^b) view; a group on a
+  block of 32-128 has no form.
+Both write their result to a spare buffer the size of the batch, which then
+swaps roles with the state, so they read and write the batch once, whatever
+k. The pending-noise diagonal, the exact step and the probabilities also use
+whichever buffer does not hold the state.
 
 So the cycle loop moves the bit layout, as distributed simulators reorder
 qubits to keep gates off costly bit positions and to bring gates together
 (both papers above): logical qubit q sits in bit bits[q], a map that
-_layout_plan fixes from the schedule alone with the groups. From 10 qubits on
-(_MIN_ROTATE_QUBITS) it relabels the qubits once, so that qubits whose gates
-share cycles sit side by side (_relabel), and per cycle rotates that labelling,
-bits[q] = (labels[q] + offset) % n, by the offset and split into groups that
-cost least by the kernel table, rotations included. Below 10 qubits q stays in
-bit q and every gate is a group of its own. Every change of layout is one
-transposing copy (_permute): into the first layout for the prepared state, at
-each change of offset, and back to q in bit q before the final flush. The
-coupling matrix, the pending factors and the draws stay indexed by logical
-qubit; the phase vector, the pending diagonal of an exact step and its P(q=1)
-are built in the current layout.
+_layout_plan fixes from the schedule alone with the groups. It relabels the
+qubits once, so that qubits whose gates share cycles sit side by side
+(_relabel), and per cycle rotates that labelling, bits[q] = (labels[q] +
+offset) % n, by the offset and split into groups that cost least by the
+kernel table, rotations included. Every change of layout is one transposing
+copy (_permute): into the first layout for the prepared state, at each change
+of offset, and back to q in bit q before the final flush. The coupling matrix,
+the pending factors and the draws stay indexed by logical qubit; the phase
+vector, the pending diagonal of an exact step and its P(q=1) are built in the
+current layout.
 
 The realizations never interact before the final average, so the cycle
 loop of a large batch runs on contiguous blocks of rows, one thread per
@@ -80,8 +76,8 @@ both simulators above split the amplitude array over the cores of a node
 the same way. The circuit alone fixes the cycles where a block flushes
 the shared phase, and every block applies the same per-row operations, so
 for n >= 2 no row's bits depend on the block count. At n = 1, which the
-pipeline never runs, the in-place kernels' inner loops run across a block's
-rows, and numpy rounds a one-element loop's complex product unlike its vector
+pipeline never runs, the in-place products of the pending noise run their
+inner loops across a block's rows, and numpy rounds a one-element loop's complex product unlike its vector
 loop's, so the last bit can depend on the block size. BLAS should run
 single-threaded inside the blocks, or its threads compete with them for
 the cores: importing the qaoabench package sets OPENBLAS_NUM_THREADS,
@@ -200,73 +196,33 @@ def _gate_matrix(gate: Gate) -> tuple[complex, complex, complex, complex]:
     return (c, mis, mis, c)
 
 
-# Contiguous runs 2^b of a bit b where one gate takes the short form of _apply_group
-# (a matmul per row): the bits
-# where it won in every recorded case. In BENCH_pr9_kernel.json
-# (scripts/bench_kernel.py: N, R = 8, 96; 12, 96; 14, 32, on one row block and on
-# two at once), the matmul form took this share of the in-place form's time:
-# 0.14-0.34 on bit 1, 0.23-0.55 on bit 2 and 0.45-0.79 on bit 3 in every
-# case. Bit 0 (0.83-0.92, but 1.41 at N=8 on one block, which is how N=8,
-# R=96 runs) and bit 4 (0.75-0.89 at N=12 and 14, but 1.5-2.0 at N=8) keep the
-# in-place form, as do the bits from 5 on (at least 1.43).
-_MIN_MATMUL_RUN, _MAX_MATMUL_RUN = 2, 8
-
-# Runs of at least this many amplitudes take the long (2x2) form of _apply_group for
-# one gate. In the two
-# runs recorded under "kernel" in BENCH_2x2_kernel.json (scripts/bench_kernel.py:
-# N, R = 8, 96; 12, 96; 14, 32; 16, 96, on one row block and on two at once), the 2x2
-# form took this share of the in-place form's time: 0.37-0.75 on every run of 256
-# and more, and 0.39-0.65 on one block, 0.59-0.99 on two, on runs of 128 (bit 7,
-# the top bit at N=8). On runs of 64 it took 0.48-0.78 on one block but 0.89-1.39
-# on two, and on 16 and 32 up to 4.7 on two, so those keep the in-place form.
-_MIN_2X2_RUN = 128
-
-
 @lru_cache(maxsize=None)
 def _group_form(b: int, k: int) -> str | None:
-    """The form of _apply_group for k gates on bits b..b+k-1: "long", "short",
-    "inplace" (one gate only), or None where a group has no product form.
+    """The form of _apply_group for k gates on bits b..b+k-1: "long", "short", or
+    None where a group has no form.
 
-    It goes by the block of 2^(b+k) amplitudes that share every other bit: the
-    long form from the block of one gate at _MIN_2X2_RUN on, the short form up to
-    the block of one gate at _MAX_MATMUL_RUN (one gate needs runs of at least
-    _MIN_MATMUL_RUN for it; a group also takes it on bit 0)."""
+    It goes by the block of 2^(b+k) amplitudes that share every other bit: the short
+    form up to blocks of 16 (one gate on bits 0-3), the long form for one gate from
+    bit 4 on and for a group from blocks of 256 on."""
     block = 1 << (b + k)
-    if block >= 2 * _MIN_2X2_RUN:
-        return "long"
-    if block <= 2 * _MAX_MATMUL_RUN and (k > 1 or 1 << b >= _MIN_MATMUL_RUN):
+    if block <= 16:
         return "short"
-    return "inplace" if k == 1 else None
+    return "long" if k == 1 or block >= 256 else None
 
 
 def _apply_group(states: np.ndarray, n: int, b: int, us, fs: np.ndarray,
                  spare: np.ndarray) -> np.ndarray:
     """Gates us[i] on bits b + i of a (R, 2^n) batch, i < k = len(us), after scaling
     row r's |1> on bit b + i by fs[r, i], with fs riding in the gates'
-    coefficients; returns the array that holds the result.
+    coefficients, into spare (C-contiguous, the size of states); returns spare.
 
     The gates commute, so they act as one product by G_r = g_{k-1} (x) ... (x)
     g_0, g_i = us[i] diag(1, fs[r, i]), in the form _group_form picks. Long:
     G_r multiplies each (2^k, 2^b) block of the 2^k runs of 2^b amplitudes that
-    differ only in bits b..b+k-1, one BLAS product per block into spare. Short
-    (and bit 0): each row's (2^(n-b-k), 2^(b+k)) view is multiplied by G_r^T (x)
-    I_{2^b}, one BLAS product per row into spare. In place, for one gate only:
-    the two temporaries sit in the halves of spare (C-contiguous, the size of
-    states)."""
+    differ only in bits b..b+k-1, one BLAS product per block. Short: each row's
+    (2^(n-b-k), 2^(b+k)) view is multiplied by G_r^T (x) I_{2^b}, one BLAS
+    product per row."""
     k, run = len(us), 1 << b
-    form = _group_form(b, k)
-    if form == "inplace":
-        (u00, u01, u10, u11), = us
-        a0, a1 = _split1(states, n, b)
-        f = fs.reshape(-1, 1, 1)
-        flat = spare.reshape(-1)
-        t, t0 = flat[: a0.size].reshape(a0.shape), flat[a0.size: 2 * a0.size].reshape(a0.shape)
-        np.multiply(a1, u01 * f, out=t)
-        a1 *= u11 * f
-        a1 += np.multiply(a0, u10, out=t0)
-        a0 *= u00
-        a0 += t
-        return states
     rows, d, g = len(states), 1 << k, None
     for i, (u00, u01, u10, u11) in enumerate(us):     # g = G_r, (rows, 2^k, 2^k)
         gi = np.empty((rows, 2, 2), dtype=np.complex128)    # g_i = us[i] diag(1, fs[r, i])
@@ -277,7 +233,7 @@ def _apply_group(states: np.ndarray, n: int, b: int, us, fs: np.ndarray,
             gi = (gi[:, :, np.newaxis, :, np.newaxis] * g[:, np.newaxis, :, np.newaxis, :]
                   ).reshape(rows, 2 << i, 2 << i)
         g = gi
-    if form == "long":
+    if _group_form(b, k) == "long":
         shape = (rows, -1, d, run)
         np.matmul(g[:, np.newaxis], states.reshape(shape), out=spare.reshape(shape))
     else:
@@ -301,26 +257,22 @@ def _permute(states: np.ndarray, spare: np.ndarray, n: int, source) -> np.ndarra
     return spare
 
 
-# From this many qubits on, _layout_plan relabels and rotates the bit layout so that RX
-# and H run products: shifted by 3, the in-place bits 0 and 4-6 of one gate land on
-# product bits 3 and 7-9.
-_MIN_ROTATE_QUBITS = 10
-
 # The costs _layout_plan weighs, in units of the median time of one gate's product, from
-# the kernel table of BENCH_grouped_products.json (scripts/bench_kernel.py: N, R = 12,
-# 96; 14, 32; 16, 96, on one row block and on two at once; medians over those six
-# settings, rounded to about 0.05). A product of k gates on bits b..b+k-1 goes by its
-# block of 2^(b+k) amplitudes (_group_form): in the short form 1.0, 1.1 and 1.5 on
-# blocks of 4, 8 and 16 for any k (measured 0.99-1.01, 1.08-1.11 and 1.50-1.53); in
+# the kernel tables of scripts/bench_kernel.py (N, R = 12, 96; 14, 32; 16, 96, on one
+# row block and on two at once; medians over those six settings, rounded to about
+# 0.05). A product of k gates on bits b..b+k-1 goes by its block of 2^(b+k) amplitudes
+# (_group_form). From BENCH_grouped_products.json: in the short form 1.0, 1.1 and 1.5
+# on blocks of 4, 8 and 16 for any k (measured 0.99-1.01, 1.08-1.11 and 1.50-1.53); in
 # the long form 0.9, 1.0 and 1.25 for k = 1, 2 and 3 on blocks of 2048 and more
 # (measured 0.93, 1.02 and 1.24), more on smaller blocks (k = 1, 2, 3: 1.55, 1.64 and
-# 1.78 on 256; 1.19, 1.24 and 1.40 on 512; 1.00, 1.13 and 1.28 on 1024). One gate in
-# place costs 3.2 (3.14; 2.9-3.5 per setting), and a rotation 0.8 (0.81; quartiles
-# 0.69-0.95; timed as a copy by the shift alone, which a _permute by a shift matches).
-_SHORT_COST = {4: 1.0, 8: 1.1, 16: 1.5}
+# 1.78 on 256; 1.19, 1.24 and 1.40 on 512; 1.00, 1.13 and 1.28 on 1024); a rotation
+# 0.8 (0.81; quartiles 0.69-0.95; timed as a copy by the shift alone, which a _permute
+# by a shift matches). From BENCH_one_replay.json, one gate: SHORT2 in the short form on
+# a block of 2 (measured SHORT2M), and LONG32, LONG64 and LONG128 in the long form on
+# blocks of 32, 64 and 128 (measured LONGM).
+_SHORT_COST = {2: 1.2, 4: 1.0, 8: 1.1, 16: 1.5}
 _LONG_COST = (0.0, 0.9, 1.0, 1.25)
-_SMALL_LONG_COST = {256: 0.6, 512: 0.2, 1024: 0.1}
-_INPLACE_COST = 3.2
+_SMALL_LONG_COST = {32: 7.8, 64: 3.7, 128: 1.6, 256: 0.6, 512: 0.2, 1024: 0.1}
 _ROTATE_COST = 0.8
 
 
@@ -329,8 +281,6 @@ def _group_cost(b: int, k: int) -> float:
     form = _group_form(b, k)
     if form is None:
         return math.inf
-    if form == "inplace":
-        return _INPLACE_COST
     block = 1 << (b + k)
     if form == "short":
         return _SHORT_COST[block]
@@ -364,8 +314,9 @@ def _mask_groups(n: int, mask: int) -> tuple[float, tuple[tuple[int, int], ...]]
 def _relabel(cycles: list[list[int]], n: int) -> list[int]:
     """A fixed position for each logical qubit, from the qubits of each cycle's RX
     and H gates: a greedy chain over how many cycles each pair shares. It starts
-    at the pair sharing most and grows at the end whose last qubit shares most with
-    an unplaced one; ties go to the lower qubit, then to the chain's right end."""
+    at a qubit of the pair sharing most and grows at the end whose last qubit shares
+    most with an unplaced one; ties go to the lower qubit, then to the chain's right
+    end. The labels are a permutation of range(n)."""
     shared = [[0] * n for _ in range(n)]
     for qubits in cycles:
         for a in qubits:
@@ -375,8 +326,7 @@ def _relabel(cycles: list[list[int]], n: int) -> list[int]:
     for a in range(n):
         shared[a][a] = -1
     a = max(range(n), key=lambda q: max(shared[q]))
-    b = shared[a].index(max(shared[a]))
-    chain, left = [a, b], set(range(n)) - {a, b}
+    chain, left = [a], set(range(n)) - {a}
     while left:
         head, tail = shared[chain[0]], shared[chain[-1]]
         q = max(sorted(left), key=lambda q: max(head[q], tail[q]))
@@ -400,17 +350,12 @@ def _layout_plan(groups, n: int):
     batch into layout (_permute) unless that is None, then one product of the gates
     (_apply_group), whose qubits sit on adjacent bits, lowest first.
 
-    Below _MIN_ROTATE_QUBITS q stays in bit q and every gate is a step of its own.
-    From there on the layout is a fixed relabelling (_relabel) rotated by an
-    offset, q in bit (labels[q] + offset) % n. A Viterbi pass over the n offsets,
-    one step per cycle with RX or H gates, minimizes the cost of each cycle's gates
-    at its offset (_mask_groups) plus _ROTATE_COST per change of offset; the start
-    is free (one copy moves the prepared state into any layout), ties keep the
-    lower offset. The plan depends on the schedule alone, so every row block moves
-    alike."""
-    if n < _MIN_ROTATE_QUBITS:
-        return tuple(range(n)), [(None, (gate,)) for group in groups for gate in group
-                                 if gate.kind != GateKind.ZZPHASE]
+    At every n the layout is a fixed relabelling (_relabel) rotated by an offset, q
+    in bit (labels[q] + offset) % n. A Viterbi pass over the n offsets, one step per
+    cycle with RX or H gates, minimizes the cost of each cycle's gates at its offset
+    (_mask_groups) plus _ROTATE_COST per change of offset; the start is free (one
+    copy moves the prepared state into any layout), ties keep the lower offset. The
+    plan depends on the schedule alone, so every row block moves alike."""
     cycles = [[gate for gate in group if gate.kind != GateKind.ZZPHASE] for group in groups]
     cycles = [gates for gates in cycles if gates]
     labels = _relabel([[gate.qubits[0] for gate in gates] for gates in cycles], n)
@@ -470,10 +415,8 @@ class _PendingPhase:
     def flush(self, states: np.ndarray) -> None:
         if not self.qubits:
             return
-        j = self.j
-        if self.bits != tuple(range(len(j))):
-            at = np.argsort(self.bits)      # the logical qubit in each bit
-            j = (j + j.T)[np.ix_(at, at)]
+        at = np.argsort(self.bits)          # the logical qubit in each bit
+        j = (self.j + self.j.T)[np.ix_(at, at)]
         ph, e = self.phase, np.exp(-0.5j * j)[..., None]
         ph[0] = 1.0
         g = np.ones((len(e), 1), complex)   # g[b - k] = exp(-i/2 sum_{a<k} j_ab s_a), low k bits
@@ -488,7 +431,7 @@ class _PendingPhase:
     def apply_gates(self, states: np.ndarray, spare: np.ndarray, n: int, gates,
                     pending: np.ndarray, steps) -> tuple[np.ndarray, np.ndarray]:
         """Apply gates in order to a (R, 2^n) batch; returns (state, spare), the two
-        buffers' roles swapped after each copy or product whose result went to the
+        buffers' roles swapped after each copy and each product, which write to the
         spare. An RX or H takes the next entry of the iterator steps (_layout_plan):
         it skips a gate that already ran in its group, and for (layout, group) moves
         the batch into layout unless that is None (move), flushes the phase if it
@@ -511,9 +454,9 @@ class _PendingPhase:
                 self.flush(states)
             # the pending columns; a slice, not a gather, for one gate
             cols = slice(qubits[0], qubits[0] + 1) if len(qubits) == 1 else qubits
-            if _apply_group(states, n, self.bits[qubits[0]], [_gate_matrix(g) for g in group],
-                            pending[:, cols], spare) is spare:
-                states, spare = spare, states
+            states, spare = _apply_group(states, n, self.bits[qubits[0]],
+                                         [_gate_matrix(g) for g in group], pending[:, cols],
+                                         spare), states
             pending[:, cols] = 1.0
         return states, spare
 
@@ -641,7 +584,7 @@ def _candidate_steps(states: np.ndarray, pending: np.ndarray, ph: np.ndarray,
     the scalar exp(i sum_b c_b) times the factor exp(-2i c_b) on each qubit b's
     |1> amplitudes, a pending factor. So D needs no flush here."""
     n = pending.shape[1]
-    at = None if bits == tuple(range(n)) else np.argsort(bits)     # the qubit in each bit
+    at = np.argsort(bits)               # the logical qubit in each bit
     step = ph * damp_amp
     todo = np.ones(cand.shape, dtype=bool)      # factors not yet in pending
     jumps = 0
@@ -652,7 +595,7 @@ def _candidate_steps(states: np.ndarray, pending: np.ndarray, ph: np.ndarray,
         np.multiply(pend, step[rows], out=pend, where=fold)
         todo[rows, : q + 1] = False
         sub = states[rows]
-        _apply_pending_noise(sub, pend if at is None else pend[:, at], spare)
+        _apply_pending_noise(sub, pend[:, at], spare)
         probs = probabilities(sub, spare)
         w1 = probs.reshape(len(rows), -1, 2, 1 << b)[:, :, 1].sum(axis=(1, 2))  # |a1|^2
         jump = us[rows, q] < p_damp * (w1 / probs.sum(axis=1))
@@ -794,8 +737,7 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
     plan = _layout_plan(groups, n)
     n_cycles = len(groups)
     prep = simulate_logical(LogicalCircuit(n, c.gates[: s.n_prep_gates]))[np.newaxis]
-    if plan[0] != tuple(range(n)):      # moved into the first layout
-        prep = _permute(prep, np.empty_like(prep), n, np.argsort(plan[0]))
+    prep = _permute(prep, np.empty_like(prep), n, np.argsort(plan[0]))    # the first layout
 
     var = noise.dephasing_var(noise.t_gate)
     sigma = math.sqrt(var) if var > 0 else 0.0

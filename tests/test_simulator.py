@@ -96,8 +96,8 @@ def _kernel_case(rng, kind, n, r, q):
 @pytest.mark.parametrize("kind", [GateKind.H, GateKind.RX])
 def test_single_qubit_kernel_folds_pending_factor(kind):
     # the fused kernel equals scaling the |1> amplitudes by f, then the gate; at
-    # n = 10 qubits 1-3 take the matmul form and 7-9 the 2x2 form into the spare,
-    # 0 and 4-6 the in-place form, so every cut-over is crossed
+    # n = 10 qubits 0-3 take the short form and 4-9 the long form, both into the
+    # spare, so the cut-over is crossed
     rng = np.random.default_rng(17)
     n, r = 10, 6
     for q in range(n):
@@ -110,16 +110,14 @@ def test_single_qubit_kernel_folds_pending_factor(kind):
             apply_h(expected, n, q)
         got, spare = states.copy(), np.empty_like(states)
         out = _apply_group(got, n, q, (_gate_matrix(gate),), f[:, None], spare)
-        matmul = simulator._MIN_MATMUL_RUN <= 1 << q <= simulator._MAX_MATMUL_RUN
-        pairs = 1 << q >= simulator._MIN_2X2_RUN
-        assert out is (spare if matmul or pairs else got), q
+        assert out is spare, q
         assert np.max(np.abs(out - expected)) < 1e-15, q
 
 
 @pytest.mark.parametrize("kind", [GateKind.H, GateKind.RX])
 def test_single_qubit_kernel_rows_independent_of_batch(kind):
     # the row blocks rely on it: a row gets the same bits alone as inside a batch,
-    # whether BLAS (matmul form) or numpy's loops (in-place form) compute it
+    # in either BLAS form (one product per row, or one per block of runs)
     rng = np.random.default_rng(23)
     n, r = 9, 7
     for q in range(n):
@@ -165,14 +163,10 @@ def test_group_kernel_matches_single_gates(monkeypatch, b, k, form):
 
 
 def test_group_form_rule():
-    # one gate keeps its cut-overs; a group takes the short form on blocks 2^(b+k) up to
-    # 16 amplitudes, bit 0 included, and the long form from 256 on
-    for b in range(12):
-        run = 1 << b
-        one = simulator._group_form(b, 1)
-        assert one == ("long" if run >= simulator._MIN_2X2_RUN else "short"
-                       if simulator._MIN_MATMUL_RUN <= run <= simulator._MAX_MATMUL_RUN
-                       else "inplace")
+    # one gate takes the short form on bits 0-3 (blocks 2^(b+1) up to 16 amplitudes)
+    # and the long form from bit 4 on; a group takes the short form on blocks 2^(b+k)
+    # up to 16 amplitudes and the long form from 256 on
+    assert [simulator._group_form(b, 1) for b in range(12)] == ["short"] * 4 + ["long"] * 8
     assert [simulator._group_form(b, 2) for b in range(8)] == \
         ["short"] * 3 + [None] * 3 + ["long"] * 2
     assert [simulator._group_form(b, 3) for b in range(7)] == \
@@ -580,11 +574,11 @@ def test_exact_step_on_candidate_qubits_matches_per_qubit_reference(app_b_graph,
     assert ens.n_candidates == int(candidates.sum())
 
 
-@pytest.mark.parametrize("n", [10, 12])
+@pytest.mark.parametrize("n", [8, 10, 12])
 def test_rotated_layout_matches_per_qubit_reference(monkeypatch, n):
-    # from 10 qubits on the cycle loop relabels the qubits, moves the bit layout and
-    # applies a cycle's gates in groups; under strong damping, jumps fire while it is
-    # moved, and one copy moves every qubit back at the end
+    # the cycle loop relabels the qubits, moves the bit layout and applies a cycle's
+    # gates in groups; under strong damping, jumps fire while it is moved, and one
+    # copy moves every qubit back at the end
     s, c = _scheduled(gen_random_3regular(n, 3), QaoaParams((0.9, 0.2, 1.4, 0.8),
                                                             (0.3, 1.0, 0.5, 0.7)))
     noise = NoiseParams.from_t2_ratio(5.0)
@@ -672,10 +666,19 @@ def _ungrouped_cost(groups, n):
 
 
 def test_layout_plan():
-    # below 10 qubits, logical qubit q in bit q throughout and one step per gate; from
-    # 10 on, every RX and H runs once, in groups on adjacent bits with a product form,
-    # and the grouped plan never costs more than the gates one by one in a rotating
-    # layout
+    # at every n the starting layout is a permutation of the bits, every RX and H runs
+    # once, in groups on adjacent bits with a product form, and on the pipeline's
+    # circuits the grouped plan never costs more than the gates one by one in a
+    # rotating layout; but at n = 6, where a cycle with RX or H on five or six qubits
+    # has to put one on bit 4 or 5, which only one gate's long form can take at the
+    # highest weights, while the reference rotates before each gate
+    for n in range(1, 17):
+        groups = [[Gate(GateKind.H, (q,)) for q in range(n)],
+                  [Gate(GateKind.RX, (q,), 0.3) for q in range(0, n, 2)],
+                  [Gate(GateKind.RX, (q,), 0.3) for q in range(n - 1, -1, -3)]]
+        plan = simulator._layout_plan(groups, n)
+        assert sorted(plan[0]) == list(range(n))
+        _plan_cost(plan, groups, n)
     params = QaoaParams((0.3,) * 4, (0.7,) * 4)
     saved = []
     for n in range(4, 17, 2):
@@ -683,17 +686,21 @@ def test_layout_plan():
             c = build_qaoa_circuit(gen_random_3regular(n, seed), params)
             groups = simulator.cycle_gate_groups(schedule(c, choose_grid(n), seed), c)
             plan = simulator._layout_plan(groups, n)
-            if n < simulator._MIN_ROTATE_QUBITS:
-                assert tuple(plan[0]) == tuple(range(n))
-                assert plan[1] == [(None, (gate,)) for group in groups for gate in group
-                                   if gate.kind != GateKind.ZZPHASE]
-                continue
             assert sorted(plan[0]) == list(range(n))
             cost = _plan_cost(plan, groups, n)
+            if n == 6:
+                continue
             ungrouped = _ungrouped_cost(groups, n)
             assert cost <= ungrouped
             saved.append(cost / ungrouped)
     assert max(saved) < 0.9
+
+
+def test_relabel_is_a_permutation():
+    # also where no two qubits share a cycle, and for one qubit
+    for n in range(1, 5):
+        for cycles in ([], [[q] for q in range(n)], [list(range(n))], [[n - 1, 0]]):
+            assert sorted(simulator._relabel(cycles, n)) == list(range(n))
 
 
 def test_keep_states_in_logical_order():
