@@ -77,12 +77,12 @@ the same way. The circuit alone fixes the cycles where a block flushes
 the shared phase, and every block applies the same per-row operations, so
 for n >= 2 no row's bits depend on the block count. At n = 1, which the
 pipeline never runs, the in-place products of the pending noise run their
-inner loops across a block's rows, and numpy rounds a one-element loop's complex product unlike its vector
-loop's, so the last bit can depend on the block size. BLAS should run
-single-threaded inside the blocks, or its threads compete with them for
-the cores: importing the qaoabench package sets OPENBLAS_NUM_THREADS,
-OMP_NUM_THREADS and MKL_NUM_THREADS to 1 unless the user set them, which
-takes effect if numpy loads later.
+inner loops across a block's rows, and numpy rounds a one-element loop's
+complex product unlike its vector loop's, so the last bit can depend on the
+block size. BLAS should run single-threaded inside the blocks, or its threads
+compete with them for the cores: importing the qaoabench package sets
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 unless the
+user set them, which takes effect if numpy loads later.
 
 Only the N logical qubits are ever simulated. Routing SWAPs relabel the
 site -> logical map and never touch amplitudes: they cannot entangle the
@@ -267,12 +267,13 @@ def _permute(states: np.ndarray, spare: np.ndarray, n: int, source) -> np.ndarra
 # (measured 0.93, 1.02 and 1.24), more on smaller blocks (k = 1, 2, 3: 1.55, 1.64 and
 # 1.78 on 256; 1.19, 1.24 and 1.40 on 512; 1.00, 1.13 and 1.28 on 1024); a rotation
 # 0.8 (0.81; quartiles 0.69-0.95; timed as a copy by the shift alone, which a _permute
-# by a shift matches). From BENCH_one_replay.json, one gate: SHORT2 in the short form on
-# a block of 2 (measured SHORT2M), and LONG32, LONG64 and LONG128 in the long form on
-# blocks of 32, 64 and 128 (measured LONGM).
-_SHORT_COST = {2: 1.2, 4: 1.0, 8: 1.1, 16: 1.5}
+# by a shift matches). From the kernel table of BENCH_one_replay.json, one gate: 1.25 in
+# the short form on a block of 2 (measured 1.27), and 6.1, 3.5 and 2.0 in the long form
+# on blocks of 32, 64 and 128 (measured 6.12, 3.52 and 1.99; per setting 2.6-3.1,
+# 1.7-2.0 and 1.2-1.4 on one row block, 9.1-10.7, 5.0-5.6 and 2.6-2.7 on two).
+_SHORT_COST = {2: 1.25, 4: 1.0, 8: 1.1, 16: 1.5}
 _LONG_COST = (0.0, 0.9, 1.0, 1.25)
-_SMALL_LONG_COST = {32: 7.8, 64: 3.7, 128: 1.6, 256: 0.6, 512: 0.2, 1024: 0.1}
+_SMALL_LONG_COST = {32: 5.2, 64: 2.6, 128: 1.1, 256: 0.6, 512: 0.2, 1024: 0.1}
 _ROTATE_COST = 0.8
 
 
