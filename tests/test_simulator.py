@@ -666,12 +666,12 @@ def _ungrouped_cost(groups, n):
 
 
 def test_layout_plan():
-    # at every n the starting layout is a permutation of the bits, every RX and H runs
-    # once, in groups on adjacent bits with a product form, and on the pipeline's
+    # at every n the starting layout is a permutation of the bits and every RX and H
+    # runs once, in groups on adjacent bits with a product form. On the pipeline's
     # circuits the grouped plan never costs more than the gates one by one in a
-    # rotating layout; but at n = 6, where a cycle with RX or H on five or six qubits
-    # has to put one on bit 4 or 5, which only one gate's long form can take at the
-    # highest weights, while the reference rotates before each gate
+    # rotating layout, except at n = 6: there a cycle with RX or H on five or six
+    # qubits has to put one on bit 4 or 5, which only one gate's long form takes, at
+    # the highest weights, while the reference rotates before each gate
     for n in range(1, 17):
         groups = [[Gate(GateKind.H, (q,)) for q in range(n)],
                   [Gate(GateKind.RX, (q,), 0.3) for q in range(0, n, 2)],
