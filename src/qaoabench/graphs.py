@@ -113,19 +113,24 @@ def read_graph(text: str) -> Graph:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty graph text")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"malformed header line: {lines[0]!r}")
-    n, m = int(head[0]), int(head[1])
+    n, m = _two_ints(lines[0], "header")
     if len(lines) - 1 != m:
         raise ValueError(f"header promises {m} edges, found {len(lines) - 1}")
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed edge line: {ln!r}")
-        i, j = int(parts[0]), int(parts[1])
+        i, j = _two_ints(ln, "edge")
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge ({i},{j}) out of range for n={n}")
         edges.append((i, j))
     return Graph(n, tuple(edges))
+
+
+def _two_ints(line: str, name: str) -> tuple[int, int]:
+    """The two integers of a header or edge line."""
+    parts = line.split()
+    if len(parts) == 2:
+        try:
+            return int(parts[0]), int(parts[1])
+        except ValueError:
+            pass
+    raise ValueError(f"malformed {name} line: {line!r}")

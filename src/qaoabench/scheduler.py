@@ -73,8 +73,10 @@ class Schedule:
 
     placement[site] is the logical qubit initially at that site, or -1 for
     an unused site. n_prep_gates counts leading circuit gates hoisted into
-    state preparation (0 when nothing was hoisted); table gate id k refers
-    to circuit gate n_prep_gates + k - 1.
+    state preparation: the circuit's opening H layer, which prepares
+    |+...+> (LogicalCircuit.prep_layer_size), or 0 when nothing was hoisted;
+    the ensemble replay accepts no other count. Table gate id k refers to
+    circuit gate n_prep_gates + k - 1.
     """
 
     grid: GridTopology

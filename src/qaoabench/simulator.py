@@ -62,12 +62,12 @@ _layout_plan fixes from the schedule alone with the groups. It relabels the
 qubits once, so that qubits whose gates share cycles sit side by side
 (_relabel), and per cycle rotates that labelling, bits[q] = (labels[q] +
 offset) % n, by the offset and split into groups that cost least by the
-kernel table, rotations included. Every change of layout is one transposing
-copy (_permute): into the first layout for the prepared state, at each change
-of offset, and back to q in bit q before the final flush. The coupling matrix,
-the pending factors and the draws stay indexed by logical qubit; the phase
-vector, the pending diagonal of an exact step and its P(q=1) are built in the
-current layout.
+kernel table, rotations included, one plan step per cycle. The start state,
+|+...+> or |0...0>, is the same in every layout; each change of layout is one
+transposing copy (_permute), at a change of offset and back to q in bit q
+before the final flush. The coupling matrix, the pending factors and the draws
+stay indexed by logical qubit; the phase vector, the pending diagonal of an
+exact step and its P(q=1) are built in the current layout.
 
 The realizations never interact before the final average, so the cycle
 loop of a large batch runs on contiguous blocks of rows, one thread per
@@ -346,24 +346,25 @@ def _layout_plan(groups, n: int):
     """The cycle loop's layouts and gate groups for the schedule's cycles groups.
 
     Returns (bits, steps). bits is the starting layout: logical qubit q sits in bit
-    bits[q]. steps has one entry per RX or H of groups, in order: None where the
-    gate ran with an earlier one of its cycle, else (layout, gates), a move of the
-    batch into layout (_permute) unless that is None, then one product of the gates
-    (_apply_group), whose qubits sit on adjacent bits, lowest first.
+    bits[q]. steps has one step (zz, layout, products) per cycle of groups: zz is the
+    cycle's ZZPhase gates, in order; layout is the move of the batch before the
+    cycle (_permute), or None; products are the cycle's RX and H gates in groups,
+    one product each (_apply_group), whose qubits sit on adjacent bits, lowest first.
+    A cycle without RX or H has (zz, None, ()).
 
     At every n the layout is a fixed relabelling (_relabel) rotated by an offset, q
     in bit (labels[q] + offset) % n. A Viterbi pass over the n offsets, one step per
     cycle with RX or H gates, minimizes the cost of each cycle's gates at its offset
-    (_mask_groups) plus _ROTATE_COST per change of offset; the start is free (one
-    copy moves the prepared state into any layout), ties keep the lower offset. The
-    plan depends on the schedule alone, so every row block moves alike."""
-    cycles = [[gate for gate in group if gate.kind != GateKind.ZZPHASE] for group in groups]
-    cycles = [gates for gates in cycles if gates]
+    (_mask_groups) plus _ROTATE_COST per change of offset; the start is free (the
+    start state is the same in every layout), ties keep the lower offset. The plan
+    depends on the schedule alone, so every row block moves alike."""
+    zz = GateKind.ZZPHASE
+    cycles = [[gate for gate in group if gate.kind is not zz] for group in groups]
     labels = _relabel([[gate.qubits[0] for gate in gates] for gates in cycles], n)
     full = (1 << n) - 1
     cost = [0.0] * n                    # at offset o after the cycles so far
-    moves, splits = [], []              # per cycle: where each offset came from; its split
-    for gates in cycles:
+    moves, splits = [], []              # per cycle with RX or H: each offset's origin; its split
+    for gates in filter(None, cycles):
         mask = 0
         for gate in gates:
             mask |= 1 << labels[gate.qubits[0]]
@@ -379,18 +380,18 @@ def _layout_plan(groups, n: int):
         offsets.append(offset)
         offset = came_from[offset]
     start = previous = offset           # the first cycle's offset, 0 without cycles
+    chosen = zip(splits, reversed(offsets))
     steps = []
-    for gates, split, offset in zip(cycles, splits, reversed(offsets)):
-        on_bit = {(labels[gate.qubits[0]] + offset) % n: gate for gate in gates}
-        lead = {}                       # first gate of each group in cycle order -> group
-        for b, k in split[offset][1]:
-            group = tuple(on_bit[b + i] for i in range(k))
-            lead[min(group, key=gates.index)] = group
-        layout = None if offset == previous else tuple((label + offset) % n for label in labels)
-        # the cycle's first gate leads its group, so its step makes the cycle's move
-        steps += [(None if i else layout, lead[gate]) if gate in lead else None
-                  for i, gate in enumerate(gates)]
-        previous = offset
+    for group, gates in zip(groups, cycles):
+        layout, products = None, ()
+        if gates:
+            split, offset = next(chosen)
+            on_bit = {(labels[gate.qubits[0]] + offset) % n: gate for gate in gates}
+            if offset != previous:
+                layout = tuple((label + offset) % n for label in labels)
+            products = tuple(tuple(on_bit[b + i] for i in range(k)) for b, k in split[offset][1])
+            previous = offset
+        steps.append((tuple(gate for gate in group if gate.kind is zz), layout, products))
     return tuple((label + start) % n for label in labels), steps
 
 
@@ -399,12 +400,16 @@ class _PendingPhase:
     qubits. flush applies them all as one multiply by the phase vector exp(-i theta /
     2), theta(z) = sum_{a<b} j'_ab s_a s_b with s_b = 1 - 2 * (bit b of z), built by
     doubling; j' is j moved into the batch's bit layout bits (logical qubit q in bit
-    bits[q]), which apply_gates keeps."""
+    bits[q]), which move changes and product reads."""
 
     def __init__(self, bits):
         n = len(bits)
         self.j, self.phase, self.qubits = np.zeros((n, n)), np.empty(1 << n, complex), set()
         self.bits = tuple(bits)
+
+    def add(self, gate: Gate) -> None:
+        self.j[min(gate.qubits), max(gate.qubits)] += gate.angle
+        self.qubits.update(gate.qubits)
 
     def move(self, states: np.ndarray, spare: np.ndarray, layout) -> tuple[np.ndarray, np.ndarray]:
         """Copy a (R, 2^n) batch into spare with logical qubit q moved from bit bits[q]
@@ -429,37 +434,20 @@ class _PendingPhase:
         self.j[:] = 0.0
         self.qubits.clear()
 
-    def apply_gates(self, states: np.ndarray, spare: np.ndarray, n: int, gates,
-                    pending: np.ndarray, steps) -> tuple[np.ndarray, np.ndarray]:
-        """Apply gates in order to a (R, 2^n) batch; returns (state, spare), the two
-        buffers' roles swapped after each copy and each product, which write to the
-        spare. An RX or H takes the next entry of the iterator steps (_layout_plan):
-        it skips a gate that already ran in its group, and for (layout, group) moves
-        the batch into layout unless that is None (move), flushes the phase if it
-        touches the group's qubits, and applies the group's gates with their qubits'
-        pending noise in one product."""
-        zz = GateKind.ZZPHASE               # looked up once: an enum member costs 0.1 us
-        for gate in gates:
-            if gate.kind is zz:
-                self.j[min(gate.qubits), max(gate.qubits)] += gate.angle
-                self.qubits.update(gate.qubits)
-                continue
-            step = next(steps)
-            if step is None:
-                continue
-            layout, group = step
-            if layout is not None:
-                states, spare = self.move(states, spare, layout)
-            qubits = [g.qubits[0] for g in group]
-            if not self.qubits.isdisjoint(qubits):
-                self.flush(states)
-            # the pending columns; a slice, not a gather, for one gate
-            cols = slice(qubits[0], qubits[0] + 1) if len(qubits) == 1 else qubits
-            states, spare = _apply_group(states, n, self.bits[qubits[0]],
-                                         [_gate_matrix(g) for g in group], pending[:, cols],
-                                         spare), states
-            pending[:, cols] = 1.0
-        return states, spare
+    def product(self, states: np.ndarray, spare: np.ndarray, gates,
+                pending: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Apply RX or H gates whose qubits sit on adjacent bits, lowest first, with
+        their qubits' pending noise, as one product into spare (_apply_group), after
+        a flush if the phase touches them; returns (state, spare)."""
+        qubits = [gate.qubits[0] for gate in gates]
+        if not self.qubits.isdisjoint(qubits):
+            self.flush(states)
+        # the pending columns; a slice, not a gather, for one gate
+        cols = slice(qubits[0], qubits[0] + 1) if len(qubits) == 1 else qubits
+        out = _apply_group(states, len(self.bits), self.bits[qubits[0]],
+                           [_gate_matrix(gate) for gate in gates], pending[:, cols], spare)
+        pending[:, cols] = 1.0
+        return out, states
 
 
 def simulate_logical(c: LogicalCircuit, state: np.ndarray | None = None) -> np.ndarray:
@@ -468,9 +456,12 @@ def simulate_logical(c: LogicalCircuit, state: np.ndarray | None = None) -> np.n
     if state is None:
         state = init_zero_state(n)
     phase, rows = _PendingPhase(range(n)), state[np.newaxis]
-    steps = ((None, (gate,)) for gate in c.gates if gate.kind != GateKind.ZZPHASE)
-    out, _ = phase.apply_gates(rows, np.empty_like(rows), n, c.gates,
-                               np.ones((1, n), complex), steps)
+    out, spare, pending = rows, np.empty_like(rows), np.ones((1, n), complex)
+    for gate in c.gates:
+        if gate.kind is GateKind.ZZPHASE:
+            phase.add(gate)
+        else:
+            out, spare = phase.product(out, spare, (gate,), pending)
     phase.flush(out)
     if out is not rows:
         state[:] = out[0]
@@ -621,23 +612,30 @@ def _candidate_steps(states: np.ndarray, pending: np.ndarray, ph: np.ndarray,
 
 
 def _run_cycles(block: np.ndarray, spare: np.ndarray, pending: np.ndarray, eps: np.ndarray,
-                us: np.ndarray, cand: np.ndarray, groups, plan, p_damp: float) -> int:
+                us: np.ndarray, cand: np.ndarray, plan, p_damp: float) -> int:
     """Every cycle of the schedule on a block of rows, with a spare buffer of the
     block's shape, the rows' pending factors, (rows, n_cycles, n) draws and their
     jump candidates cand (us < p_damp); returns the block's number of jumps. The
     state moves between block and spare as the kernels and copies swap them, and
-    ends in block. The block starts in the layout of plan (_layout_plan) and runs
-    its steps, and one more copy (_PendingPhase.move) moves logical qubit q back to
-    bit q before the final flush. The shared phase is flushed only before an RX or
-    H on a qubit it touches and at the end, so at cycles the circuit alone fixes,
-    and each row's rounding does not depend on the rows it runs with."""
+    ends in block. It starts in the layout of plan (_layout_plan). Per cycle it adds
+    the ZZ angles, which act on other qubits than the cycle's RX and H, makes the
+    move and the products (_PendingPhase), then the noise; one more copy moves
+    logical qubit q back to bit q before the final flush. The shared phase is
+    flushed only before a product on a qubit it touches and at the end, so at
+    cycles the circuit alone fixes, and each row's rounding does not depend on the
+    rows it runs with."""
     n = pending.shape[1]
     damp_amp = math.sqrt(1.0 - p_damp)
-    phase, states, steps = _PendingPhase(plan[0]), block, iter(plan[1])
+    phase, states = _PendingPhase(plan[0]), block
     jumps = 0
     hits = cand.any(axis=(0, 2))        # per cycle: whether any row has a candidate
-    for cy, group in enumerate(groups):
-        states, spare = phase.apply_gates(states, spare, n, group, pending, steps)
+    for cy, (zz, layout, products) in enumerate(plan[1]):
+        for gate in zz:
+            phase.add(gate)
+        if layout is not None:
+            states, spare = phase.move(states, spare, layout)
+        for gates in products:
+            states, spare = phase.product(states, spare, gates, pending)
         ph = np.exp(1j * eps[:, cy])
         if hits[cy]:
             jumps += _candidate_steps(states, pending, ph, damp_amp, us[:, cy], cand[:, cy],
@@ -672,8 +670,7 @@ def _n_blocks(rows: int, dim: int) -> int:
 
 
 def _run_blocks(states: np.ndarray, spare: np.ndarray, eps: np.ndarray, us: np.ndarray,
-                cand: np.ndarray, groups, plan, p_damp: float,
-                n_blocks: int) -> int:
+                cand: np.ndarray, plan, p_damp: float, n_blocks: int) -> int:
     """_run_cycles on n_blocks contiguous row blocks of states and spare: the calling
     thread runs the first, a thread pool the others (numpy releases the GIL in its
     array loops and BLAS calls). Returns the number of jumps in all blocks."""
@@ -683,13 +680,12 @@ def _run_blocks(states: np.ndarray, spare: np.ndarray, eps: np.ndarray, us: np.n
     blocks = [(states[lo:hi], spare[lo:hi], pending[lo:hi], eps[lo:hi], us[lo:hi],
                cand[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     if n_blocks == 1:
-        return _run_cycles(*blocks[0], groups, plan, p_damp)
+        return _run_cycles(*blocks[0], plan, p_damp)
     # imported here: it loads logging, 0.65 MB that single-block runs need not hold
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(n_blocks - 1) as pool:
-        futures = [pool.submit(_run_cycles, *block, groups, plan, p_damp)
-                   for block in blocks[1:]]
-        jumps = _run_cycles(*blocks[0], groups, plan, p_damp)
+        futures = [pool.submit(_run_cycles, *block, plan, p_damp) for block in blocks[1:]]
+        jumps = _run_cycles(*blocks[0], plan, p_damp)
         # result() re-raises a worker's exception here
         return jumps + sum(future.result() for future in futures)
 
@@ -701,6 +697,9 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
                        keep_states: bool = False) -> TrajectoryEnsemble:
     """Replay the schedule for an ensemble of stochastic noise realizations.
 
+    The replay starts from |+...+> when the schedule hoists the circuit's
+    opening H layer (s.n_prep_gates == c.prep_layer_size() > 0) and from
+    |0...0> when it hoists nothing; any other n_prep_gates raises ValueError.
     Per cycle, every scheduled gate is applied and then each of the n
     logical qubits receives one noise operation (idle qubits decohere too).
     Realization r consumes the random stream of default_rng([master_seed, r])
@@ -734,11 +733,13 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
         raise ValueError("need at least one realization")
     n = c.n_qubits
     dim = 1 << n
-    groups = cycle_gate_groups(s, c)
-    plan = _layout_plan(groups, n)
-    n_cycles = len(groups)
-    prep = simulate_logical(LogicalCircuit(n, c.gates[: s.n_prep_gates]))[np.newaxis]
-    prep = _permute(prep, np.empty_like(prep), n, np.argsort(plan[0]))    # the first layout
+    if s.n_prep_gates not in (0, c.prep_layer_size()):
+        raise ValueError(f"schedule hoists {s.n_prep_gates} gates, not 0 or the opening H layer")
+    # |+...+>, as n H gates in turn give it, or |0...0>: the same in every bit layout
+    prep = np.full(dim, math.prod([_INV_SQRT2] * n), complex) if s.n_prep_gates \
+        else init_zero_state(n)
+    plan = _layout_plan(cycle_gate_groups(s, c), n)
+    n_cycles = len(plan[1])
 
     var = noise.dephasing_var(noise.t_gate)
     sigma = math.sqrt(var) if var > 0 else 0.0
@@ -766,8 +767,7 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
         states, spare = chunk_states[: stop - start], chunk_spare[: stop - start]
         states[:] = prep
         n_jumps += _run_blocks(states, spare, eps[start:stop], us[start:stop],
-                               cand[start:stop], groups, plan, p_damp,
-                               _n_blocks(stop - start, dim))
+                               cand[start:stop], plan, p_damp, _n_blocks(stop - start, dim))
 
         probs = probabilities(states, spare)
         norms = probs.sum(axis=1, keepdims=True)

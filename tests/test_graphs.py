@@ -112,6 +112,11 @@ def test_read_graph_rejects_malformed():
         read_graph("2 2\n0 1\n")
     with pytest.raises(ValueError):
         read_graph("2 1\n0 5\n")
+    # a field that is not an integer names its line
+    for text, line in (("4 x\n", "header line: '4 x'"), ("4 1\n0 y\n", "edge line: '0 y'"),
+                       ("4 1\n0 1.5\n", "edge line: '0 1.5'")):
+        with pytest.raises(ValueError, match=f"^malformed {line}$"):
+            read_graph(text)
 
 
 def test_graph_needs_a_vertex():

@@ -620,32 +620,28 @@ def test_permute_moves_every_bit():
 
 
 def _plan_cost(plan, groups, n):
-    """Replay a plan: check that each step's gates sit on adjacent bits with a form,
-    and return the cost it was planned at."""
-    bits, steps = list(plan[0]), iter(plan[1])
+    """Replay a plan, one step per cycle: check that each step's zz is its cycle's ZZ
+    gates and that its products run every RX and H of the cycle once, on adjacent
+    bits with a form, and return the cost it was planned at."""
+    bits, steps = list(plan[0]), plan[1]
+    assert len(steps) == len(groups)
     cost, seen = 0.0, []
-    for group in groups:
-        for gate in group:
-            if gate.kind == GateKind.ZZPHASE:
-                continue
-            step = next(steps)
-            if step is None:
-                assert gate in seen
-                continue
-            layout, gates = step
-            if layout is not None:
-                assert sorted(layout) == list(range(n)) and list(layout) != bits
-                # a rotation of the starting layout, which the plan costs as one
-                assert len({(a - b) % n for a, b in zip(layout, plan[0])}) == 1
-                cost += simulator._ROTATE_COST
-                bits = list(layout)
-            assert gate in gates and all(g in group for g in gates)
+    for group, (zz, layout, products) in zip(groups, steps):
+        assert list(zz) == [g for g in group if g.kind == GateKind.ZZPHASE]
+        if layout is not None:
+            assert products
+            assert sorted(layout) == list(range(n)) and list(layout) != bits
+            # a rotation of the starting layout, which the plan costs as one
+            assert len({(a - b) % n for a, b in zip(layout, plan[0])}) == 1
+            cost += simulator._ROTATE_COST
+            bits = list(layout)
+        for gates in products:
+            assert all(g in group and g.kind != GateKind.ZZPHASE for g in gates)
             b = bits[gates[0].qubits[0]]
             assert [bits[g.qubits[0]] for g in gates] == list(range(b, b + len(gates)))
             assert simulator._group_form(b, len(gates)) is not None
             cost += simulator._group_cost(b, len(gates))
             seen.extend(gates)
-    assert next(steps, "end") == "end"
     assert sorted(seen, key=id) == sorted((g for group in groups for g in group
                                            if g.kind != GateKind.ZZPHASE), key=id)
     return cost
@@ -705,18 +701,34 @@ def test_relabel_is_a_permutation():
 
 def test_keep_states_in_logical_order():
     # a relabelled, grouped noiseless run returns each state with qubit q in bit q; its
-    # prepared state, here RX gates in place of the H layer so that the relabelling
-    # changes it, starts in the plan's layout
+    # circuit opens with RX gates in place of the H layer, so nothing is hoisted: the
+    # replay starts from |0...0> and runs them in the table
     g = gen_random_3regular(12, 5)
-    s, c = _scheduled(g, QaoaParams((0.9, 0.2), (0.3, 1.0)))
+    c = build_qaoa_circuit(g, QaoaParams((0.9, 0.2), (0.3, 1.0)))
     c = LogicalCircuit(12, tuple(Gate(GateKind.RX, (q,), 0.1 * (q + 1)) for q in range(12))
                        + c.gates[12:])
+    grid = choose_grid(12)
+    s = schedule(c, grid, 11)
+    assert validate_schedule(s, c, grid) == [] and s.n_prep_gates == 0
     bits, _ = simulator._layout_plan(simulator.cycle_gate_groups(s, c), 12)
     assert list(bits) != list(range(12))
     ens = run_noisy_ensemble(s, c, NoiseParams.noiseless(), 3, 0, keep_states=True)
     expected = simulate_logical(c)
     for state in ens.states:
         assert np.max(np.abs(state - expected)) < 1e-12
+
+
+def test_replay_rejects_a_hoisted_prefix_other_than_the_h_layer():
+    # the replay starts from |+...+> or |0...0>, so the RX circuit on the H
+    # circuit's schedule, which hoists its first 12 gates, is refused
+    g = gen_random_3regular(12, 5)
+    s, c = _scheduled(g, QaoaParams((0.9, 0.2), (0.3, 1.0)))
+    assert s.n_prep_gates == 12
+    c = LogicalCircuit(12, tuple(Gate(GateKind.RX, (q,), 0.1 * (q + 1)) for q in range(12))
+                       + c.gates[12:])
+    with pytest.raises(ValueError, match="^schedule hoists 12 gates, not 0 or the opening "
+                                         "H layer$"):
+        run_noisy_ensemble(s, c, NoiseParams.noiseless(), 3, 0)
 
 
 def test_flushes_do_not_depend_on_the_draws(app_b_graph, monkeypatch):
