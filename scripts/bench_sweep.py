@@ -36,10 +36,12 @@ from bench_pairs import ROOT, header, quartiles
 ROUNDS = 6
 SEED = 5
 COMMON = ("--instances", "4", "--p", "2", "--restarts", "5", "--max-updates", "20")
-# the names are those of the sweeps BENCH_task_list.json already holds
+# the first two are the sweeps BENCH_task_list.json already holds
 CASES = {
     "pooled": ("--sizes", "8,10,12", "--realizations", "96"),  # batches of 2^19 amplitudes or less
     "mixed": ("--sizes", "8,12", "--realizations", "384"),     # N=12: 1.5 * 2^20 amplitudes
+    # no noise: every evaluation replays one realization, and no shots are drawn
+    "noiseless": ("--sizes", "8,10,12", "--t2", "inf", "--pipeline", "exact"),
 }
 SIDES = ("parent", "change")
 

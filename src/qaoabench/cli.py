@@ -12,6 +12,9 @@ evaluation, 20 restarts, 300-update cap; HardwareTimes: T_P + T_M = 1 us,
 T_G = 10 ns) and stated here otherwise (T2 = 100 us, p = 4, 384 noise
 realizations, 40 instances per size). `simulate`, `solve` and `bench` set
 the noise by --t2 alone: T1 is always 2 T2, and `--t2 inf` means no noise.
+Without noise every realization is the same, so `solve` and `bench` then
+replay one per evaluation, whatever --realizations says; `simulate` still
+runs and reports --realizations of them. Times must be finite and positive.
 Every count flag must be at least 1. An error prints one line and exits
 with status 1; `qaoabench --debug COMMAND ...` lets it raise with its
 traceback instead.
@@ -167,10 +170,10 @@ def cmd_simulate(args):
 
 def cmd_solve(args):
     g = read_graph(Path(args.graph).read_text())
-    cfg = _nm_config(args)
+    cfg, hw = _nm_config(args), _hardware(args)
     result = solve_instance(g, args.p, cfg, args.pipeline, _noise(args), args.seed,
                             args.realizations)
-    cost = costmodel.instance_wall_time(result, result.depth, _hardware(args), cfg.n_samples)
+    cost = costmodel.instance_wall_time(result, result.depth, hw, cfg.n_samples)
     print(f"N={g.n} p={args.p}: best estimate {result.best_run.best_value:.4f}, "
           f"exact ratio {result.best_exact_ratio:.4f}, overlap {result.overlap:.4f}")
     print(f"total evals {result.total_function_evals}, depth {result.depth}, "

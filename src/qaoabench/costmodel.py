@@ -28,8 +28,9 @@ class HardwareTimes:
     t_gate: float = DEFAULT_T_GATE
 
     def __post_init__(self):
-        if self.t_prep_plus_meas <= 0 or self.t_gate <= 0:
-            raise ValueError("hardware times must be positive")
+        for name in ("t_prep_plus_meas", "t_gate"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

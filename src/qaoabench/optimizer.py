@@ -17,7 +17,8 @@ bits as one process running them in turn. On one CPU, for one task, or in a
 daemonic process (which may not start any children) the restarts run in turn
 in the calling process instead, each batch on up to one row-block thread per
 usable CPU. The final scorings of each instance's best parameters run in the
-caller.
+caller. Every evaluation, with noise or without, is one run_noisy_ensemble
+call on the instance's schedule; without noise it replays one realization.
 """
 from __future__ import annotations
 
@@ -32,8 +33,7 @@ import numpy as np
 from .circuit import QaoaParams, build_qaoa_circuit
 from .graphs import Graph, brute_force_maxcut, cut_values_table, require_edge
 from .scheduler import choose_grid, schedule
-from .simulator import (NoiseParams, optima_mask, run_noisy_ensemble,
-                        sample_from_probs, simulate_logical)
+from .simulator import NoiseParams, optima_mask, run_noisy_ensemble, sample_from_probs
 
 SIMPLEX_OFFSET = 0.25  # radians added along each axis to form the initial simplex
 REFLECTION = 1.1
@@ -226,12 +226,12 @@ class InstanceProblem:
     """One Max-Cut instance compiled and ready for repeated evaluation.
 
     The schedule is angle-independent -- QAOA circuits at one depth share
-    their structure -- so routing happens once here and every objective
+    their structure -- so routing happens once here, the replay's plan is built
+    at the first evaluation (simulator._replay_plan), and every objective
     evaluation just replays it with fresh angles (and, in the sampled
     pipeline, fresh noise realizations and fresh measurement shots). A noise
     with no process (T1 = T2 = inf, as NoiseParams.noiseless()) leaves every
-    realization in the logical state, so each evaluation then simulates that
-    one state without the schedule.
+    realization in the same state, so each evaluation then replays one.
     """
 
     def __init__(self, g: Graph, p: int, cfg: NmConfig, pipeline: str,
@@ -247,9 +247,9 @@ class InstanceProblem:
         self.cfg = cfg
         self.pipeline = pipeline
         self.noise = noise
-        self.noiseless = math.isinf(noise.t1) and math.isinf(noise.t2)
         self.master_seed = master_seed
-        self.n_realizations = n_realizations
+        self.n_realizations = 1 if math.isinf(noise.t1) and math.isinf(noise.t2) \
+            else n_realizations
 
         self.circuit0 = build_qaoa_circuit(g, QaoaParams((0.0,) * p, (0.0,) * p))
         self.grid = choose_grid(g.n)
@@ -261,8 +261,6 @@ class InstanceProblem:
 
     def _final_probs(self, params: QaoaParams, ens_seed: int) -> np.ndarray:
         circuit = build_qaoa_circuit(self.g, params)
-        if self.noiseless:
-            return np.abs(simulate_logical(circuit)) ** 2
         ens = run_noisy_ensemble(self.schedule, circuit, self.noise,
                                  self.n_realizations, ens_seed)
         return ens.mean_probs

@@ -30,10 +30,9 @@ stream are the same. Only a jump writes the row back, normalized.
 ZZPhase gates are diagonal and the same for every realization: their
 angles add into one coupling matrix, and one phase vector built from it is
 applied in one multiply (gate fusion; qHiPSTER, arXiv:1601.07195; Haner &
-Steiger, arXiv:1704.01127). simulate_logical fuses them the same way. The
-pending phase needs no flush for a jump: the jump's amplitudes gain the
-phase ratio across the jumped qubit, a scalar times one pending factor per
-coupled qubit.
+Steiger, arXiv:1704.01127). The pending phase needs no flush for a jump:
+the jump's amplitudes gain the phase ratio across the jumped qubit, a
+scalar times one pending factor per coupled qubit.
 
 An RX or H on the qubit in bit b pairs each amplitude with the one 2^b
 away, so a row's amplitudes fall into runs of 2^b that share the value of
@@ -58,16 +57,20 @@ whichever buffer does not hold the state.
 So the cycle loop moves the bit layout, as distributed simulators reorder
 qubits to keep gates off costly bit positions and to bring gates together
 (both papers above): logical qubit q sits in bit bits[q], a map that
-_layout_plan fixes from the schedule alone with the groups. It relabels the
-qubits once, so that qubits whose gates share cycles sit side by side
-(_relabel), and per cycle rotates that labelling, bits[q] = (labels[q] +
+_layout_plan fixes from the schedule and the gates' kinds and qubits. It
+relabels the qubits once, so that qubits whose gates share cycles sit side by
+side (_relabel), and per cycle rotates that labelling, bits[q] = (labels[q] +
 offset) % n, by the offset and split into groups that cost least by the
 kernel table, rotations included, one plan step per cycle. The start state,
 |+...+> or |0...0>, is the same in every layout; each change of layout is one
 transposing copy (_permute), at a change of offset and back to q in bit q
 before the final flush. The coupling matrix, the pending factors and the draws
 stay indexed by logical qubit; the phase vector, the pending diagonal of an
-exact step and its P(q=1) are built in the current layout.
+exact step and its P(q=1) are built in the current layout. The plan names each
+gate by its position in the circuit's gate list and holds no angle, so it is
+built once per schedule and gate structure (_replay_plan keeps the last few),
+and each call reads only its own circuit's angles. A noise with no process
+runs the same replay, on one row.
 
 The realizations never interact before the final average, so the cycle
 loop of a large batch runs on contiguous blocks of rows, one thread per
@@ -110,8 +113,9 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 class NoiseParams:
     """Relaxation time t1, dephasing time t2, and gate duration t_gate.
 
-    All share one time unit. Physicality requires t2 <= 2 t1; infinities
-    are allowed and mean the corresponding process is absent.
+    All share one time unit. Physicality requires t2 <= 2 t1; t1 and t2 may
+    be infinite, meaning the corresponding process is absent, but the gate
+    time must be finite.
     """
 
     t1: float
@@ -121,6 +125,8 @@ class NoiseParams:
     def __post_init__(self):
         if not (self.t1 > 0 and self.t2 > 0 and self.t_gate > 0):
             raise ValueError("t1, t2, t_gate must be positive")
+        if self.t_gate == math.inf:
+            raise ValueError("t_gate must be finite")
         if self.t2 > 2.0 * self.t1 + 1e-12 * self.t1:
             raise ValueError(f"unphysical noise: t2={self.t2} > 2*t1={2 * self.t1}")
 
@@ -288,7 +294,6 @@ def _group_cost(b: int, k: int) -> float:
     return _LONG_COST[k] + _SMALL_LONG_COST.get(block, 0.0)
 
 
-@lru_cache(maxsize=1 << 16)
 def _mask_groups(n: int, mask: int) -> tuple[float, tuple[tuple[int, int], ...]]:
     """The cheapest split of the bits set in mask into groups of k <= 3 adjacent
     bits (_group_cost): its cost and its groups (b, k), b ascending.
@@ -342,32 +347,36 @@ def _relabel(cycles: list[list[int]], n: int) -> list[int]:
     return labels
 
 
-def _layout_plan(groups, n: int):
-    """The cycle loop's layouts and gate groups for the schedule's cycles groups.
+def _layout_plan(cycles, structure, n: int):
+    """The cycle loop's layouts and gate groups for a schedule's cycles, each the
+    positions of its gates in the circuit's gate list (cycle_positions), where gate
+    i has structure[i] = (kind, qubits).
 
     Returns (bits, steps). bits is the starting layout: logical qubit q sits in bit
-    bits[q]. steps has one step (zz, layout, products) per cycle of groups: zz is the
-    cycle's ZZPhase gates, in order; layout is the move of the batch before the
-    cycle (_permute), or None; products are the cycle's RX and H gates in groups,
-    one product each (_apply_group), whose qubits sit on adjacent bits, lowest first.
-    A cycle without RX or H has (zz, None, ()).
+    bits[q]. steps has one step (zz, layout, products) per cycle: zz is the cycle's
+    ZZPhase gates, in order; layout is the move of the batch before the cycle
+    (_permute), or None; products are the cycle's RX and H gates in groups, one
+    product each (_apply_group), whose qubits sit on adjacent bits, lowest first.
+    A cycle without RX or H has (zz, None, ()). Gates are named by position.
 
     At every n the layout is a fixed relabelling (_relabel) rotated by an offset, q
     in bit (labels[q] + offset) % n. A Viterbi pass over the n offsets, one step per
     cycle with RX or H gates, minimizes the cost of each cycle's gates at its offset
     (_mask_groups) plus _ROTATE_COST per change of offset; the start is free (the
     start state is the same in every layout), ties keep the lower offset. The plan
-    depends on the schedule alone, so every row block moves alike."""
+    depends on the gates' kinds and qubits alone, so every row block moves alike."""
     zz = GateKind.ZZPHASE
-    cycles = [[gate for gate in group if gate.kind is not zz] for group in groups]
-    labels = _relabel([[gate.qubits[0] for gate in gates] for gates in cycles], n)
+    # per cycle, its RX and H gates as {position: qubit}
+    ones = [{i: structure[i][1][0] for i in cycle if structure[i][0] is not zz}
+            for cycle in cycles]
+    labels = _relabel([list(gates.values()) for gates in ones], n)
     full = (1 << n) - 1
     cost = [0.0] * n                    # at offset o after the cycles so far
     moves, splits = [], []              # per cycle with RX or H: each offset's origin; its split
-    for gates in filter(None, cycles):
+    for gates in filter(None, ones):
         mask = 0
-        for gate in gates:
-            mask |= 1 << labels[gate.qubits[0]]
+        for q in gates.values():
+            mask |= 1 << labels[q]
         split = [_mask_groups(n, (mask << o | mask >> (n - o)) & full) for o in range(n)]
         best = min(range(n), key=cost.__getitem__)
         move = cost[best] + _ROTATE_COST
@@ -382,17 +391,32 @@ def _layout_plan(groups, n: int):
     start = previous = offset           # the first cycle's offset, 0 without cycles
     chosen = zip(splits, reversed(offsets))
     steps = []
-    for group, gates in zip(groups, cycles):
+    for cycle, gates in zip(cycles, ones):
         layout, products = None, ()
         if gates:
             split, offset = next(chosen)
-            on_bit = {(labels[gate.qubits[0]] + offset) % n: gate for gate in gates}
+            on_bit = {(labels[q] + offset) % n: i for i, q in gates.items()}
             if offset != previous:
                 layout = tuple((label + offset) % n for label in labels)
             products = tuple(tuple(on_bit[b + i] for i in range(k)) for b, k in split[offset][1])
             previous = offset
-        steps.append((tuple(gate for gate in group if gate.kind is zz), layout, products))
-    return tuple((label + start) % n for label in labels), steps
+        steps.append((tuple(i for i in cycle if i not in gates), layout, products))
+    return tuple((label + start) % n for label in labels), tuple(steps)
+
+
+def cycle_positions(s: Schedule) -> list[list[int]]:
+    """Per clock cycle, the positions in the circuit's gate list of the gates it runs,
+    in the order of their first site; routing SWAPs carry no state action (the
+    amplitudes are indexed by logical qubit) and are dropped."""
+    return [[s.n_prep_gates + entry - 1 for entry in dict.fromkeys(row) if entry > 0]
+            for row in s.table]
+
+
+@lru_cache(maxsize=4)
+def _replay_plan(s: Schedule, structure: tuple, n: int) -> tuple:
+    """_layout_plan of schedule s for n qubits whose gate i has structure[i] = (kind,
+    qubits), kept for the next call: a solve replays one schedule at fresh angles."""
+    return _layout_plan(cycle_positions(s), structure, n)
 
 
 class _PendingPhase:
@@ -450,24 +474,6 @@ class _PendingPhase:
         return out, states
 
 
-def simulate_logical(c: LogicalCircuit, state: np.ndarray | None = None) -> np.ndarray:
-    """Run the gate list in order on |0...0> (or on a provided state)."""
-    n = c.n_qubits
-    if state is None:
-        state = init_zero_state(n)
-    phase, rows = _PendingPhase(range(n)), state[np.newaxis]
-    out, spare, pending = rows, np.empty_like(rows), np.ones((1, n), complex)
-    for gate in c.gates:
-        if gate.kind is GateKind.ZZPHASE:
-            phase.add(gate)
-        else:
-            out, spare = phase.product(out, spare, (gate,), pending)
-    phase.flush(out)
-    if out is not rows:
-        state[:] = out[0]
-    return state
-
-
 def probabilities(state: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
     """|amplitude|^2 of every entry. Given a C-contiguous complex buffer of at least
     state.size entries, the result and its temporary are views into its two
@@ -520,25 +526,6 @@ class TrajectoryEnsemble:
         if self.per_overlap is None:
             raise ValueError("ensemble was run without an optima mask")
         return float(self.per_overlap.mean())
-
-
-def cycle_gate_groups(s: Schedule, c: LogicalCircuit) -> list[list[Gate]]:
-    """Circuit gates grouped by clock cycle, SWAP relabelings dropped.
-
-    Amplitudes are indexed by logical qubit, so a valid schedule's gates can
-    be applied on their logical operands directly and routing SWAPs carry no
-    state action at all.
-    """
-    groups: list[list[Gate]] = []
-    seen: set[int] = set()
-    for row in s.table:
-        group = []
-        for entry in row:
-            if entry > 0 and entry not in seen:
-                seen.add(entry)
-                group.append(c.gates[s.n_prep_gates + entry - 1])
-        groups.append(group)
-    return groups
 
 
 def _apply_pending_noise(states: np.ndarray, pending: np.ndarray, spare: np.ndarray) -> None:
@@ -612,30 +599,30 @@ def _candidate_steps(states: np.ndarray, pending: np.ndarray, ph: np.ndarray,
 
 
 def _run_cycles(block: np.ndarray, spare: np.ndarray, pending: np.ndarray, eps: np.ndarray,
-                us: np.ndarray, cand: np.ndarray, plan, p_damp: float) -> int:
+                us: np.ndarray, cand: np.ndarray, plan, gates, p_damp: float) -> int:
     """Every cycle of the schedule on a block of rows, with a spare buffer of the
     block's shape, the rows' pending factors, (rows, n_cycles, n) draws and their
     jump candidates cand (us < p_damp); returns the block's number of jumps. The
     state moves between block and spare as the kernels and copies swap them, and
-    ends in block. It starts in the layout of plan (_layout_plan). Per cycle it adds
-    the ZZ angles, which act on other qubits than the cycle's RX and H, makes the
-    move and the products (_PendingPhase), then the noise; one more copy moves
-    logical qubit q back to bit q before the final flush. The shared phase is
-    flushed only before a product on a qubit it touches and at the end, so at
-    cycles the circuit alone fixes, and each row's rounding does not depend on the
-    rows it runs with."""
+    ends in block. It starts in the layout of plan (_layout_plan), whose positions
+    name gates of the gate list gates. Per cycle it adds the ZZ angles, which act
+    on other qubits than the cycle's RX and H, makes the move and the products
+    (_PendingPhase), then the noise; one more copy moves logical qubit q back to
+    bit q before the final flush. The shared phase is flushed only before a
+    product on a qubit it touches and at the end, so at cycles the circuit alone
+    fixes, and each row's rounding does not depend on the rows it runs with."""
     n = pending.shape[1]
     damp_amp = math.sqrt(1.0 - p_damp)
     phase, states = _PendingPhase(plan[0]), block
     jumps = 0
     hits = cand.any(axis=(0, 2))        # per cycle: whether any row has a candidate
     for cy, (zz, layout, products) in enumerate(plan[1]):
-        for gate in zz:
-            phase.add(gate)
+        for i in zz:
+            phase.add(gates[i])
         if layout is not None:
             states, spare = phase.move(states, spare, layout)
-        for gates in products:
-            states, spare = phase.product(states, spare, gates, pending)
+        for group in products:
+            states, spare = phase.product(states, spare, [gates[i] for i in group], pending)
         ph = np.exp(1j * eps[:, cy])
         if hits[cy]:
             jumps += _candidate_steps(states, pending, ph, damp_amp, us[:, cy], cand[:, cy],
@@ -670,7 +657,7 @@ def _n_blocks(rows: int, dim: int) -> int:
 
 
 def _run_blocks(states: np.ndarray, spare: np.ndarray, eps: np.ndarray, us: np.ndarray,
-                cand: np.ndarray, plan, p_damp: float, n_blocks: int) -> int:
+                cand: np.ndarray, plan, gates, p_damp: float, n_blocks: int) -> int:
     """_run_cycles on n_blocks contiguous row blocks of states and spare: the calling
     thread runs the first, a thread pool the others (numpy releases the GIL in its
     array loops and BLAS calls). Returns the number of jumps in all blocks."""
@@ -680,12 +667,13 @@ def _run_blocks(states: np.ndarray, spare: np.ndarray, eps: np.ndarray, us: np.n
     blocks = [(states[lo:hi], spare[lo:hi], pending[lo:hi], eps[lo:hi], us[lo:hi],
                cand[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     if n_blocks == 1:
-        return _run_cycles(*blocks[0], plan, p_damp)
+        return _run_cycles(*blocks[0], plan, gates, p_damp)
     # imported here: it loads logging, 0.65 MB that single-block runs need not hold
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(n_blocks - 1) as pool:
-        futures = [pool.submit(_run_cycles, *block, plan, p_damp) for block in blocks[1:]]
-        jumps = _run_cycles(*blocks[0], plan, p_damp)
+        futures = [pool.submit(_run_cycles, *block, plan, gates, p_damp)
+                   for block in blocks[1:]]
+        jumps = _run_cycles(*blocks[0], plan, gates, p_damp)
         # result() re-raises a worker's exception here
         return jumps + sum(future.result() for future in futures)
 
@@ -720,10 +708,11 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
 
     The module docstring describes the kernels, the pending noise, the exact
     step of a jump candidate (u < p_damp; _candidate_steps), the row blocks
-    (_n_blocks) and the bit layout (_layout_plan). The plan draws nothing, so
-    the streams, chunks and blocks are as above, and states are returned in
-    logical order. n_candidates and n_jumps count the candidates and the jumps.
-    The rows are normalized last, over the whole chunk. BLAS should run
+    (_n_blocks) and the bit layout (_layout_plan), built once per schedule and
+    gate structure (_replay_plan). The plan draws nothing, so the streams,
+    chunks and blocks are as above, and states are returned in logical order.
+    n_candidates and n_jumps count the candidates and the jumps. The rows are
+    normalized last, over the whole chunk. BLAS should run
     single-threaded, or its threads compete with the row blocks: importing
     qaoabench sets OPENBLAS_NUM_THREADS (and the OpenMP and MKL counts) to 1
     unless set, but a caller that loads numpy before qaoabench has to set them
@@ -738,7 +727,7 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
     # |+...+>, as n H gates in turn give it, or |0...0>: the same in every bit layout
     prep = np.full(dim, math.prod([_INV_SQRT2] * n), complex) if s.n_prep_gates \
         else init_zero_state(n)
-    plan = _layout_plan(cycle_gate_groups(s, c), n)
+    plan = _replay_plan(s, tuple((gate.kind, gate.qubits) for gate in c.gates), n)
     n_cycles = len(plan[1])
 
     var = noise.dephasing_var(noise.t_gate)
@@ -767,7 +756,8 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
         states, spare = chunk_states[: stop - start], chunk_spare[: stop - start]
         states[:] = prep
         n_jumps += _run_blocks(states, spare, eps[start:stop], us[start:stop],
-                               cand[start:stop], plan, p_damp, _n_blocks(stop - start, dim))
+                               cand[start:stop], plan, c.gates, p_damp,
+                               _n_blocks(stop - start, dim))
 
         probs = probabilities(states, spare)
         norms = probs.sum(axis=1, keepdims=True)

@@ -4,7 +4,9 @@ Everything here takes the slow, obviously-correct route: dense matrices
 built by Kronecker embedding and matrix exponentials, density matrices
 evolved by explicit Kraus sums, and plain-python enumeration. The one-gate
 kernels apply_gate, apply_h and apply_swap live here, as the package no
-longer calls them. apply_gate applies each gate on its own, ZZPhase by
+longer calls them, and so does logical_state, the noiseless reference that
+runs a circuit's gates in order with them. apply_gate applies each gate on
+its own, ZZPhase by
 apply_zzphase, so the oracles share no ZZ code with run_noisy_ensemble,
 which sums ZZPhase gates into one phase vector, and no single-qubit kernel
 with its fused RX/H kernel. The per-qubit noise step _cycle_noise_qubit
@@ -33,7 +35,7 @@ from scipy.linalg import expm
 from qaoabench.circuit import Gate, GateKind, LogicalCircuit
 from qaoabench.graphs import Graph
 from qaoabench.scheduler import _interaction_weights, _swap_gains
-from qaoabench.simulator import (_split1, apply_rx, apply_zzphase, cycle_gate_groups,
+from qaoabench.simulator import (_split1, apply_rx, apply_zzphase, cycle_positions,
                                  init_zero_state, probabilities)
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -70,6 +72,20 @@ def apply_gate(state: np.ndarray, n: int, gate: Gate) -> None:
         apply_zzphase(state, n, q[0], q[1], gate.angle)
     else:
         raise ValueError(f"unknown gate kind {gate.kind}")
+
+
+def logical_state(c: LogicalCircuit, state: np.ndarray | None = None) -> np.ndarray:
+    """The circuit's gates in order, one apply_gate each, on |0...0> or on a copy
+    of state."""
+    out = init_zero_state(c.n_qubits) if state is None else state.copy()
+    for gate in c.gates:
+        apply_gate(out, c.n_qubits, gate)
+    return out
+
+
+def cycle_gate_groups(s, c: LogicalCircuit) -> list[list[Gate]]:
+    """The circuit's gates grouped by clock cycle (simulator.cycle_positions)."""
+    return [[c.gates[i] for i in cycle] for cycle in cycle_positions(s)]
 
 
 def op_on(u: np.ndarray, q: int, n: int) -> np.ndarray:

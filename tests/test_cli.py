@@ -15,10 +15,10 @@ from qaoabench import optimizer
 from qaoabench.cli import build_parser, main
 from qaoabench.graphs import brute_force_maxcut, cut_values_table, read_graph
 from qaoabench.scheduler import Schedule, emit_pdpt, parse_pdpt
-from qaoabench.simulator import (NoiseParams, optima_mask, probabilities, run_noisy_ensemble,
-                                 simulate_logical)
+from qaoabench.simulator import NoiseParams, optima_mask, probabilities, run_noisy_ensemble
 
 from conftest import APP_B_PDPT
+from oracles import logical_state
 
 
 def run_cli(*argv):
@@ -76,7 +76,7 @@ def test_simulate_pdpt_matches_logical_noiseless(tmp_path):
                    "--realizations", 1, "--out", obs) == 0
     g = read_graph(gpath.read_text())
     c = build_qaoa_circuit(g, QaoaParams((0.7, 0.3), (0.2, 0.5)))
-    exact = float(probabilities(simulate_logical(c)) @ cut_values_table(g))
+    exact = float(probabilities(logical_state(c)) @ cut_values_table(g))
     assert abs(json.loads(obs.read_text())["mean_cut"] - exact) < 1e-9
 
 
@@ -325,7 +325,7 @@ def test_errors_exit_nonzero(tmp_path, capsys):
     assert run_cli("reduce", "--graph", tmp_path / "missing.txt",
                    "--out", tmp_path / "y.wcnf") == 1
     # a count below 1 fails before any work, naming its flag; the noiseless
-    # solve checks R too, though it never reads it
+    # solve checks R too, though it replays one realization whatever R is
     k4 = tmp_path / "k4.txt"
     k4.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
     capsys.readouterr()
@@ -425,14 +425,36 @@ def test_list_flags_name_the_flag_and_the_bad_item(tmp_path, capsys):
 
 
 def test_gate_time_checked_without_noise(tmp_path, capsys):
-    # --t2 inf turns the noise off and still builds a NoiseParams, which checks T_G
+    # --t2 inf turns the noise off and still builds a NoiseParams, which checks T_G:
+    # positive, and finite, or every cut would be NaN
     gpath, pdpt = _p1_schedule(tmp_path)
     obs = tmp_path / "obs.json"
     capsys.readouterr()
-    assert run_cli("simulate", "--graph", gpath, "--schedule", pdpt, "--t2", "inf",
-                   "--t-gate", -1, "--realizations", 2, "--out", obs) == 1
-    assert capsys.readouterr().err == "error: t1, t2, t_gate must be positive\n"
-    assert not obs.exists()
+    for t_gate, message in ((-1, "t1, t2, t_gate must be positive"),
+                            ("inf", "t_gate must be finite")):
+        assert run_cli("simulate", "--graph", gpath, "--schedule", pdpt, "--t2", "inf",
+                       "--t-gate", t_gate, "--realizations", 2, "--out", obs) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not obs.exists()
+
+
+def test_hardware_times_checked_before_the_solve(tmp_path, capsys, monkeypatch):
+    # a NaN or infinite time fails in one line before any restart runs, in solve
+    # and in bench, rather than printing a NaN wall time or writing it to the CSV
+    gpath = tmp_path / "g.txt"
+    run_cli("gen", "--n", 4, "--seed", 1, "--out", gpath)
+    for name in ("solve_instance", "solve_instances"):         # any solve would raise
+        monkeypatch.setattr(f"qaoabench.cli.{name}", None)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    for flag, value in (("--t-prep-plus-meas", "nan"), ("--t-prep-plus-meas", "inf"),
+                        ("--t-gate", "nan")):
+        for argv in (("solve", "--graph", gpath), ("bench", "--sizes", 4)):
+            assert run_cli(*argv, "--p", 1, flag, value, "--out", out) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: t_") and err.count("\n") == 1, err
+            assert "must be finite and positive" in err or "must be positive" in err
+            assert not out.exists()
 
 
 def test_cli_surface(capsys):

@@ -20,6 +20,12 @@ def test_single_repetition_time_examples():
 def test_hardware_times_validated():
     with pytest.raises(ValueError):
         HardwareTimes(t_prep_plus_meas=0.0)
+    # NaN and inf fail too, in either field
+    for bad in (math.nan, math.inf, -math.inf, -1e-6):
+        for name in ("t_prep_plus_meas", "t_gate"):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got "
+                                                 f"{bad}$"):
+                HardwareTimes(**{name: bad})
 
 
 def test_paper_scale_arithmetic():

@@ -6,9 +6,10 @@ import pytest
 from qaoabench.circuit import QaoaParams, build_qaoa_circuit
 from qaoabench.graphs import brute_force_maxcut, cut_values_table
 from qaoabench.optimizer import estimate_cut
-from qaoabench.simulator import probabilities, sample_from_probs, simulate_logical
+from qaoabench.scheduler import choose_grid, schedule
+from qaoabench.simulator import NoiseParams, probabilities, run_noisy_ensemble, sample_from_probs
 
-from oracles import cut_of_code, dense_qaoa_state, op_on, plus_state, Z
+from oracles import cut_of_code, dense_qaoa_state, logical_state, op_on, plus_state, Z
 
 
 def test_constant_samples(k3):
@@ -25,7 +26,7 @@ def test_uniform_enumeration_mean(k3):
 def test_sampled_converges_to_exact(k3):
     params = QaoaParams((1.1,), (0.4,))
     table = cut_values_table(k3)
-    probs = probabilities(simulate_logical(build_qaoa_circuit(k3, params)))
+    probs = probabilities(logical_state(build_qaoa_circuit(k3, params)))
     exact = float(probs @ table)
     for n, seed in ((10_000, 0), (100_000, 1)):
         samples = sample_from_probs(probs, n, np.random.default_rng(seed))
@@ -54,8 +55,11 @@ def test_exact_expectation_matches_zz_formula(k3):
     for (i, j) in k3.edges:
         zz = op_on(Z, i, 3) @ op_on(Z, j, 3)
         total += (1.0 - (state.conj() @ (zz @ state)).real) / 2.0
-    ours = probabilities(simulate_logical(build_qaoa_circuit(k3, params))) @ cut_values_table(k3)
-    assert abs(ours - total) < 1e-10
+    # the package's route: the noiseless scheduled replay's exact expected cut
+    c = build_qaoa_circuit(k3, params)
+    ens = run_noisy_ensemble(schedule(c, choose_grid(3), 0), c, NoiseParams.noiseless(), 1, 0,
+                             cut_table=cut_values_table(k3))
+    assert abs(ens.per_cut[0] - total) < 1e-10
 
 
 def test_approximation_ratio(k3):

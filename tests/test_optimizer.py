@@ -16,8 +16,10 @@ from qaoabench.optimizer import (CONTRACTION, EXPANSION, REFLECTION, SHRINK, STA
                                  InstanceProblem, NmConfig, _restart_workers, nelder_mead,
                                  pinned_pool, random_initial_simplex, solve_instance,
                                  solve_instances)
-from qaoabench.simulator import (NoiseParams, _n_blocks, probabilities,
-                                 simulate_logical)
+from qaoabench import simulator
+from qaoabench.simulator import NoiseParams, _n_blocks, probabilities
+
+from oracles import logical_state
 
 
 def _simplex2d():
@@ -95,7 +97,7 @@ def _grid_search_ratio(g, steps=50):
     best = 0.0
     for gamma in np.linspace(0, 2 * np.pi, steps, endpoint=False):
         for beta in np.linspace(0, np.pi, steps, endpoint=False):
-            state = simulate_logical(
+            state = logical_state(
                 build_qaoa_circuit(g, QaoaParams((gamma,), (beta,))))
             best = max(best, float(probabilities(state) @ table))
     return best / k_max
@@ -153,18 +155,43 @@ def test_pipeline_name_validated(k4):
 
 
 def test_realization_count_checked_whatever_the_noise(k4):
-    # the noiseless path never reads R, and still rejects R < 1
+    # a noise with no process replays one realization whatever R is, and R < 1
+    # is still rejected
     for noise in (NoiseParams.noiseless(), NoiseParams.from_t2_ratio(1000.0)):
         with pytest.raises(ValueError, match="n_realizations must be at least 1, got 0"):
             InstanceProblem(k4, 1, NmConfig(), "exact", noise, 0, n_realizations=0)
 
 
 def test_noiseless_shortcut_only_without_any_process(k4):
-    # T1 = T2 = inf simulates the one logical state; any finite time runs the ensemble
-    cases = ((NoiseParams.noiseless(), True), (NoiseParams(math.inf, math.inf, 1e-8), True),
-             (NoiseParams(1.0, 2.0, 0.01), False), (NoiseParams(math.inf, 0.5, 0.01), False))
-    for noise, logical in cases:
-        assert InstanceProblem(k4, 1, NmConfig(), "exact", noise, 0).noiseless is logical
+    # T1 = T2 = inf replays one realization; any finite time replays R of them
+    cases = ((NoiseParams.noiseless(), 1), (NoiseParams(math.inf, math.inf, 1e-8), 1),
+             (NoiseParams(1.0, 2.0, 0.01), 384), (NoiseParams(math.inf, 0.5, 0.01), 384))
+    for noise, n_realizations in cases:
+        problem = InstanceProblem(k4, 1, NmConfig(), "exact", noise, 0)
+        assert problem.n_realizations == n_realizations
+
+
+@pytest.mark.parametrize("noise", [NoiseParams.from_t2_ratio(1e4), NoiseParams.noiseless()],
+                         ids=["noisy", "noiseless"])
+def test_instance_problem_plans_its_schedule_once(monkeypatch, noise):
+    # every evaluation of a restart and both final scorings replay one plan,
+    # built at the first evaluation
+    simulator._replay_plan.cache_clear()
+    layout_plan, calls = simulator._layout_plan, []
+
+    def counting(*args):
+        calls.append(args)
+        return layout_plan(*args)
+
+    monkeypatch.setattr(simulator, "_layout_plan", counting)
+    cfg = NmConfig(n_restarts=1, max_updates=8, n_samples=200)
+    problem = InstanceProblem(gen_random_3regular(8, 4), 2, cfg, "sampled", noise, 3,
+                              n_realizations=8)
+    assert calls == []
+    record = problem.run_restart(0)
+    problem.final_overlap(record.best_params)
+    problem.final_exact_ratio(record.best_params)
+    assert record.n_function_evals > 8 and len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

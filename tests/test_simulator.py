@@ -13,12 +13,13 @@ from qaoabench import simulator, streams
 from qaoabench.scheduler import GridTopology, Schedule, choose_grid, schedule, validate_schedule
 from qaoabench.simulator import (NoiseParams, _apply_group, _gate_matrix, _n_blocks, _split1,
                                  apply_rx, init_zero_state, optima_mask, probabilities,
-                                 run_noisy_ensemble, sample_from_probs, simulate_logical)
+                                 run_noisy_ensemble, sample_from_probs)
 
 import oracles
-from oracles import (_cycle_noise_qubit, apply_gate, apply_h, apply_swap, dense_qaoa_state,
-                     density_matrix_oracle, gate_unitary, per_qubit_trajectories, plus_state,
-                     simulate_schedule_physical, swap_unitary, trace_distance)
+from oracles import (_cycle_noise_qubit, apply_gate, apply_h, apply_swap, cycle_gate_groups,
+                     dense_qaoa_state, density_matrix_oracle, gate_unitary, logical_state,
+                     per_qubit_trajectories, plus_state, simulate_schedule_physical,
+                     swap_unitary, trace_distance)
 
 DEFAULT_NOISE = NoiseParams(t1=200e-6, t2=100e-6, t_gate=10e-9)
 
@@ -34,6 +35,16 @@ def test_noise_params_validation():
         NoiseParams(t1=1.0, t2=2.5, t_gate=0.1)     # t2 > 2 t1
     with pytest.raises(ValueError):
         NoiseParams(t1=0.0, t2=1.0, t_gate=0.1)
+    with pytest.raises(ValueError):
+        NoiseParams(t1=math.nan, t2=1.0, t_gate=0.1)
+    # T1 and T2 may be infinite (no process); the gate time must be finite
+    NoiseParams(t1=math.inf, t2=math.inf, t_gate=1e-8)
+    NoiseParams(t1=math.inf, t2=0.5, t_gate=0.01)
+    for bad in (math.nan, 0.0, -1e-8):
+        with pytest.raises(ValueError, match="^t1, t2, t_gate must be positive$"):
+            NoiseParams(t1=1.0, t2=1.0, t_gate=bad)
+    with pytest.raises(ValueError, match="^t_gate must be finite$"):
+        NoiseParams(t1=math.inf, t2=math.inf, t_gate=math.inf)
     np_ok = NoiseParams.from_t2_ratio(10000.0)
     assert np_ok.t1 == 2.0 * np_ok.t2
     noiseless = NoiseParams.noiseless()
@@ -43,13 +54,27 @@ def test_noise_params_validation():
 def test_init_states():
     assert np.array_equal(init_zero_state(2), [1, 0, 0, 0])
     for n in (1, 3, 6):
-        prep = LogicalCircuit(n, tuple(Gate(GateKind.H, (q,)) for q in range(n)))
-        assert np.allclose(simulate_logical(prep), plus_state(n), atol=1e-12)
+        prep = [Gate(GateKind.H, (q,)) for q in range(n)]
+        assert np.allclose(_run_gates(n, prep, init_zero_state(n)), plus_state(n), atol=1e-12)
 
 
 def _run_gates(n, gates, state):
-    """The package's kernels on one state: a circuit of the given gates."""
-    return simulate_logical(LogicalCircuit(n, tuple(gates)), state.copy())
+    """The replay's kernels on a copy of one state, gate by gate in the identity
+    layout: ZZPhase into the shared phase, RX and H as one-gate products."""
+    phase, out = simulator._PendingPhase(range(n)), state[np.newaxis].copy()
+    spare, pending = np.empty_like(out), np.ones((1, n), complex)
+    for gate in gates:
+        if gate.kind is GateKind.ZZPHASE:
+            phase.add(gate)
+        else:
+            out, spare = phase.product(out, spare, (gate,), pending)
+    phase.flush(out)
+    return out[0]
+
+
+def _noiseless_state(s, c):
+    """The scheduled replay's state without noise."""
+    return run_noisy_ensemble(s, c, NoiseParams.noiseless(), 1, 0, keep_states=True).states[0]
 
 
 def test_h_involution():
@@ -179,7 +204,7 @@ def test_qaoa_states_match_dense_oracle(k3, k4):
         for p in (1, 2):
             params = QaoaParams(tuple(rng.uniform(0, 2 * np.pi, p)),
                                 tuple(rng.uniform(0, np.pi, p)))
-            ours = simulate_logical(build_qaoa_circuit(g, params))
+            ours = _noiseless_state(*_scheduled(g, params))
             assert np.max(np.abs(ours - dense_qaoa_state(g, params))) < 1e-10
 
 
@@ -282,7 +307,7 @@ def test_noiseless_ensemble_equals_logical(app_b_graph):
     s, c = _scheduled(app_b_graph, params)
     ens = run_noisy_ensemble(s, c, NoiseParams.noiseless(), 5, 0, keep_states=True,
                              cut_table=cut_values_table(app_b_graph))
-    psi = simulate_logical(c)
+    psi = logical_state(c)
     assert ens.states.shape == (5, 256)
     for row in ens.states:
         assert np.max(np.abs(row - psi)) < 1e-10
@@ -294,7 +319,7 @@ def test_physical_oracle_confirms_swap_tracking(app_b_graph):
     # all 9 grid sites simulated with real SWAP unitaries vs N-qubit path
     params = QaoaParams((0.9, 0.2, 1.4, 0.8), (0.3, 1.0, 0.5, 0.7))
     s, c = _scheduled(app_b_graph, params)
-    fid = abs(np.vdot(simulate_schedule_physical(s, c), simulate_logical(c))) ** 2
+    fid = abs(np.vdot(simulate_schedule_physical(s, c), _noiseless_state(s, c))) ** 2
     assert fid > 1 - 1e-10
 
 
@@ -321,7 +346,7 @@ def test_two_qubit_ensemble_matches_channel_oracle():
     assert trace_distance(rho_ens, rho_oracle) < 0.05
 
     # the channel visibly acts: oracle is far from the noiseless state
-    psi = simulate_logical(c)
+    psi = logical_state(c)
     assert trace_distance(rho_oracle, np.outer(psi, psi.conj())) > 0.05
 
 
@@ -568,7 +593,7 @@ def test_exact_step_on_candidate_qubits_matches_per_qubit_reference(app_b_graph,
     candidates = _uniform_draws(noise, n_real, seed, s.n_cycles, n) < noise.damping_prob(
         noise.t_gate)
     assert (candidates.sum(axis=2) >= 2).any()
-    coupled = _coupled_qubits(simulator.cycle_gate_groups(s, c))
+    coupled = _coupled_qubits(cycle_gate_groups(s, c))
     assert any(q in coupled[cycle] for cycle, q in jumps)
     assert ens.n_jumps == len(jumps)
     assert ens.n_candidates == int(candidates.sum())
@@ -619,15 +644,21 @@ def test_permute_moves_every_bit():
         assert np.array_equal(out[:, moved], states)
 
 
-def _plan_cost(plan, groups, n):
-    """Replay a plan, one step per cycle: check that each step's zz is its cycle's ZZ
-    gates and that its products run every RX and H of the cycle once, on adjacent
-    bits with a form, and return the cost it was planned at."""
+def _structure(c):
+    """The kind and qubits of each of the circuit's gates, as the plan memo keys them."""
+    return tuple((gate.kind, gate.qubits) for gate in c.gates)
+
+
+def _plan_cost(plan, cycles, gates, n):
+    """Replay a plan of the gate list gates, one step per cycle of gate positions:
+    check that each step's zz is its cycle's ZZ gates and that its products run
+    every RX and H of the cycle once, on adjacent bits with a form, and return the
+    cost it was planned at."""
     bits, steps = list(plan[0]), plan[1]
-    assert len(steps) == len(groups)
+    assert len(steps) == len(cycles)
     cost, seen = 0.0, []
-    for group, (zz, layout, products) in zip(groups, steps):
-        assert list(zz) == [g for g in group if g.kind == GateKind.ZZPHASE]
+    for cycle, (zz, layout, products) in zip(cycles, steps):
+        assert list(zz) == [i for i in cycle if gates[i].kind == GateKind.ZZPHASE]
         if layout is not None:
             assert products
             assert sorted(layout) == list(range(n)) and list(layout) != bits
@@ -635,15 +666,15 @@ def _plan_cost(plan, groups, n):
             assert len({(a - b) % n for a, b in zip(layout, plan[0])}) == 1
             cost += simulator._ROTATE_COST
             bits = list(layout)
-        for gates in products:
-            assert all(g in group and g.kind != GateKind.ZZPHASE for g in gates)
-            b = bits[gates[0].qubits[0]]
-            assert [bits[g.qubits[0]] for g in gates] == list(range(b, b + len(gates)))
-            assert simulator._group_form(b, len(gates)) is not None
-            cost += simulator._group_cost(b, len(gates))
-            seen.extend(gates)
-    assert sorted(seen, key=id) == sorted((g for group in groups for g in group
-                                           if g.kind != GateKind.ZZPHASE), key=id)
+        for group in products:
+            assert all(i in cycle and gates[i].kind != GateKind.ZZPHASE for i in group)
+            b = bits[gates[group[0]].qubits[0]]
+            assert [bits[gates[i].qubits[0]] for i in group] == list(range(b, b + len(group)))
+            assert simulator._group_form(b, len(group)) is not None
+            cost += simulator._group_cost(b, len(group))
+            seen.extend(group)
+    assert sorted(seen) == sorted(i for cycle in cycles for i in cycle
+                                  if gates[i].kind != GateKind.ZZPHASE)
     return cost
 
 
@@ -669,24 +700,27 @@ def test_layout_plan():
     # qubits has to put one on bit 4 or 5, which only one gate's long form takes, at
     # the highest weights, while the reference rotates before each gate
     for n in range(1, 17):
-        groups = [[Gate(GateKind.H, (q,)) for q in range(n)],
-                  [Gate(GateKind.RX, (q,), 0.3) for q in range(0, n, 2)],
-                  [Gate(GateKind.RX, (q,), 0.3) for q in range(n - 1, -1, -3)]]
-        plan = simulator._layout_plan(groups, n)
+        gates = ([Gate(GateKind.H, (q,)) for q in range(n)]
+                 + [Gate(GateKind.RX, (q,), 0.3) for q in range(0, n, 2)]
+                 + [Gate(GateKind.RX, (q,), 0.3) for q in range(n - 1, -1, -3)])
+        cut = (n, n + len(range(0, n, 2)), len(gates))
+        cycles = [list(range(lo, hi)) for lo, hi in zip((0,) + cut, cut)]
+        plan = simulator._layout_plan(cycles, _structure(LogicalCircuit(n, tuple(gates))), n)
         assert sorted(plan[0]) == list(range(n))
-        _plan_cost(plan, groups, n)
+        _plan_cost(plan, cycles, gates, n)
     params = QaoaParams((0.3,) * 4, (0.7,) * 4)
     saved = []
     for n in range(4, 17, 2):
         for seed in range(10):
             c = build_qaoa_circuit(gen_random_3regular(n, seed), params)
-            groups = simulator.cycle_gate_groups(schedule(c, choose_grid(n), seed), c)
-            plan = simulator._layout_plan(groups, n)
+            s = schedule(c, choose_grid(n), seed)
+            cycles = simulator.cycle_positions(s)
+            plan = simulator._layout_plan(cycles, _structure(c), n)
             assert sorted(plan[0]) == list(range(n))
-            cost = _plan_cost(plan, groups, n)
+            cost = _plan_cost(plan, cycles, c.gates, n)
             if n == 6:
                 continue
-            ungrouped = _ungrouped_cost(groups, n)
+            ungrouped = _ungrouped_cost(cycle_gate_groups(s, c), n)
             assert cost <= ungrouped
             saved.append(cost / ungrouped)
     assert max(saved) < 0.9
@@ -710,10 +744,10 @@ def test_keep_states_in_logical_order():
     grid = choose_grid(12)
     s = schedule(c, grid, 11)
     assert validate_schedule(s, c, grid) == [] and s.n_prep_gates == 0
-    bits, _ = simulator._layout_plan(simulator.cycle_gate_groups(s, c), 12)
+    bits, _ = simulator._replay_plan(s, _structure(c), 12)
     assert list(bits) != list(range(12))
     ens = run_noisy_ensemble(s, c, NoiseParams.noiseless(), 3, 0, keep_states=True)
-    expected = simulate_logical(c)
+    expected = logical_state(c)
     for state in ens.states:
         assert np.max(np.abs(state - expected)) < 1e-12
 
@@ -729,6 +763,56 @@ def test_replay_rejects_a_hoisted_prefix_other_than_the_h_layer():
     with pytest.raises(ValueError, match="^schedule hoists 12 gates, not 0 or the opening "
                                          "H layer$"):
         run_noisy_ensemble(s, c, NoiseParams.noiseless(), 3, 0)
+
+
+def test_plan_memo_keys_on_the_gate_structure(monkeypatch):
+    # one plan per schedule and gate structure: the circuit at other angles reuses
+    # it, and a circuit with an H in place of an RX, or a ZZPhase's operands
+    # swapped, on the same schedule gets a plan of its own, which replays it right
+    g = gen_random_3regular(8, 3)
+    s, c = _scheduled(g, QaoaParams((0.9, 0.2), (0.3, 1.0)))
+    rx = next(i for i, gate in enumerate(c.gates) if gate.kind == GateKind.RX)
+    zz = next(i for i, gate in enumerate(c.gates) if gate.kind == GateKind.ZZPHASE)
+    swapped = Gate(GateKind.ZZPHASE, c.gates[zz].qubits[::-1], c.gates[zz].angle)
+    other_kind = LogicalCircuit(8, c.gates[:rx] + (Gate(GateKind.H, c.gates[rx].qubits),)
+                                + c.gates[rx + 1:])
+    other_qubits = LogicalCircuit(8, c.gates[:zz] + (swapped,) + c.gates[zz + 1:])
+    simulator._replay_plan.cache_clear()
+    layout_plan, calls = simulator._layout_plan, []
+
+    def counting(*args):
+        calls.append(args)
+        return layout_plan(*args)
+
+    monkeypatch.setattr(simulator, "_layout_plan", counting)
+    noise = NoiseParams.from_t2_ratio(20.0)
+    for circuit in (c, build_qaoa_circuit(g, QaoaParams((0.4, 1.3), (0.8, 0.1))),
+                    other_kind, other_qubits, c):
+        ens = run_noisy_ensemble(s, circuit, noise, 6, 2, keep_states=True)
+        ref, _ = per_qubit_trajectories(s, circuit, noise, 6, 2)
+        assert np.max(np.abs(ens.states - ref)) < 1e-12
+    assert len(calls) == 3
+    assert [args[1] for args in calls] == [_structure(c), _structure(other_kind),
+                                            _structure(other_qubits)]
+
+
+def test_plan_memo_keeps_outputs_bitwise(app_b_graph):
+    # two angle sets on one schedule, each replayed with an empty memo and then
+    # one after the other on the memo's plan, give the same bits
+    s, a = _scheduled(app_b_graph, QaoaParams((0.9, 0.2), (0.3, 1.0)))
+    b = build_qaoa_circuit(app_b_graph, QaoaParams((0.4, 1.3), (0.8, 0.1)))
+    cut, noise = cut_values_table(app_b_graph), NoiseParams.from_t2_ratio(20.0)
+    cold = []
+    for c in (a, b):
+        simulator._replay_plan.cache_clear()
+        cold.append(run_noisy_ensemble(s, c, noise, 16, 4, cut_table=cut, keep_states=True))
+    simulator._replay_plan.cache_clear()
+    for c, want in zip((a, b), cold):
+        got = run_noisy_ensemble(s, c, noise, 16, 4, cut_table=cut, keep_states=True)
+        assert np.array_equal(got.states, want.states)
+        assert np.array_equal(got.mean_probs, want.mean_probs)
+        assert np.array_equal(got.per_cut, want.per_cut)
+    assert simulator._replay_plan.cache_info().hits == 1
 
 
 def test_flushes_do_not_depend_on_the_draws(app_b_graph, monkeypatch):
@@ -890,7 +974,7 @@ def test_measure_samples_plus_state_counts():
 
 def test_sampled_cut_matches_exact(k3):
     params = QaoaParams((0.9,), (0.6,))
-    state = simulate_logical(build_qaoa_circuit(k3, params))
+    state = logical_state(build_qaoa_circuit(k3, params))
     table = cut_values_table(k3)
     exact = float(probabilities(state) @ table)
     samples = sample_from_probs(probabilities(state), 10_000, np.random.default_rng(2))
