@@ -412,10 +412,11 @@ def cycle_positions(s: Schedule) -> list[list[int]]:
             for row in s.table]
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=16)
 def _replay_plan(s: Schedule, structure: tuple, n: int) -> tuple:
     """_layout_plan of schedule s for n qubits whose gate i has structure[i] = (kind,
-    qubits), kept for the next call: a solve replays one schedule at fresh angles."""
+    qubits), kept for later calls: a solve replays one schedule at fresh angles, and
+    a caller may take turns over several. A plan is tuples of ints, about 20 kB at N=14."""
     return _layout_plan(cycle_positions(s), structure, n)
 
 
