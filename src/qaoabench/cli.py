@@ -14,10 +14,10 @@ realizations, 40 instances per size). `simulate`, `solve` and `bench` set
 the noise by --t2 alone: T1 is always 2 T2, and `--t2 inf` means no noise.
 Without noise every realization is the same, so `solve` and `bench` then
 replay one per evaluation, whatever --realizations says; `simulate` still
-runs and reports --realizations of them. Times must be finite and positive.
-Every count flag must be at least 1. An error prints one line and exits
-with status 1; `qaoabench --debug COMMAND ...` lets it raise with its
-traceback instead.
+runs and reports --realizations of them. --t-gate and --t-prep-plus-meas
+must be finite and positive, and every count flag at least 1. An error
+prints one line and exits with status 1; `qaoabench --debug COMMAND ...`
+lets it raise with its traceback instead.
 
 `solve` and `bench` use every usable CPU (optimizer.solve_instances). A
 bench makes one list of (instance, restart) tasks over all its sizes, and
@@ -229,7 +229,9 @@ def cmd_fit(args):
 
 def cmd_convergence(args):
     p, seed, n_real = args.p, args.seed, args.realizations
-    ratios = _csv_list(args.t2_ratios, "--t2-ratios", float)
+    # built first, so that a bad level fails before the pre-optimization
+    noises = [(ratio, NoiseParams.from_t2_ratio(ratio, args.t_gate))
+              for ratio in _csv_list(args.t2_ratios, "--t2-ratios", float)]
     if args.graph:
         g = read_graph(Path(args.graph).read_text())
     elif args.n is not None:
@@ -256,8 +258,7 @@ def cmd_convergence(args):
 
     lines = ["t2_over_tg,seed,realizations,running_mean_ratio"]
     summary = {}
-    for ratio in ratios:
-        noise = NoiseParams.from_t2_ratio(ratio, args.t_gate)
+    for ratio, noise in noises:
         curves = convergence_study(sched, circuit, noise, n_real, seeds, cut_table, k_max)
         finals = [curve[-1] for curve in curves.values()]
         spread = max(finals) - min(finals)

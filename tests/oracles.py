@@ -6,17 +6,16 @@ evolved by explicit Kraus sums, and plain-python enumeration. The one-gate
 kernels apply_gate, apply_h and apply_swap live here, as the package no
 longer calls them, and so does logical_state, the noiseless reference that
 runs a circuit's gates in order with them. apply_gate applies each gate on
-its own, ZZPhase by
-apply_zzphase, so the oracles share no ZZ code with run_noisy_ensemble,
-which sums ZZPhase gates into one phase vector, and no single-qubit kernel
-with its fused RX/H kernel. The per-qubit noise step _cycle_noise_qubit
-lives here too: run_noisy_ensemble defers the no-jump noise and takes the
-exact step only on the qubit-cycles where a jump can fire, so it shares no
-noise code with the per-qubit trajectory reference. Two oracles use
-apply_gate: the all-sites physical simulation, because it checks SWAP
-tracking and not the kernels, and the per-qubit trajectory reference,
-because it checks the deferred noise and the fused kernels of
-run_noisy_ensemble. pick_swap_rewalk is the scheduler's SWAP pick as it was
+its own, ZZPhase by apply_zzphase, so the oracles share no ZZ code with
+run_noisy_ensemble, which sums ZZPhase gates into one phase vector, and no
+single-qubit kernel with its fused RX/H kernel. The per-qubit noise step
+_cycle_noise_qubit lives here too: run_noisy_ensemble defers the no-jump
+noise and takes the exact step only on the qubit-cycles where a jump can
+fire, so it shares no noise code with the per-qubit trajectory reference.
+Three oracles use apply_gate: logical_state, the all-sites physical
+simulation, because it checks SWAP tracking and not the kernels, and the
+per-qubit trajectory reference, because it checks the deferred noise and
+the fused kernels of run_noisy_ensemble. pick_swap_rewalk is the scheduler's SWAP pick as it was
 before each cycle kept one candidate list: it walks and scores every
 candidate afresh for each SWAP. initial_placement_rescan is the scheduler's
 placement as it was before it kept its attachments and site costs

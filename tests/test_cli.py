@@ -438,9 +438,10 @@ def test_gate_time_checked_without_noise(tmp_path, capsys):
         assert not obs.exists()
 
 
-def test_hardware_times_checked_before_the_solve(tmp_path, capsys, monkeypatch):
+def test_times_checked_before_the_solve(tmp_path, capsys, monkeypatch):
     # a NaN or infinite time fails in one line before any restart runs, in solve
-    # and in bench, rather than printing a NaN wall time or writing it to the CSV
+    # and in bench, rather than printing a NaN wall time or writing it to the CSV,
+    # and so does a bad noise level in convergence, before its pre-optimization
     gpath = tmp_path / "g.txt"
     run_cli("gen", "--n", 4, "--seed", 1, "--out", gpath)
     for name in ("solve_instance", "solve_instances"):         # any solve would raise
@@ -451,10 +452,16 @@ def test_hardware_times_checked_before_the_solve(tmp_path, capsys, monkeypatch):
                         ("--t-gate", "nan")):
         for argv in (("solve", "--graph", gpath), ("bench", "--sizes", 4)):
             assert run_cli(*argv, "--p", 1, flag, value, "--out", out) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error: t_") and err.count("\n") == 1, err
-            assert "must be finite and positive" in err or "must be positive" in err
+            name = flag[2:].replace("-", "_")
+            assert capsys.readouterr().err == f"error: {name} must be finite and positive, " \
+                                              f"got {value}\n"
             assert not out.exists()
+    for flag, value, message in (("--t-gate", "inf", "t_gate must be finite"),
+                                 ("--t2-ratios", "500,-5", "t1, t2, t_gate must be positive")):
+        assert run_cli("convergence", "--graph", gpath, "--p", 1, flag, value,
+                       "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 def test_cli_surface(capsys):
