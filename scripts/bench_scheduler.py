@@ -11,9 +11,10 @@ scheduled by schedule() on choose_grid(N) with the graph seed as schedule
 seed and the default number of tries. Each schedule records its cycles,
 SWAPs (Schedule.n_swaps) and wall seconds, and beside the total the seconds
 spent in its two phases, summed over the tries: the initial placements
-(scheduler._initial_placement) and the routing (scheduler._route). Each
-checkout's sweep runs in a fresh interpreter that imports qaoabench from
-that checkout's src/. The
+(scheduler._initial_placement) and the routing (scheduler._route), and
+within the routing the SWAP choice of the blocked cycles
+(scheduler._cycle_swaps). Each checkout's sweep runs in a fresh interpreter
+that imports qaoabench from that checkout's src/. The
 sweep, the machine record and both git SHAs go under the key "sweep" of
 the output file; a file that exists keeps its other keys, such as the
 tables of scripts/bench_pairs.py.
@@ -43,8 +44,8 @@ DEPTHS = (1, 2, 4)
 def time_phases(module, names: dict[str, str]) -> dict[str, float]:
     """Wrap module.<name> so that every call adds its seconds to phases[key].
 
-    `schedule` looks its phases up as module globals at each call, so the
-    wrappers time them without a change to the scheduler.
+    `schedule` and `_route` look their phases up as module globals at each
+    call, so the wrappers time them without a change to the scheduler.
     """
     phases = dict.fromkeys(names.values(), 0.0)
 
@@ -70,7 +71,8 @@ def sweep() -> list[dict]:
     from qaoabench.scheduler import choose_grid, schedule
 
     phases = time_phases(scheduler, {"_initial_placement": "placement_seconds",
-                                     "_route": "route_seconds"})
+                                     "_route": "route_seconds",
+                                     "_cycle_swaps": "swap_seconds"})
     rows = []
     for p in DEPTHS:
         for n in SIZES:
@@ -88,7 +90,8 @@ def sweep() -> list[dict]:
                 print(f"  p={p} N={n:3d} graph {graph_seed}: {s.n_cycles} cycles, "
                       f"{s.n_swaps} SWAPs, {seconds:.2f} s (placement "
                       f"{phases['placement_seconds']:.2f} s, routing "
-                      f"{phases['route_seconds']:.2f} s)", file=sys.stderr, flush=True)
+                      f"{phases['route_seconds']:.2f} s, of it SWAP choice "
+                      f"{phases['swap_seconds']:.2f} s)", file=sys.stderr, flush=True)
     return rows
 
 

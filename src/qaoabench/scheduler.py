@@ -197,7 +197,9 @@ def schedule(c: LogicalCircuit, t: GridTopology, seed: int) -> Schedule:
     then spends remaining free sites on SWAPs that maximally reduce the
     weighted grid distance of the blocked and lookahead two-qubit gates,
     tie-broken by lowest gate id. The cycle lists and scores its candidate
-    SWAPs once and keeps that one list current as it swaps (_cycle_swaps).
+    SWAPs once and keeps their gains current as it swaps: after each SWAP
+    only the gains on the sites of the moved qubits' partners change, by a
+    delta of two distance rows (_cycle_swaps).
     If a cycle would otherwise be empty, the lowest-id blocked gate is
     force-routed one step along a shortest path so the schedule always
     terminates.
@@ -213,7 +215,7 @@ def schedule(c: LogicalCircuit, t: GridTopology, seed: int) -> Schedule:
     non-commuting pair, whose transitive closure it equals), each
     placement keeps its attachments and site costs current as it places
     (_initial_placement), and each cycle scores its candidate SWAPs in one
-    loop (_swap_gains).
+    loop (_swap_gains) and then updates those gains in place.
     Raises ValueError if the grid has fewer sites than the circuit has
     qubits.
     """
@@ -377,7 +379,9 @@ def _swap_gains(pairs, index, p2l: list[int], l2p: list[int],
     for each (u, v) of pairs, scored in one loop.
 
     Only gates on the logical qubits at u and v move; a gate on both keeps
-    its distance and contributes nothing.
+    its distance and contributes nothing. _cycle_swaps scores its candidates
+    with this once per cycle and then updates them in place; _best_swap_step
+    and the test oracles score every pair with it.
     """
     gains = []
     for u, v in pairs:
@@ -411,11 +415,20 @@ def _cycle_swaps(blocked: list[int], index, alg_gates: list[Gate], p2l: list[int
     Weights are 1 and 0.5 and distances are small integers, so every gain is
     an exact multiple of 0.5 in floating point and ties are exact. The
     swapped sites are then in use: the candidates touching them are dropped
-    (gain -inf), and the candidates on a site holding a partner of the two
-    moved qubits are rescored, as only their gains changed.
+    (gain -inf). Only the gates on the two moved qubits changed length, so
+    the other gains are updated in place, not rescored: for a qubit that
+    moved from site old to site new and a partner of it with weight w at
+    site p, every candidate (s, nb) on p gains
+    w * ((dist[s][new] - dist[nb][new]) - (dist[s][old] - dist[nb][old])),
+    negated when p is nb. An empty moved site indexes no gate, and a partner
+    on u or v (a gate on both moved qubits) has no live candidate left.
+    Every term and every partial sum is again a multiple of 0.5, so the
+    updated gains are the very floats a rescoring gives, and every choice
+    and tie is the same.
     """
     closed = set(unavailable)
     cands: list[tuple[int, int]] = []
+    at: dict[int, list[int]] = {}    # site -> positions of the candidates on it
     for g in blocked:
         for q in alg_gates[g].qubits:
             s = l2p[q]
@@ -423,25 +436,26 @@ def _cycle_swaps(blocked: list[int], index, alg_gates: list[Gate], p2l: list[int
                 closed.add(s)
                 for nb in nbrs[s]:
                     if nb not in closed:
+                        at.setdefault(s, []).append(len(cands))
+                        at.setdefault(nb, []).append(len(cands))
                         cands.append((s, nb))
     gains = _swap_gains(cands, index, p2l, l2p, dist)
     swaps: list[tuple[int, int]] = []
-    if max(gains, default=0.0) <= 1e-9:
-        return swaps
-    at: dict[int, list[int]] = {}    # site -> positions of the candidates on it
-    for i, (s, nb) in enumerate(cands):
-        at.setdefault(s, []).append(i)
-        at.setdefault(nb, []).append(i)
-    while (best := max(gains)) > 1e-9:
+    while (best := max(gains, default=0.0)) > 1e-9:
         u, v = cands[gains.index(best)]
         _apply_swap(u, v, p2l, l2p)
         swaps.append((u, v))
-        for i in at.pop(u, ()) + at.pop(v, ()):
+        for i in at.pop(u) + at.pop(v):
             gains[i] = -math.inf
-        stale = list({i for q in (p2l[u], p2l[v]) for partner, _ in index.get(q, ())
-                      for i in at.get(l2p[partner], ()) if gains[i] != -math.inf})
-        for i, gain in zip(stale, _swap_gains([cands[i] for i in stale], index, p2l, l2p, dist)):
-            gains[i] = gain
+        # the qubit now at new came from old; an empty site (-1) indexes no gate
+        for old, new in ((u, v), (v, u)):
+            d_old, d_new = dist[old], dist[new]
+            for partner, w in index.get(p2l[new], ()):
+                site = l2p[partner]
+                for i in at.get(site, ()):
+                    s, nb = cands[i]
+                    delta = w * ((d_new[s] - d_new[nb]) - (d_old[s] - d_old[nb]))
+                    gains[i] += delta if s == site else -delta
     return swaps
 
 

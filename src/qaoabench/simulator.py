@@ -694,7 +694,8 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
     Realization r consumes the random stream of default_rng([master_seed, r])
     -- a Gaussian block then a uniform block, (n_cycles x n) each; the
     Gaussian block is drawn only when the dephasing variance is positive
-    (at T2 = 2 T1 the uniform block starts the stream). The streams are
+    (at T2 = 2 T1 the uniform block starts the stream), and nothing is drawn
+    for a noise with no process, which reads no draw. The streams are
     drawn in bulk (streams.draw_noise): the SeedSequence hashing of every
     [master_seed, r] runs at once across r, and one PCG64, set to each row's
     seeded state in turn, draws that row's blocks in place, so the numbers
@@ -741,8 +742,11 @@ def run_noisy_ensemble(s: Schedule, c: LogicalCircuit, noise: NoiseParams,
     chunk_states = np.empty((chunk_rows, dim), dtype=np.complex128)
     chunk_spare = np.empty((chunk_rows, dim), dtype=np.complex128)
     eps = np.zeros((n_realizations, n_cycles, n))
-    us = np.empty((n_realizations, n_cycles, n))
-    draw_noise(eps, us, master_seed, sigma)
+    us = np.zeros((n_realizations, n_cycles, n))
+    if sigma > 0 or p_damp > 0:
+        draw_noise(eps, us, master_seed, sigma)
+    else:       # no process reads a draw; the seed still fails as default_rng's would
+        np.random.SeedSequence([master_seed, 0])
     cand = us < p_damp
 
     sum_probs = np.zeros(dim)

@@ -133,37 +133,118 @@ def test_swap_gain_equals_full_recomputation():
         assert gain == before - _pending_distance(index, l2p, dist)
 
 
+def _grid_tables(t):
+    nbrs = tuple(tuple(t.neighbors(s)) for s in range(t.n_sites))
+    dist = tuple(tuple(t.distance(a, b) for b in range(t.n_sites)) for a in range(t.n_sites))
+    return nbrs, dist
+
+
+def _cycle_swaps_against_rewalk(t, p2l, gates, n_blocked, unavailable):
+    """Assert that _cycle_swaps picks the SWAPs of pick_swap_rewalk, rerun after each
+    SWAP, on gates[:n_blocked] blocked (weight 1) and the rest lookahead (0.5);
+    returns the index and the SWAPs."""
+    nbrs, dist = _grid_tables(t)
+    l2p = [p2l.index(q) for q in range(max(p2l) + 1)]
+    blocked = list(range(n_blocked))
+    index = {}
+    _add_partners(index, blocked, 1.0, gates)
+    _add_partners(index, range(n_blocked, len(gates)), 0.5, gates)
+
+    expected = []
+    p2l_o, l2p_o, closed = list(p2l), list(l2p), set(unavailable)
+    while (move := pick_swap_rewalk(blocked, index, gates, p2l_o, l2p_o, nbrs, dist,
+                                    closed)) is not None:
+        expected.append(move)
+        _apply_swap(*move, p2l_o, l2p_o)
+        closed = closed | set(move)
+    p2l, l2p = list(p2l), list(l2p)
+    assert _cycle_swaps(blocked, index, gates, p2l, l2p, nbrs, dist, set(unavailable)) == expected
+    assert (p2l, l2p) == (p2l_o, l2p_o)
+    return index, expected
+
+
 # derandomized: random cycles on small grids, with unused, busy and frozen sites
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(rows=st.integers(1, 4), cols=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
 def test_cycle_swaps_equal_rewalk_oracle(rows, cols, seed):
     rng = np.random.default_rng(seed)
     t = GridTopology(rows, cols)
-    nbrs = tuple(tuple(t.neighbors(s)) for s in range(t.n_sites))
-    dist = tuple(tuple(t.distance(a, b) for b in range(t.n_sites)) for a in range(t.n_sites))
     n_qubits = int(rng.integers(2, t.n_sites + 1))
     p2l = [q if q < n_qubits else -1 for q in map(int, rng.permutation(t.n_sites))]
-    l2p = [p2l.index(q) for q in range(n_qubits)]
     gates = [Gate(GateKind.ZZPHASE, tuple(int(q) for q in rng.choice(n_qubits, 2, replace=False)))
              for _ in range(int(rng.integers(1, 2 * n_qubits + 1)))]
     n_blocked = int(rng.integers(1, len(gates) + 1))
-    blocked = list(range(n_blocked))
-    index = {}
-    _add_partners(index, blocked, 1.0, gates)
-    _add_partners(index, range(n_blocked, len(gates)), 0.5, gates)
     busy = {int(s) for s in rng.choice(t.n_sites, int(rng.integers(t.n_sites // 2 + 1)),
                                        replace=False)}
     frozen = {int(rng.integers(t.n_sites))} if rng.random() < 0.5 else set()
+    _cycle_swaps_against_rewalk(t, p2l, gates, n_blocked, busy | frozen)
 
-    expected = []
-    p2l_o, l2p_o, unavailable = list(p2l), list(l2p), busy | frozen
-    while (move := pick_swap_rewalk(blocked, index, gates, p2l_o, l2p_o, nbrs, dist,
-                                    unavailable)) is not None:
-        expected.append(move)
-        _apply_swap(*move, p2l_o, l2p_o)
-        unavailable = unavailable | set(move)
-    assert _cycle_swaps(blocked, index, gates, p2l, l2p, nbrs, dist, busy | frozen) == expected
-    assert (p2l, l2p) == (p2l_o, l2p_o)
+
+def _update_cases(t, p2l, gates, n_blocked, unavailable, index, swaps) -> set[str]:
+    """The cases of _cycle_swaps' in-place gain update that the cycle's SWAPs meet.
+
+    A case counts only where it moves the gain of a candidate that is swapped
+    later in the cycle, so that a wrong update there would change the SWAPs.
+    The candidates are listed as _cycle_swaps lists them.
+    """
+    nbrs, dist = _grid_tables(t)
+    p2l = list(p2l)
+    l2p = [p2l.index(q) for q in range(max(p2l) + 1)]
+    closed, cands = set(unavailable), []
+    for g in range(n_blocked):
+        for q in gates[g].qubits:
+            if (s := l2p[q]) not in closed:
+                closed.add(s)
+                cands += [(s, nb) for nb in nbrs[s] if nb not in closed]
+    updated: dict[tuple[int, int], set[str]] = {}    # candidate -> cases that moved its gain
+    met = set()
+    for u, v in swaps:
+        met |= updated.pop((u, v), set())
+        qu, qv = p2l[u], p2l[v]
+        step = {"empty site"} if -1 in (qu, qv) else set()
+        if any(partner == qv for partner, _ in index.get(qu, ())):
+            step.add("gate on both swapped qubits")
+        _apply_swap(u, v, p2l, l2p)
+        cands = [c for c in cands if u not in c and v not in c]
+        for old, new in ((u, v), (v, u)):
+            moves: dict[tuple[int, int], list[tuple[int, float]]] = {}    # (site, w) per cand
+            for partner, w in index.get(p2l[new], ()):
+                site = l2p[partner]
+                for s, nb in cands:
+                    if site in (s, nb) and (dist[new][s] - dist[new][nb]) != \
+                            (dist[old][s] - dist[old][nb]):
+                        moves.setdefault((s, nb), []).append((site, w))
+            for cand, hits in moves.items():
+                cases = updated.setdefault(cand, set())
+                cases |= step
+                if {site for site, _ in hits} == set(cand):
+                    cases.add("partners at both sites")
+                if {site for site, w in hits if w == 1.0} & {site for site, w in hits if w == 0.5}:
+                    cases.add("pair blocked and in the lookahead")
+    return met
+
+
+# grid rows and cols, site -> logical qubit (-1 unused), gate pairs (the first
+# n_blocked blocked, the rest lookahead), n_blocked and the unavailable sites
+FIXED_CYCLES = {
+    "gate on both swapped qubits":
+        (3, 2, [-1, 2, 0, 1, 3, 4], [(0, 3), (1, 4), (2, 4), (3, 4)], 3, set()),
+    "pair blocked and in the lookahead":
+        (3, 2, [-1, 2, 3, -1, 0, 1], [(0, 1), (1, 2), (1, 2), (0, 1)], 3, {1}),
+    "partners at both sites":
+        (3, 2, [-1, 2, 1, -1, 0, 3], [(1, 2), (0, 1), (1, 3)], 2, {1}),
+    "empty site":
+        (2, 3, [1, -1, 0, -1, -1, 2], [(1, 2), (0, 2), (1, 2)], 2, set()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIXED_CYCLES))
+def test_cycle_swaps_fixed_cases_equal_rewalk_oracle(case):
+    rows, cols, p2l, pairs, n_blocked, unavailable = FIXED_CYCLES[case]
+    t = GridTopology(rows, cols)
+    gates = [Gate(GateKind.ZZPHASE, pair) for pair in pairs]
+    index, swaps = _cycle_swaps_against_rewalk(t, p2l, gates, n_blocked, unavailable)
+    assert case in _update_cases(t, p2l, gates, n_blocked, unavailable, index, swaps)
 
 
 # derandomized: the incremental placement against the rescan, tie-break draws included

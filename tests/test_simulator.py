@@ -551,8 +551,10 @@ def test_bad_master_seed_fails_as_default_rng_does(app_b_graph, bad):
     with pytest.raises((TypeError, ValueError)) as want:
         np.random.default_rng([bad, 0])
     s, c = _scheduled(app_b_graph, QaoaParams((0.7,), (0.4,)))
-    with pytest.raises(want.type, match=re.escape(str(want.value))):
-        run_noisy_ensemble(s, c, DEFAULT_NOISE, 4, bad)
+    # a noise with no process draws nothing, yet rejects the seed all the same
+    for noise in (DEFAULT_NOISE, NoiseParams.noiseless()):
+        with pytest.raises(want.type, match=re.escape(str(want.value))):
+            run_noisy_ensemble(s, c, noise, 4, bad)
 
 
 def _coupled_qubits(groups):
