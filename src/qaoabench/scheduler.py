@@ -14,6 +14,7 @@ row. Routing may move logical qubits through initially-unused sites.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -411,7 +412,9 @@ def _cycle_swaps(blocked: list[int], index, alg_gates: list[Gate], p2l: list[int
     visited in gate-id order, each from its first-visited end, none touching
     an unavailable site. They are listed and scored (_swap_gains) once. Each
     step swaps the first candidate of the largest gain, if that gain is
-    above 1e-9, so equal reductions resolve toward the lowest gate id.
+    above 1e-9, so equal reductions resolve toward the lowest gate id: a
+    heap of (-gain, position) entries pops it, and an entry whose gain has
+    changed since it was pushed is skipped, so no step scans the whole list.
     Weights are 1 and 0.5 and distances are small integers, so every gain is
     an exact multiple of 0.5 in floating point and ties are exact. The
     swapped sites are then in use: the candidates touching them are dropped
@@ -440,9 +443,14 @@ def _cycle_swaps(blocked: list[int], index, alg_gates: list[Gate], p2l: list[int
                         at.setdefault(nb, []).append(len(cands))
                         cands.append((s, nb))
     gains = _swap_gains(cands, index, p2l, l2p, dist)
+    heap = [(-gain, i) for i, gain in enumerate(gains) if gain > 1e-9]
+    heapq.heapify(heap)
     swaps: list[tuple[int, int]] = []
-    while (best := max(gains, default=0.0)) > 1e-9:
-        u, v = cands[gains.index(best)]
+    while heap:
+        neg, i = heapq.heappop(heap)
+        if gains[i] != -neg:    # the gain has changed since this entry was pushed
+            continue
+        u, v = cands[i]
         _apply_swap(u, v, p2l, l2p)
         swaps.append((u, v))
         for i in at.pop(u) + at.pop(v):
@@ -455,7 +463,10 @@ def _cycle_swaps(blocked: list[int], index, alg_gates: list[Gate], p2l: list[int
                 for i in at.get(site, ()):
                     s, nb = cands[i]
                     delta = w * ((d_new[s] - d_new[nb]) - (d_old[s] - d_old[nb]))
-                    gains[i] += delta if s == site else -delta
+                    if delta:
+                        gains[i] += delta if s == site else -delta
+                        if gains[i] > 1e-9:
+                            heapq.heappush(heap, (-gains[i], i))
     return swaps
 
 
