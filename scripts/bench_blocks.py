@@ -10,9 +10,9 @@ choose_grid(N) with seed 3, under the case's noise ("paper": T1 = 200 us,
 T2 = 100 us, T_G = 10 ns; or "t2r50": the strong T2/T_G = 50 with T1 = 2 T2,
 where most trajectories meet a jump candidate), calls run_noisy_ensemble
 REPEATS times with each block count in BLOCKS, the counts taking turns, and
-keeps the median and quartiles of the wall seconds. The block count is forced by replacing
-simulator._n_blocks; the record also keeps the count the library's own
-rule picks. Each run appends its table, with the machine record and the
+keeps the median and quartiles of the wall seconds. The block count is
+forced by replacing simulator._n_blocks; the record also keeps the count
+the library's own rule picks. Each run appends its table, with the machine record and the
 git SHA, to the list under the key "blocks" of BENCH_<label>.json in the
 repository root, next to what is already there, so every run is kept.
 
