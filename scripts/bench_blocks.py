@@ -9,12 +9,13 @@ the random 3-regular graph with seed 7, fixed angles, scheduled on
 choose_grid(N) with seed 3, under the case's noise ("paper": T1 = 200 us,
 T2 = 100 us, T_G = 10 ns; or "t2r50": the strong T2/T_G = 50 with T1 = 2 T2,
 where most trajectories meet a jump candidate), calls run_noisy_ensemble
-REPEATS times with each block count in BLOCKS, the counts taking turns, and
-keeps the median and quartiles of the wall seconds. The block count is
-forced by replacing simulator._n_blocks; the record also keeps the count
-the library's own rule picks. Each run appends its table, with the machine record and the
-git SHA, to the list under the key "blocks" of BENCH_<label>.json in the
-repository root, next to what is already there, so every run is kept.
+with each block count in BLOCKS, in REPEATS rounds under the turn rule of
+scripts/bench_pairs.py with seed = round index, and keeps the median and
+quartiles of the wall seconds. The block count is forced by
+replacing simulator._n_blocks; the record also keeps the count the
+library's own rule picks. Each run appends its table, with the machine
+record and the git SHA, to the list under the key "blocks" of
+BENCH_<label>.json in the repository root.
 
 BLAS runs single-threaded, as importing qaoabench sets it. Run nothing
 else on the host meanwhile: every time here is wall time.
@@ -22,12 +23,10 @@ else on the host meanwhile: every time here is wall time.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from pathlib import Path
 
-from bench_pairs import ROOT, header, quartiles
+from bench_pairs import ROOT, add_table, alternate, header, quartiles
 
 sys.path.insert(0, str(ROOT / "src"))
 import qaoabench  # noqa: E402  before numpy loads, so that BLAS runs single-threaded
@@ -50,25 +49,27 @@ def time_cases() -> list[dict]:
     noises = {"paper": simulator.NoiseParams(200e-6, 100e-6, 10e-9),
               "t2r50": simulator.NoiseParams.from_t2_ratio(50.0)}
     params = QaoaParams((0.9, 0.2, 1.4, 0.8), (0.3, 1.0, 0.5, 0.7))
-    rows = []
+    inputs = {}
     for n, r, noise_name in CASES:
         g = gen_random_3regular(n, 7)
         c = build_qaoa_circuit(g, params)
-        s = schedule(c, choose_grid(n), 3)
-        cut = cut_values_table(g)
-        seconds: dict[int, list[float]] = {b: [] for b in BLOCKS}
-        for i in range(REPEATS):
-            for b in BLOCKS:
-                simulator._n_blocks = lambda *_, b=b: b
-                t = time.perf_counter()
-                simulator.run_noisy_ensemble(s, c, noises[noise_name], r, i, cut_table=cut)
-                seconds[b].append(time.perf_counter() - t)
-        simulator._n_blocks = rule
-        row = {"n": n, "realizations": r, "noise": noise_name, "cycles": s.n_cycles,
-               "rule_blocks": rule(r, 1 << n),
-               "seconds": {str(b): quartiles(v) for b, v in seconds.items()}}
-        rows.append(row)
-        print(f"N={n:2d} R={r} {noise_name}: " + ", ".join(
+        inputs[n, r, noise_name] = schedule(c, choose_grid(n), 3), c, cut_values_table(g)
+
+    def run(case, b, i):
+        s, c, cut = inputs[case]
+        simulator._n_blocks = lambda *_: b
+        t = time.perf_counter()
+        simulator.run_noisy_ensemble(s, c, noises[case[2]], case[1], i, cut_table=cut)
+        return time.perf_counter() - t
+
+    runs = alternate(BLOCKS, REPEATS, CASES, run)
+    simulator._n_blocks = rule
+    rows = [{"n": n, "realizations": r, "noise": noise_name,
+             "cycles": inputs[n, r, noise_name][0].n_cycles, "rule_blocks": rule(r, 1 << n),
+             "seconds": {str(b): quartiles(v) for b, v in seconds.items()}}
+            for (n, r, noise_name), seconds in runs.items()]
+    for row in rows:
+        print(f"N={row['n']:2d} R={row['realizations']} {row['noise']}: " + ", ".join(
             f"{b} block(s) {row['seconds'][str(b)]['median'] * 1e3:.1f} ms" for b in BLOCKS)
             + f"; rule picks {row['rule_blocks']}", file=sys.stderr, flush=True)
     return rows
@@ -78,12 +79,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="adds to BENCH_<label>.json")
     args = parser.parse_args(argv)
-
-    path = ROOT / f"BENCH_{args.label}.json"
-    record = json.loads(path.read_text()) if path.exists() else {}
-    record.setdefault("blocks", []).append(
-        {**header({"change": ROOT}), "repeats": REPEATS, "cases": time_cases()})
-    path.write_text(json.dumps(record, indent=1) + "\n")
+    add_table(args.label, "blocks",
+              {**header({"change": ROOT}), "repeats": REPEATS, "cases": time_cases()})
     return 0
 
 

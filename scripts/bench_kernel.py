@@ -36,8 +36,9 @@ With 1 block the calling thread applies the kernel CALLS times to the whole
 batch; with 2 blocks the batch is split into two row halves, as
 simulator._run_blocks splits it, and two threads apply it CALLS times each
 to their half at once. The time per call is the wall time over CALLS; it is
-taken REPEATS times, the forms and block counts taking turns, and the
-median and quartiles are kept.
+taken in REPEATS rounds under the turn rule of scripts/bench_pairs.py, with
+the (bit, form) pairs of one batch as its cases, and the median and
+quartiles are kept.
 
 The rng table: for each case in RNG_CASES (N, R), the random 3-regular
 graph with seed 7 at p=4 under paper noise (T1 = 200 us, T2 = 100 us,
@@ -52,12 +53,12 @@ ensemble distribution: "choice" draws them with Generator.choice, as
 sample_from_probs did before it sorted its uniforms, and "sorted" is
 sample_from_probs; both end in estimate_cut. loop and bulk, and choice and
 sorted, must give the same bits. Every call uses a fresh seed; the sides
-take turns REPEATS times, and the median and quartiles of the time per
-call are kept.
+run in REPEATS rounds under the turn rule, and the median and quartiles of
+the time per call are kept.
 
 Each run appends its table, with the machine record and the git SHA, to the
 list under the key "kernel" or "rng" of BENCH_<label>.json in the
-repository root, next to what is already there.
+repository root.
 
 BLAS runs single-threaded, as importing qaoabench sets it. Run nothing
 else on the host meanwhile: every time here is wall time.
@@ -65,12 +66,10 @@ else on the host meanwhile: every time here is wall time.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from pathlib import Path
 
-from bench_pairs import ROOT, header, quartiles
+from bench_pairs import ROOT, add_table, alternate, header, quartiles
 
 sys.path.insert(0, str(ROOT / "src"))
 import qaoabench  # noqa: E402  before numpy loads, so that BLAS runs single-threaded
@@ -142,27 +141,29 @@ def time_cases() -> list[dict]:
             source = [int(b) for b in rng.permutation(n)]
             calls = max(4, (1 << 21) // (r << n))
             halves = [[states[: r // 2], spare[: r // 2]], [states[r // 2:], spare[r // 2:]]]
+
+            def timed(case, b, i):
+                q, form = case
+                if form in GATE_FORMS:
+                    simulator._group_form = lambda b, k, forced=GATE_FORMS[form][1]: forced
+                t = time.perf_counter()
+                if b == 1:
+                    run([states, spare], n, q, f, calls, form, source)
+                else:
+                    other = pool.submit(run, halves[1], n, q, f[r // 2:], calls, form, source)
+                    run(halves[0], n, q, f[: r // 2], calls, form, source)
+                    other.result()
+                simulator._group_form = group_form
+                return (time.perf_counter() - t) / calls
+
+            cases = [(q, form) for q in range(n) for form in forms_at(n, q)]
+            seconds = alternate(BLOCKS, REPEATS, cases, timed)
             for q in range(n):
                 forms = forms_at(n, q)
-                seconds = {form: {b: [] for b in BLOCKS} for form in forms}
-                for _ in range(REPEATS):
-                    for form in forms:
-                        if form in GATE_FORMS:
-                            simulator._group_form = lambda b, k, forced=GATE_FORMS[form][1]: forced
-                        for b in BLOCKS:
-                            t = time.perf_counter()
-                            if b == 1:
-                                run([states, spare], n, q, f, calls, form, source)
-                            else:
-                                other = pool.submit(run, halves[1], n, q, f[r // 2:], calls,
-                                                    form, source)
-                                run(halves[0], n, q, f[: r // 2], calls, form, source)
-                                other.result()
-                            seconds[form][b].append((time.perf_counter() - t) / calls)
-                        simulator._group_form = group_form
                 row = {"n": n, "realizations": r, "qubit": q, "run": 1 << q, "calls": calls,
-                       "seconds": {form: {str(b): quartiles(v) for b, v in per.items()}
-                                   for form, per in seconds.items()}}
+                       "seconds": {form: {str(b): quartiles(v)
+                                          for b, v in seconds[q, form].items()}
+                                   for form in forms}}
                 rows_out.append(row)
                 print(f"N={n:2d} R={r} q={q:2d}: " + "; ".join(
                     f"{form} " + ", ".join(
@@ -217,34 +218,36 @@ def time_rng() -> list[dict]:
 
     sides = {"draws": {"loop": loop_draws, "bulk": bulk_draws, "one-stream": one_stream_draws},
              "estimate": {"choice": choice_estimate, "sorted": sorted_estimate}}
-    rows_out = []
+    inputs = {}
     for n, r in RNG_CASES:
         g = gen_random_3regular(n, 7)
         c = build_qaoa_circuit(g, params)
         s = schedule(c, choose_grid(n), 0)
         probs = simulator.run_noisy_ensemble(s, c, noise, r, 0).mean_probs
-        table = cut_values_table(g)
-        args = {"draws": ((r, s.n_cycles, n),), "estimate": (probs, table)}
-        calls = max(4, 4096 // r)
-        seconds = {section: {side: [] for side in funcs} for section, funcs in sides.items()}
-        seed = 0
-        for i in range(REPEATS):
-            for section, funcs in sides.items():
-                outs = {}
-                for side, func in sorted(funcs.items(), reverse=i % 2 == 1):
-                    t = time.perf_counter()
-                    for k in range(calls):
-                        out = func(seed + k, *args[section])
-                    seconds[section][side].append((time.perf_counter() - t) / calls)
-                    outs[side] = out
-                same = [out for side, out in outs.items() if side != "one-stream"]
-                assert np.array_equal(*same), (n, r, section)
-            seed += calls
-        row = {"n": n, "realizations": r, "cycles": s.n_cycles, "shots": shots,
-               "calls": calls, "seconds": {section: {side: quartiles(v) for side, v in per.items()}
-                                           for section, per in seconds.items()}}
-        rows_out.append(row)
-        print(f"N={n:2d} R={r:3d}: " + "; ".join(
+        inputs[n, r] = s.n_cycles, {"draws": ((r, s.n_cycles, n),),
+                                    "estimate": (probs, cut_values_table(g))}
+    outs = {}
+
+    def timed(case, variant, i):
+        section, side = variant
+        calls = max(4, 4096 // case[1])
+        t = time.perf_counter()
+        for k in range(calls):
+            out = sides[section][side](i * calls + k, *inputs[case][1][section])
+        seconds = (time.perf_counter() - t) / calls
+        if side != "one-stream" and not np.array_equal(outs.setdefault((case, section, i), out),
+                                                       out):
+            raise RuntimeError(f"{side} gave other bits for {section} at {case} in round {i}")
+        return seconds
+
+    variants = tuple((section, side) for section, funcs in sides.items() for side in funcs)
+    rows_out = [{"n": n, "realizations": r, "cycles": inputs[n, r][0], "shots": shots,
+                 "calls": max(4, 4096 // r),
+                 "seconds": {section: {side: quartiles(seconds[section, side]) for side in funcs}
+                             for section, funcs in sides.items()}}
+                for (n, r), seconds in alternate(variants, REPEATS, RNG_CASES, timed).items()]
+    for row in rows_out:
+        print(f"N={row['n']:2d} R={row['realizations']:3d}: " + "; ".join(
             f"{section} " + ", ".join(f"{side} {q['median'] * 1e3:.3f} ms"
                                       for side, q in row["seconds"][section].items())
             for section in sides), file=sys.stderr, flush=True)
@@ -257,17 +260,13 @@ def main(argv=None) -> int:
     parser.add_argument("--table", choices=("kernel", "rng"), default="kernel")
     args = parser.parse_args(argv)
 
-    path = ROOT / f"BENCH_{args.label}.json"
-    record = json.loads(path.read_text()) if path.exists() else {}
     if args.table == "kernel":
         table = {"matmul_cap": MATMUL_CAP, "pair_floor": PAIR_FLOOR,
                  "group_min_n": GROUP_MIN_N, "group_short_cap": GROUP_SHORT_CAP,
                  "group_long_floor": GROUP_LONG_FLOOR, "cases": time_cases()}
     else:
         table = {"cases": time_rng()}
-    record.setdefault(args.table, []).append(
-        {**header({"change": ROOT}), "repeats": REPEATS, **table})
-    path.write_text(json.dumps(record, indent=1) + "\n")
+    add_table(args.label, args.table, {**header({"change": ROOT}), "repeats": REPEATS, **table})
     return 0
 
 

@@ -6,26 +6,28 @@ compare against:
     python3 scripts/bench_pairs.py --parent ../parent --label NAME --seed SEED WORKLOAD [...]
 
 Each of the 10 pairs runs `perfbench/run.py --workload W --seed SEED
---seconds 22 --trace 0` once in each checkout, alternating which side runs
-first, with seeds SEED, SEED + 1, ..., SEED + 9; both sides of a pair use
-the same seed. A claim must not reuse the seeds of an earlier record. The
-workloads take turns within each pair index, so drift of the host's speed
-spreads over all of them.
+--seconds 22 --trace 0` once in each checkout, with seeds SEED, SEED + 1,
+..., SEED + 9; both sides of a pair use the same seed. A claim must not
+reuse the seeds of an earlier record.
 
-BENCH_<label>.json in the repository root keeps the machine record, both
-git SHAs with the paths under src/ and scripts/ that each tree has edited
-since its commit (so a table timed on an uncommitted tree says so), every
-run's end-to-end metrics and operation counts, and per
-workload and metric the median and quartiles of each side and the number
-of pairs the change won (lower is better; ties count for neither side).
-Beside the gated metrics it keeps the unscaled op_s of each run's record
-line, `host_seconds.op_s`, with the same summary: the calibrator's probes
-run in the benchmark's own process, so work the program hands to other
-processes slows the probes and scales op_s down, and a claim on op_s must
-show the host-time gain too.
-A rerun replaces these and keeps the tables that scripts/bench_blocks.py,
-scripts/bench_kernel.py, scripts/bench_restarts.py and
-scripts/bench_scheduler.py added to the file.
+Every bench script here keeps one turn rule (`alternate`): each round runs
+every case on every variant, here each workload on both checkouts. The
+cases take turns within a round, and the variant order reverses every
+other round, so drift of the host's speed spreads over all of them. And
+every record is append-only (`add_table`): a run appends its table to the
+list under the script's key in BENCH_<label>.json in the repository root
+and keeps every other key. This script's key is "pairs".
+
+A table holds the machine record, both git SHAs with the paths under src/,
+scripts/, tests/ and perfbench/ that each tree has edited since its commit
+(so a table timed on an uncommitted tree says so), every run's end-to-end
+metrics and operation counts, and per workload and metric the median and
+quartiles of each side and the number of pairs the change won (lower is
+better; ties count for neither side). Beside the gated metrics it keeps the
+unscaled op_s of each run's record line, `host_seconds.op_s`, with the same
+summary: the calibrator's probes run in the benchmark's own process, so
+work the program hands to other processes slows the probes and scales op_s
+down, and a claim on op_s must show the host-time gain too.
 
 Run nothing else on the host meanwhile: every time here is wall time.
 """
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -42,19 +45,41 @@ ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("op_s", "setup_s", "peak_rss_mb")
 HOST_OP_S = "host_seconds.op_s"
 PAIRS = 10
+SIDES = ("parent", "change")
 COMMAND = "python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds 22 --trace 0"
 
 
-def bench_run(checkout: Path, workload: str, seed: int) -> dict:
-    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", "22", "--trace", "0"],
-                          cwd=checkout, stdout=subprocess.PIPE, text=True, check=True)
-    record_line, result_line = proc.stdout.splitlines()[-2:]
-    result = json.loads(result_line)
-    out = {name: result["metrics"][name]["value"] for name in METRICS}
-    out[HOST_OP_S] = json.loads(record_line)["record"]["host_seconds"]["op_s"]
-    out.update(attempted=result["attempted"], failed=result["failed"])
+def alternate(variants, rounds: int, cases, run) -> dict:
+    """Call run(case, variant, i) for each case and variant in rounds i = 0, 1, ...
+
+    Within a round the cases take turns in the given order, and each case
+    runs the variants in their order, reversed in odd rounds. Returns
+    {case: {variant: [run's result in round 0, 1, ...]}}.
+    """
+    out = {case: {variant: [] for variant in variants} for case in cases}
+    for i in range(rounds):
+        for case in cases:
+            for variant in (variants[::-1] if i % 2 else variants):
+                out[case][variant].append(run(case, variant, i))
     return out
+
+
+def in_checkout(checkout: Path, argv: list[str]) -> str:
+    """Run a fresh interpreter with argv in checkout, which imports qaoabench
+    from checkout/src; return its standard output."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    return subprocess.run([sys.executable, *argv], cwd=checkout, env=env,
+                          stdout=subprocess.PIPE, text=True, check=True).stdout
+
+
+def add_table(label: str, key: str, table: dict) -> None:
+    """Append table to the list under key in BENCH_<label>.json, keeping every
+    other key. A table stored bare under key becomes the list's first entry."""
+    path = ROOT / f"BENCH_{label}.json"
+    record = json.loads(path.read_text()) if path.exists() else {}
+    tables = record.get(key, [])
+    record[key] = (tables if isinstance(tables, list) else [tables]) + [table]
+    path.write_text(json.dumps(record, indent=1) + "\n")
 
 
 def quartiles(values) -> dict:
@@ -62,52 +87,36 @@ def quartiles(values) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def git_sha(checkout: Path) -> str:
-    return subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, stdout=subprocess.PIPE,
-                          text=True, check=True).stdout.strip()
+def git(checkout: Path, *args: str) -> str:
+    return subprocess.run(["git", *args], cwd=checkout, stdout=subprocess.PIPE, text=True,
+                          check=True).stdout
 
 
 def edited_paths(checkout: Path) -> list[str]:
-    """Paths under src/ and scripts/ that differ from HEAD or are untracked."""
-    out = subprocess.run(["git", "status", "--porcelain", "--", "src", "scripts"],
-                         cwd=checkout, stdout=subprocess.PIPE, text=True, check=True).stdout
+    """Paths under src/, scripts/, tests/ and perfbench/ that differ from HEAD
+    or are untracked."""
+    out = git(checkout, "status", "--porcelain", "--", "src", "scripts", "tests", "perfbench")
     return [line[3:] for line in out.splitlines()]
 
 
 def header(sides: dict[str, Path]) -> dict:
-    """Schema, machine record, and the git SHA of each side with the paths
-    under src/ and scripts/ edited since that commit (none on a clean tree)."""
+    """Schema, machine record, and each side's git SHA and edited_paths."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from run import machine_record
 
     return {"schema": 1, "machine": machine_record(),
-            "git_sha": {side: git_sha(path) for side, path in sides.items()},
+            "git_sha": {side: git(path, "rev-parse", "HEAD").strip()
+                        for side, path in sides.items()},
             "edited_paths": {side: edited_paths(path) for side, path in sides.items()}}
 
 
 def summary(pairs: list[dict]) -> dict:
     out = {}
     for name in (*METRICS, HOST_OP_S):
-        out[name] = {side: quartiles([p[side][name] for p in pairs])
-                     for side in ("parent", "change")}
+        out[name] = {side: quartiles([p[side][name] for p in pairs]) for side in SIDES}
         out[name]["change_wins"] = sum(p["change"][name] < p["parent"][name] for p in pairs)
         out[name]["pairs"] = len(pairs)
     return out
-
-
-def run_pairs(sides: dict[str, Path], workloads: list[str], seed: int) -> dict:
-    runs: dict[str, list[dict]] = {w: [] for w in workloads}
-    for i in range(PAIRS):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for workload in workloads:
-            pair = {"seed": seed + i, "first": order[0]}
-            for side in order:
-                pair[side] = bench_run(sides[side], workload, seed + i)
-            print(f"pair {i} {workload}: " + ", ".join(
-                f"{side} {pair[side]['op_s']:.3f} s (host {pair[side][HOST_OP_S]:.3f} s)"
-                for side in ("parent", "change")), file=sys.stderr, flush=True)
-            runs[workload].append(pair)
-    return {w: {"pairs": pairs, "summary": summary(pairs)} for w, pairs in runs.items()}
 
 
 def main(argv=None) -> int:
@@ -115,17 +124,29 @@ def main(argv=None) -> int:
     parser.add_argument("workloads", nargs="+", help="perfbench workload names")
     parser.add_argument("--parent", type=Path, required=True,
                         help="checkout of the commit to compare with")
-    parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
+    parser.add_argument("--label", required=True, help="adds to BENCH_<label>.json")
     parser.add_argument("--seed", type=int, required=True,
                         help="seed of the first pair; pick seeds no earlier record used")
     args = parser.parse_args(argv)
-
     sides = {"parent": args.parent.resolve(), "change": ROOT}
-    path = ROOT / f"BENCH_{args.label}.json"
-    record = json.loads(path.read_text()) if path.exists() else {}
-    record.update(header(sides), command=COMMAND,
-                  workloads=run_pairs(sides, args.workloads, args.seed))
-    path.write_text(json.dumps(record, indent=1) + "\n")
+
+    def run(workload, side, i):
+        command = COMMAND.replace("WORKLOAD", workload).replace("SEED", str(args.seed + i))
+        record_line, result_line = in_checkout(sides[side], command.split()[1:]).splitlines()[-2:]
+        result = json.loads(result_line)
+        out = {name: result["metrics"][name]["value"] for name in METRICS}
+        out[HOST_OP_S] = json.loads(record_line)["record"]["host_seconds"]["op_s"]
+        out.update(attempted=result["attempted"], failed=result["failed"])
+        print(f"pair {i} {workload} {side}: {out['op_s']:.3f} s (host {out[HOST_OP_S]:.3f} s)",
+              file=sys.stderr, flush=True)
+        return out
+
+    workloads = {}
+    for workload, per_side in alternate(SIDES, PAIRS, args.workloads, run).items():
+        pairs = [{"seed": args.seed + i, "first": SIDES[i % 2],
+                  **{side: per_side[side][i] for side in SIDES}} for i in range(PAIRS)]
+        workloads[workload] = {"pairs": pairs, "summary": summary(pairs)}
+    add_table(args.label, "pairs", {**header(sides), "command": COMMAND, "workloads": workloads})
     return 0
 
 

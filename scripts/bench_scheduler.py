@@ -3,21 +3,25 @@
 Run from the repository root, with a second checkout of the commit to
 compare against:
 
-    python3 scripts/bench_scheduler.py --parent ../parent --out BENCH_scheduler.json
+    python3 scripts/bench_scheduler.py --parent ../parent --label NAME
 
-Depth sweep: for each p in DEPTHS and each N in SIZES, GRAPHS random
-3-regular graphs (graph seeds 0, 1, ...), a QAOA circuit with fixed angles,
-scheduled by schedule() on choose_grid(N) with the graph seed as schedule
-seed and the default number of tries. Each schedule records its cycles,
-SWAPs (Schedule.n_swaps) and wall seconds, and beside the total the seconds
-spent in its two phases, summed over the tries: the initial placements
-(scheduler._initial_placement) and the routing (scheduler._route), and
-within the routing the SWAP choice of the blocked cycles
-(scheduler._cycle_swaps). Each checkout's sweep runs in a fresh interpreter
-that imports qaoabench from that checkout's src/. The
-sweep, the machine record and both git SHAs go under the key "sweep" of
-the output file; a file that exists keeps its other keys, such as the
-tables of scripts/bench_pairs.py.
+A case is one p in DEPTHS and one N in SIZES: GRAPHS random 3-regular
+graphs (graph seeds 0, 1, ...), a QAOA circuit with fixed angles, scheduled
+by schedule() on choose_grid(N) with the graph seed as schedule seed and
+the default number of tries. `--case P N` schedules one case in this
+interpreter and prints each graph's cycles and SWAPs (Schedule.n_swaps) and,
+summed over the graphs, the wall seconds and those of the two phases,
+summed over the tries: the initial placements (scheduler._initial_placement)
+and the routing (scheduler._route), and within the routing the SWAP choice
+of the blocked cycles (scheduler._cycle_swaps).
+
+Each of ROUNDS rounds runs every case once on each side, each in a fresh
+interpreter that imports qaoabench from that side's checkout, under the
+turn rule of scripts/bench_pairs.py. Each side must give the same cycles
+and SWAPs in every round. Each run appends its table to the list under the
+key "sweep" of BENCH_<label>.json in the repository root: the machine
+record, both git SHAs and, per case and side, the cycles and SWAPs, each
+round's seconds, and their medians and quartiles.
 
 Benchmark pairs of the `schedule-sweep` workload come from
 `scripts/bench_pairs.py schedule-sweep`.
@@ -28,17 +32,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
 import sys
 import time
 from pathlib import Path
 
-from bench_pairs import ROOT, header
+from bench_pairs import ROOT, SIDES, add_table, alternate, header, in_checkout, quartiles
 
 SIZES = (16, 24, 50, 80, 128, 192, 256, 384, 512)
 GRAPHS = 3
 DEPTHS = (1, 2, 4)
+ROUNDS = 5
 
 
 def time_phases(module, names: dict[str, str]) -> dict[str, float]:
@@ -52,10 +55,9 @@ def time_phases(module, names: dict[str, str]) -> dict[str, float]:
     def timed(fn, key):
         def wrapper(*args, **kwargs):
             t = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                phases[key] += time.perf_counter() - t
+            out = fn(*args, **kwargs)
+            phases[key] += time.perf_counter() - t
+            return out
         return wrapper
 
     for name, key in names.items():
@@ -63,8 +65,8 @@ def time_phases(module, names: dict[str, str]) -> dict[str, float]:
     return phases
 
 
-def sweep() -> list[dict]:
-    """Schedule each sweep case with the qaoabench found on sys.path."""
+def sweep(p: int, n: int) -> dict:
+    """Schedule one case with the qaoabench found on sys.path."""
     from qaoabench import scheduler
     from qaoabench.circuit import QaoaParams, build_qaoa_circuit
     from qaoabench.graphs import gen_random_3regular
@@ -73,58 +75,58 @@ def sweep() -> list[dict]:
     phases = time_phases(scheduler, {"_initial_placement": "placement_seconds",
                                      "_route": "route_seconds",
                                      "_cycle_swaps": "swap_seconds"})
-    rows = []
-    for p in DEPTHS:
-        for n in SIZES:
-            grid = choose_grid(n)
-            for graph_seed in range(GRAPHS):
-                g = gen_random_3regular(n, graph_seed)
-                c = build_qaoa_circuit(g, QaoaParams((0.3,) * p, (0.7,) * p))
-                phases.update(dict.fromkeys(phases, 0.0))
-                t = time.perf_counter()
-                s = schedule(c, grid, graph_seed)
-                seconds = time.perf_counter() - t
-                rows.append({"p": p, "n": n, "graph_seed": graph_seed,
-                             "grid": [grid.rows, grid.cols], "cycles": s.n_cycles,
-                             "swaps": s.n_swaps, "seconds": seconds, **phases})
-                print(f"  p={p} N={n:3d} graph {graph_seed}: {s.n_cycles} cycles, "
-                      f"{s.n_swaps} SWAPs, {seconds:.2f} s (placement "
-                      f"{phases['placement_seconds']:.2f} s, routing "
-                      f"{phases['route_seconds']:.2f} s, of it SWAP choice "
-                      f"{phases['swap_seconds']:.2f} s)", file=sys.stderr, flush=True)
-    return rows
+    grid = choose_grid(n)
+    out = {"grid": [grid.rows, grid.cols], "cycles": [], "swaps": [], "seconds": 0.0}
+    for graph_seed in range(GRAPHS):
+        g = gen_random_3regular(n, graph_seed)
+        c = build_qaoa_circuit(g, QaoaParams((0.3,) * p, (0.7,) * p))
+        t = time.perf_counter()
+        s = schedule(c, grid, graph_seed)
+        out["seconds"] += time.perf_counter() - t
+        out["cycles"].append(s.n_cycles)
+        out["swaps"].append(s.n_swaps)
+    return {**out, **phases}
 
 
-def sweep_in(checkout: Path) -> list[dict]:
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--sweep-only"],
-                          cwd=checkout, env=env, stdout=subprocess.PIPE, text=True,
-                          check=True)
-    return json.loads(proc.stdout)
+def case_table(p: int, n: int, runs: dict[str, list[dict]]) -> dict:
+    """One case's cycles and SWAPs per graph and timed rounds, per side."""
+    table = {"p": p, "n": n, "grid": runs["change"][0]["grid"]}
+    for side, rounds in runs.items():
+        first = rounds[0]
+        if any((out["cycles"], out["swaps"]) != (first["cycles"], first["swaps"])
+               for out in rounds):
+            raise RuntimeError(f"{side} scheduled p={p} N={n} differently across rounds")
+        times = {k: [out[k] for out in rounds] for k in first if k.endswith("seconds")}
+        table[side] = {"cycles": first["cycles"], "swaps": first["swaps"], **times,
+                       "summary": {name: quartiles(v) for name, v in times.items()}}
+    return table
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, help="checkout of the commit to compare with")
-    parser.add_argument("--out", type=Path, help="JSON file to write")
-    parser.add_argument("--sweep-only", action="store_true",
-                        help="print this interpreter's sweep as JSON and exit")
+    parser.add_argument("--label", help="adds to BENCH_<label>.json")
+    parser.add_argument("--case", nargs=2, type=int, metavar=("P", "N"),
+                        help="print this interpreter's schedules of one case as JSON and exit")
     args = parser.parse_args(argv)
-    if args.sweep_only:
-        print(json.dumps(sweep()))
+    if args.case:
+        print(json.dumps(sweep(*args.case)))
         return 0
-    if args.parent is None or args.out is None:
-        parser.error("--parent and --out are required")
-
+    if args.parent is None or args.label is None:
+        parser.error("--parent and --label are required")
     sides = {"parent": args.parent.resolve(), "change": ROOT}
-    table = header(sides)
-    table.update(sizes=list(SIZES), graphs_per_size=GRAPHS, p=list(DEPTHS))
-    for side, path in sides.items():
-        print(f"depth sweep, {side}", file=sys.stderr, flush=True)
-        table[side] = sweep_in(path)
-    record = json.loads(args.out.read_text()) if args.out.exists() else {}
-    record["sweep"] = table
-    args.out.write_text(json.dumps(record, indent=1) + "\n")
+
+    def run(case, side, i):
+        command = [str(Path(__file__).resolve()), "--case", *map(str, case)]
+        out = json.loads(in_checkout(sides[side], command))
+        print(f"round {i} p={case[0]} N={case[1]:3d} {side}: cycles {out['cycles']}, SWAPs "
+              f"{out['swaps']}, {out['seconds']:.2f} s", file=sys.stderr, flush=True)
+        return out
+
+    runs = alternate(SIDES, ROUNDS, [(p, n) for p in DEPTHS for n in SIZES], run)
+    add_table(args.label, "sweep", {
+        **header(sides), "rounds": ROUNDS, "graphs_per_size": GRAPHS,
+        "cases": [case_table(p, n, per_side) for (p, n), per_side in runs.items()]})
     return 0
 
 

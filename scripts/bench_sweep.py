@@ -5,33 +5,29 @@ compare against:
 
     python3 scripts/bench_sweep.py --parent ../parent --label NAME
 
-For each case in CASES, every one of ROUNDS rounds runs
-`python -m qaoabench.cli bench COMMON CASE --seed SEED` once in each
-checkout, each in a fresh process with PYTHONPATH=src in its own checkout.
-The side that goes first alternates from round to round, so drift of the
-host's speed spreads over both. Every run must write the same CSV bytes as
-the first run of its case. The wall seconds of a run include the
+Every one of ROUNDS rounds runs `python -m qaoabench.cli bench COMMON CASE
+--seed SEED` for each case in CASES once in each checkout, each in a fresh
+process that imports qaoabench from its own checkout's src/, under the
+turn rule of scripts/bench_pairs.py. Every run must write the same CSV
+bytes as the first run of its case. The wall seconds of a run include the
 interpreter's start.
 
-BENCH_<label>.json in the repository root gets the machine record, both
-git SHAs and, per case, the command, every run's seconds and the median and
-quartiles of each side. A sweep the file already holds moves to the end
-of its list "earlier", so every sweep is kept.
+Each run appends its table to the list under the key "sweeps" of
+BENCH_<label>.json in the repository root: the machine record, both git
+SHAs and, per case, the command, every run's seconds and the median and
+quartiles of each side.
 
 Run nothing else on the host meanwhile: every time here is wall time.
 """
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-from bench_pairs import ROOT, header, quartiles
+from bench_pairs import ROOT, SIDES, add_table, alternate, header, in_checkout, quartiles
 
 ROUNDS = 6
 SEED = 5
@@ -43,34 +39,6 @@ CASES = {
     # no noise: every evaluation replays one realization, and no shots are drawn
     "noiseless": ("--sizes", "8,10,12", "--t2", "inf", "--pipeline", "exact"),
 }
-SIDES = ("parent", "change")
-
-
-def bench_run(checkout: Path, argv: list[str], out: Path) -> tuple[float, str]:
-    """Wall seconds of one bench in a fresh process, and the CSV it wrote."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    t = time.perf_counter()
-    subprocess.run([sys.executable, "-m", "qaoabench.cli", "bench", *argv, "--out", str(out)],
-                   cwd=checkout, env=env, stdout=subprocess.DEVNULL, check=True)
-    seconds = time.perf_counter() - t
-    return seconds, out.read_text()
-
-
-def time_case(sides: dict[str, Path], case: tuple[str, ...], tmp: Path) -> dict:
-    seconds: dict[str, list[float]] = {side: [] for side in SIDES}
-    csv = None
-    argv = [*COMMON, *case, "--seed", str(SEED)]
-    for i in range(ROUNDS):
-        for side in SIDES[i % 2:] + SIDES[:i % 2]:
-            t, text = bench_run(sides[side], argv, tmp / f"{side}.csv")
-            csv = csv or text
-            if text != csv:
-                raise RuntimeError(f"{side} wrote other CSV bytes in round {i}")
-            seconds[side].append(t)
-            print(f"round {i} {side}: {t:.2f} s", file=sys.stderr, flush=True)
-    return {"command": " ".join(["bench", *argv]),
-            "csv": csv, "seconds": seconds,
-            "summary": {side: quartiles(v) for side, v in seconds.items()}}
 
 
 def main(argv=None) -> int:
@@ -79,16 +47,29 @@ def main(argv=None) -> int:
                         help="checkout of the commit to compare with")
     parser.add_argument("--label", required=True, help="adds to BENCH_<label>.json")
     args = parser.parse_args(argv)
-
     sides = {"parent": args.parent.resolve(), "change": ROOT}
-    path = ROOT / f"BENCH_{args.label}.json"
-    record = json.loads(path.read_text()) if path.exists() else {}
-    if "cases" in record:
-        record = {"earlier": record.pop("earlier", []) + [record]}
-    with tempfile.TemporaryDirectory() as tmp:
-        cases = {name: time_case(sides, case, Path(tmp)) for name, case in CASES.items()}
-    record.update(header(sides), rounds=ROUNDS, cases=cases)
-    path.write_text(json.dumps(record, indent=1) + "\n")
+    argvs = {name: [*COMMON, *case, "--seed", str(SEED)] for name, case in CASES.items()}
+    csvs: dict[str, str] = {}
+    tmp = tempfile.TemporaryDirectory()
+
+    def run(name, side, i):
+        out = Path(tmp.name) / f"{side}.csv"
+        t = time.perf_counter()
+        in_checkout(sides[side], ["-m", "qaoabench.cli", "bench", *argvs[name], "--out", str(out)])
+        seconds = time.perf_counter() - t
+        text = out.read_text()
+        if csvs.setdefault(name, text) != text:
+            raise RuntimeError(f"{side} wrote other CSV bytes for {name} in round {i}")
+        print(f"round {i} {name} {side}: {seconds:.2f} s", file=sys.stderr, flush=True)
+        return seconds
+
+    with tmp:
+        runs = alternate(SIDES, ROUNDS, list(CASES), run)
+    cases = {name: {"command": " ".join(["bench", *argvs[name]]), "csv": csvs[name],
+                    "seconds": seconds,
+                    "summary": {side: quartiles(v) for side, v in seconds.items()}}
+             for name, seconds in runs.items()}
+    add_table(args.label, "sweeps", {**header(sides), "rounds": ROUNDS, "cases": cases})
     return 0
 
 

@@ -40,7 +40,8 @@ from . import analysis, costmodel, maxsat
 from .circuit import QaoaParams, build_qaoa_circuit
 from .graphs import (brute_force_maxcut, cut_values_table, gen_random_3regular, read_graph,
                      require_edge, write_graph)
-from .optimizer import NmConfig, _derived_seed, solve_instance, solve_instances
+from .optimizer import (DEFAULT_REALIZATIONS, NmConfig, _derived_seed, solve_instance,
+                        solve_instances)
 from .scheduler import choose_grid, emit_pdpt, parse_pdpt, schedule, validate_schedule
 from .simulator import NoiseParams, convergence_study, optima_mask, run_noisy_ensemble
 
@@ -282,7 +283,7 @@ def _add_common(sub):
 def _add_ensemble_flags(sub):
     sub.add_argument("--t-gate", dest="t_gate", type=float, default=costmodel.DEFAULT_T_GATE,
                      help="gate duration, seconds")
-    sub.add_argument("--realizations", type=int, default=384,
+    sub.add_argument("--realizations", type=int, default=DEFAULT_REALIZATIONS,
                      help="noise realizations per evaluation")
 
 

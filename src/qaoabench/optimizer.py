@@ -41,6 +41,7 @@ EXPANSION = 1.5        # scales the reflection step
 CONTRACTION = 0.6
 SHRINK = 0.4
 STALL_FACTOR = 10      # stall window = STALL_FACTOR * p updates
+DEFAULT_REALIZATIONS = 384  # noise realizations per sampled evaluation
 
 
 @dataclass(frozen=True)
@@ -236,7 +237,7 @@ class InstanceProblem:
 
     def __init__(self, g: Graph, p: int, cfg: NmConfig, pipeline: str,
                  noise: NoiseParams, master_seed: int,
-                 n_realizations: int = 384):
+                 n_realizations: int = DEFAULT_REALIZATIONS):
         if pipeline not in ("exact", "sampled"):
             raise ValueError(f"pipeline must be 'exact' or 'sampled', got {pipeline!r}")
         if n_realizations < 1:
@@ -355,7 +356,8 @@ def _restart_workers(n_tasks: int) -> int:
 
 
 def solve_instances(instances: list[tuple[Graph, int]], p: int, cfg: NmConfig, pipeline: str,
-                    noise: NoiseParams, n_realizations: int = 384) -> list[InstanceSolveResult]:
+                    noise: NoiseParams,
+                    n_realizations: int = DEFAULT_REALIZATIONS) -> list[InstanceSolveResult]:
     """Solve each (graph, master seed) pair as solve_instance does, the results
     in instance order.
 
@@ -402,7 +404,7 @@ def solve_instances(instances: list[tuple[Graph, int]], p: int, cfg: NmConfig, p
 
 def solve_instance(g: Graph, p: int, cfg: NmConfig, pipeline: str,
                    noise: NoiseParams, master_seed: int,
-                   n_realizations: int = 384) -> InstanceSolveResult:
+                   n_realizations: int = DEFAULT_REALIZATIONS) -> InstanceSolveResult:
     """Run cfg.n_restarts independent Nelder-Mead runs and keep the best.
 
     All runs are costed: the total function-evaluation count sums over
